@@ -42,7 +42,8 @@ def json_dumps(obj) -> str:
 
     Dict insertion order is preserved; no whitespace surprises; strings are
     escaped by the standard library.  Accepts dicts, lists/tuples, strings,
-    bools, None, ints and floats.
+    bools, None, ints and floats.  Non-finite floats (an overflowed
+    determinant, say) become ``null``, so the output is always strict JSON.
     """
     pieces: list[str] = []
     _emit(obj, pieces)
@@ -57,7 +58,7 @@ def _emit(obj, out: list[str]) -> None:
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
+        out.append(format_float(obj) if np.isfinite(obj) else "null")
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):

@@ -12,7 +12,9 @@ Lambda = A conj(A) drives everything: an eigenvalue omega contributes
   — when omega is negative real,
 * 1x1 blocks ``sigma = sqrt(omega)`` when omega is non-negative real.
 
-This module classifies the spectrum, constructs U block by block, and
+This module classifies the spectrum, constructs U block by block (a real
+omega's columns from one Takagi/Youla-type factorization of x -> A conj(x)
+restricted to its eigenspace; Fassbender & Ikramov, LAA 422, 2007), and
 assembles the *collected* Sigma: all 2x2 blocks first, as
 ``[[0, S], [S^H ... ]]`` with the s values on an off-diagonal, then the 1x1
 entries on the diagonal.
@@ -48,9 +50,6 @@ NONNEGATIVE_REAL = "nonnegative-real"
 #: threshold below which a column component is ignored when fixing the
 #: eigenvector phase gauge (relative to the column's largest component)
 _PHASE_GAUGE_RTOL = 1e-8
-
-#: ||u|| below this triggers the alternate invariant-vector formula
-_INVARIANT_FALLBACK_NORM = 1e-8
 
 
 @dataclass(frozen=True)
@@ -265,28 +264,21 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 
 
 def _cluster_indices(values: np.ndarray, threshold: float) -> list[list[int]]:
-    """Group eigenvalues into connected components at the given distance.
-
-    Single-linkage via union-find over all pairs; order independent."""
-    count = len(values)
-    parent = list(range(count))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(count):
-        for j in range(i + 1, count):
-            if abs(values[i] - values[j]) <= threshold:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(count):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    """Group eigenvalues into connected components at the given distance
+    (single linkage, order independent), in order of their smallest index,
+    members ascending; each is grown from that index over a closeness matrix."""
+    close = np.abs(values[:, None] - values[None, :]) <= threshold
+    unassigned = np.ones(len(values), dtype=bool)
+    groups = []
+    while unassigned.any():
+        member = np.zeros_like(unassigned)
+        frontier = np.arange(len(values)) == np.argmax(unassigned)
+        while frontier.any():
+            member |= frontier
+            frontier = close[frontier].any(axis=0) & ~member
+        unassigned &= ~member
+        groups.append(np.flatnonzero(member).tolist())
+    return groups
 
 
 def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
@@ -399,14 +391,39 @@ def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * phases
 
 
-def _complement(coeffs: list[np.ndarray], dim: int) -> np.ndarray:
-    """Orthonormal basis (as columns) of the orthocomplement of the given
-    coefficient vectors inside C^dim, via SVD of the projector."""
-    proj = np.eye(dim, dtype=np.complex128)
-    for c in coeffs:
-        proj -= np.outer(c, c.conj())
-    u, _, _ = np.linalg.svd(proj)
-    return u[:, : dim - len(coeffs)]
+def _fixed_basis(c: np.ndarray) -> np.ndarray:
+    """Orthonormal fixed vectors y = C conj(y) of a unitary symmetric C: with
+    y = p + i q, the +1 eigenvectors of the involution [[Re C, Im C], [Im C,
+    -Re C]] (eigenvalues +-1, gap 2).  Inner products of fixed vectors are
+    real once C is exactly symmetric, so orthonormal (p, q) give orthonormal y."""
+    d = c.shape[0]
+    c = (c + c.T) / 2.0
+    _, vecs = np.linalg.eigh(np.block([[c.real, c.imag], [c.imag, -c.real]]))
+    return vecs[:d, d:] + 1j * vecs[d:, d:]
+
+
+def _orthonormalize(v: np.ndarray, found: np.ndarray) -> np.ndarray:
+    """v minus its part along the orthonormal columns ``found``, normalized."""
+    v = v - found @ (found.conj().T @ v)
+    return v / np.linalg.norm(v)
+
+
+def _symplectic_basis(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal pairs (x_k, i C conj(x_k)) spanning C^d for a unitary skew C.
+
+    x is orthogonal to i C conj(x) and a pair's orthocomplement maps into
+    itself, so Gram-Schmidt adding one pair per step (pivot on the residual
+    projector's largest diagonal, orthogonalize once more, rank-2 update)
+    spans C^d in O(d^3)."""
+    d = c.shape[0]
+    q = np.zeros((d, d), dtype=np.complex128)  # columns x_0, w_0, x_1, w_1, ...
+    proj = np.eye(d, dtype=np.complex128)
+    for k in range(0, d, 2):
+        x = _orthonormalize(proj[:, int(np.argmax(proj.diagonal().real))], q[:, :k])
+        q[:, k] = x
+        q[:, k + 1] = _orthonormalize(1j * (c @ x.conj()), q[:, : k + 1])
+        proj -= q[:, k : k + 2] @ q[:, k : k + 2].conj().T
+    return q[:, 0::2], q[:, 1::2]
 
 
 def wigner_normal_form(
@@ -422,14 +439,14 @@ def wigner_normal_form(
     1. a complex pair omega (the Im > 0 member is used) with orthonormal
        eigenbasis V yields partner columns ``W = (s / mu) A conj(V)`` with
        ``s = sqrt(omega)``; (V, W) columns carry 2x2 blocks s;
-    2. a negative real omega (eigenspace dimension 2m) yields m pairs with
-       ``s = i sqrt(|omega|)``, built by repeatedly taking the first basis
-       vector v, forming ``w = (s / mu) A conj(v)``, and deflating {v, w}
-       out of the remaining eigenspace basis;
-    3. a positive omega yields invariant columns ``u = v + A conj(v)/sqrt(omega)``
-       (normalized), with the alternate formula
-       ``u = i v - i A conj(v)/sqrt(omega)`` whenever ||u|| < 1e-8, again
-       with deflation;
+    2. a real omega != 0 with orthonormal eigenbasis B (d columns) gives the
+       restricted map ``C = B^H A conj(B) / sqrt(|omega|)``, and one
+       factorization of C gives all d columns of the cluster;
+    3. for omega < 0, C is skew and a pivoted symplectic Gram-Schmidt yields
+       d/2 column pairs (B x, i B C conj(x)) with ``s = i sqrt(|omega|)``; for
+       omega > 0, C is symmetric and one symmetric eigensolve of size 2d yields
+       d columns B y, y = C conj(y), sigma = sqrt(omega), unique up to a real
+       orthogonal mix: there the sign of det(U) is a gauge choice;
     4. a zero cluster contributes its eigenbasis unchanged with sigma = 0.
 
     The blocks are then sorted canonically (2x2 first, by descending |s|
@@ -462,50 +479,25 @@ def wigner_normal_form(
         basis = pairing.vectors[:, cluster.columns].copy()
         if rng is not None:
             basis = basis @ _haar_unitary(rng, basis.shape[1])
-        mu = cluster.mu
 
         if cluster.kind == COMPLEX_PAIR:
             if cluster.omega.imag < 0:
                 continue  # handled through the Im > 0 partner
             s = complex(np.sqrt(cluster.omega))
-            w = (s / mu) * (m @ basis.conj())
+            w = (s / cluster.mu) * (m @ basis.conj())
             pair_groups.append((OffDiagBlock(s, cluster.multiplicity), basis, w))
-        elif cluster.kind == NEGATIVE_REAL:
-            s = 1j * math.sqrt(-cluster.omega.real)
-            vs, ws = [], []
-            while basis.shape[1]:
-                d = basis.shape[1]
-                v = basis[:, 0]
-                w_raw = (s / mu) * (m @ v.conj())
-                coeff = basis.conj().T @ w_raw
-                coeff[0] = 0.0  # w is orthogonal to v in exact arithmetic
-                coeff /= np.linalg.norm(coeff)
-                vs.append(v)
-                ws.append(basis @ coeff)
-                e1 = np.zeros(d, dtype=np.complex128)
-                e1[0] = 1.0
-                basis = basis @ _complement([e1, coeff], d)
-            block = OffDiagBlock(s, len(vs))
-            pair_groups.append((block, np.column_stack(vs), np.column_stack(ws)))
-        else:  # NONNEGATIVE_REAL
-            omega = max(cluster.omega.real, 0.0)
-            if omega <= zero_floor:
-                real_groups.append((Real1Block(0.0, cluster.multiplicity), basis))
-                continue
-            s = math.sqrt(omega)
-            us = []
-            while basis.shape[1]:
-                d = basis.shape[1]
-                v = basis[:, 0]
-                image = (m @ v.conj()) / s
-                u = v + image
-                if np.linalg.norm(u) < _INVARIANT_FALLBACK_NORM:
-                    u = 1j * v - 1j * image
-                coeff = basis.conj().T @ u
-                coeff /= np.linalg.norm(coeff)
-                us.append(basis @ coeff)
-                basis = basis @ _complement([coeff], d)
-            real_groups.append((Real1Block(s, len(us)), np.column_stack(us)))
+        elif cluster.kind == NONNEGATIVE_REAL and cluster.omega.real <= zero_floor:
+            real_groups.append((Real1Block(0.0, cluster.multiplicity), basis))
+        else:  # real omega != 0: factor the restricted map C
+            scale = math.sqrt(abs(cluster.omega.real))
+            c = basis.conj().T @ (m @ basis.conj()) / scale
+            if cluster.kind == NEGATIVE_REAL:
+                xs, ws = _symplectic_basis(c)
+                block = OffDiagBlock(1j * scale, xs.shape[1])
+                pair_groups.append((block, basis @ xs, basis @ ws))
+            else:
+                block = Real1Block(scale, cluster.multiplicity)
+                real_groups.append((block, basis @ _fixed_basis(c)))
 
     pair_groups.sort(key=lambda g: (-abs(g[0].s), np.angle(g[0].s)))
     real_groups.sort(key=lambda g: g[0].sigma)

@@ -2,13 +2,19 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+import tomllib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wignerpf import SpectrumEntry, SpectrumSpec, random_conjugate_normal, write_matrix
 from wignerpf.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MM_J = "%%MatrixMarket matrix array complex general\n2 2\n0 0\n-1 0\n1 0\n0 0\n"
 JSON_A2 = '{"rows": 2, "cols": 2, "entries": [[0,0],[1,1],[1,-1],[0,0]]}'
@@ -298,12 +304,55 @@ class TestGen:
         assert json.loads(out)["error"]["code"] == 2
 
 
+class TestNonFiniteOutput:
+    """Overflowed diagnostics are printed as null, so every document parses."""
+
+    def test_apf_overflowed_det(self, capsys, tmp_path):
+        hand = np.array([[0.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])
+        path = tmp_path / "big.mm"
+        write_matrix(1e77 * np.kron(np.eye(2), hand), path, "mm")
+        with np.errstate(all="ignore"):
+            code, out = run(capsys, ["apf", str(path)])
+        assert code == 0
+        payload = json.loads(out, parse_constant=pytest.fail)
+        assert payload["det"] == [None, None]
+        assert payload["pfaffian"] == pytest.approx([-1e154, 0])
+
+    def test_pf_overflowed_det_and_cross_check(self, capsys, tmp_path):
+        spec = SpectrumSpec(
+            entries=(
+                SpectrumEntry("complex", np.exp(0.3j), 1),
+                SpectrumEntry("complex", np.exp(2.8j), 1),
+            ),
+            seed=1,
+        )
+        path = tmp_path / "big.mm"
+        write_matrix(10**77.125 * random_conjugate_normal(spec), path, "mm")
+        with np.errstate(all="ignore"):
+            code, out = run(capsys, ["pf", str(path)])
+        assert code == 0
+        payload = json.loads(out, parse_constant=pytest.fail)
+        assert None in payload["det"]
+        assert payload["cross_check_residual"] is None
+        assert all(np.isfinite(payload["pfaffian"]))
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
+        # run the console-script target declared in pyproject.toml the way
+        # the installed `wignerpf` script runs it, from this checkout's source
+        with open(ROOT / "pyproject.toml", "rb") as handle:
+            target = tomllib.load(handle)["project"]["scripts"]["wignerpf"]
+        module, func = target.split(":")
+        launcher = f"import sys; from {module} import {func}; sys.exit({func}())"
         path = tmp_path / "j.mm"
         path.write_text(MM_J)
+        pythonpath = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
         proc = subprocess.run(
-            ["wignerpf", "pf", str(path)], capture_output=True, text=True
+            [sys.executable, "-c", launcher, "pf", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))},
         )
         assert proc.returncode == 0
         assert proc.stdout == GOLDEN_PF_J

@@ -42,6 +42,15 @@ class TestFloatFormatting:
         )
         assert json.loads(text) == {"a": True, "b": None, "c": [1, 2.5], "d": "x", "e": False}
 
+    def test_json_dumps_non_finite_is_null(self):
+        values = [float("inf"), -float("inf"), float("nan"), np.float64("inf"), 1e308]
+        text = json_dumps({"v": values})
+        assert text == '{"v": [null, null, null, null, 1e+308]}'
+        # strict parse: Python's json.loads would otherwise accept Infinity/NaN
+        assert json.loads(text, parse_constant=pytest.fail) == {
+            "v": [None, None, None, None, 1e308]
+        }
+
     def test_json_dumps_rejects_unknown(self):
         with pytest.raises(TypeError):
             json_dumps({"z": 1.0 + 2.0j})

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wignerpf import (
     InputError,
@@ -15,6 +17,7 @@ from wignerpf import (
     antisymmetric_part,
     assemble_sigma,
     classify_spectrum,
+    generalized_pfaffian,
     is_conjugate_normal,
     random_conjugate_normal,
     reconstruct,
@@ -22,6 +25,7 @@ from wignerpf import (
 )
 from wignerpf.ensembles import spectrum_blocks
 from wignerpf.linalg import frobenius, unitarity_defect
+from wignerpf.normal_form import _cluster_indices
 
 from conftest import corpus_spec
 
@@ -152,6 +156,38 @@ class TestClassifySpectrum:
         with pytest.raises(NotConjugateNormalError):
             classify_spectrum([[1.0, 0.0], [1.0, 1.0]])
 
+    def test_clustering_matches_union_find(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            count = int(rng.integers(1, 40))
+            # grid values, so ties and chains sit exactly on the threshold
+            values = rng.integers(0, 10, count) + 1j * rng.integers(0, 3, count)
+            threshold = float(rng.choice([0.0, 0.5, 1.0, 1.5, 2.0]))
+            assert _cluster_indices(values, threshold) == union_find_clusters(
+                values, threshold
+            )
+
+
+def union_find_clusters(values, threshold):
+    """Reference single-linkage clustering: a union-find over all pairs."""
+    parent = list(range(len(values)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            if abs(values[i] - values[j]) <= threshold:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(len(values)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
 
 def assert_valid_normal_form(matrix, nf, tol=None):
     tol = tol or Tolerances()
@@ -160,6 +196,18 @@ def assert_valid_normal_form(matrix, nf, tol=None):
     np.testing.assert_allclose(
         reconstruct(nf), matrix, atol=tol.reconstruct * max(norm, 1.0)
     )
+
+
+def assert_prescribed_blocks(nf, spec):
+    prescribed = spectrum_blocks(spec)
+    assert len(nf.blocks) == len(prescribed)
+    for got, want in zip(nf.blocks, prescribed):
+        assert type(got) is type(want)
+        assert got.multiplicity == want.multiplicity
+        if isinstance(got, OffDiagBlock):
+            np.testing.assert_allclose(got.s, want.s, atol=1e-7)
+        else:
+            np.testing.assert_allclose(got.sigma, want.sigma, atol=1e-7)
 
 
 class TestWignerNormalForm:
@@ -201,15 +249,7 @@ class TestWignerNormalForm:
         matrix = random_conjugate_normal(spec)
         nf = wigner_normal_form(matrix)
         assert_valid_normal_form(matrix, nf)
-        prescribed = spectrum_blocks(spec)
-        assert len(nf.blocks) == len(prescribed)
-        for got, want in zip(nf.blocks, prescribed):
-            assert type(got) is type(want)
-            assert got.multiplicity == want.multiplicity
-            if isinstance(got, OffDiagBlock):
-                np.testing.assert_allclose(got.s, want.s, atol=1e-7)
-            else:
-                np.testing.assert_allclose(got.sigma, want.sigma, atol=1e-7)
+        assert_prescribed_blocks(nf, spec)
 
     def test_block_ordering_is_canonical(self):
         spec = SpectrumSpec(
@@ -280,6 +320,80 @@ class TestWignerNormalForm:
     def test_rejects_non_conjugate_normal(self):
         with pytest.raises(NotConjugateNormalError):
             wigner_normal_form([[1.0, 5.0], [0.0, 2.0]])
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_negative_identity(self, dim):
+        # every phase-fixed eigenvector v = e_k of Lambda = 1 has
+        # A conj(v) = -v, so v + A conj(v) / sqrt(omega) vanishes
+        matrix = -np.eye(dim)
+        nf = wigner_normal_form(matrix)
+        assert nf.blocks == (Real1Block(1.0, dim),)
+        assert_valid_normal_form(matrix, nf)
+        np.testing.assert_allclose(abs(nf.det_u), 1.0, atol=1e-12)
+
+
+class TestRealClusters:
+    """Single real clusters of growing multiplicity, and a mix of every kind,
+    built through the restricted map of each cluster."""
+
+    @pytest.mark.parametrize("gauge_seed", [None, 11])
+    @pytest.mark.parametrize("mult", [2, 64, 200])
+    @pytest.mark.parametrize(
+        "kind, omega", [("negative-real", -2.5), ("positive-real", 0.7)]
+    )
+    def test_single_cluster(self, kind, omega, mult, gauge_seed):
+        spec = SpectrumSpec(entries=(SpectrumEntry(kind, omega, mult),), seed=mult)
+        self.check(spec, gauge_seed)
+
+    @pytest.mark.parametrize("gauge_seed", [None, 5])
+    def test_mixed_kinds(self, gauge_seed):
+        spec = SpectrumSpec(
+            entries=(
+                SpectrumEntry("negative-real", -4.0, 6),
+                SpectrumEntry("negative-real", -0.5, 2),
+                SpectrumEntry("positive-real", 3.0, 5),
+                SpectrumEntry("positive-real", 0.25, 1),
+                SpectrumEntry("zero", 0.0, 3),
+                SpectrumEntry("complex", 1.0 + 2.0j, 2),
+                SpectrumEntry("complex", -1.5 + 0.5j, 1),
+            ),
+            seed=17,
+        )
+        self.check(spec, gauge_seed)
+
+    @staticmethod
+    def check(spec, gauge_seed):
+        matrix = random_conjugate_normal(spec)
+        nf = wigner_normal_form(matrix, gauge_seed=gauge_seed)
+        assert_prescribed_blocks(nf, spec)
+        assert_valid_normal_form(matrix, nf)
+        np.testing.assert_allclose(abs(nf.det_u), 1.0, atol=1e-10)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        omegas=st.lists(
+            st.floats(0.1, 9.0), min_size=1, max_size=3, unique_by=lambda x: round(x, 1)
+        ),
+        mults=st.lists(st.sampled_from([2, 4, 6]), min_size=3, max_size=3),
+        seed=st.integers(0, 2**31 - 1),
+        gauge_seed=st.integers(0, 2**31 - 1),
+    )
+    def test_negative_real_pfaffian_is_gauge_invariant(
+        self, omegas, mults, seed, gauge_seed
+    ):
+        # the gauge freedom of negative-real pairs has determinant 1, so the
+        # Pfaffian does not depend on which pairs the construction picks
+        spec = SpectrumSpec(
+            entries=tuple(
+                SpectrumEntry("negative-real", -omega, mult)
+                for omega, mult in zip(omegas, mults)
+            ),
+            seed=seed,
+        )
+        matrix = random_conjugate_normal(spec)
+        base = generalized_pfaffian(matrix).value
+        other = generalized_pfaffian(matrix, gauge_seed=gauge_seed).value
+        assert abs(other - base) <= 1e-9 * abs(base)
 
     def test_overmerged_clusters_raise_consistency_error(self):
         # with a huge clustering tolerance the -1 and 0 eigenvalue groups of
