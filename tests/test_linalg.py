@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from wignerpf import InputError, NotNormalError, Tolerances, det_lu, eig_normal
 from wignerpf.linalg import (
@@ -128,6 +129,71 @@ class TestEigNormal:
         np.testing.assert_allclose(
             m @ vectors, vectors @ np.diag(values), atol=1e-11
         )
+
+    @staticmethod
+    def _normal(values, seed):
+        rng = np.random.default_rng(seed)
+        dim = len(values)
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        q, _ = np.linalg.qr(g)
+        return q @ np.diag(values) @ q.conj().T
+
+    @staticmethod
+    def _count_schur(monkeypatch):
+        calls = []
+        schur = scipy.linalg.schur
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return schur(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", counting)
+        return calls
+
+    @staticmethod
+    def _assert_working_precision(m, values, vectors):
+        eps = np.finfo(float).eps
+        dim = m.shape[0]
+        assert unitarity_defect(vectors) < 4 * dim * eps
+        residual = np.linalg.norm(m @ vectors - vectors @ np.diag(values))
+        assert residual <= 4 * dim * eps * frobenius(m)
+
+    @staticmethod
+    def _assert_spectrum(values, want):
+        def ordered(z):
+            return sorted(z, key=lambda w: (round(w.real, 6), round(w.imag, 6)))
+
+        np.testing.assert_allclose(ordered(values), ordered(want), atol=1e-12)
+
+    def test_distinct_spectrum_to_working_precision_without_schur(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        want = rng.normal(size=150) + 1j * rng.normal(size=150)
+        want = np.concatenate([want, np.conj(want)])
+        m = self._normal(want, 6)
+        schur_calls = self._count_schur(monkeypatch)
+        values, vectors = eig_normal(m)
+        assert schur_calls == []
+        self._assert_working_precision(m, values, vectors)
+        self._assert_spectrum(values, want)
+
+    def test_degenerate_clusters_to_working_precision(self):
+        want = np.array([-2.0] * 60 + [3.0] * 60 + [1 + 1j] * 10 + [1 - 1j] * 10)
+        m = self._normal(want, 8)
+        values, vectors = eig_normal(m)
+        self._assert_working_precision(m, values, vectors)
+        self._assert_spectrum(values, want)
+
+    def test_eigenvalues_the_hermitian_combination_merges_use_schur(self, monkeypatch):
+        # w = c and w = i share Re w + c Im w = c, so H + c K cannot separate
+        # their eigenvectors; the Schur form has to
+        c = (5**0.5 - 1) / 2
+        want = np.array([c, 1j, -1j, 2.0, -0.5 + 0.25j, -0.5 - 0.25j])
+        m = self._normal(want, 9)
+        schur_calls = self._count_schur(monkeypatch)
+        values, vectors = eig_normal(m)
+        assert schur_calls == [1]
+        self._assert_working_precision(m, values, vectors)
+        self._assert_spectrum(values, want)
 
     def test_rejects_non_normal(self):
         with pytest.raises(NotNormalError) as info:
