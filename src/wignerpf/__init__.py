@@ -44,8 +44,6 @@ from .linalg import (
     as_square_matrix,
     det_lu,
     eig_normal,
-    matmul,
-    qr_householder,
 )
 from .normal_form import (
     NormalForm,
@@ -105,13 +103,11 @@ __all__ = [
     "generalized_pfaffian_via_relation",
     "identity_report",
     "is_conjugate_normal",
-    "matmul",
     "parse_matrix",
     "pf_polynomial",
     "pf_skew_householder",
     "pf_skew_parlett_reid",
     "pfaffian_derivative",
-    "qr_householder",
     "random_conjugate_normal",
     "random_ginibre",
     "random_skew",

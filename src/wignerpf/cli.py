@@ -28,6 +28,7 @@ import numpy as np
 from .ensembles import SpectrumSpec, random_conjugate_normal, random_ginibre
 from .errors import Error, InputError, ParseError
 from .generalized import (
+    DEFAULT_IDENTITY_SEED,
     antisymmetrized_pfaffian,
     generalized_pfaffian,
     generalized_pfaffian_via_relation,
@@ -41,11 +42,10 @@ from .io import (
     parse_matrix,
     render_matrix,
 )
-from .linalg import Tolerances
-from .normal_form import OffDiagBlock, is_conjugate_normal, reconstruct, wigner_normal_form
+from .linalg import DEFAULT_TOL, Tolerances
+from .normal_form import OffDiagBlock, is_conjugate_normal, wigner_normal_form
 
 SEED_ENV = "WIGNERPF_SEED"
-DEFAULT_IDENTITY_SEED = 1905
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,14 +64,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--tol-eig",
         type=float,
-        default=1e-10,
+        default=DEFAULT_TOL.eig_residual,
         metavar="X",
         help="relative eigen-residual / conjugate-normality tolerance",
     )
     common.add_argument(
         "--tol-cluster",
         type=float,
-        default=1e-8,
+        default=DEFAULT_TOL.cluster,
         metavar="X",
         help="base eigenvalue clustering tolerance",
     )
@@ -206,11 +206,10 @@ def _run_single(args, matrix: np.ndarray, tol: Tolerances) -> dict:
                         "multiplicity": block.multiplicity,
                     }
                 )
-        residual = float(np.linalg.norm(matrix - reconstruct(nf)))
         return {
             "det_U": complex_pair(nf.det_u),
             "blocks": blocks,
-            "reconstruction_residual": residual,
+            "reconstruction_residual": nf.reconstruction_residual,
         }
     if command == "check":
         flag, residual = is_conjugate_normal(matrix, tol)
@@ -250,6 +249,14 @@ def _error_line(exc: Error) -> str:
     return json_dumps({"error": {"code": exc.exit_code, "message": str(exc)}}) + "\n"
 
 
+def _write_output(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _cmd_gen(args) -> str:
     """Generate the matrix; returns the text destined for stdout."""
     if args.spec == "-":
@@ -271,8 +278,7 @@ def _cmd_gen(args) -> str:
     matrix = random_conjugate_normal(spec)
     text = render_matrix(matrix, args.format)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_output(args.output, text)
         summary = {
             "written": args.output,
             "rows": int(matrix.shape[0]),
@@ -310,10 +316,12 @@ def main(argv=None) -> int:
         code = exc.exit_code
     text = "".join(lines)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            _write_output(args.output, text)
+            text = ""
+        except InputError as exc:
+            text, code = _error_line(exc), exc.exit_code
+    sys.stdout.write(text)
     return code
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .linalg import qr_householder
 from .normal_form import OffDiagBlock, Real1Block, assemble_sigma
 
 COMPLEX_PAIR = "complex"
@@ -45,7 +44,7 @@ def random_ginibre(dim: int, seed: int) -> np.ndarray:
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:
     """Random unitary: QR of a Ginibre matrix, R's diagonal phases absorbed."""
-    q, r = qr_householder(random_ginibre(dim, seed))
+    q, r = np.linalg.qr(random_ginibre(dim, seed))
     d = np.diag(r)
     d = np.where(d == 0, 1.0, d)
     return q * (d / np.abs(d))

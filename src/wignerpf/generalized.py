@@ -12,6 +12,8 @@ Two extensions of the Pfaffian beyond skew-symmetric matrices live here:
 They are linked by ``pf(A) = sqrt(det(A) / det((A - A^T)/2)) * apf(A)``
 with a positive real ratio, which doubles as an internal cross-check, and
 they always share their complex phase.
+The conjugate-normality guard lives in :mod:`wignerpf.normal_form`;
+:func:`generalized_pfaffian` meets it inside :func:`wigner_normal_form`.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .errors import InputError, NotConjugateNormalError, PfUndefinedError
 from .linalg import DEFAULT_TOL, Tolerances, as_square_matrix, det_lu, frobenius
 from .normal_form import (
     Real1Block,
+    _require_conjugate_normal,
     antisymmetric_part,
     is_conjugate_normal,
     wigner_normal_form,
@@ -41,6 +44,8 @@ SINGULAR_SIGMA_RTOL = 1e-10
 RATIO_IMAG_RTOL = 1e-6
 
 METHODS = ("normal-form", "antisymmetrized", "relation", "polynomial")
+
+DEFAULT_IDENTITY_SEED = 1905  #: seeds Q in the battery's congruence row
 
 _I_POWER = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -121,17 +126,11 @@ def generalized_pfaffian(
     hook for gauge invariance).
     """
     m = as_square_matrix(a)
-    ok, cn_residual = is_conjugate_normal(m, tol)
-    if not ok:
-        raise NotConjugateNormalError(
-            f"matrix is not conjugate-normal: residual {cn_residual:.3e} "
-            f"exceeds {tol.eig_residual:.1e}",
-            residual=cn_residual,
-        )
+    nf = wigner_normal_form(m, tol, gauge_seed=gauge_seed)
+    cn_residual = nf.conjugate_normal_residual
     det_a = det_lu(m)
     a_as = antisymmetric_part(m)
     det_as = det_lu(a_as)
-    nf = wigner_normal_form(m, tol, gauge_seed=gauge_seed)
 
     sigma_floor = SINGULAR_SIGMA_RTOL * frobenius(m)
     real_blocks = [b for b in nf.blocks if isinstance(b, Real1Block)]
@@ -191,13 +190,7 @@ def generalized_pfaffian_via_relation(
     if engine not in ("householder", "polynomial"):
         raise InputError(f"unknown engine {engine!r}")
     m = as_square_matrix(a)
-    ok, cn_residual = is_conjugate_normal(m, tol)
-    if not ok:
-        raise NotConjugateNormalError(
-            f"matrix is not conjugate-normal: residual {cn_residual:.3e} "
-            f"exceeds {tol.eig_residual:.1e}",
-            residual=cn_residual,
-        )
+    _, cn_residual = _require_conjugate_normal(m, tol)
     a_as = antisymmetric_part(m)
     det_a = det_lu(m)
     det_as = det_lu(a_as)
@@ -264,7 +257,7 @@ def identity_report(
     tol: Tolerances = DEFAULT_TOL,
     *,
     threshold: float = 1e-8,
-    congruence_seed: int = 1905,
+    congruence_seed: int = DEFAULT_IDENTITY_SEED,
 ) -> IdentityReport:
     """Evaluate every algebraic Pfaffian identity on (A, B, lambda).
 

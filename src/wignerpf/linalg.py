@@ -95,15 +95,6 @@ DEFAULT_TOL = Tolerances()
 _HERMITIAN_SLOPE = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with shape validation."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise InputError(f"inner dimensions do not match: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def det_lu(a) -> complex:
     """Determinant via LU factorization with partial pivoting.
 
@@ -119,16 +110,6 @@ def det_lu(a) -> complex:
     swaps = int(np.count_nonzero(piv != np.arange(m.shape[0])))
     det = complex(np.prod(np.diag(lu)))
     return -det if swaps % 2 else det
-
-
-def qr_householder(a) -> tuple[np.ndarray, np.ndarray]:
-    """QR factorization by Householder reflections; returns (Q, R).
-
-    Q is unitary, R upper triangular with exact zeros below the diagonal.
-    """
-    m = as_square_matrix(a)
-    q, r = np.linalg.qr(m)
-    return q, r
 
 
 def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -194,6 +194,14 @@ class TestStdinAndOutput:
         assert out == ""
         assert target.read_text() == GOLDEN_PF_J * 2
 
+    def test_unwritable_output_exit_2(self, capsys, files, tmp_path):
+        target = tmp_path / "no" / "such" / "dir" / "result.txt"
+        code, out = run(capsys, ["pf", "--output", str(target), files["j.mm"]])
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["error"]["code"] == 2
+        assert payload["error"]["message"].startswith(f"cannot write {target}: ")
+
 
 class TestIdentities:
     def test_battery_passes(self, capsys, files):
@@ -295,6 +303,14 @@ class TestGen:
         value = complex(*payload["pfaffian"])
         det = complex(*payload["det"])
         np.testing.assert_allclose(value * value, det, rtol=1e-9)
+
+    def test_unwritable_output_exit_2(self, capsys, spec_file, tmp_path):
+        target = tmp_path / "no" / "such" / "dir" / "matrix.mm"
+        code, out = run(capsys, ["gen", "--output", str(target), spec_file])
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["error"]["code"] == 2
+        assert payload["error"]["message"].startswith(f"cannot write {target}: ")
 
     def test_bad_spec_exit_2(self, capsys, tmp_path):
         path = tmp_path / "spec.json"

@@ -1,4 +1,4 @@
-"""Dense kernels: validation, determinant, QR, normal eigendecomposition."""
+"""Dense kernels: validation, determinant, normal eigendecomposition."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from wignerpf.linalg import (
     as_matrix,
     as_square_matrix,
     frobenius,
-    matmul,
-    qr_householder,
     unitarity_defect,
 )
 
@@ -93,17 +91,6 @@ class TestDeterminant:
 
     def test_scalar(self):
         assert det_lu([[2.0 - 3.0j]]) == pytest.approx(2.0 - 3.0j)
-
-
-class TestQR:
-    @pytest.mark.parametrize("dim", [1, 2, 5, 12])
-    def test_factorization(self, dim):
-        rng = np.random.default_rng(dim)
-        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        q, r = qr_householder(a)
-        assert unitarity_defect(q) < 1e-13 * dim
-        np.testing.assert_allclose(np.tril(r, -1), 0.0, atol=1e-13)
-        np.testing.assert_allclose(q @ r, a, atol=1e-12 * frobenius(a))
 
 
 class TestEigNormal:
@@ -211,12 +198,6 @@ class TestSmallHelpers:
     def test_frobenius(self):
         a = np.array([[3.0, 0.0], [0.0, 4.0j]])
         assert frobenius(a) == pytest.approx(5.0)
-
-    def test_matmul_matches_operator(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        np.testing.assert_array_equal(matmul(a, b), a @ b)
 
     def test_unitarity_defect(self):
         assert unitarity_defect(np.eye(3)) == 0.0

@@ -18,14 +18,17 @@ from wignerpf import (
     assemble_sigma,
     classify_spectrum,
     generalized_pfaffian,
+    generalized_pfaffian_via_relation,
     is_conjugate_normal,
     random_conjugate_normal,
+    random_unitary,
     reconstruct,
     wigner_normal_form,
 )
+from wignerpf import generalized, normal_form
 from wignerpf.ensembles import spectrum_blocks
 from wignerpf.linalg import frobenius, unitarity_defect
-from wignerpf.normal_form import _cluster_indices
+from wignerpf.normal_form import COMPLEX_PAIR, _cluster_indices
 
 from conftest import corpus_spec
 
@@ -87,6 +90,16 @@ class TestConjugateNormality:
         assert is_conjugate_normal(q)[0]
         assert is_conjugate_normal(g + g.T)[0]
         assert is_conjugate_normal(g - g.T)[0]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_residual_fails(self):
+        # ||A||^2 overflows, the residual is nan, and nan is not a pass
+        matrix = 1e200 * np.eye(2)
+        flag, residual = is_conjugate_normal(matrix)
+        assert not flag and np.isnan(residual)
+        with pytest.raises(NotConjugateNormalError):
+            classify_spectrum(matrix)
 
     def test_generic_hermitian_fails(self):
         # complex Hermitian matrices are not conjugate-normal in general
@@ -156,6 +169,41 @@ class TestClassifySpectrum:
         with pytest.raises(NotConjugateNormalError):
             classify_spectrum([[1.0, 0.0], [1.0, 1.0]])
 
+    def test_mu_and_partners_match_loop_reference(self, corpus):
+        # per-cluster mat-vecs and a greedy nested partner search, as the
+        # classification once computed them
+        for _, matrix in corpus[:60]:
+            pairing = classify_spectrum(matrix)
+            m_op = matrix.T @ matrix.conj()
+            scale = 8 * matrix.shape[0] * np.finfo(float).eps * frobenius(m_op)
+            for cluster in pairing.clusters:
+                cols = pairing.vectors[:, cluster.columns]
+                mu = np.mean(np.real(np.sum(np.conj(cols) * (m_op @ cols), axis=0)))
+                assert abs(cluster.mu - mu) <= scale
+            assert [c.partner for c in pairing.clusters] == greedy_partners(
+                pairing.clusters, Tolerances().cluster_threshold(frobenius(matrix))
+            )
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([1j, 1.0], "has no conjugate partner"),
+            ([0.6 + 0.8j, 0.8 + 0.6j, 0.6 - 0.8j], "has no conjugate partner"),
+            # both -1j e^(+-i 3e-8) lie within the threshold 4e-8 of conj(1j)
+            # but 6e-8 apart: only one of them can be the partner
+            ([1j, -1j * np.exp(3e-8j), -1j * np.exp(-3e-8j)], "has no conjugate partner"),
+            ([1j, 1j, -1j], "mismatched multiplicities 1 vs 2"),
+            ([1.0, 2.0], r"has mu=1 != \|omega\|"),
+        ],
+    )
+    def test_structural_errors(self, monkeypatch, values, message):
+        # a unitary A has A^T A* = 1, so mu = 1 on every fabricated eigenvector
+        dim = len(values)
+        fake = (np.array(values, dtype=complex), np.eye(dim, dtype=complex))
+        monkeypatch.setattr(normal_form, "eig_normal", lambda lam, tol: fake)
+        with pytest.raises(SpectralConsistencyError, match=message):
+            classify_spectrum(random_unitary(dim, 3))
+
     def test_clustering_matches_union_find(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
@@ -187,6 +235,24 @@ def union_find_clusters(values, threshold):
     for i in range(len(values)):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
+
+
+def greedy_partners(clusters, threshold):
+    """Reference pairing: each unpaired complex cluster takes the nearest
+    unpaired complex cluster to its conjugate."""
+    partners = [None] * len(clusters)
+    for i, ci in enumerate(clusters):
+        if ci.kind != COMPLEX_PAIR or partners[i] is not None:
+            continue
+        candidates = [
+            j
+            for j, cj in enumerate(clusters)
+            if j != i and cj.kind == COMPLEX_PAIR and partners[j] is None
+        ]
+        best = min(candidates, key=lambda j: abs(clusters[j].omega - np.conj(ci.omega)))
+        assert abs(clusters[best].omega - np.conj(ci.omega)) <= threshold
+        partners[i], partners[best] = best, i
+    return partners
 
 
 def assert_valid_normal_form(matrix, nf, tol=None):
@@ -410,3 +476,53 @@ class TestRealClusters:
         matrix = random_conjugate_normal(spec)
         with pytest.raises(SpectralConsistencyError):
             wigner_normal_form(matrix, Tolerances(reconstruct=1e-18, unitarity=1e-17))
+
+
+class TestOnePass:
+    """Every check of one call runs once; its value is carried, not remeasured."""
+
+    @pytest.mark.parametrize("index", [0, 1, 6, 12])
+    def test_residuals_are_the_measured_ones(self, index):
+        matrix = random_conjugate_normal(corpus_spec(index))
+        nf = wigner_normal_form(matrix)
+        assert nf.conjugate_normal_residual == is_conjugate_normal(matrix)[1]
+        assert nf.reconstruction_residual == float(np.linalg.norm(matrix - reconstruct(nf)))
+        result = generalized_pfaffian(matrix)
+        assert result.diagnostics.conjugate_normal_residual == nf.conjugate_normal_residual
+
+    def test_one_unitarity_check_per_normal_form(self, monkeypatch):
+        calls = []
+        original = normal_form.unitarity_defect
+        monkeypatch.setattr(
+            normal_form, "unitarity_defect", lambda u: calls.append(1) or original(u)
+        )
+        wigner_normal_form(random_conjugate_normal(corpus_spec(1)))
+        assert len(calls) == 1
+
+    def test_one_conjugate_normality_test_per_pfaffian(self, monkeypatch):
+        calls = []
+        original = normal_form._require_conjugate_normal
+
+        def counted(m, tol):
+            calls.append(1)
+            return original(m, tol)
+
+        monkeypatch.setattr(normal_form, "_require_conjugate_normal", counted)
+        monkeypatch.setattr(generalized, "_require_conjugate_normal", counted)
+        generalized_pfaffian(random_conjugate_normal(corpus_spec(1)))
+        assert len(calls) == 1
+        generalized_pfaffian_via_relation(random_conjugate_normal(corpus_spec(1)))
+        assert len(calls) == 2
+
+    def test_every_route_raises_the_same_guard_error(self):
+        matrix = np.array([[1.0, 5.0], [0.0, 2.0]])
+        _, residual = is_conjugate_normal(matrix)
+        messages = set()
+        for route in (classify_spectrum, generalized_pfaffian, generalized_pfaffian_via_relation):
+            with pytest.raises(NotConjugateNormalError) as info:
+                route(matrix)
+            assert info.value.residual == residual
+            messages.add(str(info.value))
+        assert messages == {
+            f"matrix is not conjugate-normal: residual {residual:.3e} exceeds 1.0e-10"
+        }
