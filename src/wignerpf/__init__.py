@@ -12,8 +12,6 @@ from .ensembles import (
     SpectrumSpec,
     random_conjugate_normal,
     random_ginibre,
-    random_skew,
-    random_unitary,
 )
 from .errors import (
     Error,
@@ -36,34 +34,20 @@ from .generalized import (
     identity_report,
     pfaffian_derivative,
 )
-from .io import MatrixDocument, parse_matrix, render_matrix, write_matrix
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerances,
-    as_matrix,
-    as_square_matrix,
-    det_lu,
-    eig_normal,
-)
+from .io import MatrixDocument, parse_matrix, render_matrix
+from .linalg import DEFAULT_TOL, Tolerances
 from .normal_form import (
     NormalForm,
     OffDiagBlock,
     Real1Block,
     SpectralCluster,
     SpectralPairing,
-    antisymmetric_part,
-    assemble_sigma,
     classify_spectrum,
     is_conjugate_normal,
     reconstruct,
     wigner_normal_form,
 )
-from .pfaffian import (
-    as_skew_matrix,
-    pf_polynomial,
-    pf_skew_householder,
-    pf_skew_parlett_reid,
-)
+from .pfaffian import pf_polynomial, pf_skew_householder, pf_skew_parlett_reid
 
 __version__ = "0.1.0"
 
@@ -90,15 +74,8 @@ __all__ = [
     "SpectrumEntry",
     "SpectrumSpec",
     "Tolerances",
-    "antisymmetric_part",
     "antisymmetrized_pfaffian",
-    "as_matrix",
-    "as_skew_matrix",
-    "as_square_matrix",
-    "assemble_sigma",
     "classify_spectrum",
-    "det_lu",
-    "eig_normal",
     "generalized_pfaffian",
     "generalized_pfaffian_via_relation",
     "identity_report",
@@ -110,10 +87,7 @@ __all__ = [
     "pfaffian_derivative",
     "random_conjugate_normal",
     "random_ginibre",
-    "random_skew",
-    "random_unitary",
     "reconstruct",
     "render_matrix",
     "wigner_normal_form",
-    "write_matrix",
 ]

@@ -10,18 +10,20 @@ for golden tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError
-from .normal_form import OffDiagBlock, Real1Block, assemble_sigma
-
-COMPLEX_PAIR = "complex"
-NEGATIVE_REAL = "negative-real"
-POSITIVE_REAL = "positive-real"
-ZERO = "zero"
+from .normal_form import (
+    COMPLEX_PAIR,
+    NEGATIVE_REAL,
+    POSITIVE_REAL,
+    ZERO,
+    _block,
+    _block_key,
+    assemble_sigma,
+)
 
 _CLASSES = (COMPLEX_PAIR, NEGATIVE_REAL, POSITIVE_REAL, ZERO)
 
@@ -174,20 +176,8 @@ class SpectrumSpec:
 
 def spectrum_blocks(spec: SpectrumSpec) -> tuple:
     """Canonically ordered block sequence for a spectrum prescription."""
-    pairs = []
-    reals = []
-    for e in spec.entries:
-        if e.kind == COMPLEX_PAIR:
-            pairs.append(OffDiagBlock(complex(np.sqrt(e.omega)), e.multiplicity))
-        elif e.kind == NEGATIVE_REAL:
-            pairs.append(OffDiagBlock(1j * math.sqrt(-e.omega.real), e.multiplicity // 2))
-        elif e.kind == POSITIVE_REAL:
-            reals.append(Real1Block(math.sqrt(e.omega.real), e.multiplicity))
-        else:
-            reals.append(Real1Block(0.0, e.multiplicity))
-    pairs.sort(key=lambda blk: (-abs(blk.s), np.angle(blk.s)))
-    reals.sort(key=lambda blk: blk.sigma)
-    return tuple(pairs) + tuple(reals)
+    blocks = (_block(e.kind, e.omega, e.multiplicity) for e in spec.entries)
+    return tuple(sorted(blocks, key=_block_key))
 
 
 def random_conjugate_normal(spec: SpectrumSpec) -> np.ndarray:

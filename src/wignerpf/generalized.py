@@ -26,18 +26,14 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError, NotConjugateNormalError, PfUndefinedError
-from .linalg import DEFAULT_TOL, Tolerances, as_square_matrix, det_lu, frobenius
+from .linalg import DEFAULT_TOL, Tolerances, as_square_matrix, det_lu
 from .normal_form import (
     Real1Block,
     _require_conjugate_normal,
     antisymmetric_part,
-    is_conjugate_normal,
     wigner_normal_form,
 )
 from .pfaffian import pf_polynomial, pf_skew_householder
-
-#: a 1x1 block sigma below SINGULAR_SIGMA_RTOL * ||A|| is treated as zero
-SINGULAR_SIGMA_RTOL = 1e-10
 
 #: |Im(ratio)| <= RATIO_IMAG_RTOL * |Re(ratio)| is required of the
 #: det(A)/det((A - A^T)/2) ratio before its square root is taken
@@ -61,12 +57,14 @@ class PfDiagnostics:
 
     ``cross_check_residual`` is the relative discrepancy between the
     normal-form value and an independent recomputation through the
-    determinant-ratio relation (None when not applicable).
+    determinant-ratio relation (None when not applicable), and
+    ``conjugate_normal_residual`` is None on the antisymmetrized route,
+    which runs no conjugate-normality test.
     """
 
     det: complex
     det_antisymmetric: complex
-    conjugate_normal_residual: float
+    conjugate_normal_residual: float | None
     singular: bool
     cross_check_residual: float | None
 
@@ -111,8 +109,9 @@ def generalized_pfaffian(
     """Pfaffian of a conjugate-normal matrix through its normal form.
 
     ``pf(A) = i^(n^2) det(U) prod |s_k|`` over the 2x2 blocks, n = dim/2.
-    A 1x1 block with sigma = 0 (within ``SINGULAR_SIGMA_RTOL * ||A||``), or
-    an exactly zero determinant, makes the matrix singular: the value is 0
+    A 1x1 block with sigma = 0 (a "zero" Lambda-eigenvalue, decided by
+    :func:`classify_spectrum` at ``tol.cluster * (1 + ||A||^2)``), or an
+    exactly zero determinant, makes the matrix singular: the value is 0
     with ``diagnostics.singular`` set.  A 1x1 block with sigma > 0 on a
     non-singular matrix (this includes every non-singular odd-dimensional
     matrix) means no continuous Pfaffian extension exists and
@@ -132,9 +131,8 @@ def generalized_pfaffian(
     a_as = antisymmetric_part(m)
     det_as = det_lu(a_as)
 
-    sigma_floor = SINGULAR_SIGMA_RTOL * frobenius(m)
     real_blocks = [b for b in nf.blocks if isinstance(b, Real1Block)]
-    if any(b.sigma <= sigma_floor for b in real_blocks) or det_a == 0:
+    if any(b.sigma == 0.0 for b in real_blocks) or det_a == 0:
         diag = PfDiagnostics(det_a, det_as, cn_residual, True, None)
         return PfResult(0j, "normal-form", diag)
     if real_blocks:
@@ -160,14 +158,14 @@ def generalized_pfaffian(
 def antisymmetrized_pfaffian(a) -> PfResult:
     """Pfaffian of the antisymmetric part (A - A^T)/2.
 
-    Defined for every square matrix; odd dimension gives 0 (there the
-    antisymmetric part is always singular).
+    Defined for every square matrix, so no conjugate-normality test runs
+    (``conjugate_normal_residual`` is None); odd dimension gives 0 (there
+    the antisymmetric part is always singular).  ``det_antisymmetric`` is
+    ``value**2``, the Pfaffian identity on the factorization just computed.
     """
     m = as_square_matrix(a)
-    a_as = antisymmetric_part(m)
-    value = pf_skew_householder(a_as)
-    _, cn_residual = is_conjugate_normal(m)
-    diag = PfDiagnostics(det_lu(m), det_lu(a_as), cn_residual, value == 0, None)
+    value = pf_skew_householder(antisymmetric_part(m))
+    diag = PfDiagnostics(det_lu(m), value**2, None, value == 0, None)
     return PfResult(value, "antisymmetrized", diag)
 
 

@@ -45,9 +45,12 @@ from .linalg import (
     unitarity_defect,
 )
 
-COMPLEX_PAIR = "complex-pair"
+#: the spectral classes of a Lambda-eigenvalue omega, named as in the
+#: spectrum-prescription format; each fixes the block omega contributes
+COMPLEX_PAIR = "complex"
 NEGATIVE_REAL = "negative-real"
-NONNEGATIVE_REAL = "nonnegative-real"
+POSITIVE_REAL = "positive-real"
+ZERO = "zero"
 
 #: threshold below which a column component is ignored when fixing the
 #: eigenvector phase gauge (relative to the column's largest component)
@@ -91,30 +94,48 @@ class Real1Block:
             raise InputError(f"1x1 block value must be finite and >= 0, got {self.sigma}")
 
 
+def _block(kind: str, omega: complex, multiplicity: int):
+    """The block of a Lambda-eigenvalue omega of the given class and
+    multiplicity: complex omega gives s = sqrt(omega), negative real omega
+    half as many 2x2 blocks s = i sqrt(|omega|), positive real omega
+    sigma = sqrt(omega), and zero sigma = 0."""
+    if kind == COMPLEX_PAIR:
+        return OffDiagBlock(complex(np.sqrt(omega)), multiplicity)
+    if kind == ZERO:
+        return Real1Block(0.0, multiplicity)
+    root = math.sqrt(abs(omega.real))
+    if kind == NEGATIVE_REAL:
+        return OffDiagBlock(1j * root, multiplicity // 2)
+    return Real1Block(root, multiplicity)
+
+
+def _block_key(block) -> tuple:
+    """Canonical order: 2x2 blocks by descending |s|, ties by ascending
+    arg(s), then 1x1 blocks by ascending sigma."""
+    if isinstance(block, OffDiagBlock):
+        return (0, -abs(block.s), np.angle(block.s))
+    return (1, block.sigma, 0.0)
+
+
 def _check_block_order(blocks) -> int:
     """Validate the canonical block order; returns the pair count."""
-    seen_real = False
-    prev_off = None
-    prev_sigma = None
+    prev = None
     pairs = 0
     for block in blocks:
-        if isinstance(block, OffDiagBlock):
-            if seen_real:
+        if not isinstance(block, (OffDiagBlock, Real1Block)):
+            raise InputError(f"unknown block type: {type(block).__name__}")
+        key = _block_key(block)
+        if prev is not None and key < prev:
+            if key[0] < prev[0]:
                 raise InputError("2x2 blocks must precede all 1x1 blocks")
-            key = (-abs(block.s), np.angle(block.s))
-            if prev_off is not None and key < prev_off:
+            if key[0] == 0:
                 raise InputError(
                     "2x2 blocks must be sorted by descending |s|, ties by ascending arg(s)"
                 )
-            prev_off = key
+            raise InputError("1x1 blocks must be sorted by ascending sigma")
+        prev = key
+        if key[0] == 0:
             pairs += block.multiplicity
-        elif isinstance(block, Real1Block):
-            seen_real = True
-            if prev_sigma is not None and block.sigma < prev_sigma:
-                raise InputError("1x1 blocks must be sorted by ascending sigma")
-            prev_sigma = block.sigma
-        else:
-            raise InputError(f"unknown block type: {type(block).__name__}")
     return pairs
 
 
@@ -235,6 +256,8 @@ def antisymmetric_part(a) -> np.ndarray:
 class SpectralCluster:
     """One clustered eigenvalue of Lambda = A conj(A).
 
+    ``kind`` is its spectral class: :data:`COMPLEX_PAIR`,
+    :data:`NEGATIVE_REAL`, :data:`POSITIVE_REAL` or :data:`ZERO`.
     ``partner`` is the index of the conjugate cluster for complex pairs
     (None for real clusters).  ``mu`` is the common eigenvalue of
     M = A^T A* on the cluster subspace, which must equal |omega|.
@@ -305,9 +328,11 @@ def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
     """Cluster and classify the spectrum of Lambda = A conj(A).
 
     Eigenvalues within ``tol.cluster * (1 + ||A||^2)`` of each other are
-    merged.  Each cluster is labelled non-negative real, negative real, or
-    one half of a complex-conjugate pair; complex clusters are matched with
-    their partner, which must exist with equal multiplicity.  The common
+    merged.  Each cluster is labelled by its representative omega: "zero"
+    when ``|omega|`` is within that same threshold, else "complex" (one half
+    of a conjugate pair), "positive-real" or "negative-real" by the tests
+    ``cluster * (1 + |omega|)`` on Im and Re.  Complex clusters are matched
+    with their partner, which must exist with equal multiplicity.  The common
     M = A^T A* eigenvalue ``mu`` of every cluster is computed and verified
     to equal |omega|.
 
@@ -326,41 +351,41 @@ def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
     rayleigh = np.real(np.sum(vectors.conj() * (m_op @ vectors), axis=0))
 
     threshold = tol.cluster_threshold(norm)
-    raw_groups = _cluster_indices(values, threshold)
-    reps = [complex(np.mean(values[g])) for g in raw_groups]
+    groups = _cluster_indices(values, threshold)
+    reps = [complex(np.mean(values[g])) for g in groups]
     order = sorted(range(len(reps)), key=lambda i: (reps[i].real, reps[i].imag))
 
-    clusters: list[dict] = []
+    clusters: list[SpectralCluster] = []
     for pos in order:
-        group = raw_groups[pos]
-        omega = reps[pos]
+        group, omega = groups[pos], reps[pos]
         mu = float(np.mean(rayleigh[group]))
         if abs(mu - abs(omega)) > threshold:
             raise SpectralConsistencyError(
                 f"cluster at omega={omega:.6g} has mu={mu:.6g} != |omega|; "
                 "the spectra of A conj(A) and A^T A* are inconsistent"
             )
+        # zero first, at the grouping threshold: a zero eigenvalue's rounding
+        # noise scales with ||A||^2, not with |omega|
         scale = tol.cluster * (1.0 + abs(omega))
-        real_like = abs(omega.imag) <= scale
-        if real_like and omega.real >= -scale:
-            kind = NONNEGATIVE_REAL
-        elif real_like:
+        if abs(omega) <= threshold:
+            kind = ZERO
+        elif abs(omega.imag) > scale:
+            kind = COMPLEX_PAIR
+        elif omega.real >= -scale:
+            kind = POSITIVE_REAL
+        else:
             kind = NEGATIVE_REAL
             if len(group) % 2:
                 raise SpectralConsistencyError(
                     f"negative real eigenvalue {omega.real:.6g} has odd "
                     f"multiplicity {len(group)}"
                 )
-        else:
-            kind = COMPLEX_PAIR
-        clusters.append(
-            {"omega": omega, "cols": tuple(group), "kind": kind, "partner": None, "mu": mu}
-        )
+        clusters.append(SpectralCluster(omega, len(group), kind, None, mu, tuple(group)))
 
     # a complex cluster's partner is the cluster nearest its conjugate, and
     # that choice must be mutual (the distance matrix is symmetric)
-    complex_ids = [i for i, c in enumerate(clusters) if c["kind"] == COMPLEX_PAIR]
-    omegas = np.array([clusters[i]["omega"] for i in complex_ids], dtype=np.complex128)
+    complex_ids = [i for i, c in enumerate(clusters) if c.kind == COMPLEX_PAIR]
+    omegas = np.array([clusters[i].omega for i in complex_ids], dtype=np.complex128)
     dist = np.abs(omegas[None, :] - omegas.conj()[:, None])
     np.fill_diagonal(dist, np.inf)
     nearest = [int(np.argmin(row)) for row in dist]
@@ -368,28 +393,17 @@ def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
         ci, cj = clusters[complex_ids[k]], clusters[complex_ids[best]]
         if dist[k, best] > threshold or nearest[best] != k:
             raise SpectralConsistencyError(
-                f"complex eigenvalue {ci['omega']:.6g} has no conjugate partner "
+                f"complex eigenvalue {ci.omega:.6g} has no conjugate partner "
                 "in the spectrum"
             )
-        if len(cj["cols"]) != len(ci["cols"]):
+        if cj.multiplicity != ci.multiplicity:
             raise SpectralConsistencyError(
-                f"conjugate eigenvalues {ci['omega']:.6g} have mismatched "
-                f"multiplicities {len(ci['cols'])} vs {len(cj['cols'])}"
+                f"conjugate eigenvalues {ci.omega:.6g} have mismatched "
+                f"multiplicities {ci.multiplicity} vs {cj.multiplicity}"
             )
-        ci["partner"] = complex_ids[best]
+        clusters[complex_ids[k]] = replace(ci, partner=complex_ids[best])
 
-    final = tuple(
-        SpectralCluster(
-            omega=c["omega"],
-            multiplicity=len(c["cols"]),
-            kind=c["kind"],
-            partner=c["partner"],
-            mu=c["mu"],
-            columns=c["cols"],
-        )
-        for c in clusters
-    )
-    return SpectralPairing(final, vectors, cn_residual)
+    return SpectralPairing(tuple(clusters), vectors, cn_residual)
 
 
 def _fixed_basis(c: np.ndarray) -> np.ndarray:
@@ -466,49 +480,41 @@ def wigner_normal_form(
     dim = m.shape[0]
     norm = frobenius(m)
     pairing = classify_spectrum(m, tol)
-    zero_floor = tol.cluster_threshold(norm)
 
     rng = np.random.default_rng(gauge_seed) if gauge_seed is not None else None
     order = list(range(len(pairing.clusters)))
     if rng is not None:
         order = [int(i) for i in rng.permutation(len(order))]
 
-    # each entry: (sort_key_block, V_columns, W_columns or None)
-    pair_groups: list[tuple[OffDiagBlock, np.ndarray, np.ndarray]] = []
-    real_groups: list[tuple[Real1Block, np.ndarray]] = []
-
+    # each entry: (block, V columns, W columns of a 2x2 block or None)
+    groups: list[tuple] = []
     for idx in order:
         cluster = pairing.clusters[idx]
         basis = pairing.vectors[:, cluster.columns].copy()
         if rng is not None:
             basis = basis @ random_unitary(basis.shape[1], int(rng.integers(2**32)))
+        if cluster.kind == COMPLEX_PAIR and cluster.omega.imag < 0:
+            continue  # handled through the Im > 0 partner
 
+        block = _block(cluster.kind, cluster.omega, cluster.multiplicity)
         if cluster.kind == COMPLEX_PAIR:
-            if cluster.omega.imag < 0:
-                continue  # handled through the Im > 0 partner
-            s = complex(np.sqrt(cluster.omega))
-            w = (s / cluster.mu) * (m @ basis.conj())
-            pair_groups.append((OffDiagBlock(s, cluster.multiplicity), basis, w))
-        elif cluster.kind == NONNEGATIVE_REAL and cluster.omega.real <= zero_floor:
-            real_groups.append((Real1Block(0.0, cluster.multiplicity), basis))
+            w = (block.s / cluster.mu) * (m @ basis.conj())
+            groups.append((block, basis, w))
+        elif cluster.kind == ZERO:
+            groups.append((block, basis, None))
         else:  # real omega != 0: factor the restricted map C
-            scale = math.sqrt(abs(cluster.omega.real))
-            c = basis.conj().T @ (m @ basis.conj()) / scale
+            root = block.s.imag if cluster.kind == NEGATIVE_REAL else block.sigma
+            c = basis.conj().T @ (m @ basis.conj()) / root
             if cluster.kind == NEGATIVE_REAL:
                 xs, ws = _symplectic_basis(c)
-                block = OffDiagBlock(1j * scale, xs.shape[1])
-                pair_groups.append((block, basis @ xs, basis @ ws))
+                groups.append((block, basis @ xs, basis @ ws))
             else:
-                block = Real1Block(scale, cluster.multiplicity)
-                real_groups.append((block, basis @ _fixed_basis(c)))
+                groups.append((block, basis @ _fixed_basis(c), None))
 
-    pair_groups.sort(key=lambda g: (-abs(g[0].s), np.angle(g[0].s)))
-    real_groups.sort(key=lambda g: g[0].sigma)
-
-    columns: list[np.ndarray] = []
-    columns.extend(g[1] for g in pair_groups)
-    columns.extend(g[2] for g in pair_groups)
-    columns.extend(g[1] for g in real_groups)
+    groups.sort(key=lambda g: _block_key(g[0]))
+    pairs = [g for g in groups if g[2] is not None]
+    columns = [g[1] for g in pairs] + [g[2] for g in pairs]
+    columns += [g[1] for g in groups if g[2] is None]
     u_mat = np.column_stack(columns) if columns else np.zeros((dim, 0))
     if u_mat.shape != (dim, dim):
         raise SpectralConsistencyError(
@@ -523,8 +529,8 @@ def wigner_normal_form(
             f"exceeds {tol.unitarity:.1e} * sqrt({dim})"
         )
 
-    blocks = tuple(g[0] for g in pair_groups) + tuple(g[0] for g in real_groups)
-    half_dim = sum(b.multiplicity for b in blocks if isinstance(b, OffDiagBlock))
+    blocks = tuple(g[0] for g in groups)
+    half_dim = sum(g[0].multiplicity for g in pairs)
     cn_residual = pairing.conjugate_normal_residual
     # a draft: its reconstruction residual is measured on it next
     nf = NormalForm(u_mat, blocks, half_dim, det_lu(u_mat), cn_residual, math.nan)

@@ -17,9 +17,7 @@ from wignerpf import (
     OffDiagBlock,
     SpectrumEntry,
     SpectrumSpec,
-    antisymmetric_part,
     antisymmetrized_pfaffian,
-    assemble_sigma,
     generalized_pfaffian,
     generalized_pfaffian_via_relation,
     identity_report,
@@ -28,13 +26,12 @@ from wignerpf import (
     pfaffian_derivative,
     random_conjugate_normal,
     random_ginibre,
-    random_skew,
-    random_unitary,
     reconstruct,
     wigner_normal_form,
 )
-from wignerpf.ensembles import spectrum_blocks
+from wignerpf.ensembles import random_skew, random_unitary, spectrum_blocks
 from wignerpf.linalg import frobenius, unitarity_defect
+from wignerpf.normal_form import antisymmetric_part, assemble_sigma
 
 from test_cli import (
     GOLDEN_PF_A2,

@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wignerpf import SpectrumEntry, SpectrumSpec, random_conjugate_normal, write_matrix
+from wignerpf import SpectrumEntry, SpectrumSpec, random_conjugate_normal
 from wignerpf.cli import main
+from wignerpf.io import write_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -12,10 +12,8 @@ from wignerpf import (
     is_conjugate_normal,
     random_conjugate_normal,
     random_ginibre,
-    random_skew,
-    random_unitary,
 )
-from wignerpf.ensembles import spectrum_blocks
+from wignerpf.ensembles import random_skew, random_unitary, spectrum_blocks
 from wignerpf.linalg import unitarity_defect
 
 

@@ -12,7 +12,6 @@ from wignerpf import (
     SpectrumEntry,
     SpectrumSpec,
     antisymmetrized_pfaffian,
-    det_lu,
     generalized_pfaffian,
     generalized_pfaffian_via_relation,
     identity_report,
@@ -20,6 +19,8 @@ from wignerpf import (
     pfaffian_derivative,
     random_conjugate_normal,
 )
+from wignerpf import generalized, normal_form
+from wignerpf.linalg import det_lu
 
 from conftest import corpus_spec
 
@@ -118,6 +119,24 @@ class TestAntisymmetrized:
     def test_defined_on_non_conjugate_normal_input(self):
         result = antisymmetrized_pfaffian([[1.0, 5.0], [0.0, 2.0]])
         np.testing.assert_allclose(result.value, 2.5)
+
+    def test_runs_no_guard_and_one_determinant(self, monkeypatch):
+        calls = []
+
+        def counted_det(m):
+            calls.append(1)
+            return det_lu(m)
+
+        def no_guard(m, tol):
+            raise AssertionError("apf runs no conjugate-normality test")
+
+        monkeypatch.setattr(generalized, "det_lu", counted_det)
+        monkeypatch.setattr(normal_form, "_require_conjugate_normal", no_guard)
+        monkeypatch.setattr(generalized, "_require_conjugate_normal", no_guard)
+        result = antisymmetrized_pfaffian(random_conjugate_normal(corpus_spec(1)))
+        assert len(calls) == 1
+        assert result.diagnostics.conjugate_normal_residual is None
+        assert result.diagnostics.det_antisymmetric == result.value**2
 
 
 class TestRelationRoute:

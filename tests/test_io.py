@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerpf import MatrixDocument, ParseError, parse_matrix, render_matrix, write_matrix
-from wignerpf.io import complex_pair, format_float, json_dumps
+from wignerpf import MatrixDocument, ParseError, parse_matrix, render_matrix
+from wignerpf.io import complex_pair, format_float, json_dumps, write_matrix
 
 MM_EXAMPLE = """%%MatrixMarket matrix array complex general
 % generated for a parser test

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from wignerpf import InputError, NotNormalError, Tolerances, det_lu, eig_normal
+from wignerpf import InputError, NotNormalError, Tolerances
 from wignerpf.linalg import (
     DEFAULT_TOL,
     as_matrix,
     as_square_matrix,
+    det_lu,
+    eig_normal,
     frobenius,
     unitarity_defect,
 )

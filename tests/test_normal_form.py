@@ -14,21 +14,25 @@ from wignerpf import (
     SpectrumEntry,
     SpectrumSpec,
     Tolerances,
-    antisymmetric_part,
-    assemble_sigma,
     classify_spectrum,
     generalized_pfaffian,
     generalized_pfaffian_via_relation,
     is_conjugate_normal,
     random_conjugate_normal,
-    random_unitary,
     reconstruct,
     wigner_normal_form,
 )
 from wignerpf import generalized, normal_form
-from wignerpf.ensembles import spectrum_blocks
+from wignerpf.ensembles import random_unitary, spectrum_blocks
 from wignerpf.linalg import frobenius, unitarity_defect
-from wignerpf.normal_form import COMPLEX_PAIR, _cluster_indices
+from wignerpf.normal_form import (
+    COMPLEX_PAIR,
+    ZERO,
+    _check_block_order,
+    _cluster_indices,
+    antisymmetric_part,
+    assemble_sigma,
+)
 
 from conftest import corpus_spec
 
@@ -133,7 +137,7 @@ class TestClassifySpectrum:
         for cluster in pairing.clusters:
             by_kind.setdefault(cluster.kind, []).append(cluster)
 
-        complex_clusters = by_kind["complex-pair"]
+        complex_clusters = by_kind["complex"]
         assert len(complex_clusters) == 2
         for cluster in complex_clusters:
             assert cluster.multiplicity == 2
@@ -148,7 +152,7 @@ class TestClassifySpectrum:
         assert negative.multiplicity == 2
         np.testing.assert_allclose(negative.omega, -3.0, atol=1e-8)
 
-        nonneg = sorted(c.omega.real for c in by_kind["nonnegative-real"])
+        nonneg = sorted(c.omega.real for c in by_kind["zero"] + by_kind["positive-real"])
         np.testing.assert_allclose(nonneg, [0.0, 4.0], atol=1e-8)
 
     def test_clusters_sorted_by_real_then_imag(self):
@@ -526,3 +530,58 @@ class TestOnePass:
         assert messages == {
             f"matrix is not conjugate-normal: residual {residual:.3e} exceeds 1.0e-10"
         }
+
+
+def singular_spec(complex_pairs, zeros):
+    """Complex pairs, one negative-real pair and a zero eigenvalue of the
+    given multiplicity (dimension 9-13 for the cases below)."""
+    entries = tuple(
+        SpectrumEntry("complex", complex(0.3 * j - 0.5, 0.4 + 0.3 * j), 1)
+        for j in range(complex_pairs)
+    )
+    entries += (SpectrumEntry("negative-real", -1.7, 2), SpectrumEntry("zero", 0.0, zeros))
+    return SpectrumSpec(entries, seed=10 * zeros + complex_pairs)
+
+
+class TestSpectralClasses:
+    """One classification, in the spectrum format's class names."""
+
+    @pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2, 1e4, 1e5, 1e6, 1e7, 1e8])
+    @pytest.mark.parametrize(
+        "complex_pairs, zeros", [(3, 1), (4, 1), (5, 1), (3, 2), (4, 2), (3, 3), (4, 3)]
+    )
+    def test_zero_eigenvalue_is_zero_at_every_scale(self, complex_pairs, zeros, scale):
+        # at large scales the rounding noise on Lambda's zero eigenvalue has
+        # an imaginary part far above cluster * (1 + |omega|); it must still
+        # be read as zero, not as a complex eigenvalue without a partner
+        matrix = scale * random_conjugate_normal(singular_spec(complex_pairs, zeros))
+        result = generalized_pfaffian(matrix)
+        assert result.diagnostics.singular
+        assert result.value == 0
+        pairing = classify_spectrum(matrix)
+        assert [c.multiplicity for c in pairing.clusters if c.kind == ZERO] == [zeros]
+
+    def test_kinds_match_the_prescription_on_the_corpus(self, corpus):
+        for spec, matrix in corpus:
+            prescribed = []
+            for entry in spec.entries:
+                copies = 2 if entry.kind == "complex" else 1
+                prescribed += [(entry.kind, entry.multiplicity)] * copies
+            found = [(c.kind, c.multiplicity) for c in classify_spectrum(matrix).clusters]
+            assert sorted(found) == sorted(prescribed)
+
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            ([Real1Block(1.0, 1), OffDiagBlock(2.0j, 1)], "2x2 blocks must precede"),
+            ([OffDiagBlock(1.0j, 1), OffDiagBlock(2.0j, 1)], "descending \\|s\\|"),
+            ([OffDiagBlock(-1.0 + 0j, 1), OffDiagBlock(1.0j, 1)], "ascending arg"),
+            ([Real1Block(2.0, 1), Real1Block(1.0, 1)], "ascending sigma"),
+        ],
+    )
+    def test_block_order_rejects_each_misordering(self, blocks, message):
+        with pytest.raises(InputError, match=message):
+            _check_block_order(blocks)
+        assert _check_block_order(blocks[::-1]) == sum(
+            b.multiplicity for b in blocks if isinstance(b, OffDiagBlock)
+        )

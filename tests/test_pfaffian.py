@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
-from wignerpf import (
-    InputError,
-    as_skew_matrix,
-    det_lu,
-    pf_polynomial,
-    pf_skew_householder,
-    pf_skew_parlett_reid,
-)
-from wignerpf.pfaffian import MAX_POLYNOMIAL_DIM
+from wignerpf import InputError, pf_polynomial, pf_skew_householder, pf_skew_parlett_reid
+from wignerpf.linalg import det_lu
+from wignerpf.pfaffian import MAX_POLYNOMIAL_DIM, as_skew_matrix
 
 ROUTES = [pf_skew_householder, pf_skew_parlett_reid, pf_polynomial]
 
