@@ -47,7 +47,7 @@ from .normal_form import (
     reconstruct,
     wigner_normal_form,
 )
-from .pfaffian import pf_polynomial, pf_skew_householder, pf_skew_parlett_reid
+from .pfaffian import pf_polynomial, pf_skew_parlett_reid
 
 __version__ = "0.1.0"
 
@@ -82,7 +82,6 @@ __all__ = [
     "is_conjugate_normal",
     "parse_matrix",
     "pf_polynomial",
-    "pf_skew_householder",
     "pf_skew_parlett_reid",
     "pfaffian_derivative",
     "random_conjugate_normal",

@@ -33,7 +33,7 @@ from .normal_form import (
     antisymmetric_part,
     wigner_normal_form,
 )
-from .pfaffian import pf_polynomial, pf_skew_householder
+from .pfaffian import pf_polynomial, pf_skew_parlett_reid
 
 #: |Im(ratio)| <= RATIO_IMAG_RTOL * |Re(ratio)| is required of the
 #: det(A)/det((A - A^T)/2) ratio before its square root is taken
@@ -119,7 +119,9 @@ def generalized_pfaffian(
 
     For non-singular results the value is independently recomputed through
     the determinant-ratio relation and the relative discrepancy is recorded
-    in ``diagnostics.cross_check_residual``.
+    in ``diagnostics.cross_check_residual``.  The relation's
+    ``det((A - A^T)/2)`` is ``apf**2`` from the same Parlett-Reid
+    factorization that gives ``apf``.
 
     ``gauge_seed`` is forwarded to the normal-form construction (testing
     hook for gauge invariance).
@@ -128,8 +130,8 @@ def generalized_pfaffian(
     nf = wigner_normal_form(m, tol, gauge_seed=gauge_seed)
     cn_residual = nf.conjugate_normal_residual
     det_a = det_lu(m)
-    a_as = antisymmetric_part(m)
-    det_as = det_lu(a_as)
+    apf = pf_skew_parlett_reid(antisymmetric_part(m))
+    det_as = apf**2
 
     real_blocks = [b for b in nf.blocks if isinstance(b, Real1Block)]
     if any(b.sigma == 0.0 for b in real_blocks) or det_a == 0:
@@ -149,7 +151,6 @@ def generalized_pfaffian(
         magnitude *= abs(block.s) ** block.multiplicity
     value = _i_power_n_squared(nf.half_dim) * nf.det_u * magnitude
 
-    apf = pf_skew_householder(a_as)
     cross = abs(value - _relation_value(det_a, det_as, apf)) / abs(value)
     diag = PfDiagnostics(det_a, det_as, cn_residual, False, float(cross))
     return PfResult(complex(value), "normal-form", diag)
@@ -164,7 +165,7 @@ def antisymmetrized_pfaffian(a) -> PfResult:
     ``value**2``, the Pfaffian identity on the factorization just computed.
     """
     m = as_square_matrix(a)
-    value = pf_skew_householder(antisymmetric_part(m))
+    value = pf_skew_parlett_reid(antisymmetric_part(m))
     diag = PfDiagnostics(det_lu(m), value**2, None, value == 0, None)
     return PfResult(value, "antisymmetrized", diag)
 
@@ -173,31 +174,33 @@ def generalized_pfaffian_via_relation(
     a,
     tol: Tolerances = DEFAULT_TOL,
     *,
-    engine: str = "householder",
+    engine: str = "parlett-reid",
 ) -> PfResult:
     """Pfaffian via ``sqrt(det(A)/det((A - A^T)/2)) * apf(A)``.
 
-    Avoids the normal-form construction entirely: two determinants and one
-    skew Pfaffian.  The ratio must be positive real within
-    ``RATIO_IMAG_RTOL``; a violation signals non-conjugate-normal input.
+    Avoids the normal-form construction entirely: one determinant and one
+    skew Pfaffian, with ``det((A - A^T)/2) = apf**2``.  The ratio must be
+    positive real within ``RATIO_IMAG_RTOL``; a violation signals
+    non-conjugate-normal input, and an antisymmetric part with a zero apf
+    raises :class:`PfUndefinedError`.
 
-    ``engine`` selects how the skew Pfaffian is evaluated: "householder"
+    ``engine`` selects how the skew Pfaffian is evaluated: "parlett-reid"
     (default; result method "relation") or "polynomial" (the brute-force
     matching sum, subject to its size guard; result method "polynomial").
     """
-    if engine not in ("householder", "polynomial"):
+    if engine not in ("parlett-reid", "polynomial"):
         raise InputError(f"unknown engine {engine!r}")
     m = as_square_matrix(a)
-    _, cn_residual = _require_conjugate_normal(m, tol)
+    _, cn_residual, _ = _require_conjugate_normal(m, tol)
     a_as = antisymmetric_part(m)
     det_a = det_lu(m)
-    det_as = det_lu(a_as)
     if engine == "polynomial":
         apf = pf_polynomial(a_as)
         method = "polynomial"
     else:
-        apf = pf_skew_householder(a_as)
+        apf = pf_skew_parlett_reid(a_as)
         method = "relation"
+    det_as = apf**2
     value = _relation_value(det_a, det_as, apf)
     diag = PfDiagnostics(det_a, det_as, cn_residual, value == 0, None)
     return PfResult(complex(value), method, diag)
@@ -331,7 +334,7 @@ def identity_report(
     q = random_unitary(dim, congruence_seed)
     add("unitary-congruence", pf(q @ m @ q.T), det_lu(q) * pf_a)
 
-    apf = pf_skew_householder(antisymmetric_part(m))
+    apf = pf_skew_parlett_reid(antisymmetric_part(m))
     delta = cmath.phase(apf) - cmath.phase(pf_a)
     wrapped = (delta + math.pi) % (2.0 * math.pi) - math.pi
     phase_thr = max(threshold, PHASE_THRESHOLD)

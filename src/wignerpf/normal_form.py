@@ -19,7 +19,9 @@ assembles the *collected* Sigma: all 2x2 blocks first, as
 ``[[0, S], [S^H ... ]]`` with the s values on an off-diagonal, then the 1x1
 entries on the diagonal.
 The package's one conjugate-normality guard lives here as well; it forms
-M = A^T A*, which :func:`classify_spectrum` reuses for its mu check.
+M = A^T A* and ||A||_F, which :func:`classify_spectrum` reuses for its mu
+check and its thresholds and :func:`wigner_normal_form` for its
+reconstruction check.
 """
 
 from __future__ import annotations
@@ -225,15 +227,17 @@ def is_conjugate_normal(a, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
     against ``tol.eig_residual``.
     """
     try:
-        _, residual = _require_conjugate_normal(as_square_matrix(a), tol)
+        _, residual, _ = _require_conjugate_normal(as_square_matrix(a), tol)
     except NotConjugateNormalError as exc:
         return False, exc.residual
     return True, residual
 
 
-def _require_conjugate_normal(m: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, float]:
-    """The conjugate-normality guard: returns ``(A^T A*, residual)`` or raises
-    :class:`NotConjugateNormalError` carrying the residual."""
+def _require_conjugate_normal(
+    m: np.ndarray, tol: Tolerances
+) -> tuple[np.ndarray, float, float]:
+    """The conjugate-normality guard: returns ``(A^T A*, residual, ||A||_F)``
+    or raises :class:`NotConjugateNormalError` carrying the residual."""
     norm = frobenius(m)
     m_op = m.T @ m.conj()
     residual = float(np.linalg.norm(m_op - m @ m.conj().T) / (1.0 + norm * norm))
@@ -243,7 +247,7 @@ def _require_conjugate_normal(m: np.ndarray, tol: Tolerances) -> tuple[np.ndarra
             f"{tol.eig_residual:.1e}",
             residual=residual,
         )
-    return m_op, residual
+    return m_op, residual, norm
 
 
 def antisymmetric_part(a) -> np.ndarray:
@@ -276,11 +280,13 @@ class SpectralCluster:
 @dataclass(frozen=True)
 class SpectralPairing:
     """Clustered, classified and paired spectrum of Lambda = A conj(A), with
-    the :func:`is_conjugate_normal` residual of A."""
+    the :func:`is_conjugate_normal` residual of A and ``frobenius_norm``,
+    the ||A||_F that set the cluster threshold."""
 
     clusters: tuple[SpectralCluster, ...]
     vectors: np.ndarray
     conjugate_normal_residual: float
+    frobenius_norm: float
 
     def __post_init__(self):
         v = as_square_matrix(self.vectors).copy()
@@ -342,8 +348,7 @@ def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
     multiplicity, unmatched complex cluster, mu mismatch).
     """
     m = as_square_matrix(a)
-    m_op, cn_residual = _require_conjugate_normal(m, tol)
-    norm = frobenius(m)
+    m_op, cn_residual, norm = _require_conjugate_normal(m, tol)
     lam = m @ m.conj()
     values, vectors = eig_normal(lam, tol)
     vectors = _fix_phases(vectors)
@@ -403,7 +408,7 @@ def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
             )
         clusters[complex_ids[k]] = replace(ci, partner=complex_ids[best])
 
-    return SpectralPairing(tuple(clusters), vectors, cn_residual)
+    return SpectralPairing(tuple(clusters), vectors, cn_residual, norm)
 
 
 def _fixed_basis(c: np.ndarray) -> np.ndarray:
@@ -478,7 +483,6 @@ def wigner_normal_form(
 
     m = as_square_matrix(a)
     dim = m.shape[0]
-    norm = frobenius(m)
     pairing = classify_spectrum(m, tol)
 
     rng = np.random.default_rng(gauge_seed) if gauge_seed is not None else None
@@ -536,7 +540,7 @@ def wigner_normal_form(
     nf = NormalForm(u_mat, blocks, half_dim, det_lu(u_mat), cn_residual, math.nan)
 
     residual = float(np.linalg.norm(m - reconstruct(nf)))
-    if residual > tol.reconstruct * norm:
+    if residual > tol.reconstruct * pairing.frobenius_norm:
         raise ReconstructionError(
             f"||A - U Sigma U^T|| = {residual:.3e} exceeds "
             f"{tol.reconstruct:.1e} * ||A||; the input is likely further from "

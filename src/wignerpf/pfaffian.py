@@ -1,10 +1,12 @@
 """Pfaffians of skew-symmetric matrices, plus a polynomial-definition oracle.
 
-Two independent O(n^3) routes are provided for skew input — unitary
-Householder tridiagonalization and a Parlett–Reid LTL^T elimination with
-partial pivoting — together with :func:`pf_polynomial`, a brute-force sum
-over perfect matchings that accepts arbitrary square matrices and serves as
-the ground-truth oracle in the tests.
+:func:`pf_skew_parlett_reid`, a blocked LTL^T elimination with partial
+pivoting whose trailing updates are matrix products (after Wimmer, ACM TOMS
+38, 2012), is the one skew-Pfaffian kernel the package computes with.  Two
+references check it: :func:`pf_skew_householder`, an independent O(n^3)
+route by unitary Householder tridiagonalization that only the tests call,
+and :func:`pf_polynomial`, a brute-force sum over perfect matchings that
+accepts arbitrary square matrices and backs ``--method polynomial``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ MAX_POLYNOMIAL_DIM = 12
 
 #: A Parlett-Reid pivot below PIVOT_RTOL * ||A|| declares the matrix singular.
 PIVOT_RTOL = 1e-13
+
+#: Parlett-Reid pivot steps per panel, each eliminating two columns
+_PANEL = 32
 
 
 def as_skew_matrix(a) -> np.ndarray:
@@ -95,6 +100,14 @@ def pf_skew_parlett_reid(a) -> complex:
     the sign).  A pivot smaller than ``PIVOT_RTOL * ||A||`` declares the
     matrix numerically singular and returns 0 exactly.  Odd-dimensional
     input returns 0.
+
+    Each pivot step eliminates two columns k, k+1 by the skew rank-2 update
+    ``A22 += g c^T - c g^T`` (g the Gauss vector, c column k+1).  The steps
+    run in panels of :data:`_PANEL`: inside a panel only the two columns
+    being eliminated are brought up to date (skew symmetry supplies their
+    rows), the panel's g and c are collected as the columns of G and C (a
+    swap also swaps their rows), and the trailing block takes the panel's
+    whole update as one product ``G C^T`` minus its transpose.
     """
     m = as_skew_matrix(a).copy()
     n = m.shape[0]
@@ -102,19 +115,34 @@ def pf_skew_parlett_reid(a) -> complex:
         return 0j
     floor = PIVOT_RTOL * float(np.linalg.norm(m))
     pf = 1.0 + 0j
-    for k in range(0, n - 1, 2):
-        kp = k + 1 + int(np.argmax(np.abs(m[k + 1:, k])))
-        if abs(m[kp, k]) <= floor:
-            return 0j
-        if kp != k + 1:
-            m[[k + 1, kp], :] = m[[kp, k + 1], :]
-            m[:, [k + 1, kp]] = m[:, [kp, k + 1]]
-            pf = -pf
-        pf *= m[k, k + 1]
-        if k + 2 < n:
-            gauss = m[k, k + 2:] / m[k, k + 1]
-            col = m[k + 2:, k + 1]
-            m[k + 2:, k + 2:] += np.outer(gauss, col) - np.outer(col, gauss)
+    g = np.empty((n, _PANEL), dtype=np.complex128)
+    c = np.empty_like(g)
+    for start in range(0, n, 2 * _PANEL):
+        stop = min(start + 2 * _PANEL, n)
+        for j, k in enumerate(range(start, stop, 2)):
+            # rows of g, c below the panel's earlier steps are all written
+            m[k + 1:, k] += g[k + 1:, :j] @ c[k, :j] - c[k + 1:, :j] @ g[k, :j]
+            kp = k + 1 + int(np.argmax(np.abs(m[k + 1:, k])))
+            if abs(m[kp, k]) <= floor:
+                return 0j
+            if kp != k + 1:
+                # rows and columns k+1, kp of A trade places, and so do the
+                # rows of the panel's pending update
+                for x in (m, m.T, g[:, :j], c[:, :j]):
+                    x[[k + 1, kp]] = x[[kp, k + 1]]
+                pf = -pf
+            pivot = m[k + 1, k]  # = -A[k, k+1]
+            pf *= -pivot
+            if k + 2 < n:
+                m[k + 2:, k + 1] += (
+                    g[k + 2:, :j] @ c[k + 1, :j] - c[k + 2:, :j] @ g[k + 1, :j]
+                )
+                g[k + 2:, j] = m[k + 2:, k] / pivot  # A[k, k+2:] / A[k, k+1]
+                c[k + 2:, j] = m[k + 2:, k + 1]
+        if stop < n:
+            steps = (stop - start) // 2
+            update = g[stop:, :steps] @ c[stop:, :steps].T
+            m[stop:, stop:] += update - update.T
     return complex(pf)
 
 

@@ -22,7 +22,7 @@ from wignerpf import (
     generalized_pfaffian_via_relation,
     identity_report,
     pf_polynomial,
-    pf_skew_householder,
+    pf_skew_parlett_reid,
     pfaffian_derivative,
     random_conjugate_normal,
     random_ginibre,
@@ -32,6 +32,7 @@ from wignerpf import (
 from wignerpf.ensembles import random_skew, random_unitary, spectrum_blocks
 from wignerpf.linalg import frobenius, unitarity_defect
 from wignerpf.normal_form import antisymmetric_part, assemble_sigma
+from wignerpf.pfaffian import pf_skew_householder
 
 from test_cli import (
     GOLDEN_PF_A2,
@@ -243,7 +244,9 @@ def test_criterion_09_phase_agreement(corpus):
 
 def test_criterion_10_performance():
     """A 200x200 generalized Pfaffian completes in <= 5 s and a 1000x1000
-    skew Pfaffian in <= 10 s."""
+    skew Pfaffian in <= 10 s through the Householder oracle and in <= 1 s
+    through the production Parlett-Reid kernel, the two agreeing to 1e-10
+    relative."""
     entries = tuple(
         SpectrumEntry("complex", (-2.5 + 0.05 * j) + (0.6 + 0.007 * j) * 1j, 1)
         for j in range(100)
@@ -263,6 +266,13 @@ def test_criterion_10_performance():
     elapsed = time.perf_counter() - start
     assert value != 0 and np.isfinite(value)
     assert elapsed <= 10.0, f"1000x1000 took {elapsed:.2f} s"
+
+    start = time.perf_counter()
+    production = pf_skew_parlett_reid(skew)
+    elapsed = time.perf_counter() - start
+    assert elapsed <= 1.0, f"1000x1000 Parlett-Reid took {elapsed:.2f} s"
+    discrepancy = abs(production - value) / abs(value)
+    assert discrepancy <= 1e-10, f"Parlett-Reid vs Householder {discrepancy:.3e}"
 
 
 def test_criterion_11_cli_golden_outputs(tmp_path, capsys):

@@ -140,7 +140,7 @@ class TestAntisymmetrized:
 
 
 class TestRelationRoute:
-    @pytest.mark.parametrize("engine,method", [("householder", "relation"), ("polynomial", "polynomial")])
+    @pytest.mark.parametrize("engine,method", [("parlett-reid", "relation"), ("polynomial", "polynomial")])
     def test_agrees_with_normal_form(self, engine, method):
         matrix = random_conjugate_normal(corpus_spec(201))
         if engine == "polynomial" and matrix.shape[0] > 12:
@@ -165,6 +165,26 @@ class TestRelationRoute:
     def test_singular_antisymmetric_part_is_undefined(self):
         with pytest.raises(PfUndefinedError):
             generalized_pfaffian_via_relation(np.diag([3.0, 5.0]))
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_positive_real_eigenvalue_is_undefined_not_rejected(self, scale):
+        # the antisymmetric part is exactly singular: apf must be an exact 0
+        # (not rounding noise, whose ratio test would reject the
+        # conjugate-normal input with exit 3), so the relation is undefined
+        for seed in range(4):
+            spec = SpectrumSpec(
+                entries=(
+                    SpectrumEntry("positive-real", 3.0, 2),
+                    SpectrumEntry("complex", 1.0 + 2.0j, 1),
+                ),
+                seed=seed,
+            )
+            matrix = scale * random_conjugate_normal(spec)
+            with pytest.raises(PfUndefinedError):
+                generalized_pfaffian_via_relation(matrix)
+            apf = antisymmetrized_pfaffian(matrix)
+            assert apf.value == 0
+            assert apf.diagnostics.singular
 
 
 class TestDerivative:

@@ -22,7 +22,7 @@ from wignerpf import (
     reconstruct,
     wigner_normal_form,
 )
-from wignerpf import generalized, normal_form
+from wignerpf import generalized, normal_form, pfaffian
 from wignerpf.ensembles import random_unitary, spectrum_blocks
 from wignerpf.linalg import frobenius, unitarity_defect
 from wignerpf.normal_form import (
@@ -517,6 +517,45 @@ class TestOnePass:
         assert len(calls) == 1
         generalized_pfaffian_via_relation(random_conjugate_normal(corpus_spec(1)))
         assert len(calls) == 2
+
+    def test_one_frobenius_norm_of_a_per_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            normal_form, "frobenius", lambda x: calls.append(1) or frobenius(x)
+        )
+        matrix = random_conjugate_normal(corpus_spec(1))
+        wigner_normal_form(matrix)
+        assert len(calls) == 1
+        generalized_pfaffian(matrix)
+        assert len(calls) == 2
+        classify_spectrum(matrix)
+        assert len(calls) == 3
+
+    def test_one_skew_pfaffian_and_two_determinants_per_pfaffian(self, monkeypatch):
+        calls = {"parlett-reid": 0, "det": 0}
+        original_pr = generalized.pf_skew_parlett_reid
+        original_det = normal_form.det_lu
+
+        def counted_pr(m):
+            calls["parlett-reid"] += 1
+            return original_pr(m)
+
+        def counted_det(m):
+            calls["det"] += 1
+            return original_det(m)
+
+        def oracle(m):
+            raise AssertionError("no production path runs the Householder oracle")
+
+        monkeypatch.setattr(generalized, "pf_skew_parlett_reid", counted_pr)
+        monkeypatch.setattr(generalized, "det_lu", counted_det)
+        monkeypatch.setattr(normal_form, "det_lu", counted_det)
+        monkeypatch.setattr(pfaffian, "pf_skew_householder", oracle)
+        matrix = random_conjugate_normal(corpus_spec(1))
+        result = generalized_pfaffian(matrix)
+        assert calls == {"parlett-reid": 1, "det": 2}
+        apf = original_pr(antisymmetric_part(matrix))
+        assert result.diagnostics.det_antisymmetric == apf**2
 
     def test_every_route_raises_the_same_guard_error(self):
         matrix = np.array([[1.0, 5.0], [0.0, 2.0]])

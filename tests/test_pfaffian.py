@@ -1,11 +1,22 @@
-"""Skew Pfaffian routes against each other and against hand values."""
+"""Skew Pfaffian routes against each other and against hand values.
+
+Householder is the reference oracle; the blocked Parlett-Reid kernel, the
+one production route, is compared with it on both sides of its panel
+boundaries (a panel is ``_PANEL`` pivot steps, two columns each)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wignerpf import InputError, pf_polynomial, pf_skew_householder, pf_skew_parlett_reid
+from wignerpf import InputError, pf_polynomial, pf_skew_parlett_reid
 from wignerpf.linalg import det_lu
-from wignerpf.pfaffian import MAX_POLYNOMIAL_DIM, as_skew_matrix
+from wignerpf.pfaffian import (
+    _PANEL,
+    MAX_POLYNOMIAL_DIM,
+    as_skew_matrix,
+    pf_skew_householder,
+)
 
 ROUTES = [pf_skew_householder, pf_skew_parlett_reid, pf_polynomial]
 
@@ -131,3 +142,61 @@ class TestValidationAndLimits:
         v = rng.normal(size=4)
         m = np.outer(u, v) - np.outer(v, u)
         assert pf_skew_parlett_reid(m) == 0
+
+
+#: both sides of the first panel boundary, plus sizes spanning several panels
+PANEL_DIMS = [2, 4, 2 * _PANEL - 2, 2 * _PANEL, 2 * _PANEL + 2, 130, 300]
+
+
+class TestBlockedParlettReid:
+    @pytest.mark.parametrize("dim", PANEL_DIMS)
+    def test_agrees_with_householder_across_panels(self, dim):
+        m = random_skew_dense(np.random.default_rng(dim), dim)
+        reference = pf_skew_householder(m)
+        assert abs(pf_skew_parlett_reid(m) - reference) <= 1e-11 * abs(reference)
+
+    @pytest.mark.parametrize("dim", [2 * _PANEL + 2, 130])
+    def test_swap_into_the_stale_trailing_block(self, dim):
+        # step 0 keeps its pivot row; at step 1 column 2 peaks in the last
+        # row, beyond the panel, whose entries and pending G, C rows have not
+        # been brought up to date yet
+        m = random_skew_dense(np.random.default_rng(29), dim)
+        m[1, 0], m[0, 1] = 10.0, -10.0
+        m[-1, 2], m[2, -1] = 50.0, -50.0
+        reference = pf_skew_householder(m)
+        assert abs(pf_skew_parlett_reid(m) - reference) <= 1e-11 * abs(reference)
+
+    def test_rank_deficient_zero_pivot_in_second_panel(self):
+        # rank 2 * _PANEL + 2: pivot step _PANEL + 1, in the second panel, is
+        # the first to vanish
+        rng = np.random.default_rng(31)
+        rank = 2 * _PANEL + 2
+        b = rng.normal(size=(130, rank)) + 1j * rng.normal(size=(130, rank))
+        m = b @ random_skew_dense(rng, rank) @ b.T
+        m = (m - m.T) / 2.0
+        assert pf_skew_parlett_reid(m[:rank, :rank]) != 0
+        assert pf_skew_parlett_reid(m) == 0
+
+    @pytest.mark.parametrize("dim", PANEL_DIMS)
+    def test_scaling_and_congruence(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        k = random_skew_dense(rng, dim) / np.sqrt(dim)
+        pf_k = pf_skew_parlett_reid(k)
+        c = 0.9 + 0.5j
+        np.testing.assert_allclose(
+            pf_skew_parlett_reid(c * k), c ** (dim // 2) * pf_k, rtol=1e-11
+        )
+        b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        b /= np.sqrt(2.0 * dim)
+        congruent = b @ k @ b.T
+        congruent = (congruent - congruent.T) / 2.0
+        np.testing.assert_allclose(
+            pf_skew_parlett_reid(congruent), det_lu(b) * pf_k, rtol=1e-10
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(half=st.integers(1, 100), seed=st.integers(0, 2**32 - 1))
+    def test_agrees_with_householder_property(self, half, seed):
+        m = random_skew_dense(np.random.default_rng(seed), 2 * half)
+        reference = pf_skew_householder(m)
+        assert abs(pf_skew_parlett_reid(m) - reference) <= 1e-11 * abs(reference)
