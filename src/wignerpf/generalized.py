@@ -191,7 +191,7 @@ def generalized_pfaffian_via_relation(
     if engine not in ("parlett-reid", "polynomial"):
         raise InputError(f"unknown engine {engine!r}")
     m = as_square_matrix(a)
-    _, cn_residual, _ = _require_conjugate_normal(m, tol)
+    cn_residual, _ = _require_conjugate_normal(m, tol)
     a_as = antisymmetric_part(m)
     det_a = det_lu(m)
     if engine == "polynomial":

@@ -124,9 +124,12 @@ def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     small (``||X|| > sqrt(eps)``) or leaves T = Q^H M Q off diagonal by more
     than a Schur form would (``4 dim eps ||M||``).
 
-    The off-diagonal mass of T is both the eigen-residual of the returned
-    decomposition (||M V - V diag|| equals ||T - diag(T)|| exactly) and a
-    second witness of normality, so it is checked against the same bound.
+    Normality is checked first through the commutator ``||[M, M^H]||``,
+    read from the upper triangles of the two Hermitian Gram products
+    (:func:`_gram`, half the flops of full products).  The off-diagonal mass
+    of T is both the eigen-residual of the returned decomposition (||M V - V
+    diag|| equals ||T - diag(T)|| exactly) and a second witness of
+    normality, so it is checked against the same bound.
 
     Returns ``(values, vectors)`` with ``vectors[:, k]`` belonging to
     ``values[k]``.  Raises :class:`NotNormalError` if M is not normal within
@@ -134,7 +137,10 @@ def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     """
     m = as_square_matrix(m)
     norm = frobenius(m)
-    commutator = np.linalg.norm(m @ m.conj().T - m.conj().T @ m)
+    # with X = M^T: X X^H = conj(M^H M) and X^H X = conj(M M^H)
+    gram = _gram(m.T)
+    gram -= _gram(m.T, adjoint_first=True)
+    commutator = _hermitian_norm(gram)
     if commutator > tol.eig_residual * norm * norm:
         raise NotNormalError(
             "matrix is not normal: ||[M, M^H]|| = "
@@ -180,6 +186,27 @@ def _newton_step(m, q, floor: float) -> float:
 
 
 def unitarity_defect(u) -> float:
-    """||U^H U - 1|| in the Frobenius norm."""
+    """||U^H U - 1|| in the Frobenius norm, read from one Gram triangle."""
     u = as_square_matrix(u)
-    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
+    gram = _gram(u.T)  # conj(U^H U), whose distance to 1 is the same
+    gram.flat[:: u.shape[0] + 1] -= 1.0
+    return _hermitian_norm(gram)
+
+
+def _gram(x: np.ndarray, adjoint_first: bool = False) -> np.ndarray:
+    """Upper triangle of the Hermitian ``X X^H`` (or ``X^H X`` when
+    ``adjoint_first``) from one BLAS ``zherk``: half the flops of a full
+    product.  The strict lower triangle is zero, as :func:`_hermitian_norm`
+    expects.  X is read in Fortran order, so pass the transpose of a
+    C-ordered matrix to avoid a copy."""
+    return scipy.linalg.blas.zherk(1.0, x, trans=2 if adjoint_first else 0)
+
+
+def _hermitian_norm(upper: np.ndarray) -> float:
+    """Frobenius norm of a Hermitian matrix stored as its upper triangle
+    (strict lower triangle zero): the strict triangle counts twice."""
+    total = float(np.linalg.norm(upper))
+    if total == 0.0:
+        return 0.0
+    diag = float(np.linalg.norm(np.diagonal(upper))) / total
+    return total * math.sqrt(2.0 - diag * diag)

@@ -18,10 +18,12 @@ restricted to its eigenspace; Fassbender & Ikramov, LAA 422, 2007), and
 assembles the *collected* Sigma: all 2x2 blocks first, as
 ``[[0, S], [S^H ... ]]`` with the s values on an off-diagonal, then the 1x1
 entries on the diagonal.
-The package's one conjugate-normality guard lives here as well; it forms
-M = A^T A* and ||A||_F, which :func:`classify_spectrum` reuses for its mu
-check and its thresholds and :func:`wigner_normal_form` for its
-reconstruction check.
+The package's one conjugate-normality guard lives here as well; it measures
+||A||_F, which :func:`classify_spectrum` reuses for its thresholds and
+:func:`wigner_normal_form` for its reconstruction check.  One product
+P = A conj(V) over Lambda's eigenvectors V then serves three uses: the mu
+check from P's column norms (``v^H A^T A* v = ||A conj(v)||^2``), the partner
+columns of complex pairs and the restricted maps of real clusters.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _gram,
+    _hermitian_norm,
     as_square_matrix,
     det_lu,
     eig_normal,
@@ -141,6 +145,19 @@ def _check_block_order(blocks) -> int:
     return pairs
 
 
+def _block_values(blocks) -> tuple[list[complex], list[float]]:
+    """The s of every 2x2 block and the sigma of every 1x1 block, each
+    repeated by its multiplicity, in block order."""
+    svals = []
+    sigmas = []
+    for block in blocks:
+        if isinstance(block, OffDiagBlock):
+            svals.extend([complex(block.s)] * block.multiplicity)
+        else:
+            sigmas.extend([float(block.sigma)] * block.multiplicity)
+    return svals, sigmas
+
+
 def assemble_sigma(blocks) -> np.ndarray:
     """Dense Sigma for a block sequence in collected order.
 
@@ -150,13 +167,7 @@ def assemble_sigma(blocks) -> np.ndarray:
     """
     blocks = tuple(blocks)
     pairs = _check_block_order(blocks)
-    svals = []
-    sigmas = []
-    for block in blocks:
-        if isinstance(block, OffDiagBlock):
-            svals.extend([complex(block.s)] * block.multiplicity)
-        else:
-            sigmas.extend([float(block.sigma)] * block.multiplicity)
+    svals, sigmas = _block_values(blocks)
     dim = 2 * pairs + len(sigmas)
     sigma = np.zeros((dim, dim), dtype=np.complex128)
     for j, s in enumerate(svals):
@@ -215,9 +226,27 @@ class NormalForm:
 
 
 def reconstruct(nf: NormalForm) -> np.ndarray:
-    """U Sigma U^T for a normal form."""
-    sigma = assemble_sigma(nf.blocks)
-    return nf.u @ sigma @ nf.u.T
+    """U Sigma U^T for a normal form, as one product ``(U Sigma) U^T``.
+
+    Sigma has one non-zero per column, so U Sigma is a gather and scaling of
+    U's columns in O(n^2) and no dense Sigma is built: column j < p is
+    ``conj(s_j) u_(p+j)``, column p + j is ``s_j u_j`` and a 1x1 column is
+    ``sigma u``.
+    """
+    return _reconstruct(nf.u, nf.blocks)
+
+
+def _reconstruct(u: np.ndarray, blocks) -> np.ndarray:
+    """:func:`reconstruct` for blocks already in canonical order."""
+    svals, sigmas = _block_values(blocks)
+    pairs = len(svals)
+    order = np.concatenate(
+        [np.arange(pairs, 2 * pairs), np.arange(pairs), np.arange(2 * pairs, u.shape[1])]
+    )
+    scale = np.concatenate([np.conj(svals), svals, sigmas]).astype(np.complex128)
+    u_sigma = u[:, order]
+    u_sigma *= scale
+    return u_sigma @ u.T
 
 
 def is_conjugate_normal(a, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
@@ -227,27 +256,27 @@ def is_conjugate_normal(a, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
     against ``tol.eig_residual``.
     """
     try:
-        _, residual, _ = _require_conjugate_normal(as_square_matrix(a), tol)
+        residual, _ = _require_conjugate_normal(as_square_matrix(a), tol)
     except NotConjugateNormalError as exc:
         return False, exc.residual
     return True, residual
 
 
-def _require_conjugate_normal(
-    m: np.ndarray, tol: Tolerances
-) -> tuple[np.ndarray, float, float]:
-    """The conjugate-normality guard: returns ``(A^T A*, residual, ||A||_F)``
-    or raises :class:`NotConjugateNormalError` carrying the residual."""
+def _require_conjugate_normal(m: np.ndarray, tol: Tolerances) -> tuple[float, float]:
+    """The conjugate-normality guard: returns ``(residual, ||A||_F)`` or
+    raises :class:`NotConjugateNormalError` carrying the residual."""
     norm = frobenius(m)
-    m_op = m.T @ m.conj()
-    residual = float(np.linalg.norm(m_op - m @ m.conj().T) / (1.0 + norm * norm))
+    # with X = A^T: X X^H = A^T A* and X^H X = conj(A A^H), one Gram triangle each
+    defect = _gram(m.T)
+    defect -= np.conj(_gram(m.T, adjoint_first=True))
+    residual = _hermitian_norm(defect) / (1.0 + norm * norm)
     if not residual <= tol.eig_residual:
         raise NotConjugateNormalError(
             f"matrix is not conjugate-normal: residual {residual:.3e} exceeds "
             f"{tol.eig_residual:.1e}",
             residual=residual,
         )
-    return m_op, residual, norm
+    return residual, norm
 
 
 def antisymmetric_part(a) -> np.ndarray:
@@ -280,11 +309,15 @@ class SpectralCluster:
 @dataclass(frozen=True)
 class SpectralPairing:
     """Clustered, classified and paired spectrum of Lambda = A conj(A), with
-    the :func:`is_conjugate_normal` residual of A and ``frobenius_norm``,
-    the ||A||_F that set the cluster threshold."""
+    ``images = A conj(vectors)`` (the antilinear map x -> A conj(x) applied
+    to every eigenvector; same shape as ``vectors``, copied unless it is
+    already read-only, as :func:`classify_spectrum` passes it), the
+    :func:`is_conjugate_normal` residual of A and ``frobenius_norm``, the
+    ||A||_F that set the cluster threshold."""
 
     clusters: tuple[SpectralCluster, ...]
     vectors: np.ndarray
+    images: np.ndarray
     conjugate_normal_residual: float
     frobenius_norm: float
 
@@ -292,42 +325,53 @@ class SpectralPairing:
         v = as_square_matrix(self.vectors).copy()
         v.flags.writeable = False
         object.__setattr__(self, "vectors", v)
+        images = as_square_matrix(self.images)
+        if images.shape != v.shape:
+            raise InputError(
+                f"images shape {images.shape} does not match vectors shape {v.shape}"
+            )
+        if images.flags.writeable:
+            images = images.copy()
+            images.flags.writeable = False
+        object.__setattr__(self, "images", images)
         object.__setattr__(self, "clusters", tuple(self.clusters))
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Deterministic gauge: first significant component of each column made
     positive real.  Significant means > _PHASE_GAUGE_RTOL times the column's
-    largest magnitude."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        idx = int(np.argmax(mags > _PHASE_GAUGE_RTOL * top))
-        pivot = col[idx]
-        out[:, k] = col * (np.conj(pivot) / abs(pivot))
-    return out
+    largest magnitude; an all-zero column is left as it is."""
+    mags = np.abs(vectors)
+    top = mags.max(axis=0)
+    first = np.argmax(mags > _PHASE_GAUGE_RTOL * top, axis=0)
+    pivot = vectors[first, np.arange(vectors.shape[1])]
+    pivot[top == 0.0] = 1.0
+    return vectors * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))
 
 
 def _cluster_indices(values: np.ndarray, threshold: float) -> list[list[int]]:
     """Group eigenvalues into connected components at the given distance
     (single linkage, order independent), in order of their smallest index,
-    members ascending; each is grown from that index over a closeness matrix."""
+    members ascending.  An eigenvalue close to no other is its own component;
+    the others are grown from their smallest index over the closeness matrix
+    restricted to them.  Every eigenvalue is labelled by that smallest index."""
     close = np.abs(values[:, None] - values[None, :]) <= threshold
-    unassigned = np.ones(len(values), dtype=bool)
-    groups = []
+    labels = np.arange(len(values))
+    linked = np.flatnonzero(np.count_nonzero(close, axis=1) > 1)
+    close = close[linked][:, linked]
+    unassigned = np.ones(len(linked), dtype=bool)
     while unassigned.any():
+        first = np.argmax(unassigned)
         member = np.zeros_like(unassigned)
-        frontier = np.arange(len(values)) == np.argmax(unassigned)
+        frontier = np.arange(len(linked)) == first
         while frontier.any():
             member |= frontier
             frontier = close[frontier].any(axis=0) & ~member
         unassigned &= ~member
-        groups.append(np.flatnonzero(member).tolist())
-    return groups
+        labels[linked[member]] = linked[first]
+    order = np.argsort(labels, kind="stable").tolist()
+    bounds = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), len(order)]
+    return [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
@@ -340,7 +384,8 @@ def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
     ``cluster * (1 + |omega|)`` on Im and Re.  Complex clusters are matched
     with their partner, which must exist with equal multiplicity.  The common
     M = A^T A* eigenvalue ``mu`` of every cluster is computed and verified
-    to equal |omega|.
+    to equal |omega|; it is read from the images ``A conj(v)`` of the
+    eigenvectors, since ``v^H M v = ||A conj(v)||^2``.
 
     Raises :class:`NotConjugateNormalError` for input failing the
     conjugate-normality test and :class:`SpectralConsistencyError` when the
@@ -348,12 +393,14 @@ def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
     multiplicity, unmatched complex cluster, mu mismatch).
     """
     m = as_square_matrix(a)
-    m_op, cn_residual, norm = _require_conjugate_normal(m, tol)
+    cn_residual, norm = _require_conjugate_normal(m, tol)
     lam = m @ m.conj()
     values, vectors = eig_normal(lam, tol)
     vectors = _fix_phases(vectors)
-    # Rayleigh quotient of M = A^T A* on every eigenvector
-    rayleigh = np.real(np.sum(vectors.conj() * (m_op @ vectors), axis=0))
+    images = m @ vectors.conj()
+    images.flags.writeable = False  # held by the pairing without a copy
+    # Rayleigh quotient v^H M v = ||A conj(v)||^2 of M = A^T A* on every eigenvector
+    rayleigh = np.sum(images.real**2 + images.imag**2, axis=0)
 
     threshold = tol.cluster_threshold(norm)
     groups = _cluster_indices(values, threshold)
@@ -408,7 +455,7 @@ def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
             )
         clusters[complex_ids[k]] = replace(ci, partner=complex_ids[best])
 
-    return SpectralPairing(tuple(clusters), vectors, cn_residual, norm)
+    return SpectralPairing(tuple(clusters), vectors, images, cn_residual, norm)
 
 
 def _fixed_basis(c: np.ndarray) -> np.ndarray:
@@ -446,6 +493,24 @@ def _symplectic_basis(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q[:, 0::2], q[:, 1::2]
 
 
+def _cluster_columns(cluster: SpectralCluster, basis: np.ndarray, image: np.ndarray):
+    """The block of one cluster and its U columns ``(block, V, W or None)``,
+    from an orthonormal eigenbasis B of the cluster and its image
+    ``A conj(B)``."""
+    block = _block(cluster.kind, cluster.omega, cluster.multiplicity)
+    if cluster.kind == COMPLEX_PAIR:
+        return block, basis, (block.s / cluster.mu) * image
+    if cluster.kind == ZERO:
+        return block, basis, None
+    # real omega != 0: factor the restricted map C
+    root = block.s.imag if cluster.kind == NEGATIVE_REAL else block.sigma
+    c = basis.conj().T @ image / root
+    if cluster.kind == NEGATIVE_REAL:
+        xs, ws = _symplectic_basis(c)
+        return block, basis @ xs, basis @ ws
+    return block, basis @ _fixed_basis(c), None
+
+
 def wigner_normal_form(
     a,
     tol: Tolerances = DEFAULT_TOL,
@@ -454,7 +519,9 @@ def wigner_normal_form(
 ) -> NormalForm:
     """Construct the normal form A = U Sigma U^T of a conjugate-normal A.
 
-    The construction walks the classified spectrum of Lambda = A conj(A):
+    The construction walks the classified spectrum of Lambda = A conj(A),
+    reading every image ``A conj(B)`` of an eigenbasis B from
+    :attr:`SpectralPairing.images` (no further product with A):
 
     1. a complex pair omega (the Im > 0 member is used) with orthonormal
        eigenbasis V yields partner columns ``W = (s / mu) A conj(V)`` with
@@ -475,15 +542,16 @@ def wigner_normal_form(
     residual are verified before returning.
 
     ``gauge_seed`` (testing hook) re-mixes every cluster's eigenbasis by a
-    random unitary and randomizes the processing order; the result must
-    agree with the deterministic gauge up to the block structure's intrinsic
-    freedom.
+    random unitary R (its image by conj(R)) and randomizes the processing
+    order; the result must agree with the deterministic gauge up to the
+    block structure's intrinsic freedom.
     """
     from .ensembles import random_unitary  # local import to keep layering acyclic
 
     m = as_square_matrix(a)
     dim = m.shape[0]
     pairing = classify_spectrum(m, tol)
+    cn_residual, norm = pairing.conjugate_normal_residual, pairing.frobenius_norm
 
     rng = np.random.default_rng(gauge_seed) if gauge_seed is not None else None
     order = list(range(len(pairing.clusters)))
@@ -494,26 +562,18 @@ def wigner_normal_form(
     groups: list[tuple] = []
     for idx in order:
         cluster = pairing.clusters[idx]
-        basis = pairing.vectors[:, cluster.columns].copy()
-        if rng is not None:
-            basis = basis @ random_unitary(basis.shape[1], int(rng.integers(2**32)))
+        mix_seed = None if rng is None else int(rng.integers(2**32))
         if cluster.kind == COMPLEX_PAIR and cluster.omega.imag < 0:
             continue  # handled through the Im > 0 partner
-
-        block = _block(cluster.kind, cluster.omega, cluster.multiplicity)
-        if cluster.kind == COMPLEX_PAIR:
-            w = (block.s / cluster.mu) * (m @ basis.conj())
-            groups.append((block, basis, w))
-        elif cluster.kind == ZERO:
-            groups.append((block, basis, None))
-        else:  # real omega != 0: factor the restricted map C
-            root = block.s.imag if cluster.kind == NEGATIVE_REAL else block.sigma
-            c = basis.conj().T @ (m @ basis.conj()) / root
-            if cluster.kind == NEGATIVE_REAL:
-                xs, ws = _symplectic_basis(c)
-                groups.append((block, basis @ xs, basis @ ws))
-            else:
-                groups.append((block, basis @ _fixed_basis(c), None))
+        basis = pairing.vectors[:, cluster.columns]
+        image = pairing.images[:, cluster.columns]
+        if mix_seed is not None:
+            mix = random_unitary(cluster.multiplicity, mix_seed)
+            basis = basis @ mix
+            image = image @ mix.conj()
+        groups.append(_cluster_columns(cluster, basis, image))
+    # V and A conj(V) are not needed past this point
+    del pairing
 
     groups.sort(key=lambda g: _block_key(g[0]))
     pairs = [g for g in groups if g[2] is not None]
@@ -534,16 +594,12 @@ def wigner_normal_form(
         )
 
     blocks = tuple(g[0] for g in groups)
-    half_dim = sum(g[0].multiplicity for g in pairs)
-    cn_residual = pairing.conjugate_normal_residual
-    # a draft: its reconstruction residual is measured on it next
-    nf = NormalForm(u_mat, blocks, half_dim, det_lu(u_mat), cn_residual, math.nan)
-
-    residual = float(np.linalg.norm(m - reconstruct(nf)))
-    if residual > tol.reconstruct * pairing.frobenius_norm:
+    residual = float(np.linalg.norm(m - _reconstruct(u_mat, blocks)))
+    if residual > tol.reconstruct * norm:
         raise ReconstructionError(
             f"||A - U Sigma U^T|| = {residual:.3e} exceeds "
             f"{tol.reconstruct:.1e} * ||A||; the input is likely further from "
             "conjugate-normal than the tolerances assume"
         )
-    return replace(nf, reconstruction_residual=residual)
+    half_dim = sum(g[0].multiplicity for g in pairs)
+    return NormalForm(u_mat, blocks, half_dim, det_lu(u_mat), cn_residual, residual)

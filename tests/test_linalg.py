@@ -7,6 +7,8 @@ import scipy.linalg
 from wignerpf import InputError, NotNormalError, Tolerances
 from wignerpf.linalg import (
     DEFAULT_TOL,
+    _gram,
+    _hermitian_norm,
     as_matrix,
     as_square_matrix,
     det_lu,
@@ -205,3 +207,33 @@ class TestSmallHelpers:
         assert unitarity_defect(np.eye(3)) == 0.0
         # U^H U - 1 = 3*eye(3), Frobenius norm 3*sqrt(3)
         assert unitarity_defect(2.0 * np.eye(3)) == pytest.approx(3.0 * np.sqrt(3.0))
+
+
+class TestGramTriangles:
+    """Hermitian Gram products as one triangle, and norms read from it."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 40])
+    def test_gram_is_the_upper_triangle_of_the_product(self, dim):
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        for x in (a, a.T):
+            for adjoint_first, full in ((False, x @ x.conj().T), (True, x.conj().T @ x)):
+                gram = _gram(x, adjoint_first=adjoint_first)
+                assert not np.tril(gram, -1).any()
+                np.testing.assert_allclose(
+                    gram, np.triu(full), rtol=0, atol=1e-14 * np.linalg.norm(full)
+                )
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 40, 300])
+    def test_triangle_norm_matches_the_dense_norm(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        diagonal = np.diag(rng.normal(size=dim)).astype(complex)
+        for h in (g + g.conj().T, diagonal, 1e-150 * (g + g.conj().T), 1e150 * diagonal):
+            want = np.linalg.norm(h)
+            assert abs(_hermitian_norm(np.triu(h)) - want) <= 1e-14 * want
+
+    def test_triangle_norm_of_scalars(self):
+        assert _hermitian_norm(np.array([[-3.0 + 0j]])) == 3.0
+        assert _hermitian_norm(np.zeros((1, 1), dtype=complex)) == 0.0
+        assert _hermitian_norm(np.zeros((4, 4), dtype=complex)) == 0.0

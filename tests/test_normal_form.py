@@ -1,5 +1,7 @@
 """Normal-form construction: blocks, classification, reconstruction, gauges."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,14 +24,20 @@ from wignerpf import (
     reconstruct,
     wigner_normal_form,
 )
-from wignerpf import generalized, normal_form, pfaffian
+from wignerpf import generalized, linalg, normal_form, pfaffian
 from wignerpf.ensembles import random_unitary, spectrum_blocks
-from wignerpf.linalg import frobenius, unitarity_defect
+from wignerpf.linalg import det_lu, frobenius, unitarity_defect
 from wignerpf.normal_form import (
+    _PHASE_GAUGE_RTOL,
     COMPLEX_PAIR,
+    NEGATIVE_REAL,
     ZERO,
+    NormalForm,
+    SpectralPairing,
+    _block_key,
     _check_block_order,
     _cluster_indices,
+    _fix_phases,
     antisymmetric_part,
     assemble_sigma,
 )
@@ -188,6 +196,48 @@ class TestClassifySpectrum:
                 pairing.clusters, Tolerances().cluster_threshold(frobenius(matrix))
             )
 
+    def test_mu_is_read_from_the_images(self, corpus):
+        # v^H A^T A* v = ||A conj(v)||^2, column by column
+        for _, matrix in corpus[:60]:
+            pairing = classify_spectrum(matrix)
+            vectors, images = pairing.vectors, pairing.images
+            np.testing.assert_allclose(
+                images, matrix @ vectors.conj(), rtol=0, atol=1e-14 * frobenius(matrix)
+            )
+            m_op = matrix.T @ matrix.conj()
+            rayleigh = np.real(np.sum(vectors.conj() * (m_op @ vectors), axis=0))
+            from_images = np.sum(np.abs(images) ** 2, axis=0)
+            bound = 1e-13 * frobenius(matrix) ** 2
+            assert np.max(np.abs(from_images - rayleigh)) <= bound
+            for cluster in pairing.clusters:
+                assert abs(cluster.mu - np.mean(rayleigh[list(cluster.columns)])) <= bound
+
+    def test_images_are_validated_and_held_apart_from_the_caller(self, corpus):
+        pairing = classify_spectrum(corpus[0][1])
+        assert isinstance(pairing, SpectralPairing)
+        assert not pairing.images.flags.writeable
+        # a caller's writable array is copied, so later writes do not reach it
+        images = np.array(pairing.images)
+        rebuilt = replace(pairing, images=images)
+        images[:] = 0.0
+        np.testing.assert_array_equal(rebuilt.images, pairing.images)
+        assert not rebuilt.images.flags.writeable
+        n = images.shape[0]
+        for bad in (images[:, :-1], np.zeros((n + 1, n + 1)), np.full((n, n), np.nan)):
+            with pytest.raises(InputError):
+                replace(pairing, images=bad)
+
+    def test_phase_gauge_matches_loop_reference(self):
+        rng = np.random.default_rng(12)
+        for dim in (1, 2, 3, 5, 17, 64, 300):
+            vectors = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            # components below the significance cut, and one all-zero column
+            vectors[rng.random((dim, dim)) < 0.3] *= 1e-9
+            vectors[:, rng.integers(dim)] = 0.0
+            got = _fix_phases(vectors)
+            want = loop_fix_phases(vectors)
+            assert np.array_equal(got.view(float), want.view(float))
+
     @pytest.mark.parametrize(
         "values, message",
         [
@@ -218,6 +268,15 @@ class TestClassifySpectrum:
             assert _cluster_indices(values, threshold) == union_find_clusters(
                 values, threshold
             )
+        # chains with spacing equal to the threshold: one component of
+        # diameter n, in index order and shuffled, then cut in two by a gap
+        chain = np.arange(300) * 0.5 + 0.25j
+        for values in (chain, chain[rng.permutation(300)]):
+            assert _cluster_indices(values, 0.5) == union_find_clusters(values, 0.5)
+            assert len(_cluster_indices(values, 0.5)) == 1
+            values = values + 0.25 * (values.real > 100)
+            assert _cluster_indices(values, 0.5) == union_find_clusters(values, 0.5)
+            assert len(_cluster_indices(values, 0.5)) == 2
 
 
 def union_find_clusters(values, threshold):
@@ -239,6 +298,21 @@ def union_find_clusters(values, threshold):
     for i in range(len(values)):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
+
+
+def loop_fix_phases(vectors):
+    """Reference phase gauge: one column at a time."""
+    out = vectors.copy()
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        mags = np.abs(col)
+        top = mags.max()
+        if top == 0.0:
+            continue
+        idx = int(np.argmax(mags > _PHASE_GAUGE_RTOL * top))
+        pivot = col[idx]
+        out[:, k] = col * (np.conj(pivot) / abs(pivot))
+    return out
 
 
 def greedy_partners(clusters, threshold):
@@ -557,6 +631,27 @@ class TestOnePass:
         apf = original_pr(antisymmetric_part(matrix))
         assert result.diagnostics.det_antisymmetric == apf**2
 
+    def test_five_gram_products_and_one_classification_per_pfaffian(self, monkeypatch):
+        # the guard's A^H A and A A^H, eig_normal's two commutator products
+        # and the unitarity check's U^H U
+        calls = {"gram": 0, "classify": 0}
+        original_gram = linalg._gram
+        original_classify = normal_form.classify_spectrum
+
+        def counted_gram(x, adjoint_first=False):
+            calls["gram"] += 1
+            return original_gram(x, adjoint_first)
+
+        def counted_classify(m, tol):
+            calls["classify"] += 1
+            return original_classify(m, tol)
+
+        monkeypatch.setattr(linalg, "_gram", counted_gram)
+        monkeypatch.setattr(normal_form, "_gram", counted_gram)
+        monkeypatch.setattr(normal_form, "classify_spectrum", counted_classify)
+        generalized_pfaffian(random_conjugate_normal(corpus_spec(1)))
+        assert calls == {"gram": 5, "classify": 1}
+
     def test_every_route_raises_the_same_guard_error(self):
         matrix = np.array([[1.0, 5.0], [0.0, 2.0]])
         _, residual = is_conjugate_normal(matrix)
@@ -624,3 +719,84 @@ class TestSpectralClasses:
         assert _check_block_order(blocks[::-1]) == sum(
             b.multiplicity for b in blocks if isinstance(b, OffDiagBlock)
         )
+
+
+def random_normal_forms(count):
+    """Normal forms with random U and random canonically sorted blocks: odd
+    and even dimensions, zero and positive-real 1x1 blocks, complex and
+    negative-real 2x2 blocks, multiplicities up to 3."""
+    rng = np.random.default_rng(77)
+    forms = []
+    for index in range(count):
+        blocks = []
+        for _ in range(int(rng.integers(0, 4))):
+            if rng.random() < 0.5:
+                s = complex(rng.uniform(-2, 2), rng.uniform(0.1, 2))
+            else:
+                s = 1j * rng.uniform(0.1, 3)
+            blocks.append(OffDiagBlock(s, int(rng.integers(1, 4))))
+        for _ in range(int(rng.integers(0 if blocks else 1, 4))):
+            sigma = 0.0 if rng.random() < 0.4 else float(rng.uniform(0.1, 3))
+            blocks.append(Real1Block(sigma, int(rng.integers(1, 4))))
+        blocks.sort(key=_block_key)
+        pairs = sum(b.multiplicity for b in blocks if isinstance(b, OffDiagBlock))
+        dim = 2 * pairs + sum(b.multiplicity for b in blocks if isinstance(b, Real1Block))
+        u = random_unitary(dim, index)
+        forms.append(NormalForm(u, tuple(blocks), pairs, det_lu(u), 0.0, 0.0))
+    return forms
+
+
+class TestOneProduct:
+    """Each O(n^3) product runs once and serves every use of it."""
+
+    def test_reconstruct_matches_the_dense_product(self, corpus):
+        forms = random_normal_forms(60) + [wigner_normal_form(m) for _, m in corpus[:40]]
+        dims = {nf.u.shape[0] % 2 for nf in forms}
+        kinds = {(type(b), getattr(b, "sigma", 1.0) == 0.0) for nf in forms for b in nf.blocks}
+        assert dims == {0, 1}
+        assert kinds == {(OffDiagBlock, False), (Real1Block, False), (Real1Block, True)}
+        for nf in forms:
+            dense = nf.u @ assemble_sigma(nf.blocks) @ nf.u.T
+            assert np.linalg.norm(reconstruct(nf) - dense) <= 1e-14 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("gauge_seed", [None, 3, 5])
+    def test_columns_from_the_images_match_the_direct_products(self, monkeypatch, gauge_seed):
+        # W = (s / mu) A conj(B) and C = B^H A conj(B) / root, with B the
+        # (mixed) eigenbasis of each cluster
+        spec = SpectrumSpec(
+            entries=(
+                SpectrumEntry("negative-real", -4.0, 6),
+                SpectrumEntry("positive-real", 3.0, 5),
+                SpectrumEntry("zero", 0.0, 3),
+                SpectrumEntry("complex", 1.0 + 2.0j, 2),
+                SpectrumEntry("complex", -1.5 + 0.5j, 1),
+            ),
+            seed=17,
+        )
+        matrix = random_conjugate_normal(spec)
+        atol = 1e-14 * frobenius(matrix)
+        seen = []
+        original = normal_form._cluster_columns
+
+        def spy(cluster, basis, image):
+            direct = matrix @ basis.conj()
+            np.testing.assert_allclose(image, direct, rtol=0, atol=atol)
+            block, v, w = original(cluster, basis, image)
+            if cluster.kind == COMPLEX_PAIR:
+                want = (block.s / cluster.mu) * direct
+                np.testing.assert_allclose(w, want, rtol=0, atol=atol)
+            elif cluster.kind != ZERO:
+                root = block.s.imag if cluster.kind == NEGATIVE_REAL else block.sigma
+                np.testing.assert_allclose(
+                    basis.conj().T @ image / root,
+                    basis.conj().T @ direct / root,
+                    rtol=0,
+                    atol=atol,
+                )
+            seen.append(cluster.kind)
+            return block, v, w
+
+        monkeypatch.setattr(normal_form, "_cluster_columns", spy)
+        nf = wigner_normal_form(matrix, gauge_seed=gauge_seed)
+        assert sorted(seen) == sorted(["negative-real", "positive-real", "zero"] + ["complex"] * 2)
+        assert_valid_normal_form(matrix, nf)
