@@ -52,12 +52,6 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_skew(dim: int, seed: int) -> np.ndarray:
-    """Random skew-symmetric matrix (G - G^T)/2 of a Ginibre G."""
-    g = random_ginibre(dim, seed)
-    return (g - g.T) / 2.0
-
-
 @dataclass(frozen=True)
 class SpectrumEntry:
     """One prescribed eigenvalue class of Lambda = A conj(A).

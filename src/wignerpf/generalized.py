@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .ensembles import random_unitary
 from .errors import InputError, NotConjugateNormalError, PfUndefinedError
 from .linalg import DEFAULT_TOL, Tolerances, as_square_matrix, det_lu
 from .normal_form import (
@@ -57,7 +58,8 @@ class PfDiagnostics:
 
     ``cross_check_residual`` is the relative discrepancy between the
     normal-form value and an independent recomputation through the
-    determinant-ratio relation (None when not applicable), and
+    determinant-ratio relation (None when not applicable or when a
+    determinant underflowed to 0), and
     ``conjugate_normal_residual`` is None on the antisymmetrized route,
     which runs no conjugate-normality test.
     """
@@ -100,41 +102,34 @@ def _relation_value(det_a: complex, det_as: complex, apf: complex) -> complex:
     return math.sqrt(ratio.real) * apf
 
 
-def generalized_pfaffian(
-    a,
-    tol: Tolerances = DEFAULT_TOL,
-    *,
-    gauge_seed: int | None = None,
-) -> PfResult:
+def generalized_pfaffian(a, tol: Tolerances = DEFAULT_TOL) -> PfResult:
     """Pfaffian of a conjugate-normal matrix through its normal form.
 
     ``pf(A) = i^(n^2) det(U) prod |s_k|`` over the 2x2 blocks, n = dim/2.
-    A 1x1 block with sigma = 0 (a "zero" Lambda-eigenvalue, decided by
-    :func:`classify_spectrum` at ``tol.cluster * (1 + ||A||^2)``), or an
-    exactly zero determinant, makes the matrix singular: the value is 0
-    with ``diagnostics.singular`` set.  A 1x1 block with sigma > 0 on a
-    non-singular matrix (this includes every non-singular odd-dimensional
-    matrix) means no continuous Pfaffian extension exists and
-    :class:`PfUndefinedError` is raised.
+    Singularity comes only from a 1x1 block with sigma = 0 (a "zero"
+    Lambda-eigenvalue, decided by :func:`classify_spectrum` at
+    ``tol.cluster * (1 + ||A||^2)``): the value is then 0 with
+    ``diagnostics.singular`` set.  A determinant that underflowed to 0
+    decides nothing.  A 1x1 block with sigma > 0 (this includes every
+    non-singular odd-dimensional matrix) means no continuous Pfaffian
+    extension exists and :class:`PfUndefinedError` is raised.
 
     For non-singular results the value is independently recomputed through
     the determinant-ratio relation and the relative discrepancy is recorded
-    in ``diagnostics.cross_check_residual``.  The relation's
+    in ``diagnostics.cross_check_residual``; it is None when ``det(A)`` or
+    ``det((A - A^T)/2)`` underflowed to 0.  The relation's
     ``det((A - A^T)/2)`` is ``apf**2`` from the same Parlett-Reid
     factorization that gives ``apf``.
-
-    ``gauge_seed`` is forwarded to the normal-form construction (testing
-    hook for gauge invariance).
     """
     m = as_square_matrix(a)
-    nf = wigner_normal_form(m, tol, gauge_seed=gauge_seed)
+    nf = wigner_normal_form(m, tol)
     cn_residual = nf.conjugate_normal_residual
     det_a = det_lu(m)
     apf = pf_skew_parlett_reid(antisymmetric_part(m))
     det_as = apf**2
 
     real_blocks = [b for b in nf.blocks if isinstance(b, Real1Block)]
-    if any(b.sigma == 0.0 for b in real_blocks) or det_a == 0:
+    if any(b.sigma == 0.0 for b in real_blocks):
         diag = PfDiagnostics(det_a, det_as, cn_residual, True, None)
         return PfResult(0j, "normal-form", diag)
     if real_blocks:
@@ -151,8 +146,10 @@ def generalized_pfaffian(
         magnitude *= abs(block.s) ** block.multiplicity
     value = _i_power_n_squared(nf.half_dim) * nf.det_u * magnitude
 
-    cross = abs(value - _relation_value(det_a, det_as, apf)) / abs(value)
-    diag = PfDiagnostics(det_a, det_as, cn_residual, False, float(cross))
+    cross = None
+    if det_a != 0 and det_as != 0:
+        cross = float(abs(value - _relation_value(det_a, det_as, apf)) / abs(value))
+    diag = PfDiagnostics(det_a, det_as, cn_residual, False, cross)
     return PfResult(complex(value), "normal-form", diag)
 
 
@@ -290,8 +287,6 @@ def identity_report(
     singular A (most rows degenerate there); other errors propagate from
     the individual Pfaffian computations.
     """
-    from .ensembles import random_unitary  # local import to keep layering acyclic
-
     m = as_square_matrix(a)
     base = generalized_pfaffian(m, tol)
     if base.diagnostics.singular:

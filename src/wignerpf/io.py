@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError
-from .linalg import as_matrix
+from .linalg import _frozen, as_matrix
 
 FORMAT_MM = "mm"
 FORMAT_JSON = "json"
@@ -96,9 +96,7 @@ class MatrixDocument:
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        m = as_matrix(self.matrix).copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen(as_matrix(self.matrix)))
         if self.source_format not in FORMATS:
             raise ParseError(f"unknown format {self.source_format!r}; expected one of {FORMATS}")
 

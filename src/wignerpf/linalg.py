@@ -43,6 +43,16 @@ def as_square_matrix(a) -> np.ndarray:
     return m
 
 
+def _frozen(m: np.ndarray) -> np.ndarray:
+    """The one rule for the arrays a result type holds: ``m`` itself when it
+    is read-only and owns its memory, else a read-only copy, so no write
+    through a view of the caller's array can change the result."""
+    if m.flags.writeable or m.base is not None:
+        m = m.copy()
+        m.flags.writeable = False
+    return m
+
+
 def frobenius(a) -> float:
     """Frobenius norm of a matrix."""
     return float(np.linalg.norm(a))

@@ -42,6 +42,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _frozen,
     _gram,
     _hermitian_norm,
     as_square_matrix,
@@ -185,7 +186,8 @@ class NormalForm:
     u
         Unitary factor; columns are ordered to match ``blocks`` (all first
         members of the 2x2 pairs, then all second members in the same order,
-        then the 1x1 columns).
+        then the 1x1 columns).  Held read-only: taken as given when it is
+        read-only and owns its memory, copied otherwise.
     blocks
         Canonically sorted block sequence.
     half_dim
@@ -206,8 +208,7 @@ class NormalForm:
     reconstruction_residual: float
 
     def __post_init__(self):
-        u = as_square_matrix(self.u).copy()
-        u.flags.writeable = False
+        u = _frozen(as_square_matrix(self.u))
         object.__setattr__(self, "u", u)
         blocks = tuple(self.blocks)
         object.__setattr__(self, "blocks", blocks)
@@ -310,10 +311,11 @@ class SpectralCluster:
 class SpectralPairing:
     """Clustered, classified and paired spectrum of Lambda = A conj(A), with
     ``images = A conj(vectors)`` (the antilinear map x -> A conj(x) applied
-    to every eigenvector; same shape as ``vectors``, copied unless it is
-    already read-only, as :func:`classify_spectrum` passes it), the
+    to every eigenvector; same shape as ``vectors``), the
     :func:`is_conjugate_normal` residual of A and ``frobenius_norm``, the
-    ||A||_F that set the cluster threshold."""
+    ||A||_F that set the cluster threshold.  ``vectors`` and ``images`` are
+    held read-only: taken as given when read-only and owning their memory,
+    as :func:`classify_spectrum` passes them, copied otherwise."""
 
     clusters: tuple[SpectralCluster, ...]
     vectors: np.ndarray
@@ -322,18 +324,14 @@ class SpectralPairing:
     frobenius_norm: float
 
     def __post_init__(self):
-        v = as_square_matrix(self.vectors).copy()
-        v.flags.writeable = False
+        v = _frozen(as_square_matrix(self.vectors))
         object.__setattr__(self, "vectors", v)
         images = as_square_matrix(self.images)
         if images.shape != v.shape:
             raise InputError(
                 f"images shape {images.shape} does not match vectors shape {v.shape}"
             )
-        if images.flags.writeable:
-            images = images.copy()
-            images.flags.writeable = False
-        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "images", _frozen(images))
         object.__setattr__(self, "clusters", tuple(self.clusters))
 
 
@@ -374,6 +372,11 @@ def _cluster_indices(values: np.ndarray, threshold: float) -> list[list[int]]:
     return [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _mean(x: np.ndarray, group: list[int]):
+    """Mean of x over a group; an isolated member is its own mean."""
+    return x[group[0]] if len(group) == 1 else np.mean(x[group])
+
+
 def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
     """Cluster and classify the spectrum of Lambda = A conj(A).
 
@@ -398,19 +401,20 @@ def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
     values, vectors = eig_normal(lam, tol)
     vectors = _fix_phases(vectors)
     images = m @ vectors.conj()
-    images.flags.writeable = False  # held by the pairing without a copy
+    # both are fresh: the pairing holds them without a copy
+    vectors.flags.writeable = images.flags.writeable = False
     # Rayleigh quotient v^H M v = ||A conj(v)||^2 of M = A^T A* on every eigenvector
     rayleigh = np.sum(images.real**2 + images.imag**2, axis=0)
 
     threshold = tol.cluster_threshold(norm)
     groups = _cluster_indices(values, threshold)
-    reps = [complex(np.mean(values[g])) for g in groups]
+    reps = [complex(_mean(values, g)) for g in groups]
     order = sorted(range(len(reps)), key=lambda i: (reps[i].real, reps[i].imag))
 
     clusters: list[SpectralCluster] = []
     for pos in order:
         group, omega = groups[pos], reps[pos]
-        mu = float(np.mean(rayleigh[group]))
+        mu = float(_mean(rayleigh, group))
         if abs(mu - abs(omega)) > threshold:
             raise SpectralConsistencyError(
                 f"cluster at omega={omega:.6g} has mu={mu:.6g} != |omega|; "
@@ -511,12 +515,7 @@ def _cluster_columns(cluster: SpectralCluster, basis: np.ndarray, image: np.ndar
     return block, basis @ _fixed_basis(c), None
 
 
-def wigner_normal_form(
-    a,
-    tol: Tolerances = DEFAULT_TOL,
-    *,
-    gauge_seed: int | None = None,
-) -> NormalForm:
+def wigner_normal_form(a, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     """Construct the normal form A = U Sigma U^T of a conjugate-normal A.
 
     The construction walks the classified spectrum of Lambda = A conj(A),
@@ -540,37 +539,19 @@ def wigner_normal_form(
     with ties by ascending arg(s); then 1x1 by ascending sigma), the columns
     of U are permuted to match, and unitarity of U plus the reconstruction
     residual are verified before returning.
-
-    ``gauge_seed`` (testing hook) re-mixes every cluster's eigenbasis by a
-    random unitary R (its image by conj(R)) and randomizes the processing
-    order; the result must agree with the deterministic gauge up to the
-    block structure's intrinsic freedom.
     """
-    from .ensembles import random_unitary  # local import to keep layering acyclic
-
     m = as_square_matrix(a)
     dim = m.shape[0]
     pairing = classify_spectrum(m, tol)
     cn_residual, norm = pairing.conjugate_normal_residual, pairing.frobenius_norm
 
-    rng = np.random.default_rng(gauge_seed) if gauge_seed is not None else None
-    order = list(range(len(pairing.clusters)))
-    if rng is not None:
-        order = [int(i) for i in rng.permutation(len(order))]
-
     # each entry: (block, V columns, W columns of a 2x2 block or None)
     groups: list[tuple] = []
-    for idx in order:
-        cluster = pairing.clusters[idx]
-        mix_seed = None if rng is None else int(rng.integers(2**32))
+    for cluster in pairing.clusters:
         if cluster.kind == COMPLEX_PAIR and cluster.omega.imag < 0:
             continue  # handled through the Im > 0 partner
         basis = pairing.vectors[:, cluster.columns]
         image = pairing.images[:, cluster.columns]
-        if mix_seed is not None:
-            mix = random_unitary(cluster.multiplicity, mix_seed)
-            basis = basis @ mix
-            image = image @ mix.conj()
         groups.append(_cluster_columns(cluster, basis, image))
     # V and A conj(V) are not needed past this point
     del pairing
@@ -580,6 +561,7 @@ def wigner_normal_form(
     columns = [g[1] for g in pairs] + [g[2] for g in pairs]
     columns += [g[1] for g in groups if g[2] is None]
     u_mat = np.column_stack(columns) if columns else np.zeros((dim, 0))
+    u_mat.flags.writeable = False  # fresh: the NormalForm holds it without a copy
     if u_mat.shape != (dim, dim):
         raise SpectralConsistencyError(
             f"normal-form construction produced {u_mat.shape[1]} columns for "

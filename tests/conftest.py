@@ -1,4 +1,5 @@
-"""Shared fixtures: the spectral test corpus and acceptance reporting.
+"""Shared fixtures: the spectral test corpus, a mixed-gauge test seam and
+acceptance reporting.
 
 The corpus is a deterministic family of 300 conjugate-normal matrices with
 prescribed mixed spectra (complex pairs and negative-real eigenvalues,
@@ -10,11 +11,14 @@ axis so that clustering decisions are unambiguous at default tolerances.
 """
 
 import re
+from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wignerpf import SpectrumEntry, SpectrumSpec, random_conjugate_normal
+from wignerpf import SpectrumEntry, SpectrumSpec, normal_form, random_conjugate_normal
+from wignerpf.ensembles import random_unitary
 
 CORPUS_SIZE = 300
 
@@ -71,6 +75,37 @@ def corpus():
     """List of (spec, matrix) pairs, built once per session."""
     specs = [corpus_spec(i) for i in range(CORPUS_SIZE)]
     return [(spec, random_conjugate_normal(spec)) for spec in specs]
+
+
+@contextmanager
+def mixed_gauge(seed):
+    """Inside the block, every normal form is built from a mixed eigenbasis.
+
+    Patches ``normal_form.classify_spectrum`` to return the same pairing with
+    each cluster's eigenvectors B replaced by B R and their images A conj(B)
+    by A conj(B) conj(R), R a random unitary drawn from a generator seeded
+    with ``seed`` afresh on every call (so repeated calls mix alike).  The
+    Pfaffian and the blocks must not depend on R.  ``None`` mixes nothing.
+    """
+    original = normal_form.classify_spectrum
+
+    def mixed(a, tol=normal_form.DEFAULT_TOL):
+        pairing = original(a, tol)
+        rng = np.random.default_rng(seed)
+        vectors, images = np.array(pairing.vectors), np.array(pairing.images)
+        for cluster in pairing.clusters:
+            cols = list(cluster.columns)
+            mix = random_unitary(len(cols), int(rng.integers(2**32)))
+            vectors[:, cols] = vectors[:, cols] @ mix
+            images[:, cols] = images[:, cols] @ mix.conj()
+        return replace(pairing, vectors=vectors, images=images)
+
+    if seed is not None:
+        normal_form.classify_spectrum = mixed
+    try:
+        yield
+    finally:
+        normal_form.classify_spectrum = original
 
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")

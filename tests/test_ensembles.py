@@ -13,7 +13,7 @@ from wignerpf import (
     random_conjugate_normal,
     random_ginibre,
 )
-from wignerpf.ensembles import random_skew, random_unitary, spectrum_blocks
+from wignerpf.ensembles import random_unitary, spectrum_blocks
 from wignerpf.linalg import unitarity_defect
 
 
@@ -21,7 +21,6 @@ class TestGenerators:
     def test_deterministic_for_fixed_seed(self):
         np.testing.assert_array_equal(random_ginibre(5, 3), random_ginibre(5, 3))
         np.testing.assert_array_equal(random_unitary(5, 3), random_unitary(5, 3))
-        np.testing.assert_array_equal(random_skew(5, 3), random_skew(5, 3))
 
     def test_seed_changes_output(self):
         assert not np.allclose(random_ginibre(4, 0), random_ginibre(4, 1))
@@ -29,10 +28,6 @@ class TestGenerators:
     def test_unitary_is_unitary(self):
         for dim, seed in [(1, 0), (3, 7), (20, 19)]:
             assert unitarity_defect(random_unitary(dim, seed)) < 1e-13 * dim
-
-    def test_skew_is_skew(self):
-        m = random_skew(6, 2)
-        np.testing.assert_array_equal(m, -m.T)
 
     def test_ginibre_moments(self):
         # entries are complex gaussians with unit variance per component,

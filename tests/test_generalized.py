@@ -22,7 +22,7 @@ from wignerpf import (
 from wignerpf import generalized, normal_form
 from wignerpf.linalg import det_lu
 
-from conftest import corpus_spec
+from conftest import corpus_spec, mixed_gauge
 
 SQRT2 = np.sqrt(2.0)
 
@@ -80,6 +80,29 @@ class TestUndefinedAndSingular:
         assert result.value == 0
         assert result.diagnostics.singular
         assert result.diagnostics.cross_check_residual is None
+
+    def test_underflowed_determinant_is_not_singular(self):
+        # scale-table cell n = 200, c = 1e-2: det(cA) = c^200 det(A)
+        # underflows to 0 while pf(cA) = c^100 pf(A) is in range; only a
+        # sigma = 0 block makes a matrix singular, and with no determinant
+        # the cross-check cannot run
+        rng = np.random.default_rng(5)
+        radius = np.exp(rng.uniform(-2.7, 2.7, 100))
+        angle = rng.uniform(0.1, np.pi - 0.1, 100)
+        spec = SpectrumSpec(
+            entries=tuple(
+                SpectrumEntry("complex", complex(z), 1) for z in radius * np.exp(1j * angle)
+            ),
+            seed=5,
+        )
+        matrix = random_conjugate_normal(spec)
+        scale = 1e-2
+        result = generalized_pfaffian(scale * matrix)
+        want = scale**100 * generalized_pfaffian(matrix).value
+        assert result.diagnostics.det == 0
+        assert not result.diagnostics.singular
+        assert result.diagnostics.cross_check_residual is None
+        assert abs(result.value - want) <= 1e-10 * abs(want)
 
     def test_zero_matrix_is_singular(self):
         result = generalized_pfaffian(np.zeros((2, 2)))
@@ -314,5 +337,6 @@ class TestGaugeInvariance:
         matrix = random_conjugate_normal(corpus_spec(6))  # degenerate spectrum
         base = generalized_pfaffian(matrix).value
         for seed in (1, 2, 5):
-            value = generalized_pfaffian(matrix, gauge_seed=seed).value
+            with mixed_gauge(seed):
+                value = generalized_pfaffian(matrix).value
             np.testing.assert_allclose(value, base, rtol=1e-10)

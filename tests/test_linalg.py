@@ -7,6 +7,7 @@ import scipy.linalg
 from wignerpf import InputError, NotNormalError, Tolerances
 from wignerpf.linalg import (
     DEFAULT_TOL,
+    _frozen,
     _gram,
     _hermitian_norm,
     as_matrix,
@@ -207,6 +208,20 @@ class TestSmallHelpers:
         assert unitarity_defect(np.eye(3)) == 0.0
         # U^H U - 1 = 3*eye(3), Frobenius norm 3*sqrt(3)
         assert unitarity_defect(2.0 * np.eye(3)) == pytest.approx(3.0 * np.sqrt(3.0))
+
+
+class TestFrozen:
+    def test_only_an_owned_read_only_array_is_kept(self):
+        owned = np.arange(9.0).reshape(3, 3) + 0j
+        owned.flags.writeable = False
+        assert _frozen(owned) is owned
+        writable = np.arange(9.0).reshape(3, 3) + 1j
+        view = writable[:]
+        view.flags.writeable = False
+        for m in (writable, view, writable.T):
+            held = _frozen(m)
+            assert held is not m and held.base is None and not held.flags.writeable
+            np.testing.assert_array_equal(held, m)
 
 
 class TestGramTriangles:

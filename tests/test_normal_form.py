@@ -42,7 +42,7 @@ from wignerpf.normal_form import (
     assemble_sigma,
 )
 
-from conftest import corpus_spec
+from conftest import corpus_spec, mixed_gauge
 
 
 class TestBlocks:
@@ -226,6 +226,18 @@ class TestClassifySpectrum:
         for bad in (images[:, :-1], np.zeros((n + 1, n + 1)), np.full((n, n), np.nan)):
             with pytest.raises(InputError):
                 replace(pairing, images=bad)
+
+    def test_read_only_view_of_a_writable_array_is_copied(self, corpus):
+        # read-only is not enough to hold an array as given: a view shares
+        # memory that its base's owner can still write
+        pairing = classify_spectrum(corpus[0][1])
+        for name in ("vectors", "images"):
+            base = np.array(getattr(pairing, name))
+            view = base[:]
+            view.flags.writeable = False
+            rebuilt = replace(pairing, **{name: view})
+            base[:] = 0.0
+            np.testing.assert_array_equal(getattr(rebuilt, name), getattr(pairing, name))
 
     def test_phase_gauge_matches_loop_reference(self):
         rng = np.random.default_rng(12)
@@ -452,7 +464,8 @@ class TestWignerNormalForm:
         matrix = random_conjugate_normal(spec)
         base = wigner_normal_form(matrix)
         for seed in (1, 2, 3):
-            other = wigner_normal_form(matrix, gauge_seed=seed)
+            with mixed_gauge(seed):
+                other = wigner_normal_form(matrix)
             assert not np.allclose(other.u, base.u)
             assert len(other.blocks) == len(base.blocks)
             for got, want in zip(other.blocks, base.blocks):
@@ -508,7 +521,8 @@ class TestRealClusters:
     @staticmethod
     def check(spec, gauge_seed):
         matrix = random_conjugate_normal(spec)
-        nf = wigner_normal_form(matrix, gauge_seed=gauge_seed)
+        with mixed_gauge(gauge_seed):
+            nf = wigner_normal_form(matrix)
         assert_prescribed_blocks(nf, spec)
         assert_valid_normal_form(matrix, nf)
         np.testing.assert_allclose(abs(nf.det_u), 1.0, atol=1e-10)
@@ -536,7 +550,8 @@ class TestRealClusters:
         )
         matrix = random_conjugate_normal(spec)
         base = generalized_pfaffian(matrix).value
-        other = generalized_pfaffian(matrix, gauge_seed=gauge_seed).value
+        with mixed_gauge(gauge_seed):
+            other = generalized_pfaffian(matrix).value
         assert abs(other - base) <= 1e-9 * abs(base)
 
     def test_overmerged_clusters_raise_consistency_error(self):
@@ -651,6 +666,21 @@ class TestOnePass:
         monkeypatch.setattr(normal_form, "classify_spectrum", counted_classify)
         generalized_pfaffian(random_conjugate_normal(corpus_spec(1)))
         assert calls == {"gram": 5, "classify": 1}
+
+    def test_fresh_arrays_are_held_without_a_copy(self, monkeypatch):
+        # the eigenvectors, their images and U are built read-only, so the
+        # pairing and the normal form take them as they are
+        kept = []
+        original = normal_form._frozen
+
+        def spy(m):
+            held = original(m)
+            kept.append(held is m)
+            return held
+
+        monkeypatch.setattr(normal_form, "_frozen", spy)
+        generalized_pfaffian(random_conjugate_normal(corpus_spec(1)))
+        assert kept == [True, True, True]
 
     def test_every_route_raises_the_same_guard_error(self):
         matrix = np.array([[1.0, 5.0], [0.0, 2.0]])
@@ -797,6 +827,7 @@ class TestOneProduct:
             return block, v, w
 
         monkeypatch.setattr(normal_form, "_cluster_columns", spy)
-        nf = wigner_normal_form(matrix, gauge_seed=gauge_seed)
+        with mixed_gauge(gauge_seed):
+            nf = wigner_normal_form(matrix)
         assert sorted(seen) == sorted(["negative-real", "positive-real", "zero"] + ["complex"] * 2)
         assert_valid_normal_form(matrix, nf)

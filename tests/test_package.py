@@ -1,9 +1,14 @@
-"""The package namespace: what ``from wignerpf import *`` exports, and which
-module may hold the skew-Pfaffian oracle."""
+"""The package namespace: what ``from wignerpf import *`` exports, which
+module may hold the skew-Pfaffian oracle, and the one production path of the
+normal form."""
 
+import ast
+import inspect
 from pathlib import Path
 
 import wignerpf
+from wignerpf import generalized_pfaffian, wigner_normal_form
+from wignerpf.linalg import DEFAULT_TOL
 
 
 def test_star_import_exports_every_name_once():
@@ -21,3 +26,19 @@ def test_householder_is_an_oracle_only():
     for path in sorted(package.rglob("*.py")):
         if path.name != "pfaffian.py":
             assert "pf_skew_householder" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_normal_form_has_no_test_fork():
+    # the gauge tests mix eigenbases through a test seam, not a keyword; so
+    # normal_form needs nothing from ensembles, which imports normal_form
+    package = Path(wignerpf.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        assert "gauge_seed" not in path.read_text(encoding="utf-8"), path.name
+    tree = ast.parse((package / "normal_form.py").read_text(encoding="utf-8"))
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert not any("ensembles" in ast.unparse(node) for node in imports)
+    for function in (wigner_normal_form, generalized_pfaffian):
+        params = list(inspect.signature(function).parameters.values())
+        assert [p.name for p in params] == ["a", "tol"], function.__name__
+        assert params[1].default is DEFAULT_TOL
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
