@@ -7,6 +7,7 @@ which all user input passes.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,7 +21,10 @@ from .errors import InputError, NotNormalError
 def as_matrix(a) -> np.ndarray:
     """Validate ``a`` as a dense complex matrix and return it as complex128.
 
-    Requirements: two-dimensional, at least 1x1, all entries finite.
+    Requirements: two-dimensional, at least 1x1, all entries finite.  A
+    finite sum proves every entry finite; only a sum that is not (an inf or
+    nan entry, or huge finite entries that overflow) costs the element-wise
+    scan.
     """
     try:
         m = np.asarray(a, dtype=np.complex128)
@@ -30,7 +34,9 @@ def as_matrix(a) -> np.ndarray:
         raise InputError(f"expected a 2-d matrix, got {m.ndim} dimension(s)")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise InputError(f"matrix must be at least 1x1, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = m.sum()
+    if not cmath.isfinite(total) and not np.isfinite(m).all():
         raise InputError("matrix entries must be finite")
     return m
 
@@ -136,10 +142,13 @@ def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
 
     Normality is checked first through the commutator ``||[M, M^H]||``,
     read from the upper triangles of the two Hermitian Gram products
-    (:func:`_gram`, half the flops of full products).  The off-diagonal mass
-    of T is both the eigen-residual of the returned decomposition (||M V - V
-    diag|| equals ||T - diag(T)|| exactly) and a second witness of
-    normality, so it is checked against the same bound.
+    (:func:`_gram`, half the flops of full products).  After the Newton step
+    one product M Q gives both T's diagonal, ``T_jj = q_j^H (M q_j)``, and
+    its off-diagonal mass, read as the residual ``||M Q - Q diag(T)||``
+    (equal to ``||T - diag(T)||`` for a unitary Q), so T itself is never
+    formed.  That mass is both the eigen-residual of the returned
+    decomposition and a second witness of normality, so it is checked
+    against the same bound.
 
     Returns ``(values, vectors)`` with ``vectors[:, k]`` belonging to
     ``values[k]``.  Raises :class:`NotNormalError` if M is not normal within
@@ -163,9 +172,10 @@ def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     np.conjugate(herm, out=herm)
     _, q = scipy.linalg.eigh(herm.T, overwrite_a=True, check_finite=False, driver="evd")
     step_norm = _newton_step(m, q, tol.cluster * norm)
-    t = q.conj().T @ (m @ q)
-    values = np.diag(t).copy()
-    off = np.linalg.norm(t - np.diag(values))
+    residual = m @ q
+    values = np.einsum("ij,ij->j", q.conj(), residual)  # T_jj = q_j^H (M q_j)
+    residual -= q * values  # M Q - Q diag(T)
+    off = np.linalg.norm(residual)
     eps = np.finfo(float).eps
     if step_norm > math.sqrt(eps) or off > 4 * m.shape[0] * eps * norm:
         t, q = scipy.linalg.schur(m, output="complex")

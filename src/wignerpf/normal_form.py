@@ -28,8 +28,9 @@ columns of complex pairs and the restricted maps of real clusters.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,7 +121,7 @@ def _block_key(block) -> tuple:
     """Canonical order: 2x2 blocks by descending |s|, ties by ascending
     arg(s), then 1x1 blocks by ascending sigma."""
     if isinstance(block, OffDiagBlock):
-        return (0, -abs(block.s), np.angle(block.s))
+        return (0, -abs(block.s), cmath.phase(block.s))
     return (1, block.sigma, 0.0)
 
 
@@ -372,11 +373,6 @@ def _cluster_indices(values: np.ndarray, threshold: float) -> list[list[int]]:
     return [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _mean(x: np.ndarray, group: list[int]):
-    """Mean of x over a group; an isolated member is its own mean."""
-    return x[group[0]] if len(group) == 1 else np.mean(x[group])
-
-
 def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
     """Cluster and classify the spectrum of Lambda = A conj(A).
 
@@ -408,13 +404,18 @@ def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
 
     threshold = tol.cluster_threshold(norm)
     groups = _cluster_indices(values, threshold)
-    reps = [complex(_mean(values, g)) for g in groups]
-    order = sorted(range(len(reps)), key=lambda i: (reps[i].real, reps[i].imag))
+    # an isolated eigenvalue is its own mean, read by index
+    firsts = [g[0] for g in groups]
+    reps, mus = values[firsts], rayleigh[firsts]
+    for i, group in enumerate(groups):
+        if len(group) > 1:
+            reps[i], mus[i] = np.mean(values[group]), np.mean(rayleigh[group])
+    order = np.lexsort((reps.imag, reps.real))  # stable: ties keep group order
+    groups = [groups[i] for i in order]
+    reps, mus = reps[order].tolist(), mus[order].tolist()
 
-    clusters: list[SpectralCluster] = []
-    for pos in order:
-        group, omega = groups[pos], reps[pos]
-        mu = float(_mean(rayleigh, group))
+    kinds = []
+    for group, omega, mu in zip(groups, reps, mus):
         if abs(mu - abs(omega)) > threshold:
             raise SpectralConsistencyError(
                 f"cluster at omega={omega:.6g} has mu={mu:.6g} != |omega|; "
@@ -436,30 +437,35 @@ def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
                     f"negative real eigenvalue {omega.real:.6g} has odd "
                     f"multiplicity {len(group)}"
                 )
-        clusters.append(SpectralCluster(omega, len(group), kind, None, mu, tuple(group)))
+        kinds.append(kind)
 
     # a complex cluster's partner is the cluster nearest its conjugate, and
     # that choice must be mutual (the distance matrix is symmetric)
-    complex_ids = [i for i, c in enumerate(clusters) if c.kind == COMPLEX_PAIR]
-    omegas = np.array([clusters[i].omega for i in complex_ids], dtype=np.complex128)
+    complex_ids = [i for i, kind in enumerate(kinds) if kind == COMPLEX_PAIR]
+    omegas = np.array([reps[i] for i in complex_ids], dtype=np.complex128)
     dist = np.abs(omegas[None, :] - omegas.conj()[:, None])
     np.fill_diagonal(dist, np.inf)
-    nearest = [int(np.argmin(row)) for row in dist]
+    nearest = dist.argmin(axis=1).tolist() if complex_ids else []
+    partners: list[int | None] = [None] * len(groups)
     for k, best in enumerate(nearest):
-        ci, cj = clusters[complex_ids[k]], clusters[complex_ids[best]]
+        i, j = complex_ids[k], complex_ids[best]
         if dist[k, best] > threshold or nearest[best] != k:
             raise SpectralConsistencyError(
-                f"complex eigenvalue {ci.omega:.6g} has no conjugate partner "
+                f"complex eigenvalue {reps[i]:.6g} has no conjugate partner "
                 "in the spectrum"
             )
-        if cj.multiplicity != ci.multiplicity:
+        if len(groups[j]) != len(groups[i]):
             raise SpectralConsistencyError(
-                f"conjugate eigenvalues {ci.omega:.6g} have mismatched "
-                f"multiplicities {ci.multiplicity} vs {cj.multiplicity}"
+                f"conjugate eigenvalues {reps[i]:.6g} have mismatched "
+                f"multiplicities {len(groups[i])} vs {len(groups[j])}"
             )
-        clusters[complex_ids[k]] = replace(ci, partner=complex_ids[best])
+        partners[i] = j
 
-    return SpectralPairing(tuple(clusters), vectors, images, cn_residual, norm)
+    clusters = tuple(
+        SpectralCluster(omega, len(group), kind, partner, mu, tuple(group))
+        for group, omega, kind, partner, mu in zip(groups, reps, kinds, partners, mus)
+    )
+    return SpectralPairing(clusters, vectors, images, cn_residual, norm)
 
 
 def _fixed_basis(c: np.ndarray) -> np.ndarray:

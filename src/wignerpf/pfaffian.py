@@ -107,7 +107,10 @@ def pf_skew_parlett_reid(a) -> complex:
     being eliminated are brought up to date (skew symmetry supplies their
     rows), the panel's g and c are collected as the columns of G and C (a
     swap also swaps their rows), and the trailing block takes the panel's
-    whole update as one product ``G C^T`` minus its transpose.
+    whole update as one product ``G C^T`` minus its transpose.  A panel's
+    first step has no pending update, so it skips the two column products,
+    and a row interchange is two slice copies (:func:`_swap_rows`), not a
+    fancy-indexed gather and scatter.
     """
     m = as_skew_matrix(a).copy()
     n = m.shape[0]
@@ -120,8 +123,12 @@ def pf_skew_parlett_reid(a) -> complex:
     for start in range(0, n, 2 * _PANEL):
         stop = min(start + 2 * _PANEL, n)
         for j, k in enumerate(range(start, stop, 2)):
-            # rows of g, c below the panel's earlier steps are all written
-            m[k + 1:, k] += g[k + 1:, :j] @ c[k, :j] - c[k + 1:, :j] @ g[k, :j]
+            # rows of g, c below the panel's earlier steps are all written; at
+            # a panel's first step nothing is pending, and adding 0 still maps
+            # -0.0 to +0.0 as every other step's update does
+            m[k + 1:, k] += (
+                g[k + 1:, :j] @ c[k, :j] - c[k + 1:, :j] @ g[k, :j] if j else 0.0
+            )
             kp = k + 1 + int(np.argmax(np.abs(m[k + 1:, k])))
             if abs(m[kp, k]) <= floor:
                 return 0j
@@ -129,13 +136,15 @@ def pf_skew_parlett_reid(a) -> complex:
                 # rows and columns k+1, kp of A trade places, and so do the
                 # rows of the panel's pending update
                 for x in (m, m.T, g[:, :j], c[:, :j]):
-                    x[[k + 1, kp]] = x[[kp, k + 1]]
+                    _swap_rows(x, k + 1, kp)
                 pf = -pf
             pivot = m[k + 1, k]  # = -A[k, k+1]
             pf *= -pivot
             if k + 2 < n:
                 m[k + 2:, k + 1] += (
                     g[k + 2:, :j] @ c[k + 1, :j] - c[k + 2:, :j] @ g[k + 1, :j]
+                    if j
+                    else 0.0
                 )
                 g[k + 2:, j] = m[k + 2:, k] / pivot  # A[k, k+2:] / A[k, k+1]
                 c[k + 2:, j] = m[k + 2:, k + 1]
@@ -144,6 +153,13 @@ def pf_skew_parlett_reid(a) -> complex:
             update = g[stop:, :steps] @ c[stop:, :steps].T
             m[stop:, stop:] += update - update.T
     return complex(pf)
+
+
+def _swap_rows(x: np.ndarray, i: int, j: int) -> None:
+    """Rows i and j of ``x`` (a view is written through) trade places."""
+    row = x[i].copy()
+    x[i] = x[j]
+    x[j] = row
 
 
 def pf_polynomial(a) -> complex:

@@ -1,5 +1,7 @@
 """Dense kernels: validation, determinant, normal eigendecomposition."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -38,6 +40,27 @@ class TestValidation:
             as_matrix([[np.inf, 0.0], [0.0, 1.0]])
         with pytest.raises(InputError):
             as_matrix([[np.nan, 0.0], [0.0, 1.0]])
+
+    def test_as_matrix_accepts_finite_entries_whose_sum_overflows(self):
+        # the sum is only a fast proof of finiteness; when it overflows, the
+        # element-wise scan decides, and no overflow warning escapes
+        big = np.full((3, 3), 1e308) - 1j * np.full((3, 3), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(as_matrix(big), big)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[np.inf], [np.nan], [np.inf, -np.inf], [1j * np.inf, -1j * np.inf], [1e308, np.nan]],
+    )
+    def test_as_matrix_rejects_every_non_finite_entry(self, entries):
+        # +inf with -inf sums to nan, and an overflowing sum hides nothing
+        m = np.full((3, 3), 1e308, dtype=complex)
+        m.flat[: len(entries)] = entries
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="matrix entries must be finite"):
+                as_matrix(m)
 
     def test_as_square_matrix_rejects_rectangular(self):
         with pytest.raises(InputError):

@@ -291,6 +291,72 @@ class TestClassifySpectrum:
             assert len(_cluster_indices(values, 0.5)) == 2
 
 
+
+def classify_with_eigenvalues(monkeypatch, values):
+    """classify_spectrum on a unitary A (so mu = 1 on every eigenvector)
+    whose Lambda eigensolve is replaced by ``values`` over the unit vectors."""
+    dim = len(values)
+    fake = (np.array(values, dtype=complex), np.eye(dim, dtype=complex))
+    monkeypatch.setattr(normal_form, "eig_normal", lambda lam, tol: fake)
+    return classify_spectrum(random_unitary(dim, 3))
+
+
+MU_MISMATCH = (
+    "cluster at omega={} has mu=1 != |omega|; the spectra of A conj(A) and "
+    "A^T A* are inconsistent"
+)
+
+
+class TestClassificationErrors:
+    """Each SpectralConsistencyError of classify_spectrum, with its exact
+    text; clusters are checked in ascending (Re, Im) order, mu and the
+    negative-real parity per cluster first, conjugate partners after."""
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([1.0, 2.0], MU_MISMATCH.format("2+0j")),
+            ([-1.0, 1.0], "negative real eigenvalue -1 has odd multiplicity 1"),
+            ([1j, 1.0], "complex eigenvalue 0+1j has no conjugate partner in the spectrum"),
+            (
+                [1j, 1j, -1j],
+                "conjugate eigenvalues -0-1j have mismatched multiplicities 1 vs 2",
+            ),
+            # 1j has no partner and sorts first, but the mu check of 2 runs
+            # before any partner is sought
+            ([1j, 2.0], MU_MISMATCH.format("2+0j")),
+            # the earlier cluster's check fails first, whichever check it is
+            ([-1.0, 2.0], "negative real eigenvalue -1 has odd multiplicity 1"),
+            ([-3.0, -1.0], MU_MISMATCH.format("-3+0j")),
+            (
+                [0.6 + 0.8j, 0.8 + 0.6j, 0.6 - 0.8j],
+                "complex eigenvalue 0.8+0.6j has no conjugate partner in the spectrum",
+            ),
+        ],
+    )
+    def test_exact_error(self, monkeypatch, values, message):
+        with pytest.raises(SpectralConsistencyError) as info:
+            classify_with_eigenvalues(monkeypatch, values)
+        assert type(info.value) is SpectralConsistencyError
+        assert str(info.value) == message
+
+    def test_partners_are_mutual(self, monkeypatch):
+        values = [1j, -1j, 1.0, 0.6 + 0.8j, 0.6 - 0.8j, -1.0, -1.0]
+        clusters = classify_with_eigenvalues(monkeypatch, values).clusters
+        assert [c.omega for c in clusters] == [-1, -1j, 1j, 0.6 - 0.8j, 0.6 + 0.8j, 1]
+        assert [c.partner for c in clusters] == [None, 2, 1, 4, 3, None]
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_partners_are_mutual_on_the_corpus(self, index):
+        pairing = classify_spectrum(random_conjugate_normal(corpus_spec(index)))
+        for i, cluster in enumerate(pairing.clusters):
+            if cluster.kind != COMPLEX_PAIR:
+                assert cluster.partner is None
+                continue
+            partner = pairing.clusters[cluster.partner]
+            assert partner.kind == COMPLEX_PAIR and partner.partner == i
+            assert partner.multiplicity == cluster.multiplicity
+
 def union_find_clusters(values, threshold):
     """Reference single-linkage clustering: a union-find over all pairs."""
     parent = list(range(len(values)))

@@ -2,14 +2,15 @@
 
 Householder is the reference oracle; the blocked Parlett-Reid kernel, the
 one production route, is compared with it on both sides of its panel
-boundaries (a panel is ``_PANEL`` pivot steps, two columns each)."""
+boundaries (a panel is ``_PANEL`` pivot steps, two columns each), and its
+exact output bits are pinned on fixed inputs."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerpf import InputError, pf_polynomial, pf_skew_parlett_reid
+from wignerpf import InputError, pf_polynomial, pf_skew_parlett_reid, pfaffian
 from wignerpf.linalg import det_lu
 from wignerpf.pfaffian import (
     _PANEL,
@@ -200,3 +201,57 @@ class TestBlockedParlettReid:
         m = random_skew_dense(np.random.default_rng(seed), 2 * half)
         reference = pf_skew_householder(m)
         assert abs(pf_skew_parlett_reid(m) - reference) <= 1e-11 * abs(reference)
+
+
+def swap_chain_skew(dim, seed):
+    """Noise of size 1e-3 plus the pairs (0, dim-1) and (2j, 2j-1) of size
+    about 1: at every pivot step but the last (which has one candidate row)
+    the pivot sits in the last row, so each of those steps swaps."""
+    m = 1e-3 * random_skew_dense(np.random.default_rng(seed), dim)
+    pairs = [(0, dim - 1)] + [(2 * j, 2 * j - 1) for j in range(1, dim // 2)]
+    for r, (i, j) in enumerate(pairs):
+        m[i, j] += 1.0 + r / dim
+        m[j, i] -= 1.0 + r / dim
+    return m
+
+
+def pinned_input(kind, dim, seed):
+    if kind == "dense":
+        return random_skew_dense(np.random.default_rng(seed), dim)
+    if kind == "swap-chain":
+        return swap_chain_skew(dim, seed)
+    # a real skew matrix times i: the Pfaffian is real, and the sign of its
+    # zero imaginary part follows every signed zero of the elimination
+    a = np.random.default_rng(seed).normal(size=(dim, dim))
+    return 1j * (a - a.T)
+
+
+#: pf_skew_parlett_reid on fixed inputs, as float.hex of (real, imag): the
+#: kernel's arithmetic order, row swaps and signed zeros included, is pinned
+PINNED = {
+    ("dense", 4, 804): ("-0x1.01901c5734458p+1", "0x1.91d17c435f4d2p+0"),
+    ("dense", 64, 864): ("0x1.6c860b4c0e812p+103", "-0x1.3244a96b4b2a0p+104"),
+    ("dense", 66, 866): ("-0x1.56a0473f40d46p+105", "-0x1.55ed7a5c87303p+106"),
+    ("dense", 130, 930): ("0x1.ec5d5f85e13c0p+241", "0x1.6f6a55c5ee6d4p+244"),
+    ("swap-chain", 66, 966): ("0x1.021da2f0c50a7p+10", "-0x1.8383319c33c6ap+3"),
+    ("swap-chain", 130, 1030): ("0x1.fefcc0a209171p+19", "0x1.3446ac9a3f83dp+14"),
+    ("imaginary", 4, 1016): ("0x1.5f94faccd25aap-1", "0x0.0p+0"),
+}
+
+
+class TestPinnedParlettReid:
+    @pytest.mark.parametrize("kind, dim, seed", list(PINNED))
+    def test_bits(self, kind, dim, seed):
+        value = pf_skew_parlett_reid(pinned_input(kind, dim, seed))
+        assert (value.real.hex(), value.imag.hex()) == PINNED[kind, dim, seed]
+
+    @pytest.mark.parametrize("dim", [66, 130])
+    def test_swap_chain_swaps_at_every_step_but_the_last(self, dim, monkeypatch):
+        swapped = []
+        original = pfaffian._swap_rows
+        monkeypatch.setattr(
+            pfaffian, "_swap_rows", lambda x, i, j: swapped.append(i) or original(x, i, j)
+        )
+        pf_skew_parlett_reid(swap_chain_skew(dim, 900 + dim))
+        # four swaps per step (rows of A, columns of A, rows of G and of C)
+        assert swapped == [k + 1 for k in range(0, dim - 2, 2) for _ in range(4)]
