@@ -40,6 +40,8 @@ def random_ginibre(dim: int, seed: int) -> np.ndarray:
     """dim x dim matrix of i.i.d. standard complex Gaussian entries."""
     if dim < 1:
         raise InputError(f"dimension must be >= 1, got {dim}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     return _complex_gaussians(rng, dim * dim).reshape(dim, dim)
 

@@ -56,19 +56,24 @@ def _i_power_n_squared(n: int) -> complex:
 class PfDiagnostics:
     """Side values recorded while computing a Pfaffian.
 
-    ``cross_check_residual`` is the relative discrepancy between the
-    normal-form value and an independent recomputation through the
-    determinant-ratio relation (None when not applicable or when a
-    determinant underflowed to 0), and
+    ``apf`` is the route's skew Pfaffian of ``(A - A^T)/2`` and
+    ``det_antisymmetric`` is ``apf**2``.  ``cross_check_residual`` is the
+    relative discrepancy between the normal-form value and an independent
+    recomputation through the determinant-ratio relation (None when not
+    applicable or when a determinant underflowed to 0), and
     ``conjugate_normal_residual`` is None on the antisymmetrized route,
     which runs no conjugate-normality test.
     """
 
     det: complex
-    det_antisymmetric: complex
+    apf: complex
     conjugate_normal_residual: float | None
     singular: bool
     cross_check_residual: float | None
+
+    @property
+    def det_antisymmetric(self) -> complex:
+        return self.apf**2
 
 
 @dataclass(frozen=True)
@@ -84,8 +89,9 @@ class PfResult:
             raise InputError("a singular result must carry the exact value 0")
 
 
-def _relation_value(det_a: complex, det_as: complex, apf: complex) -> complex:
-    """sqrt(det(A)/det(A_as)) * apf with the positivity checks applied."""
+def _relation_value(det_a: complex, apf: complex) -> complex:
+    """sqrt(det(A)/apf**2) * apf with the positivity checks applied."""
+    det_as = apf**2
     if det_as == 0:
         raise PfUndefinedError(
             "the antisymmetric part is singular; the determinant-ratio "
@@ -126,11 +132,10 @@ def generalized_pfaffian(a, tol: Tolerances = DEFAULT_TOL) -> PfResult:
     cn_residual = nf.conjugate_normal_residual
     det_a = det_lu(m)
     apf = pf_skew_parlett_reid(antisymmetric_part(m))
-    det_as = apf**2
 
     real_blocks = [b for b in nf.blocks if isinstance(b, Real1Block)]
     if any(b.sigma == 0.0 for b in real_blocks):
-        diag = PfDiagnostics(det_a, det_as, cn_residual, True, None)
+        diag = PfDiagnostics(det_a, apf, cn_residual, True, None)
         return PfResult(0j, "normal-form", diag)
     if real_blocks:
         dim = m.shape[0]
@@ -147,9 +152,9 @@ def generalized_pfaffian(a, tol: Tolerances = DEFAULT_TOL) -> PfResult:
     value = _i_power_n_squared(nf.half_dim) * nf.det_u * magnitude
 
     cross = None
-    if det_a != 0 and det_as != 0:
-        cross = float(abs(value - _relation_value(det_a, det_as, apf)) / abs(value))
-    diag = PfDiagnostics(det_a, det_as, cn_residual, False, cross)
+    if det_a != 0 and apf**2 != 0:
+        cross = float(abs(value - _relation_value(det_a, apf)) / abs(value))
+    diag = PfDiagnostics(det_a, apf, cn_residual, False, cross)
     return PfResult(complex(value), "normal-form", diag)
 
 
@@ -158,12 +163,11 @@ def antisymmetrized_pfaffian(a) -> PfResult:
 
     Defined for every square matrix, so no conjugate-normality test runs
     (``conjugate_normal_residual`` is None); odd dimension gives 0 (there
-    the antisymmetric part is always singular).  ``det_antisymmetric`` is
-    ``value**2``, the Pfaffian identity on the factorization just computed.
+    the antisymmetric part is always singular).  ``apf`` is the value itself.
     """
     m = as_square_matrix(a)
     value = pf_skew_parlett_reid(antisymmetric_part(m))
-    diag = PfDiagnostics(det_lu(m), value**2, None, value == 0, None)
+    diag = PfDiagnostics(det_lu(m), value, None, value == 0, None)
     return PfResult(value, "antisymmetrized", diag)
 
 
@@ -197,9 +201,8 @@ def generalized_pfaffian_via_relation(
     else:
         apf = pf_skew_parlett_reid(a_as)
         method = "relation"
-    det_as = apf**2
-    value = _relation_value(det_a, det_as, apf)
-    diag = PfDiagnostics(det_a, det_as, cn_residual, value == 0, None)
+    value = _relation_value(det_a, apf)
+    diag = PfDiagnostics(det_a, apf, cn_residual, value == 0, None)
     return PfResult(complex(value), method, diag)
 
 
@@ -224,7 +227,10 @@ class IdentityCheck:
     name: str
     residual: float
     threshold: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.threshold
 
 
 @dataclass(frozen=True)
@@ -300,12 +306,13 @@ def identity_report(
     if np.linalg.norm(b - b.T) > 1e-12 * (1.0 + np.linalg.norm(b)):
         raise InputError("the tensor partner B must be symmetric")
     lam = complex(lam)
+    q = random_unitary(dim, congruence_seed)  # rejects a bad seed before the battery
 
     checks: list[IdentityCheck] = []
 
     def add(name: str, lhs: complex, rhs: complex, thr: float = threshold):
         residual = float(abs(lhs - rhs) / max(abs(rhs), 1e-300))
-        checks.append(IdentityCheck(name, residual, thr, residual <= thr))
+        checks.append(IdentityCheck(name, residual, thr))
 
     def pf(x) -> complex:
         return generalized_pfaffian(x, tol).value
@@ -326,15 +333,10 @@ def identity_report(
     perm[[0, 1]] = perm[[1, 0]]
     add("row-swap", pf(m[np.ix_(perm, perm)]), -pf_a)
 
-    q = random_unitary(dim, congruence_seed)
     add("unitary-congruence", pf(q @ m @ q.T), det_lu(q) * pf_a)
 
-    apf = pf_skew_parlett_reid(antisymmetric_part(m))
-    delta = cmath.phase(apf) - cmath.phase(pf_a)
+    delta = cmath.phase(base.diagnostics.apf) - cmath.phase(pf_a)
     wrapped = (delta + math.pi) % (2.0 * math.pi) - math.pi
-    phase_thr = max(threshold, PHASE_THRESHOLD)
-    checks.append(
-        IdentityCheck("phase", abs(wrapped), phase_thr, abs(wrapped) <= phase_thr)
-    )
+    checks.append(IdentityCheck("phase", abs(wrapped), max(threshold, PHASE_THRESHOLD)))
 
     return IdentityReport(checks=tuple(checks))

@@ -77,19 +77,13 @@ class Tolerances:
         the scale of the eigenvalues being grouped), while sign/reality
         classification of a representative omega uses
         ``cluster * (1 + |omega|)``.
-    unitarity
-        ||U^H U - 1|| must stay below ``unitarity * sqrt(dim)``.
-    reconstruct
-        ||A - U Sigma U^T|| must stay below ``reconstruct * ||A||``.
     """
 
     eig_residual: float = 1e-10
     cluster: float = 1e-8
-    unitarity: float = 1e-10
-    reconstruct: float = 1e-9
 
     def __post_init__(self):
-        for name in ("eig_residual", "cluster", "unitarity", "reconstruct"):
+        for name in ("eig_residual", "cluster"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise InputError(f"tolerance {name!r} must be a positive finite number")
@@ -99,9 +93,6 @@ class Tolerances:
     def cluster_threshold(self, norm_a: float) -> float:
         """Absolute grouping threshold for the spectrum of A·conj(A)."""
         return self.cluster * (1.0 + norm_a * norm_a)
-
-    def unitarity_threshold(self, dim: int) -> float:
-        return self.unitarity * math.sqrt(dim)
 
 
 DEFAULT_TOL = Tolerances()

@@ -29,8 +29,9 @@ columns of complex pairs and the restricted maps of real clusters.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,6 +64,10 @@ ZERO = "zero"
 #: threshold below which a column component is ignored when fixing the
 #: eigenvector phase gauge (relative to the column's largest component)
 _PHASE_GAUGE_RTOL = 1e-8
+
+#: bounds of ||U^H U - 1|| / sqrt(dim) and ||A - U Sigma U^T|| / ||A||
+_UNITARITY_RTOL = 1e-10
+_RECONSTRUCT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -191,22 +196,19 @@ class NormalForm:
         read-only and owns its memory, copied otherwise.
     blocks
         Canonically sorted block sequence.
-    half_dim
-        Number of 2x2 pairs p (with multiplicity); for an even-dimensional
-        matrix without 1x1 blocks this is dim/2.
-    det_u
-        Cached determinant of u.
     conjugate_normal_residual, reconstruction_residual
         The input's :func:`is_conjugate_normal` residual and ``||A - U Sigma
         U^T||_F``, both checked by :func:`wigner_normal_form`.
+    half_dim, det_u
+        Derived, never passed in: the number p of 2x2 pairs with multiplicity
+        (dim/2 without 1x1 blocks), and det(u), computed on first read.
     """
 
     u: np.ndarray
     blocks: tuple
-    half_dim: int
-    det_u: complex
     conjugate_normal_residual: float
     reconstruction_residual: float
+    half_dim: int = field(init=False)
 
     def __post_init__(self):
         u = _frozen(as_square_matrix(self.u))
@@ -214,10 +216,7 @@ class NormalForm:
         blocks = tuple(self.blocks)
         object.__setattr__(self, "blocks", blocks)
         pairs = _check_block_order(blocks)
-        if pairs != self.half_dim:
-            raise InputError(
-                f"half_dim {self.half_dim} does not match the {pairs} pair(s) in blocks"
-            )
+        object.__setattr__(self, "half_dim", pairs)
         dim = 2 * pairs + sum(
             b.multiplicity for b in blocks if isinstance(b, Real1Block)
         )
@@ -225,6 +224,10 @@ class NormalForm:
             raise InputError(
                 f"u has dimension {u.shape[0]} but blocks describe dimension {dim}"
             )
+
+    @functools.cached_property
+    def det_u(self) -> complex:
+        return det_lu(self.u)
 
 
 def reconstruct(nf: NormalForm) -> np.ndarray:
@@ -297,15 +300,18 @@ class SpectralCluster:
     (None for real clusters).  ``mu`` is the common eigenvalue of
     M = A^T A* on the cluster subspace, which must equal |omega|.
     ``columns`` indexes the cluster's eigenvectors inside
-    :attr:`SpectralPairing.vectors`.
+    :attr:`SpectralPairing.vectors`; ``multiplicity`` is their count.
     """
 
     omega: complex
-    multiplicity: int
     kind: str
     partner: int | None
     mu: float
     columns: tuple[int, ...]
+
+    @property
+    def multiplicity(self) -> int:
+        return len(self.columns)
 
 
 @dataclass(frozen=True)
@@ -462,7 +468,7 @@ def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
         partners[i] = j
 
     clusters = tuple(
-        SpectralCluster(omega, len(group), kind, partner, mu, tuple(group))
+        SpectralCluster(omega, kind, partner, mu, tuple(group))
         for group, omega, kind, partner, mu in zip(groups, reps, kinds, partners, mus)
     )
     return SpectralPairing(clusters, vectors, images, cn_residual, norm)
@@ -575,19 +581,18 @@ def wigner_normal_form(a, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
         )
 
     defect = unitarity_defect(u_mat)
-    if defect > tol.unitarity_threshold(dim):
+    if defect > _UNITARITY_RTOL * math.sqrt(dim):
         raise SpectralConsistencyError(
             f"normal-form U is not unitary within tolerance: defect {defect:.3e} "
-            f"exceeds {tol.unitarity:.1e} * sqrt({dim})"
+            f"exceeds {_UNITARITY_RTOL:.1e} * sqrt({dim})"
         )
 
     blocks = tuple(g[0] for g in groups)
     residual = float(np.linalg.norm(m - _reconstruct(u_mat, blocks)))
-    if residual > tol.reconstruct * norm:
+    if residual > _RECONSTRUCT_RTOL * norm:
         raise ReconstructionError(
             f"||A - U Sigma U^T|| = {residual:.3e} exceeds "
-            f"{tol.reconstruct:.1e} * ||A||; the input is likely further from "
+            f"{_RECONSTRUCT_RTOL:.1e} * ||A||; the input is likely further from "
             "conjugate-normal than the tolerances assume"
         )
-    half_dim = sum(g[0].multiplicity for g in pairs)
-    return NormalForm(u_mat, blocks, half_dim, det_lu(u_mat), cn_residual, residual)
+    return NormalForm(u_mat, blocks, cn_residual, residual)

@@ -79,12 +79,12 @@ def pf_skew_householder(a) -> complex:
         m[i + 2:, i] = 0.0
         m[i, i + 2:] = 0.0
         if tau:
-            # congruence of the trailing block: B <- B + v w^T - w v^T
+            # congruence of the trailing block: B <- B + [v, -w] [w, v]^T
             # with w = tau * B conj(v) (the v v^H ... v* v^T cross term
             # vanishes because conj(v)^T B conj(v) = 0 for skew B)
             block = m[i + 1:, i + 1:]
             w = tau * (block @ v.conj())
-            block += np.outer(v, w) - np.outer(w, v)
+            block += np.stack([v, -w], 1) @ np.stack([w, v])
             pf *= 1.0 - tau  # det of the reflection
         if i % 2 == 0:
             pf *= -alpha  # tridiagonal entry T[i, i+1]

@@ -237,6 +237,16 @@ class TestIdentities:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    def test_negative_seed_exit_2(self, capsys, files, monkeypatch):
+        argv = ["identities", "--format", "json", files["a2.json"]]
+        results = [run(capsys, ["identities", "--seed", "-1", *argv[1:]])]
+        monkeypatch.setenv("WIGNERPF_SEED", "-1")
+        results.append(run(capsys, argv))
+        for code, out in results:
+            assert code == 2
+            assert out.count("\n") == 1
+            assert "seed must be >= 0" in json.loads(out)["error"]["message"]
+
     def test_bad_lam_exit_2(self, capsys, files):
         code, out = run(
             capsys, ["identities", "--format", "json", "--lam", "xyz", files["a2.json"]]
@@ -284,6 +294,19 @@ class TestGen:
         code, out = run(capsys, ["gen", spec_file])
         assert code == 2
         assert json.loads(out)["error"]["code"] == 2
+
+    def test_negative_seed_exit_2(self, capsys, spec_file, tmp_path):
+        negative = tmp_path / "negative.json"
+        negative.write_text(SPEC_JSON.replace('"seed": 11', '"seed": -3'))
+        for argv in (["gen", str(negative)], ["gen", "--seed", "-1", spec_file]):
+            code, out = run(capsys, argv)
+            assert code == 2
+            assert out.count("\n") == 1
+            assert "seed must be >= 0" in json.loads(out)["error"]["message"]
+        # a negative spec seed is never used when the flag overrides it
+        code, out = run(capsys, ["gen", "--seed", "5", str(negative)])
+        assert code == 0
+        assert out == run(capsys, ["gen", "--seed", "5", spec_file])[1]
 
     def test_output_file_and_summary(self, capsys, spec_file, tmp_path):
         target = tmp_path / "matrix.mm"

@@ -22,6 +22,12 @@ class TestGenerators:
         np.testing.assert_array_equal(random_ginibre(5, 3), random_ginibre(5, 3))
         np.testing.assert_array_equal(random_unitary(5, 3), random_unitary(5, 3))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+            random_ginibre(2, -1)
+        with pytest.raises(InputError):
+            random_unitary(3, -7)
+
     def test_seed_changes_output(self):
         assert not np.allclose(random_ginibre(4, 0), random_ginibre(4, 1))
 

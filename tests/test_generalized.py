@@ -12,12 +12,14 @@ from wignerpf import (
     SpectrumEntry,
     SpectrumSpec,
     antisymmetrized_pfaffian,
+    classify_spectrum,
     generalized_pfaffian,
     generalized_pfaffian_via_relation,
     identity_report,
     pf_polynomial,
     pfaffian_derivative,
     random_conjugate_normal,
+    wigner_normal_form,
 )
 from wignerpf import generalized, normal_form
 from wignerpf.linalg import det_lu
@@ -313,6 +315,30 @@ class TestIdentityReport:
         report = identity_report(matrix, threshold=1e-300)
         assert not report.passed
 
+    def test_one_skew_pfaffian_per_pipeline(self, monkeypatch):
+        # nine generalized_pfaffian calls; the phase row reads the first
+        # one's apf instead of factoring (A - A^T)/2 again
+        calls = []
+        original = generalized.pf_skew_parlett_reid
+        monkeypatch.setattr(
+            generalized, "pf_skew_parlett_reid", lambda m: calls.append(1) or original(m)
+        )
+        identity_report(random_conjugate_normal(corpus_spec(14)))
+        assert len(calls) == 9
+
+    def test_negative_congruence_seed_rejected_before_the_battery(self, monkeypatch):
+        calls = []
+        original = generalized.generalized_pfaffian
+
+        def counted(m, tol):
+            calls.append(1)
+            return original(m, tol)
+
+        monkeypatch.setattr(generalized, "generalized_pfaffian", counted)
+        with pytest.raises(InputError, match="seed must be >= 0"):
+            identity_report(random_conjugate_normal(corpus_spec(14)), congruence_seed=-1)
+        assert len(calls) == 1
+
     def test_rejects_asymmetric_tensor_partner(self):
         with pytest.raises(InputError):
             identity_report(jump_matrix(1.0), b=[[1.0, 2.0], [0.0, 1.0]])
@@ -340,3 +366,19 @@ class TestGaugeInvariance:
             with mixed_gauge(seed):
                 value = generalized_pfaffian(matrix).value
             np.testing.assert_allclose(value, base, rtol=1e-10)
+
+
+class TestDerivedAttributes:
+    """Every derived attribute of a result equals the function of its source."""
+
+    def test_derived_attributes_match_their_sources(self, corpus):
+        for index, (_, matrix) in enumerate(corpus):
+            nf = wigner_normal_form(matrix)
+            assert nf.det_u == det_lu(nf.u)
+            for cluster in classify_spectrum(matrix).clusters:
+                assert cluster.multiplicity == len(cluster.columns)
+            result = generalized_pfaffian(matrix)
+            assert result.diagnostics.det_antisymmetric == result.diagnostics.apf**2
+            if index % 10 == 0:
+                for check in identity_report(matrix).checks:
+                    assert check.passed == (check.residual <= check.threshold)

@@ -75,8 +75,6 @@ class TestTolerances:
     def test_defaults(self):
         assert DEFAULT_TOL.eig_residual == 1e-10
         assert DEFAULT_TOL.cluster == 1e-8
-        assert DEFAULT_TOL.unitarity == 1e-10
-        assert DEFAULT_TOL.reconstruct == 1e-9
 
     def test_rejects_non_positive(self):
         with pytest.raises(InputError):
@@ -84,7 +82,7 @@ class TestTolerances:
         with pytest.raises(InputError):
             Tolerances(cluster=-1e-8)
         with pytest.raises(InputError):
-            Tolerances(unitarity=np.inf)
+            Tolerances(cluster=np.inf)
 
     def test_rejects_cluster_below_eig_residual(self):
         with pytest.raises(InputError):
@@ -93,7 +91,6 @@ class TestTolerances:
     def test_threshold_scaling(self):
         tol = Tolerances()
         assert tol.cluster_threshold(3.0) == pytest.approx(1e-8 * 10.0)
-        assert tol.unitarity_threshold(16) == pytest.approx(1e-10 * 4.0)
 
 
 class TestDeterminant:

@@ -12,6 +12,7 @@ from wignerpf import (
     NotConjugateNormalError,
     OffDiagBlock,
     Real1Block,
+    ReconstructionError,
     SpectralConsistencyError,
     SpectrumEntry,
     SpectrumSpec,
@@ -29,6 +30,8 @@ from wignerpf.ensembles import random_unitary, spectrum_blocks
 from wignerpf.linalg import det_lu, frobenius, unitarity_defect
 from wignerpf.normal_form import (
     _PHASE_GAUGE_RTOL,
+    _RECONSTRUCT_RTOL,
+    _UNITARITY_RTOL,
     COMPLEX_PAIR,
     NEGATIVE_REAL,
     ZERO,
@@ -411,12 +414,11 @@ def greedy_partners(clusters, threshold):
     return partners
 
 
-def assert_valid_normal_form(matrix, nf, tol=None):
-    tol = tol or Tolerances()
+def assert_valid_normal_form(matrix, nf):
     norm = frobenius(matrix)
-    assert unitarity_defect(nf.u) <= tol.unitarity_threshold(matrix.shape[0])
+    assert unitarity_defect(nf.u) <= _UNITARITY_RTOL * np.sqrt(matrix.shape[0])
     np.testing.assert_allclose(
-        reconstruct(nf), matrix, atol=tol.reconstruct * max(norm, 1.0)
+        reconstruct(nf), matrix, atol=_RECONSTRUCT_RTOL * max(norm, 1.0)
     )
 
 
@@ -630,11 +632,15 @@ class TestRealClusters:
         with pytest.raises(SpectralConsistencyError):
             wigner_normal_form(matrix, Tolerances(cluster=0.5))
 
-    def test_tight_reconstruction_tolerance_raises(self):
-        spec = corpus_spec(7)
-        matrix = random_conjugate_normal(spec)
-        with pytest.raises(SpectralConsistencyError):
-            wigner_normal_form(matrix, Tolerances(reconstruct=1e-18, unitarity=1e-17))
+    def test_tight_reconstruction_tolerance_raises(self, monkeypatch):
+        matrix = random_conjugate_normal(corpus_spec(7))
+        with monkeypatch.context() as patch:
+            patch.setattr(normal_form, "_UNITARITY_RTOL", 1e-17)
+            with pytest.raises(SpectralConsistencyError, match="not unitary"):
+                wigner_normal_form(matrix)
+        monkeypatch.setattr(normal_form, "_RECONSTRUCT_RTOL", 1e-18)
+        with pytest.raises(ReconstructionError):
+            wigner_normal_form(matrix)
 
 
 class TestOnePass:
@@ -648,6 +654,30 @@ class TestOnePass:
         assert nf.reconstruction_residual == float(np.linalg.norm(matrix - reconstruct(nf)))
         result = generalized_pfaffian(matrix)
         assert result.diagnostics.conjugate_normal_residual == nf.conjugate_normal_residual
+
+    def test_det_u_is_computed_on_first_read_only(self, monkeypatch):
+        calls = []
+        original = normal_form.det_lu
+        monkeypatch.setattr(normal_form, "det_lu", lambda u: calls.append(1) or original(u))
+        nf = wigner_normal_form(random_conjugate_normal(corpus_spec(1)))
+        assert calls == []
+        first = nf.det_u
+        assert len(calls) == 1
+        assert nf.det_u == first
+        assert len(calls) == 1
+
+    def test_constructor_rejects_derived_values(self):
+        u = random_unitary(3, 0)
+        blocks = (OffDiagBlock(1.0j, 1), Real1Block(2.0, 1))
+        nf = NormalForm(u, blocks, 0.0, 0.0)
+        assert nf.half_dim == 1
+        assert nf.det_u == det_lu(nf.u)
+        sources = dict(
+            u=u, blocks=blocks, conjugate_normal_residual=0.0, reconstruction_residual=0.0
+        )
+        for name, value in (("half_dim", 1), ("det_u", nf.det_u)):
+            with pytest.raises(TypeError, match=name):
+                NormalForm(**sources, **{name: value})
 
     def test_one_unitarity_check_per_normal_form(self, monkeypatch):
         calls = []
@@ -838,7 +868,7 @@ def random_normal_forms(count):
         pairs = sum(b.multiplicity for b in blocks if isinstance(b, OffDiagBlock))
         dim = 2 * pairs + sum(b.multiplicity for b in blocks if isinstance(b, Real1Block))
         u = random_unitary(dim, index)
-        forms.append(NormalForm(u, tuple(blocks), pairs, det_lu(u), 0.0, 0.0))
+        forms.append(NormalForm(u, tuple(blocks), 0.0, 0.0))
     return forms
 
 

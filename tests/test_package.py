@@ -1,6 +1,6 @@
 """The package namespace: what ``from wignerpf import *`` exports, which
-module may hold the skew-Pfaffian oracle, and the one production path of the
-normal form."""
+module may hold the skew-Pfaffian oracle, the one production path of the
+normal form, and the inputs the result types take."""
 
 import ast
 import inspect
@@ -42,3 +42,21 @@ def test_normal_form_has_no_test_fork():
         assert [p.name for p in params] == ["a", "tol"], function.__name__
         assert params[1].default is DEFAULT_TOL
         assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+
+
+def test_result_types_take_only_source_values():
+    # half_dim, det_u, multiplicity, passed and det_antisymmetric follow from
+    # the other fields, so no constructor takes them
+    inputs = {
+        wignerpf.NormalForm: [
+            "u", "blocks", "conjugate_normal_residual", "reconstruction_residual"
+        ],
+        wignerpf.SpectralCluster: ["omega", "kind", "partner", "mu", "columns"],
+        wignerpf.IdentityCheck: ["name", "residual", "threshold"],
+        wignerpf.PfDiagnostics: [
+            "det", "apf", "conjugate_normal_residual", "singular", "cross_check_residual"
+        ],
+        wignerpf.Tolerances: ["eig_residual", "cluster"],
+    }
+    for cls, names in inputs.items():
+        assert list(inspect.signature(cls).parameters) == names, cls.__name__
