@@ -3,7 +3,7 @@
 Every error the library raises deliberately derives from :class:`Error` and
 carries an ``exit_code`` used by the command-line front end:
 
-    2  malformed or unusable input (parse errors, bad shapes, size guards)
+    2  unusable input: parse errors, bad shapes, size guards, |pf| out of range
     3  input matrix is not conjugate-normal within tolerance
     4  the generalized Pfaffian is undefined for the input
     5  a tolerance or spectral-consistency check failed
@@ -35,7 +35,7 @@ class ParseError(InputError):
 class NotConjugateNormalError(Error):
     """The matrix fails the conjugate-normality test.
 
-    ``residual`` is the scale-free defect ||A^T A* - A A^H|| / (1 + ||A||^2).
+    ``residual`` is the scale-free defect ||A^T A* - A A^H|| / ||A||^2.
     """
 
     exit_code = 3

@@ -60,7 +60,7 @@ class PfDiagnostics:
     ``det_antisymmetric`` is ``apf**2``.  ``cross_check_residual`` is the
     relative discrepancy between the normal-form value and an independent
     recomputation through the determinant-ratio relation (None when not
-    applicable or when a determinant underflowed to 0), and
+    applicable or when a determinant is not a normal double), and
     ``conjugate_normal_residual`` is None on the antisymmetrized route,
     which runs no conjugate-normality test.
     """
@@ -111,21 +111,22 @@ def _relation_value(det_a: complex, apf: complex) -> complex:
 def generalized_pfaffian(a, tol: Tolerances = DEFAULT_TOL) -> PfResult:
     """Pfaffian of a conjugate-normal matrix through its normal form.
 
-    ``pf(A) = i^(n^2) det(U) prod |s_k|`` over the 2x2 blocks, n = dim/2.
-    Singularity comes only from a 1x1 block with sigma = 0 (a "zero"
-    Lambda-eigenvalue, decided by :func:`classify_spectrum` at
-    ``tol.cluster * (1 + ||A||^2)``): the value is then 0 with
-    ``diagnostics.singular`` set.  A determinant that underflowed to 0
-    decides nothing.  A 1x1 block with sigma > 0 (this includes every
-    non-singular odd-dimensional matrix) means no continuous Pfaffian
-    extension exists and :class:`PfUndefinedError` is raised.
+    ``pf(A) = i^(n^2) det(U) prod |s_k|`` over the 2x2 blocks, n = dim/2;
+    every tolerance is relative to ||A||, so pf(2^j A) = 2^(j n) pf(A) bit
+    for bit.  Singularity comes only from a 1x1 block with sigma = 0 (a
+    "zero" Lambda-eigenvalue, decided by :func:`classify_spectrum` at
+    ``tol.cluster * ||A||^2``): the value is then 0 with
+    ``diagnostics.singular`` set.  A 1x1 block with sigma > 0 (this includes
+    every non-singular odd-dimensional matrix) means no continuous Pfaffian
+    extension exists and :class:`PfUndefinedError` is raised.  A non-singular
+    ``|pf|`` outside ``[tiny, inf)`` raises :class:`InputError`; it is never
+    returned as 0.
 
     For non-singular results the value is independently recomputed through
     the determinant-ratio relation and the relative discrepancy is recorded
-    in ``diagnostics.cross_check_residual``; it is None when ``det(A)`` or
-    ``det((A - A^T)/2)`` underflowed to 0.  The relation's
-    ``det((A - A^T)/2)`` is ``apf**2`` from the same Parlett-Reid
-    factorization that gives ``apf``.
+    in ``diagnostics.cross_check_residual``; it is None unless ``det(A)``
+    and ``det((A - A^T)/2) = apf**2`` (``apf`` from the one Parlett-Reid
+    factorization) both lie in ``[tiny, inf)``.
     """
     m = as_square_matrix(a)
     nf = wigner_normal_form(m, tol)
@@ -146,16 +147,25 @@ def generalized_pfaffian(a, tol: Tolerances = DEFAULT_TOL) -> PfResult:
             "is not, so no continuous Pfaffian extension exists"
         )
 
-    magnitude = 1.0
-    for block in nf.blocks:
-        magnitude *= abs(block.s) ** block.multiplicity
+    try:
+        magnitude = math.prod(abs(b.s) ** b.multiplicity for b in nf.blocks)
+    except OverflowError:  # one block's power alone overflows
+        magnitude = math.inf
     value = _i_power_n_squared(nf.half_dim) * nf.det_u * magnitude
+    if not _in_range(value):
+        exponent = sum(b.multiplicity * math.log10(abs(b.s)) for b in nf.blocks)
+        raise InputError(f"|pf(A)| ~ 1e{exponent:.0f} is outside the double range")
 
     cross = None
-    if det_a != 0 and apf**2 != 0:
+    if _in_range(det_a) and _in_range(apf**2):
         cross = float(abs(value - _relation_value(det_a, apf)) / abs(value))
     diag = PfDiagnostics(det_a, apf, cn_residual, False, cross)
     return PfResult(complex(value), "normal-form", diag)
+
+
+def _in_range(x: complex) -> bool:
+    """Whether |x| is a normal double: in [tiny, inf), never nan."""
+    return np.finfo(float).tiny <= abs(x) < math.inf
 
 
 def antisymmetrized_pfaffian(a) -> PfResult:
@@ -250,7 +260,8 @@ class IdentityReport:
         raise KeyError(name)
 
 
-#: phase agreement is held to its own floor (radians)
+#: bound of every row's relative residual; the phase row has its own (radians)
+IDENTITY_THRESHOLD = 1e-8
 PHASE_THRESHOLD = 1e-7
 
 
@@ -260,12 +271,11 @@ def identity_report(
     lam: complex = 2.0,
     tol: Tolerances = DEFAULT_TOL,
     *,
-    threshold: float = 1e-8,
     congruence_seed: int = DEFAULT_IDENTITY_SEED,
 ) -> IdentityReport:
     """Evaluate every algebraic Pfaffian identity on (A, B, lambda).
 
-    Checks, with relative residuals |lhs - rhs| / |rhs|:
+    Checks, relative residuals |lhs - rhs| / |rhs| <= IDENTITY_THRESHOLD:
 
     * ``square-det``          pf(A)^2 = det(A)
     * ``scale``               pf(lam A) = lam^n pf(A)
@@ -278,7 +288,7 @@ def identity_report(
     * ``row-swap``            swapping rows/columns 0,1 negates pf
     * ``unitary-congruence``  pf(Q A Q^T) = det(Q) pf(A), seeded random Q
     * ``phase``               arg apf(A) = arg pf(A) (mod 2pi, radians;
-      compared against max(threshold, PHASE_THRESHOLD))
+      compared against :data:`PHASE_THRESHOLD`)
 
     Note the (-1)^n in the adjoint and inverse rows.  Both operations
     conjugate the i^(n^2) prefactor of the definition (i^(n^2) vs
@@ -303,16 +313,16 @@ def identity_report(
     if b is None:
         b = np.diag([2.0, 3.0])
     b = as_square_matrix(b)
-    if np.linalg.norm(b - b.T) > 1e-12 * (1.0 + np.linalg.norm(b)):
+    if np.linalg.norm(b - b.T) > 1e-12 * np.linalg.norm(b):
         raise InputError("the tensor partner B must be symmetric")
     lam = complex(lam)
     q = random_unitary(dim, congruence_seed)  # rejects a bad seed before the battery
 
     checks: list[IdentityCheck] = []
 
-    def add(name: str, lhs: complex, rhs: complex, thr: float = threshold):
+    def add(name: str, lhs: complex, rhs: complex):
         residual = float(abs(lhs - rhs) / max(abs(rhs), 1e-300))
-        checks.append(IdentityCheck(name, residual, thr))
+        checks.append(IdentityCheck(name, residual, IDENTITY_THRESHOLD))
 
     def pf(x) -> complex:
         return generalized_pfaffian(x, tol).value
@@ -337,6 +347,6 @@ def identity_report(
 
     delta = cmath.phase(base.diagnostics.apf) - cmath.phase(pf_a)
     wrapped = (delta + math.pi) % (2.0 * math.pi) - math.pi
-    checks.append(IdentityCheck("phase", abs(wrapped), max(threshold, PHASE_THRESHOLD)))
+    checks.append(IdentityCheck("phase", abs(wrapped), PHASE_THRESHOLD))
 
     return IdentityReport(checks=tuple(checks))

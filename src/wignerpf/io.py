@@ -87,7 +87,7 @@ def complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixDocument:
     """A parsed matrix plus its source format and free-form metadata."""
 

@@ -72,11 +72,8 @@ class Tolerances:
         Relative bound both for the eigen-residual of the normal eigensolver
         and for the conjugate-normality defect.
     cluster
-        Base rate for grouping eigenvalues of A·conj(A); the absolute
-        grouping threshold is ``cluster * (1 + ||A||^2)`` (that product is
-        the scale of the eigenvalues being grouped), while sign/reality
-        classification of a representative omega uses
-        ``cluster * (1 + |omega|)``.
+        The relative resolution of the spectrum of A·conj(A): two of its
+        eigenvalues closer than ``cluster * ||A||^2`` are one eigenvalue.
     """
 
     eig_residual: float = 1e-10
@@ -91,8 +88,8 @@ class Tolerances:
             raise InputError("cluster tolerance must be at least the eigen-residual tolerance")
 
     def cluster_threshold(self, norm_a: float) -> float:
-        """Absolute grouping threshold for the spectrum of A·conj(A)."""
-        return self.cluster * (1.0 + norm_a * norm_a)
+        """The one threshold of every decision on the spectrum of A·conj(A)."""
+        return self.cluster * norm_a * norm_a
 
 
 DEFAULT_TOL = Tolerances()
@@ -102,11 +99,12 @@ DEFAULT_TOL = Tolerances()
 _HERMITIAN_SLOPE = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def det_lu(a) -> complex:
     """Determinant via LU factorization with partial pivoting.
 
     The determinant is the product of the U diagonal times (-1) per row swap
-    recorded in the pivot vector.
+    recorded in the pivot vector, returned as it rounds (0, inf or nan).
     """
     m = as_square_matrix(a)
     with warnings.catch_warnings():

@@ -185,7 +185,7 @@ def assemble_sigma(blocks) -> np.ndarray:
     return sigma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalForm:
     """Result of the normal-form construction.
 
@@ -257,8 +257,8 @@ def _reconstruct(u: np.ndarray, blocks) -> np.ndarray:
 def is_conjugate_normal(a, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
     """Whether A^T A* = A A^H within tolerance; returns (flag, residual).
 
-    The residual is ``||A^T A* - A A^H||_F / (1 + ||A||_F^2)``, compared
-    against ``tol.eig_residual``.
+    The residual is ``||A^T A* - A A^H||_F / ||A||_F^2`` (0 for the zero
+    matrix), compared against ``tol.eig_residual``.
     """
     try:
         residual, _ = _require_conjugate_normal(as_square_matrix(a), tol)
@@ -274,7 +274,7 @@ def _require_conjugate_normal(m: np.ndarray, tol: Tolerances) -> tuple[float, fl
     # with X = A^T: X X^H = A^T A* and X^H X = conj(A A^H), one Gram triangle each
     defect = _gram(m.T)
     defect -= np.conj(_gram(m.T, adjoint_first=True))
-    residual = _hermitian_norm(defect) / (1.0 + norm * norm)
+    residual = _hermitian_norm(defect) / max(norm * norm, np.finfo(float).tiny)
     if not residual <= tol.eig_residual:
         raise NotConjugateNormalError(
             f"matrix is not conjugate-normal: residual {residual:.3e} exceeds "
@@ -314,7 +314,7 @@ class SpectralCluster:
         return len(self.columns)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralPairing:
     """Clustered, classified and paired spectrum of Lambda = A conj(A), with
     ``images = A conj(vectors)`` (the antilinear map x -> A conj(x) applied
@@ -382,12 +382,15 @@ def _cluster_indices(values: np.ndarray, threshold: float) -> list[list[int]]:
 def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
     """Cluster and classify the spectrum of Lambda = A conj(A).
 
-    Eigenvalues within ``tol.cluster * (1 + ||A||^2)`` of each other are
-    merged.  Each cluster is labelled by its representative omega: "zero"
-    when ``|omega|`` is within that same threshold, else "complex" (one half
-    of a conjugate pair), "positive-real" or "negative-real" by the tests
-    ``cluster * (1 + |omega|)`` on Im and Re.  Complex clusters are matched
-    with their partner, which must exist with equal multiplicity.  The common
+    One threshold ``t = tol.cluster * ||A||^2`` makes every decision, so 2^j A
+    gives A's clusters with every omega and mu scaled by 4^j.  Eigenvalues
+    within t of each other are merged.  A cluster's representative omega is
+    "zero" when ``|omega| <= t``, else "complex" (one half of a conjugate
+    pair) when it is farther than t from its conjugate (``2 |Im omega| >
+    t``), else "positive-real" or "negative-real" by the sign of Re omega,
+    which noise cannot flip (``|Re omega| > (sqrt(3)/2) t`` there).  Complex
+    clusters are matched with their partner, which must exist with equal
+    multiplicity.  The common
     M = A^T A* eigenvalue ``mu`` of every cluster is computed and verified
     to equal |omega|; it is read from the images ``A conj(v)`` of the
     eigenvectors, since ``v^H M v = ||A conj(v)||^2``.
@@ -427,14 +430,13 @@ def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
                 f"cluster at omega={omega:.6g} has mu={mu:.6g} != |omega|; "
                 "the spectra of A conj(A) and A^T A* are inconsistent"
             )
-        # zero first, at the grouping threshold: a zero eigenvalue's rounding
-        # noise scales with ||A||^2, not with |omega|
-        scale = tol.cluster * (1.0 + abs(omega))
+        # zero first: a zero eigenvalue's rounding noise scales with
+        # ||A||^2, not with |omega|
         if abs(omega) <= threshold:
             kind = ZERO
-        elif abs(omega.imag) > scale:
+        elif 2.0 * abs(omega.imag) > threshold:
             kind = COMPLEX_PAIR
-        elif omega.real >= -scale:
+        elif omega.real > 0.0:
             kind = POSITIVE_REAL
         else:
             kind = NEGATIVE_REAL

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InputError
 from .linalg import as_square_matrix
 
-#: ||A + A^T|| <= SKEW_RTOL * (1 + ||A||) is required of skew input.
+#: ||A + A^T|| <= SKEW_RTOL * ||A|| is required of skew input.
 SKEW_RTOL = 1e-12
 
 #: pf_polynomial refuses matrices larger than this (the matching count is
@@ -34,7 +34,7 @@ def as_skew_matrix(a) -> np.ndarray:
     """Validate ``a`` as skew-symmetric (A = -A^T) within :data:`SKEW_RTOL`."""
     m = as_square_matrix(a)
     defect = float(np.linalg.norm(m + m.T))
-    if defect > SKEW_RTOL * (1.0 + float(np.linalg.norm(m))):
+    if defect > SKEW_RTOL * float(np.linalg.norm(m)):
         raise InputError(
             f"matrix is not skew-symmetric: ||A + A^T|| = {defect:.3e}"
         )
@@ -92,6 +92,7 @@ def pf_skew_householder(a) -> complex:
     return complex(pf)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pf_skew_parlett_reid(a) -> complex:
     """Pfaffian of a skew-symmetric matrix via Parlett-Reid elimination.
 
@@ -99,7 +100,7 @@ def pf_skew_parlett_reid(a) -> complex:
     largest entry in the working column; each row/column interchange flips
     the sign).  A pivot smaller than ``PIVOT_RTOL * ||A||`` declares the
     matrix numerically singular and returns 0 exactly.  Odd-dimensional
-    input returns 0.
+    input returns 0.  The product of pivots is returned as it rounds.
 
     Each pivot step eliminates two columns k, k+1 by the skew rank-2 update
     ``A22 += g c^T - c g^T`` (g the Gauss vector, c column k+1).  The steps

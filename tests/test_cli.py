@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tomllib
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ import pytest
 from wignerpf import SpectrumEntry, SpectrumSpec, random_conjugate_normal
 from wignerpf.cli import main
 from wignerpf.io import write_matrix
+
+from conftest import corpus_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -375,6 +378,44 @@ class TestNonFiniteOutput:
         assert None in payload["det"]
         assert payload["cross_check_residual"] is None
         assert all(np.isfinite(payload["pfaffian"]))
+
+
+class TestScale:
+    """Every tolerance is relative to ||A||: the unit of A changes no decision."""
+
+    @pytest.mark.parametrize("conjugate_normal", [True, False])
+    def test_check_residual_is_the_same_at_every_power_of_two(
+        self, capsys, tmp_path, conjugate_normal
+    ):
+        if conjugate_normal:
+            matrix = random_conjugate_normal(corpus_spec(10))
+        else:
+            matrix = np.random.default_rng(3).standard_normal((6, 6))
+        outputs = set()
+        for j in (-40, -12, 0, 12, 40):
+            path = tmp_path / f"m{j}.mm"
+            write_matrix(2.0**j * matrix, path, "mm")
+            code, out = run(capsys, ["check", str(path)])
+            assert code == 0
+            outputs.add(out)
+        assert len(outputs) == 1
+        assert json.loads(outputs.pop())["conjugate_normal"] == conjugate_normal
+
+    @pytest.mark.parametrize("scale", [1e-40, 1e40])
+    def test_pf_out_of_range_is_one_error_line(self, capsys, tmp_path, scale):
+        # |pf| = scale^8 |pf(A)| leaves the double range: exit 2 and one JSON
+        # error line naming the magnitude, never a silent 0 or a null value,
+        # and no numpy warning on the way
+        path = tmp_path / "scaled.mm"
+        write_matrix(scale * random_conjugate_normal(corpus_spec(11)), path, "mm")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, ["pf", str(path)])
+        assert code == 2
+        assert out.count("\n") == 1
+        message = json.loads(out)["error"]["message"]
+        assert "outside the double range" in message
+        assert ("1e-3" if scale < 1 else "1e3") in message
 
 
 class TestConsoleScript:

@@ -310,10 +310,13 @@ class TestIdentityReport:
         with pytest.raises(KeyError):
             report.check("unknown")
 
-    def test_impossible_threshold_reports_failures(self):
+    def test_impossible_threshold_reports_failures(self, monkeypatch):
+        monkeypatch.setattr(generalized, "IDENTITY_THRESHOLD", 1e-300)
         matrix = random_conjugate_normal(corpus_spec(8))
-        report = identity_report(matrix, threshold=1e-300)
+        report = identity_report(matrix)
         assert not report.passed
+        # the phase row keeps its own floor
+        assert report.check("phase").threshold == generalized.PHASE_THRESHOLD
 
     def test_one_skew_pfaffian_per_pipeline(self, monkeypatch):
         # nine generalized_pfaffian calls; the phase row reads the first

@@ -90,7 +90,7 @@ class TestTolerances:
 
     def test_threshold_scaling(self):
         tol = Tolerances()
-        assert tol.cluster_threshold(3.0) == pytest.approx(1e-8 * 10.0)
+        assert tol.cluster_threshold(3.0) == pytest.approx(1e-8 * 9.0)
 
 
 class TestDeterminant:

@@ -806,14 +806,18 @@ def singular_spec(complex_pairs, zeros):
 class TestSpectralClasses:
     """One classification, in the spectrum format's class names."""
 
-    @pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2, 1e4, 1e5, 1e6, 1e7, 1e8])
+    @pytest.mark.parametrize(
+        "scale", [1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e5, 1e6, 1e7, 1e8]
+    )
     @pytest.mark.parametrize(
         "complex_pairs, zeros", [(3, 1), (4, 1), (5, 1), (3, 2), (4, 2), (3, 3), (4, 3)]
     )
     def test_zero_eigenvalue_is_zero_at_every_scale(self, complex_pairs, zeros, scale):
-        # at large scales the rounding noise on Lambda's zero eigenvalue has
-        # an imaginary part far above cluster * (1 + |omega|); it must still
-        # be read as zero, not as a complex eigenvalue without a partner
+        # the rounding noise on Lambda's zero eigenvalue, in its real and its
+        # imaginary part, scales with ||A||^2 at every scale: the one
+        # threshold cluster * ||A||^2 reads it as zero, not as a complex
+        # eigenvalue without a partner, and keeps the other eigenvalues,
+        # which scale alike, out of the zero cluster
         matrix = scale * random_conjugate_normal(singular_spec(complex_pairs, zeros))
         result = generalized_pfaffian(matrix)
         assert result.diagnostics.singular

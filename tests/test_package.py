@@ -1,8 +1,9 @@
 """The package namespace: what ``from wignerpf import *`` exports, which
 module may hold the skew-Pfaffian oracle, the one production path of the
-normal form, and the inputs the result types take."""
+normal form, and the inputs the result types take and how they compare."""
 
 import ast
+import io
 import inspect
 from pathlib import Path
 
@@ -60,3 +61,21 @@ def test_result_types_take_only_source_values():
     }
     for cls, names in inputs.items():
         assert list(inspect.signature(cls).parameters) == names, cls.__name__
+
+
+def test_array_holding_results_compare_by_identity():
+    # a generated field-wise __eq__ would compare ndarrays and raise on
+    # `==`, and the generated __hash__ would hash an ndarray
+    a = [[0.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]]
+    document = '{"rows": 1, "cols": 1, "entries": [[1, 0]]}'
+    for build in (
+        lambda: wigner_normal_form(a),
+        lambda: wignerpf.classify_spectrum(a),
+        lambda: wignerpf.parse_matrix(io.StringIO(document), "json"),
+    ):
+        first, second = build(), build()
+        assert first == first
+        assert not first == second
+        assert first != second
+        assert hash(first) == hash(first)
+        assert len({first, second}) == 2
