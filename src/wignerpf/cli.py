@@ -19,6 +19,7 @@ Pfaffian undefined, 5 tolerance or spectral-consistency failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -37,6 +38,7 @@ from .generalized import (
 from .io import (
     FORMAT_MM,
     FORMATS,
+    _read_text,
     complex_pair,
     json_dumps,
     parse_matrix,
@@ -48,6 +50,7 @@ from .normal_form import OffDiagBlock, is_conjugate_normal, wigner_normal_form
 SEED_ENV = "WIGNERPF_SEED"
 
 
+@functools.cache  # parse_args leaves the parser as it is: build it once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wignerpf",
@@ -144,9 +147,7 @@ def _effective_seed(args) -> int | None:
 
 
 def _read_matrix(path: str, fmt: str) -> np.ndarray:
-    if path == "-":
-        return parse_matrix(sys.stdin, fmt).matrix
-    return parse_matrix(path, fmt).matrix
+    return parse_matrix(sys.stdin if path == "-" else path, fmt).matrix
 
 
 def _parse_complex(text: str) -> complex:
@@ -190,22 +191,14 @@ def _run_single(args, matrix: np.ndarray, tol: Tolerances) -> dict:
         nf = wigner_normal_form(matrix, tol)
         blocks = []
         for block in nf.blocks:
-            if isinstance(block, OffDiagBlock):
-                blocks.append(
-                    {
-                        "type": "offdiag",
-                        "value": complex_pair(block.s),
-                        "multiplicity": block.multiplicity,
-                    }
-                )
-            else:
-                blocks.append(
-                    {
-                        "type": "real1",
-                        "value": block.sigma,
-                        "multiplicity": block.multiplicity,
-                    }
-                )
+            pair = isinstance(block, OffDiagBlock)
+            blocks.append(
+                {
+                    "type": "offdiag" if pair else "real1",
+                    "value": complex_pair(block.s) if pair else block.sigma,
+                    "multiplicity": block.multiplicity,
+                }
+            )
         return {
             "det_U": complex_pair(nf.det_u),
             "blocks": blocks,
@@ -259,16 +252,8 @@ def _write_output(path: str, text: str) -> None:
 
 def _cmd_gen(args) -> str:
     """Generate the matrix; returns the text destined for stdout."""
-    if args.spec == "-":
-        raw = sys.stdin.read()
-    else:
-        try:
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                raw = handle.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {args.spec}: {exc.strerror or exc}") from exc
     try:
-        data = json.loads(raw)
+        data = json.loads(_read_text(sys.stdin if args.spec == "-" else args.spec))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     spec = SpectrumSpec.from_json_dict(data)

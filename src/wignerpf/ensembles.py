@@ -155,11 +155,16 @@ class SpectrumSpec:
             if isinstance(omega, (list, tuple)):
                 if len(omega) != 2:
                     raise InputError(f"spectrum entry {k}: omega must be [re, im]")
-                omega = complex(float(omega[0]), float(omega[1]))
             elif isinstance(omega, (int, float)) and not isinstance(omega, bool):
-                omega = complex(float(omega), 0.0)
+                omega = (omega, 0.0)
             else:
                 raise InputError(f"spectrum entry {k}: omega must be a number or [re, im]")
+            try:
+                omega = complex(float(omega[0]), float(omega[1]))
+            except OverflowError:  # an integer beyond the double range
+                raise InputError(
+                    f"spectrum entry {k}: omega is outside the double range"
+                ) from None
             mult = raw.get("multiplicity", 1)
             if not isinstance(mult, int) or isinstance(mult, bool):
                 raise InputError(f"spectrum entry {k}: multiplicity must be an integer")

@@ -17,6 +17,7 @@ bytes never depend on the sign of a floating-point zero.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,17 +111,22 @@ def parse_matrix(source, fmt: str) -> MatrixDocument:
     """
     if fmt not in FORMATS:
         raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        try:
-            with open(source, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {source}: {exc.strerror or exc}") from exc
+    text = _read_text(source)
     if fmt == FORMAT_MM:
         return _parse_mm(text)
     return _parse_json(text)
+
+
+def _read_text(source) -> str:
+    """The text of a path or a text stream; a path that cannot be read raises
+    :class:`ParseError`."""
+    if hasattr(source, "read"):
+        return source.read()
+    try:
+        with open(source, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {source}: {exc.strerror or exc}") from exc
 
 
 def _parse_mm(text: str) -> MatrixDocument:
@@ -190,12 +196,9 @@ def _parse_mm(text: str) -> MatrixDocument:
             numbers = [float(t) for t in tokens]
         except ValueError:
             raise ParseError(f"malformed number in {stripped!r}", line=lineno + 1) from None
-        if not all(np.isfinite(numbers)):
+        if not all(map(math.isfinite, numbers)):
             raise ParseError("non-finite value", line=lineno + 1)
-        if fld == "complex":
-            values.append(complex(numbers[0], numbers[1]))
-        else:
-            values.append(complex(numbers[0], 0.0))
+        values.append(complex(*numbers))
     if len(values) != expected:
         raise ParseError(
             f"expected {expected} entries, found {len(values)}", line=len(lines)
@@ -235,9 +238,13 @@ def _parse_json(text: str) -> MatrixDocument:
             or any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in pair)
         ):
             raise ParseError(f"entry {k} must be an [re, im] pair of numbers")
-        if not (np.isfinite(pair[0]) and np.isfinite(pair[1])):
+        try:
+            re, im = float(pair[0]), float(pair[1])
+        except OverflowError:  # an integer beyond the double range
+            re = im = math.inf
+        if not (math.isfinite(re) and math.isfinite(im)):
             raise ParseError(f"entry {k} is non-finite")
-        values[k] = complex(pair[0], pair[1])
+        values[k] = complex(re, im)
     matrix = values.reshape((rows, cols))
     metadata = {}
     raw_meta = data.get("metadata")

@@ -160,7 +160,7 @@ def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     # after this, herm.T is H + cK in Fortran order: LAPACK overwrites it, no copy
     np.conjugate(herm, out=herm)
     _, q = scipy.linalg.eigh(herm.T, overwrite_a=True, check_finite=False, driver="evd")
-    step_norm = _newton_step(m, q, tol.cluster * norm)
+    q, step_norm = _newton_step(m, q, tol.cluster * norm)
     residual = m @ q
     values = np.einsum("ij,ij->j", q.conj(), residual)  # T_jj = q_j^H (M q_j)
     residual -= q * values  # M Q - Q diag(T)
@@ -179,9 +179,9 @@ def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     return values, q
 
 
-def _newton_step(m, q, floor: float) -> float:
-    """Q <- Q (1 + X) in place, X the skew-Hermitian part of ``T_ij / (T_jj -
-    T_ii)`` (T = Q^H M Q) where ``|T_jj - T_ii| > floor``; returns ||X||."""
+def _newton_step(m, q, floor: float) -> tuple[np.ndarray, float]:
+    """``(Q (1 + X), ||X||)`` with a fresh Fortran-ordered Q, X the skew-Hermitian
+    part of ``T_ij / (T_jj - T_ii)`` (T = Q^H M Q) where ``|T_jj - T_ii| > floor``."""
     step = q.conj().T @ (m @ q)  # T, turned into X in place
     gap = np.diag(step)[None, :] - np.diag(step)[:, None]
     close = np.abs(gap) <= floor
@@ -190,8 +190,9 @@ def _newton_step(m, q, floor: float) -> float:
     step /= gap
     step -= step.conj().T
     step /= 2
-    q += q @ step
-    return float(np.linalg.norm(step))
+    step_norm = float(np.linalg.norm(step))
+    step = q @ step  # Q X; X is freed before the sum
+    return np.add(q, step, order="F"), step_norm
 
 
 def unitarity_defect(u) -> float:

@@ -17,7 +17,9 @@ omega's columns from one Takagi/Youla-type factorization of x -> A conj(x)
 restricted to its eigenspace; Fassbender & Ikramov, LAA 422, 2007), and
 assembles the *collected* Sigma: all 2x2 blocks first, as
 ``[[0, S], [S^H ... ]]`` with the s values on an off-diagonal, then the 1x1
-entries on the diagonal.
+entries on the diagonal.  Of the blocks' symmetries only those of zero and
+positive-real clusters move det(U); those clusters orient their columns from
+their span, so det(U) is a function of A.
 The package's one conjugate-normality guard lives here as well; it measures
 ||A||_F, which :func:`classify_spectrum` reuses for its thresholds and
 :func:`wigner_normal_form` for its reconstruction check.  One product
@@ -34,6 +36,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     InputError,
@@ -60,10 +63,6 @@ COMPLEX_PAIR = "complex"
 NEGATIVE_REAL = "negative-real"
 POSITIVE_REAL = "positive-real"
 ZERO = "zero"
-
-#: threshold below which a column component is ignored when fixing the
-#: eigenvector phase gauge (relative to the column's largest component)
-_PHASE_GAUGE_RTOL = 1e-8
 
 #: bounds of ||U^H U - 1|| / sqrt(dim) and ||A - U Sigma U^T|| / ||A||
 _UNITARITY_RTOL = 1e-10
@@ -320,9 +319,10 @@ class SpectralPairing:
     ``images = A conj(vectors)`` (the antilinear map x -> A conj(x) applied
     to every eigenvector; same shape as ``vectors``), the
     :func:`is_conjugate_normal` residual of A and ``frobenius_norm``, the
-    ||A||_F that set the cluster threshold.  ``vectors`` and ``images`` are
-    held read-only: taken as given when read-only and owning their memory,
-    as :func:`classify_spectrum` passes them, copied otherwise."""
+    ||A||_F that set the cluster threshold.  ``vectors`` are the eigensolver's
+    own (no phase convention); both arrays are held read-only: taken as given
+    when read-only and owning their memory, as :func:`classify_spectrum`
+    passes them, copied otherwise."""
 
     clusters: tuple[SpectralCluster, ...]
     vectors: np.ndarray
@@ -340,18 +340,6 @@ class SpectralPairing:
             )
         object.__setattr__(self, "images", _frozen(images))
         object.__setattr__(self, "clusters", tuple(self.clusters))
-
-
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Deterministic gauge: first significant component of each column made
-    positive real.  Significant means > _PHASE_GAUGE_RTOL times the column's
-    largest magnitude; an all-zero column is left as it is."""
-    mags = np.abs(vectors)
-    top = mags.max(axis=0)
-    first = np.argmax(mags > _PHASE_GAUGE_RTOL * top, axis=0)
-    pivot = vectors[first, np.arange(vectors.shape[1])]
-    pivot[top == 0.0] = 1.0
-    return vectors * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))
 
 
 def _cluster_indices(values: np.ndarray, threshold: float) -> list[list[int]]:
@@ -404,7 +392,6 @@ def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
     cn_residual, norm = _require_conjugate_normal(m, tol)
     lam = m @ m.conj()
     values, vectors = eig_normal(lam, tol)
-    vectors = _fix_phases(vectors)
     images = m @ vectors.conj()
     # both are fresh: the pairing holds them without a copy
     vectors.flags.writeable = images.flags.writeable = False
@@ -487,6 +474,20 @@ def _fixed_basis(c: np.ndarray) -> np.ndarray:
     return vecs[:d, d:] + 1j * vecs[d:, d:]
 
 
+def _oriented(frame: np.ndarray, kind: str) -> np.ndarray:
+    """``frame`` with column 0 rescaled in place so that its minor on the pivot
+    rows of a pivoted QR of frame^H (rows set by span(frame) alone) has a positive
+    determinant (zero: any unitary mix is free) or one of positive real part
+    (positive-real fixed vectors: only a sign is free)."""
+    _, pivots = scipy.linalg.qr(frame.conj().T, mode="r", pivoting=True)
+    phase, _ = np.linalg.slogdet(frame[pivots[: frame.shape[1]]])
+    if kind == ZERO:
+        frame[:, 0] *= phase.conjugate()
+    elif phase.real < 0:
+        frame[:, 0] *= -1.0
+    return frame
+
+
 def _orthonormalize(v: np.ndarray, found: np.ndarray) -> np.ndarray:
     """v minus its part along the orthonormal columns ``found``, normalized."""
     v = v - found @ (found.conj().T @ v)
@@ -519,14 +520,14 @@ def _cluster_columns(cluster: SpectralCluster, basis: np.ndarray, image: np.ndar
     if cluster.kind == COMPLEX_PAIR:
         return block, basis, (block.s / cluster.mu) * image
     if cluster.kind == ZERO:
-        return block, basis, None
+        return block, _oriented(basis, ZERO), None
     # real omega != 0: factor the restricted map C
     root = block.s.imag if cluster.kind == NEGATIVE_REAL else block.sigma
     c = basis.conj().T @ image / root
     if cluster.kind == NEGATIVE_REAL:
         xs, ws = _symplectic_basis(c)
         return block, basis @ xs, basis @ ws
-    return block, basis @ _fixed_basis(c), None
+    return block, _oriented(basis @ _fixed_basis(c), POSITIVE_REAL), None
 
 
 def wigner_normal_form(a, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
@@ -546,8 +547,9 @@ def wigner_normal_form(a, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
        d/2 column pairs (B x, i B C conj(x)) with ``s = i sqrt(|omega|)``; for
        omega > 0, C is symmetric and one symmetric eigensolve of size 2d yields
        d columns B y, y = C conj(y), sigma = sqrt(omega), unique up to a real
-       orthogonal mix: there the sign of det(U) is a gauge choice;
-    4. a zero cluster contributes its eigenbasis unchanged with sigma = 0.
+       orthogonal mix, whose sign :func:`_oriented` fixes from their span;
+    4. a zero cluster contributes its eigenbasis with sigma = 0, its phase
+       fixed by :func:`_oriented`, so det(U) is a function of A.
 
     The blocks are then sorted canonically (2x2 first, by descending |s|
     with ties by ascending arg(s); then 1x1 by ascending sigma), the columns

@@ -85,7 +85,8 @@ def mixed_gauge(seed):
     each cluster's eigenvectors B replaced by B R and their images A conj(B)
     by A conj(B) conj(R), R a random unitary drawn from a generator seeded
     with ``seed`` afresh on every call (so repeated calls mix alike).  The
-    Pfaffian and the blocks must not depend on R.  ``None`` mixes nothing.
+    Pfaffian, the blocks and det(U) must not depend on R.  ``None`` mixes
+    nothing.
     """
     original = normal_form.classify_spectrum
 

@@ -149,6 +149,14 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"]["code"] == 2
 
+    def test_integer_entry_beyond_the_double_range_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"rows": 1, "cols": 2, "entries": [[1%s, 0], [0, 0]]}' % ("0" * 400))
+        code, out = run(capsys, ["apf", "--format", "json", str(path)])
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"]["message"] == "entry 0 is non-finite"
+
     def test_not_conjugate_normal_exit_3(self, capsys, tmp_path):
         path = tmp_path / "ncn.json"
         path.write_text('{"rows": 2, "cols": 2, "entries": [[1,0],[1,0],[0,0],[1,0]]}')
@@ -338,6 +346,16 @@ class TestGen:
         payload = json.loads(out)
         assert payload["error"]["code"] == 2
         assert payload["error"]["message"].startswith(f"cannot write {target}: ")
+
+    def test_omega_beyond_the_double_range_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        huge = "1" + "0" * 400
+        for omega in (huge, f"[{huge}, 1]", f"[1, {huge}]"):
+            path.write_text('{"spectrum": [{"class": "complex", "omega": %s}]}' % omega)
+            code, out = run(capsys, ["gen", str(path)])
+            assert code == 2
+            assert out.count("\n") == 1
+            assert "outside the double range" in json.loads(out)["error"]["message"]
 
     def test_bad_spec_exit_2(self, capsys, tmp_path):
         path = tmp_path / "spec.json"

@@ -139,6 +139,13 @@ class TestSpectrumSpec:
                 {"spectrum": [{"class": "complex", "omega": [1.0, 1.0], "multiplicity": 1.5}]}
             )
 
+    @pytest.mark.parametrize(
+        "omega", [10**400, [-(10**400), 1], [1, 10**400]], ids=["scalar", "re", "im"]
+    )
+    def test_from_json_omega_beyond_the_double_range(self, omega):
+        with pytest.raises(InputError, match="entry 0: omega is outside the double range"):
+            SpectrumSpec.from_json_dict({"spectrum": [{"class": "complex", "omega": omega}]})
+
     def test_from_json_scalar_omega(self):
         spec = SpectrumSpec.from_json_dict(
             {"spectrum": [{"class": "negative-real", "omega": -2, "multiplicity": 2}]}

@@ -143,6 +143,11 @@ class TestJsonParsing:
             ('{"rows": 1, "cols": 1, "entries": [[1]]}', "entry 0"),
             ('{"rows": 1, "cols": 1, "entries": [["a", 0]]}', "entry 0"),
             ('{"rows": 1, "cols": 1, "entries": [[1e999, 0]]}', "non-finite"),
+            pytest.param(
+                '{"rows": 1, "cols": 1, "entries": [[0, -1%s]]}' % ("0" * 400),
+                "non-finite",
+                id="integer-beyond-the-double-range",
+            ),
         ],
     )
     def test_errors(self, text, fragment):

@@ -29,7 +29,6 @@ from wignerpf import generalized, linalg, normal_form, pfaffian
 from wignerpf.ensembles import random_unitary, spectrum_blocks
 from wignerpf.linalg import det_lu, frobenius, unitarity_defect
 from wignerpf.normal_form import (
-    _PHASE_GAUGE_RTOL,
     _RECONSTRUCT_RTOL,
     _UNITARITY_RTOL,
     COMPLEX_PAIR,
@@ -40,7 +39,6 @@ from wignerpf.normal_form import (
     _block_key,
     _check_block_order,
     _cluster_indices,
-    _fix_phases,
     antisymmetric_part,
     assemble_sigma,
 )
@@ -242,17 +240,6 @@ class TestClassifySpectrum:
             base[:] = 0.0
             np.testing.assert_array_equal(getattr(rebuilt, name), getattr(pairing, name))
 
-    def test_phase_gauge_matches_loop_reference(self):
-        rng = np.random.default_rng(12)
-        for dim in (1, 2, 3, 5, 17, 64, 300):
-            vectors = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            # components below the significance cut, and one all-zero column
-            vectors[rng.random((dim, dim)) < 0.3] *= 1e-9
-            vectors[:, rng.integers(dim)] = 0.0
-            got = _fix_phases(vectors)
-            want = loop_fix_phases(vectors)
-            assert np.array_equal(got.view(float), want.view(float))
-
     @pytest.mark.parametrize(
         "values, message",
         [
@@ -379,21 +366,6 @@ def union_find_clusters(values, threshold):
     for i in range(len(values)):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
-
-
-def loop_fix_phases(vectors):
-    """Reference phase gauge: one column at a time."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        idx = int(np.argmax(mags > _PHASE_GAUGE_RTOL * top))
-        pivot = col[idx]
-        out[:, k] = col * (np.conj(pivot) / abs(pivot))
-    return out
 
 
 def greedy_partners(clusters, threshold):
@@ -548,8 +520,8 @@ class TestWignerNormalForm:
 
     @pytest.mark.parametrize("dim", [1, 2, 5])
     def test_negative_identity(self, dim):
-        # every phase-fixed eigenvector v = e_k of Lambda = 1 has
-        # A conj(v) = -v, so v + A conj(v) / sqrt(omega) vanishes
+        # a real eigenvector v = e_k of Lambda = 1 has A conj(v) = -v, so
+        # v + A conj(v) / sqrt(omega) vanishes; the fixed vectors are i e_k
         matrix = -np.eye(dim)
         nf = wigner_normal_form(matrix)
         assert nf.blocks == (Real1Block(1.0, dim),)
@@ -641,6 +613,62 @@ class TestRealClusters:
         monkeypatch.setattr(normal_form, "_RECONSTRUCT_RTOL", 1e-18)
         with pytest.raises(ReconstructionError):
             wigner_normal_form(matrix)
+
+
+def gauge_case(*entries, seed):
+    return pytest.param(
+        SpectrumSpec(entries=tuple(SpectrumEntry(*e) for e in entries), seed=seed),
+        id="+".join(f"{kind}x{mult}" for kind, _, mult in entries) + f"-seed{seed}",
+    )
+
+
+class TestCanonicalGauge:
+    """det(U) is a function of A: a zero cluster (free up to any unitary mix)
+    and positive-real fixed vectors (free up to a real orthogonal mix) orient
+    their frame from its span, and the other classes leave det(U) alone."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            gauge_case(("complex", 1 + 2j, 1), ("zero", 0, 1), seed=4),
+            gauge_case(("complex", 1 + 2j, 1), ("zero", 0, 2), seed=4),
+            gauge_case(("complex", 1 + 2j, 1), ("zero", 0, 3), seed=4),
+            gauge_case(("positive-real", 3.0, 3), ("complex", 1 + 2j, 1), seed=5),
+            gauge_case(
+                ("positive-real", 3.0, 1),
+                ("negative-real", -1.5, 2),
+                ("complex", 1 + 2j, 1),
+                seed=6,
+            ),
+            gauge_case(
+                ("positive-real", 3.0, 3),
+                ("negative-real", -1.5, 2),
+                ("complex", 1 + 2j, 1),
+                seed=6,
+            ),
+            gauge_case(
+                ("positive-real", 2.0, 40),
+                ("negative-real", -1.5, 20),
+                ("complex", 1 + 2j, 1),
+                seed=6,
+            ),
+            gauge_case(
+                ("zero", 0, 2),
+                ("positive-real", 0.5, 3),
+                ("negative-real", -4.0, 2),
+                ("complex", -1 + 1j, 2),
+                seed=7,
+            ),
+        ],
+    )
+    def test_det_u_does_not_depend_on_the_eigenbasis(self, spec):
+        matrix = random_conjugate_normal(spec)
+        base = wigner_normal_form(matrix)
+        for gauge_seed in range(8):
+            with mixed_gauge(gauge_seed):
+                other = wigner_normal_form(matrix)
+            assert other.blocks == base.blocks
+            assert abs(other.det_u - base.det_u) <= 1e-12
 
 
 class TestOnePass:
