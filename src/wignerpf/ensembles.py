@@ -152,12 +152,11 @@ class SpectrumSpec:
             if not isinstance(raw, dict) or "class" not in raw:
                 raise InputError(f'spectrum entry {k} must be an object with a "class"')
             omega = raw.get("omega", 0)
-            if isinstance(omega, (list, tuple)):
-                if len(omega) != 2:
-                    raise InputError(f"spectrum entry {k}: omega must be [re, im]")
-            elif isinstance(omega, (int, float)) and not isinstance(omega, bool):
+            if not isinstance(omega, (list, tuple)):
                 omega = (omega, 0.0)
-            else:
+            if len(omega) != 2 or any(
+                isinstance(p, bool) or not isinstance(p, (int, float)) for p in omega
+            ):
                 raise InputError(f"spectrum entry {k}: omega must be a number or [re, im]")
             try:
                 omega = complex(float(omega[0]), float(omega[1]))

@@ -3,8 +3,8 @@
 Supported formats:
 
 * Matrix Market, ``array`` layout, fields ``complex``/``real``/``integer``,
-  symmetry ``general`` only; values in column-major order per the format's
-  convention.
+  symmetry ``general``, column-major values; ``%`` lines before the size line
+  are ``metadata["comments"]``, blank and ``%`` lines among values are skipped.
 * JSON: ``{"rows": N, "cols": M, "entries": [[re, im], ...]}`` with the
   entries in row-major order.
 
@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -175,16 +177,32 @@ def _parse_mm(text: str) -> MatrixDocument:
     cursor += 1
 
     expected = rows * cols
-    values: list[complex] = []
     per_line = 2 if fld == "complex" else 1
+    entries = [s for s in map(str.strip, lines[cursor:]) if s and not s.startswith("%")]
+    numbers = None
+    if len(entries) == expected and set(map(len, map(str.split, entries))) == {per_line}:
+        with suppress(ValueError):  # float() per token; 1024-line blocks bound the token list
+            blocks = (" ".join(entries[i : i + 1024]).split() for i in range(0, expected, 1024))
+            numbers = np.concatenate([np.array(b, dtype=np.float64) for b in blocks])
+    if numbers is None or not np.isfinite(numbers).all():
+        _raise_mm_error(lines, cursor, expected, per_line, fld)
+    values = numbers.view(np.complex128) if per_line == 2 else numbers.astype(np.complex128)
+    matrix = values.reshape((cols, rows)).T
+    metadata = {"field": fld}
+    if comments:
+        metadata["comments"] = "\n".join(comments)
+    return MatrixDocument(matrix=matrix, source_format=FORMAT_MM, metadata=metadata)
+
+
+def _raise_mm_error(lines, cursor, expected, per_line, fld):
+    """Raise the ParseError of the first bad value line, once the bulk pass has failed."""
+    found = 0
     for lineno in range(cursor, len(lines)):
         stripped = lines[lineno].strip()
         if not stripped or stripped.startswith("%"):
             continue
-        if len(values) >= expected:
-            raise ParseError(
-                f"expected {expected} entries, found more", line=lineno + 1
-            )
+        if found >= expected:
+            raise ParseError(f"expected {expected} entries, found more", line=lineno + 1)
         tokens = stripped.split()
         if len(tokens) != per_line:
             raise ParseError(
@@ -198,16 +216,8 @@ def _parse_mm(text: str) -> MatrixDocument:
             raise ParseError(f"malformed number in {stripped!r}", line=lineno + 1) from None
         if not all(map(math.isfinite, numbers)):
             raise ParseError("non-finite value", line=lineno + 1)
-        values.append(complex(*numbers))
-    if len(values) != expected:
-        raise ParseError(
-            f"expected {expected} entries, found {len(values)}", line=len(lines)
-        )
-    matrix = np.array(values, dtype=np.complex128).reshape((cols, rows)).T
-    metadata = {"field": fld}
-    if comments:
-        metadata["comments"] = "\n".join(comments)
-    return MatrixDocument(matrix=matrix, source_format=FORMAT_MM, metadata=metadata)
+        found += 1
+    raise ParseError(f"expected {expected} entries, found {found}", line=len(lines))
 
 
 def _parse_json(text: str) -> MatrixDocument:
@@ -230,13 +240,25 @@ def _parse_json(text: str) -> MatrixDocument:
     expected = rows * cols
     if len(entries) != expected:
         raise ParseError(f"expected {expected} entries, found {len(entries)}")
-    values = np.empty(expected, dtype=np.complex128)
+    values = None  # json.loads yields exact types, so type() tells bool from int
+    if set(map(type, entries)) == {list} and set(map(len, entries)) == {2}:
+        if set(map(type, chain.from_iterable(entries))) <= {int, float}:
+            with suppress(OverflowError):  # an integer beyond the double range
+                values = np.array(entries, dtype=np.float64)
+    if values is None or not np.isfinite(values).all():
+        _raise_json_error(entries)
+    matrix = values.view(np.complex128).reshape((rows, cols))
+    metadata = {}
+    raw_meta = data.get("metadata")
+    if isinstance(raw_meta, dict):
+        metadata = {str(k): str(v) for k, v in raw_meta.items()}
+    return MatrixDocument(matrix=matrix, source_format=FORMAT_JSON, metadata=metadata)
+
+
+def _raise_json_error(entries):
+    """Raise the ParseError of the first bad entry, once the bulk pass has failed."""
     for k, pair in enumerate(entries):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in pair)
-        ):
+        if type(pair) is not list or len(pair) != 2 or not set(map(type, pair)) <= {int, float}:
             raise ParseError(f"entry {k} must be an [re, im] pair of numbers")
         try:
             re, im = float(pair[0]), float(pair[1])
@@ -244,13 +266,7 @@ def _parse_json(text: str) -> MatrixDocument:
             re = im = math.inf
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ParseError(f"entry {k} is non-finite")
-        values[k] = complex(re, im)
-    matrix = values.reshape((rows, cols))
-    metadata = {}
-    raw_meta = data.get("metadata")
-    if isinstance(raw_meta, dict):
-        metadata = {str(k): str(v) for k, v in raw_meta.items()}
-    return MatrixDocument(matrix=matrix, source_format=FORMAT_JSON, metadata=metadata)
+    raise ParseError('"entries" must be an array of [re, im] pairs')
 
 
 def render_matrix(matrix, fmt: str) -> str:

@@ -357,6 +357,15 @@ class TestGen:
             assert out.count("\n") == 1
             assert "outside the double range" in json.loads(out)["error"]["message"]
 
+    def test_non_number_omega_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        for omega in ('["a", 1]', "[null, 1]", '["1", "2"]', "[true, 0]"):
+            path.write_text('{"spectrum": [{"class": "complex", "omega": %s}]}' % omega)
+            code, out = run(capsys, ["gen", str(path)])
+            assert code == 2
+            assert out.count("\n") == 1
+            assert "omega must be a number or [re, im]" in json.loads(out)["error"]["message"]
+
     def test_bad_spec_exit_2(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text('{"spectrum": [{"class": "complex", "omega": [1, -1]}]}')

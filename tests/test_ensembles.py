@@ -146,6 +146,13 @@ class TestSpectrumSpec:
         with pytest.raises(InputError, match="entry 0: omega is outside the double range"):
             SpectrumSpec.from_json_dict({"spectrum": [{"class": "complex", "omega": omega}]})
 
+    @pytest.mark.parametrize(
+        "omega", [["a", 1], [None, 1], ["1", "2"], [True, 0], [1, False], "1", None]
+    )
+    def test_from_json_omega_parts_must_be_numbers(self, omega):
+        with pytest.raises(InputError, match="entry 0: omega must be a number or"):
+            SpectrumSpec.from_json_dict({"spectrum": [{"class": "complex", "omega": omega}]})
+
     def test_from_json_scalar_omega(self):
         spec = SpectrumSpec.from_json_dict(
             {"spectrum": [{"class": "negative-real", "omega": -2, "multiplicity": 2}]}

@@ -96,6 +96,9 @@ class TestMatrixMarketParsing:
             ("%%MatrixMarket matrix array complex general\n1 1\ninf 0\n", 3, "non-finite"),
             ("%%MatrixMarket matrix array complex general\n2 1\n1 0\n", 3, "expected 2 entries, found 1"),
             ("%%MatrixMarket matrix array complex general\n1 1\n1 0\n2 0\n", 4, "found more"),
+            # four tokens on two lines, but 3 + 1 rather than 2 + 2
+            ("%%MatrixMarket matrix array complex general\n2 1\n1 0 0\n1\n", 3, "value(s) per line"),
+            ("%%MatrixMarket matrix array real general\n2 1\n1\n1e400\n", 4, "non-finite"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, fragment):
@@ -103,6 +106,20 @@ class TestMatrixMarketParsing:
             parse_matrix(io.StringIO(text), "mm")
         assert fragment in str(info.value)
         assert str(info.value).startswith(f"line {line}:")
+
+    @pytest.mark.parametrize(
+        "values,expected",
+        [
+            ("1 0\n\n% between values\n2 -0\n", [[1.0], [2.0]]),
+            ("1_0 0\n2 0\n", [[10.0], [2.0]]),
+        ],
+        ids=["blank-and-comment-line-skipped", "digit-separator"],
+    )
+    def test_values_accepted(self, values, expected):
+        text = "%%MatrixMarket matrix array complex general\n2 1\n" + values
+        doc = parse_matrix(io.StringIO(text), "mm")
+        np.testing.assert_array_equal(doc.matrix, expected)
+        assert "comments" not in doc.metadata  # comments among the values are dropped
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ParseError):
