@@ -20,7 +20,7 @@ import json
 import math
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -131,11 +131,28 @@ def _read_text(source) -> str:
         raise ParseError(f"cannot read {source}: {exc.strerror or exc}") from exc
 
 
+#: characters per piece of text split into lines at a time; a piece ends just
+#: after a newline, so the pieces' lines are the lines of the whole text
+_MM_PIECE = 1 << 16
+
+
+def _line_blocks(text: str):
+    """``text.splitlines()`` in blocks, one per piece of about
+    :data:`_MM_PIECE` characters cut just after a newline, so that no more
+    than one block of lines is held at a time."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _MM_PIECE) + 1 or len(text)
+        yield text[start:stop].splitlines()
+        start = stop
+
+
 def _parse_mm(text: str) -> MatrixDocument:
-    lines = text.splitlines()
-    if not lines:
+    lines = chain.from_iterable(_line_blocks(text))
+    first = next(lines, None)
+    if first is None:
         raise ParseError("empty file", line=1)
-    header = lines[0].split()
+    header = first.split()
     if len(header) != 5 or header[0].lower() != "%%matrixmarket":
         raise ParseError(
             "malformed header: expected '%%MatrixMarket matrix array "
@@ -156,16 +173,16 @@ def _parse_mm(text: str) -> MatrixDocument:
 
     comments: list[str] = []
     cursor = 1
-    while cursor < len(lines):
-        stripped = lines[cursor].strip()
+    for line in lines:
+        stripped = line.strip()
         if stripped.startswith("%"):
             comments.append(stripped.lstrip("%").strip())
         elif stripped:
             break
         cursor += 1
-    if cursor >= len(lines):
-        raise ParseError("missing size line", line=len(lines))
-    size_tokens = lines[cursor].split()
+    else:
+        raise ParseError("missing size line", line=cursor)
+    size_tokens = stripped.split()
     if len(size_tokens) != 2:
         raise ParseError("size line must hold exactly two integers", line=cursor + 1)
     try:
@@ -178,20 +195,33 @@ def _parse_mm(text: str) -> MatrixDocument:
 
     expected = rows * cols
     per_line = 2 if fld == "complex" else 1
-    entries = [s for s in map(str.strip, lines[cursor:]) if s and not s.startswith("%")]
-    numbers = None
-    if len(entries) == expected and set(map(len, map(str.split, entries))) == {per_line}:
-        with suppress(ValueError):  # float() per token; 1024-line blocks bound the token list
-            blocks = (" ".join(entries[i : i + 1024]).split() for i in range(0, expected, 1024))
-            numbers = np.concatenate([np.array(b, dtype=np.float64) for b in blocks])
+    numbers = _mm_values(lines, expected, per_line)
     if numbers is None or not np.isfinite(numbers).all():
-        _raise_mm_error(lines, cursor, expected, per_line, fld)
+        _raise_mm_error(text.splitlines(), cursor, expected, per_line, fld)
     values = numbers.view(np.complex128) if per_line == 2 else numbers.astype(np.complex128)
     matrix = values.reshape((cols, rows)).T
     metadata = {"field": fld}
     if comments:
         metadata["comments"] = "\n".join(comments)
     return MatrixDocument(matrix=matrix, source_format=FORMAT_MM, metadata=metadata)
+
+
+def _mm_values(lines, expected: int, per_line: int) -> np.ndarray | None:
+    """The ``expected * per_line`` numbers of the value lines, or None when
+    the count of value lines, the tokens of one of them or a number is wrong.
+    Lines are read in batches of 1024, each batch's tokens converted by one
+    ``np.array`` (float() per token), so no list holds every token."""
+    blocks, found = [], 0
+    while batch := list(islice(lines, 1024)):
+        entries = [s for s in map(str.strip, batch) if s and not s.startswith("%")]
+        found += len(entries)
+        if found > expected or (entries and set(map(len, map(str.split, entries))) != {per_line}):
+            return None
+        try:
+            blocks.append(np.array(" ".join(entries).split(), dtype=np.float64))
+        except ValueError:
+            return None
+    return np.concatenate(blocks) if found == expected else None
 
 
 def _raise_mm_error(lines, cursor, expected, per_line, fld):

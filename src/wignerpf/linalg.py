@@ -123,27 +123,31 @@ def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     For a normal M, H = (M + M^H)/2 and K = (M - M^H)/2i commute, so the
     Hermitian part ``H + c K`` of ``(1 - i c) M`` (c = :data:`_HERMITIAN_SLOPE`)
     has M's eigenvectors; a Hermitian eigensolve costs the same on every
-    spectrum, unlike the QR iterations of a Schur form.  One Newton step
-    (:func:`_newton_step`) unmixes eigenvalues whose ``Re w + c Im w`` lie
-    close; the complex Schur form is the fallback when that step X is not
-    small (``||X|| > sqrt(eps)``) or leaves T = Q^H M Q off diagonal by more
-    than a Schur form would (``4 dim eps ||M||``).
+    spectrum, unlike the QR iterations of a Schur form.
 
     Normality is checked first through the commutator ``||[M, M^H]||``,
     read from the upper triangles of the two Hermitian Gram products
-    (:func:`_gram`, half the flops of full products).  After the Newton step
-    one product M Q gives both T's diagonal, ``T_jj = q_j^H (M q_j)``, and
-    its off-diagonal mass, read as the residual ``||M Q - Q diag(T)||``
-    (equal to ``||T - diag(T)||`` for a unitary Q), so T itself is never
-    formed.  That mass is both the eigen-residual of the returned
-    decomposition and a second witness of normality, so it is checked
-    against the same bound.
+    (:func:`_gram`, half the flops of full products).  After the eigensolve
+    one full product P = M Q gives T's diagonal, ``T_jj = q_j^H p_j``
+    (T = Q^H M Q), and the residual ``R = P - Q diag(T)``, whose norm equals
+    ``||T - diag(T)||`` for a unitary Q, so T itself is never formed.  Only
+    the columns whose residual exceeds their share ``4 sqrt(dim) eps ||M||``
+    of the bound below are ones the eigensolve left mixed (eigenvalues whose
+    ``Re w + c Im w`` lie close); one Newton step (:func:`_local_newton_step`)
+    unmixes them, updating their P columns along with their Q columns, at
+    O(dim^2) per column.  The complex Schur form is the fallback when that
+    step X is not small (``||X|| > sqrt(eps)``) or leaves the off-diagonal
+    mass ``||R||`` above what a Schur form would (``4 dim eps ||M||``).
+    That mass is both the eigen-residual of the returned decomposition and a
+    second witness of normality, so it is checked against the same bound.
 
     Returns ``(values, vectors)`` with ``vectors[:, k]`` belonging to
-    ``values[k]``.  Raises :class:`NotNormalError` if M is not normal within
-    ``tol.eig_residual`` (relative), with the offending residual attached.
+    ``values[k]``; ``vectors`` owns its memory.  Raises
+    :class:`NotNormalError` if M is not normal within ``tol.eig_residual``
+    (relative), with the offending residual attached.
     """
     m = as_square_matrix(m)
+    dim = m.shape[0]
     norm = frobenius(m)
     # with X = M^T: X X^H = conj(M^H M) and X^H X = conj(M M^H)
     gram = _gram(m.T)
@@ -160,13 +164,25 @@ def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     # after this, herm.T is H + cK in Fortran order: LAPACK overwrites it, no copy
     np.conjugate(herm, out=herm)
     _, q = scipy.linalg.eigh(herm.T, overwrite_a=True, check_finite=False, driver="evd")
-    q, step_norm = _newton_step(m, q, tol.cluster * norm)
-    residual = m @ q
-    values = np.einsum("ij,ij->j", q.conj(), residual)  # T_jj = q_j^H (M q_j)
-    residual -= q * values  # M Q - Q diag(T)
-    off = np.linalg.norm(residual)
+    # eigh may hand back a view of herm: Q owns its memory, and herm is freed
+    q = np.array(q, order="F")
+    del herm
+    p = m @ q
+    values = np.einsum("ij,ij->j", q.conj(), p)  # T_jj = q_j^H p_j
+    residual = q * values
+    np.subtract(p, residual, out=residual)  # M Q - Q diag(T)
     eps = np.finfo(float).eps
-    if step_norm > math.sqrt(eps) or off > 4 * m.shape[0] * eps * norm:
+    mixed = np.flatnonzero(
+        np.linalg.norm(residual, axis=0) > 4 * math.sqrt(dim) * eps * norm
+    )
+    step_norm = 0.0
+    if mixed.size:
+        q_s, p_s, step_norm = _local_newton_step(q[:, mixed], p[:, mixed], tol.cluster * norm)
+        q[:, mixed] = q_s
+        values[mixed] = np.einsum("ij,ij->j", q_s.conj(), p_s)
+        residual[:, mixed] = p_s - q_s * values[mixed]
+    off = np.linalg.norm(residual)
+    if step_norm > math.sqrt(eps) or off > 4 * dim * eps * norm:
         t, q = scipy.linalg.schur(m, output="complex")
         values = np.diag(t).copy()
         off = np.linalg.norm(t - np.diag(values))
@@ -179,10 +195,13 @@ def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     return values, q
 
 
-def _newton_step(m, q, floor: float) -> tuple[np.ndarray, float]:
-    """``(Q (1 + X), ||X||)`` with a fresh Fortran-ordered Q, X the skew-Hermitian
-    part of ``T_ij / (T_jj - T_ii)`` (T = Q^H M Q) where ``|T_jj - T_ii| > floor``."""
-    step = q.conj().T @ (m @ q)  # T, turned into X in place
+def _local_newton_step(q, p, floor: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(Q (1 + X), P (1 + X), ||X||)`` for k columns Q of an approximate
+    eigenbasis and their images P = M Q, X the skew-Hermitian part of
+    ``T_ij / (T_jj - T_ii)`` (T = Q^H P, k x k) where ``|T_jj - T_ii| > floor``.
+    P (1 + X) equals M Q (1 + X) in exact arithmetic, so no product with M
+    is made."""
+    step = q.conj().T @ p  # T, turned into X in place
     gap = np.diag(step)[None, :] - np.diag(step)[:, None]
     close = np.abs(gap) <= floor
     step[close] = 0.0
@@ -190,9 +209,7 @@ def _newton_step(m, q, floor: float) -> tuple[np.ndarray, float]:
     step /= gap
     step -= step.conj().T
     step /= 2
-    step_norm = float(np.linalg.norm(step))
-    step = q @ step  # Q X; X is freed before the sum
-    return np.add(q, step, order="F"), step_norm
+    return q + q @ step, p + p @ step, float(np.linalg.norm(step))
 
 
 def unitarity_defect(u) -> float:

@@ -22,7 +22,9 @@ positive-real clusters move det(U); those clusters orient their columns from
 their span, so det(U) is a function of A.
 The package's one conjugate-normality guard lives here as well; it measures
 ||A||_F, which :func:`classify_spectrum` reuses for its thresholds and
-:func:`wigner_normal_form` for its reconstruction check.  One product
+:func:`wigner_normal_form` for its reconstruction check.  Lambda's
+eigendecomposition (:func:`~wignerpf.linalg.eig_normal`) makes one full
+product, Lambda V, after its Hermitian eigensolve.  One product
 P = A conj(V) over Lambda's eigenvectors V then serves three uses: the mu
 check from P's column norms (``v^H A^T A* v = ||A conj(v)||^2``), the partner
 columns of complex pairs and the restricted maps of real clusters.

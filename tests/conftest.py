@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wignerpf import SpectrumEntry, SpectrumSpec, normal_form, random_conjugate_normal
+from wignerpf import SpectrumEntry, SpectrumSpec, linalg, normal_form, random_conjugate_normal
 from wignerpf.ensembles import random_unitary
 
 CORPUS_SIZE = 300
@@ -75,6 +75,20 @@ def corpus():
     """List of (spec, matrix) pairs, built once per session."""
     specs = [corpus_spec(i) for i in range(CORPUS_SIZE)]
     return [(spec, random_conjugate_normal(spec)) for spec in specs]
+
+
+@pytest.fixture
+def newton_step_widths(monkeypatch):
+    """The column count of every Newton step ``linalg.eig_normal`` takes, in order."""
+    widths = []
+    step = linalg._local_newton_step
+
+    def spying(q, p, floor):
+        widths.append(q.shape[1])
+        return step(q, p, floor)
+
+    monkeypatch.setattr(linalg, "_local_newton_step", spying)
+    return widths
 
 
 @contextmanager

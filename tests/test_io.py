@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,12 @@ class TestMatrixMarketParsing:
             # four tokens on two lines, but 3 + 1 rather than 2 + 2
             ("%%MatrixMarket matrix array complex general\n2 1\n1 0 0\n1\n", 3, "value(s) per line"),
             ("%%MatrixMarket matrix array real general\n2 1\n1\n1e400\n", 4, "non-finite"),
+            # a size far beyond the text is a count error, never an allocation
+            (
+                "%%MatrixMarket matrix array complex general\n1000000 1000000\n1 0\n",
+                3,
+                "expected 1000000000000 entries, found 1",
+            ),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, fragment):
@@ -128,6 +135,21 @@ class TestMatrixMarketParsing:
     def test_missing_file(self):
         with pytest.raises(ParseError):
             parse_matrix("/nonexistent/matrix.mm", "mm")
+
+    def test_parse_peak_memory_is_below_three_times_the_file(self, tmp_path):
+        # the value lines are split a piece of text at a time, never all at once
+        rng = np.random.default_rng(4)
+        matrix = rng.normal(size=(400, 400)) + 1j * rng.normal(size=(400, 400))
+        path = tmp_path / "m.mtx"
+        write_matrix(matrix, str(path), "mm")
+        tracemalloc.start()
+        try:
+            doc = parse_matrix(str(path), "mm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * path.stat().st_size
+        np.testing.assert_array_equal(doc.matrix, matrix)
 
 
 class TestJsonParsing:

@@ -17,6 +17,7 @@ import re
 import numpy as np
 import pytest
 
+import wignerpf.io
 from wignerpf import ParseError, parse_matrix
 
 DOCUMENTS = 20_000
@@ -290,6 +291,19 @@ def test_matrix_market_reader_matches_on_documents_of_thousands_of_lines():
     assert sum(o[0] == "ok" for o in outcomes) >= 20  # many are accepted, so values compare
     for text, want in zip(texts, outcomes):
         assert _outcome(_library, text, "mm") == want
+
+
+@pytest.mark.parametrize("piece", [1, 7, 64])
+def test_matrix_market_reader_matches_when_the_text_is_cut_into_small_pieces(monkeypatch, piece):
+    """The text is split into lines a piece at a time: cut it at every line,
+    with the other line boundaries of str.splitlines() among the newlines."""
+    monkeypatch.setattr(wignerpf.io, "_MM_PIECE", piece)
+    rng = random.Random(piece)
+    boundaries = ["\n", "\n", "\r", "\x0b", "\x1c", "\u2028"]
+    for k in range(400):
+        text = _mm_document(rng, sizes=(1, 4) if k % 2 else (5, 12))
+        text = re.sub("\n", lambda _: rng.choice(boundaries), text)
+        assert _outcome(_library, text, "mm") == _outcome(oracle_parse_mm, text)
 
 
 def test_json_reader_matches_the_entry_loop():

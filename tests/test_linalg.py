@@ -207,6 +207,53 @@ class TestEigNormal:
         self._assert_working_precision(m, values, vectors)
         self._assert_spectrum(values, want)
 
+    @staticmethod
+    def _colliding_pairs(collision, count, seed):
+        """``count`` pairs w, w' = w + 0.5 u + 0.5 collision with Re u + c Im u
+        = 0: each pair's ``Re w + c Im w`` differ by ``collision`` times
+        |w - w'|, about 0.5, so H + cK nearly merges the pair's eigenvectors
+        while M keeps them apart."""
+        c = (5**0.5 - 1) / 2
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=count) + 1j * rng.normal(size=count)
+        u = (-c + 1j) / abs(-c + 1j)
+        return np.concatenate([w, w + 0.5 * u + 0.5 * collision])
+
+    @pytest.mark.parametrize("collision", [1e-4, 1e-6])
+    def test_pairs_the_hermitian_combination_nearly_merges_without_schur(
+        self, monkeypatch, collision
+    ):
+        want = self._colliding_pairs(collision, 60, 12)
+        m = self._normal(want, 13)
+        schur_calls = self._count_schur(monkeypatch)
+        values, vectors = eig_normal(m)
+        assert schur_calls == []
+        self._assert_working_precision(m, values, vectors)
+        self._assert_spectrum(values, want)
+
+    def test_pairs_merged_to_1e7_use_schur(self, monkeypatch):
+        # the eigensolve mixes such a pair by more than sqrt(eps): one Newton
+        # step is not enough, so the Schur form is used
+        want = self._colliding_pairs(1e-7, 60, 12)
+        m = self._normal(want, 13)
+        schur_calls = self._count_schur(monkeypatch)
+        values, vectors = eig_normal(m)
+        assert schur_calls == [1]
+        self._assert_working_precision(m, values, vectors)
+        self._assert_spectrum(values, want)
+
+    def test_newton_step_sees_only_the_mixed_columns(self, newton_step_widths):
+        # three colliding pairs among 100 eigenvalues whose Re w + c Im w lie
+        # at least 0.05 apart: the step is taken on the pairs' six columns
+        separated = np.arange(100) * 0.05 + 1j * np.tile([-1.0, 1.0], 50) / 1.5
+        separated = separated - (5**0.5 - 1) / 2 * separated.imag + 10
+        want = np.concatenate([separated, self._colliding_pairs(1e-6, 3, 14)])
+        m = self._normal(want, 15)
+        values, vectors = eig_normal(m)
+        assert newton_step_widths == [6]
+        self._assert_working_precision(m, values, vectors)
+        self._assert_spectrum(values, want)
+
     def test_rejects_non_normal(self):
         with pytest.raises(NotNormalError) as info:
             eig_normal([[1.0, 1.0], [0.0, 1.0]])
