@@ -120,12 +120,12 @@ def parse_matrix(source, fmt: str) -> MatrixDocument:
 
 
 def _read_text(source) -> str:
-    """The text of a path or a text stream; a path that cannot be read raises
-    :class:`ParseError`."""
+    """The text of a path or a text stream, a path's non-UTF-8 bytes as lone
+    surrogates (as on stdin); a path that cannot be read raises :class:`ParseError`."""
     if hasattr(source, "read"):
         return source.read()
     try:
-        with open(source, "r", encoding="utf-8") as handle:
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as handle:
             return handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {source}: {exc.strerror or exc}") from exc

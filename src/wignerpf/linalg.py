@@ -125,21 +125,19 @@ def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     has M's eigenvectors; a Hermitian eigensolve costs the same on every
     spectrum, unlike the QR iterations of a Schur form.
 
-    Normality is checked first through the commutator ``||[M, M^H]||``,
-    read from the upper triangles of the two Hermitian Gram products
-    (:func:`_gram`, half the flops of full products).  After the eigensolve
-    one full product P = M Q gives T's diagonal, ``T_jj = q_j^H p_j``
-    (T = Q^H M Q), and the residual ``R = P - Q diag(T)``, whose norm equals
-    ``||T - diag(T)||`` for a unitary Q, so T itself is never formed.  Only
-    the columns whose residual exceeds their share ``4 sqrt(dim) eps ||M||``
+    The caller has witnessed that M is normal (``normal_form._require_normal``).
+    After the eigensolve one product P = M Q gives T's diagonal,
+    ``T_jj = q_j^H p_j`` (T = Q^H M Q), and the residual ``R = P - Q diag(T)``,
+    whose norm is ``||T - diag(T)||`` for a unitary Q, so T is never formed.
+    Only the columns whose residual exceeds their share ``4 sqrt(dim) eps ||M||``
     of the bound below are ones the eigensolve left mixed (eigenvalues whose
     ``Re w + c Im w`` lie close); one Newton step (:func:`_local_newton_step`)
     unmixes them, updating their P columns along with their Q columns, at
     O(dim^2) per column.  The complex Schur form is the fallback when that
     step X is not small (``||X|| > sqrt(eps)``) or leaves the off-diagonal
-    mass ``||R||`` above what a Schur form would (``4 dim eps ||M||``).
-    That mass is both the eigen-residual of the returned decomposition and a
-    second witness of normality, so it is checked against the same bound.
+    mass ``||R||`` above what a Schur form would (``4 dim eps ||M||``).  That
+    mass is both the eigen-residual of the result and eig_normal's own witness
+    of normality, held to ``tol.eig_residual``.
 
     Returns ``(values, vectors)`` with ``vectors[:, k]`` belonging to
     ``values[k]``; ``vectors`` owns its memory.  Raises
@@ -149,16 +147,6 @@ def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     m = as_square_matrix(m)
     dim = m.shape[0]
     norm = frobenius(m)
-    # with X = M^T: X X^H = conj(M^H M) and X^H X = conj(M M^H)
-    gram = _gram(m.T)
-    gram -= _gram(m.T, adjoint_first=True)
-    commutator = _hermitian_norm(gram)
-    if commutator > tol.eig_residual * norm * norm:
-        raise NotNormalError(
-            "matrix is not normal: ||[M, M^H]|| = "
-            f"{commutator:.3e} > {tol.eig_residual:.1e} * ||M||^2",
-            residual=float(commutator / max(norm * norm, np.finfo(float).tiny)),
-        )
     herm = (1 - 1j * _HERMITIAN_SLOPE) / 2 * m
     herm += herm.conj().T
     # after this, herm.T is H + cK in Fortran order: LAPACK overwrites it, no copy

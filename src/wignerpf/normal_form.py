@@ -22,9 +22,10 @@ positive-real clusters move det(U); those clusters orient their columns from
 their span, so det(U) is a function of A.
 The package's one conjugate-normality guard lives here as well; it measures
 ||A||_F, which :func:`classify_spectrum` reuses for its thresholds and
-:func:`wigner_normal_form` for its reconstruction check.  Lambda's
-eigendecomposition (:func:`~wignerpf.linalg.eig_normal`) makes one full
-product, Lambda V, after its Hermitian eigensolve.  One product
+:func:`wigner_normal_form` for its reconstruction check.  Its values certify
+that Lambda is normal (:func:`_require_normal`, else Lambda's commutator);
+:func:`~wignerpf.linalg.eig_normal`'s residual is a second witness, and its
+one full product is Lambda V.  One product
 P = A conj(V) over Lambda's eigenvectors V then serves three uses: the mu
 check from P's column norms (``v^H A^T A* v = ||A conj(v)||^2``), the partner
 columns of complex pairs and the restricted maps of real clusters.
@@ -43,6 +44,7 @@ import scipy.linalg
 from .errors import (
     InputError,
     NotConjugateNormalError,
+    NotNormalError,
     ReconstructionError,
     SpectralConsistencyError,
 )
@@ -262,18 +264,19 @@ def is_conjugate_normal(a, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
     matrix), compared against ``tol.eig_residual``.
     """
     try:
-        residual, _ = _require_conjugate_normal(as_square_matrix(a), tol)
+        residual, *_ = _require_conjugate_normal(as_square_matrix(a), tol)
     except NotConjugateNormalError as exc:
         return False, exc.residual
     return True, residual
 
 
-def _require_conjugate_normal(m: np.ndarray, tol: Tolerances) -> tuple[float, float]:
-    """The conjugate-normality guard: returns ``(residual, ||A||_F)`` or
-    raises :class:`NotConjugateNormalError` carrying the residual."""
+def _require_conjugate_normal(m: np.ndarray, tol: Tolerances) -> tuple[float, float, float]:
+    """The conjugate-normality guard: returns ``(residual, ||A||_F, ||A^T A*||_F)``
+    or raises :class:`NotConjugateNormalError` carrying the residual."""
     norm = frobenius(m)
     # with X = A^T: X X^H = A^T A* and X^H X = conj(A A^H), one Gram triangle each
     defect = _gram(m.T)
+    gram_norm = _hermitian_norm(defect)
     defect -= np.conj(_gram(m.T, adjoint_first=True))
     residual = _hermitian_norm(defect) / max(norm * norm, np.finfo(float).tiny)
     if not residual <= tol.eig_residual:
@@ -282,7 +285,38 @@ def _require_conjugate_normal(m: np.ndarray, tol: Tolerances) -> tuple[float, fl
             f"{tol.eig_residual:.1e}",
             residual=residual,
         )
-    return residual, norm
+    return residual, norm, gram_norm
+
+
+def _require_normal(lam, residual: float, norm: float, gram_norm: float, tol: Tolerances) -> None:
+    """Raise :class:`NotNormalError` unless ``||[L, L^H]|| <= t = tol.eig_residual
+    ||L||^2`` for L = fl(A conj(A)), skipping its two Gram triangles when t is
+    not subnormal and at least the bound below, from the guard's r, ||A||, g.
+
+    With D = A^T A* - A A^H, B = A A^H: [A conj(A), (A conj(A))^H] = -(BD + DB +
+    D^2) - A conj(D) A^H - A^T conj(D) A*, and ||A||_2^2 = ||A^T A*||_2, so its
+    norm is at most (4 ||A^T A*|| + ||D||) ||D||.  A product or Gram triangle is
+    off by at most e = gamma ||A||^2 (gamma = n eps / (1 - n eps), eps = 2u counts
+    first-order terms twice): ||A^T A*|| <= g + e, g = ||fl(A^T A*)||, ||D|| <=
+    delta = r ||A||^2 (1 + gamma) + 2e.  E = L - A conj(A) adds 2e (2 ||L|| + 3e),
+    the check's triangles 2 gamma ||L||^2."""
+    n_eps = lam.shape[0] * np.finfo(float).eps
+    gamma, lam_norm = n_eps / (1.0 - n_eps), float(np.linalg.norm(lam))
+    threshold = tol.eig_residual * lam_norm * lam_norm
+    err = gamma * norm * norm
+    delta = residual * norm * norm * (1.0 + gamma) + 2.0 * err
+    bound = (4.0 * (gram_norm + err) + delta) * delta + 2.0 * err * (2.0 * lam_norm + 3.0 * err)
+    bound = (1.0 + gamma) * (bound + 2.0 * gamma * lam_norm * lam_norm)
+    if np.finfo(float).tiny <= threshold and bound <= threshold:  # t = inf cannot fail
+        return
+    # with X = L^T: X X^H = conj(L^H L) and X^H X = conj(L L^H)
+    commutator = _hermitian_norm(_gram(lam.T) - _gram(lam.T, adjoint_first=True))
+    if commutator > threshold:
+        raise NotNormalError(
+            "matrix is not normal: ||[M, M^H]|| = "
+            f"{commutator:.3e} > {tol.eig_residual:.1e} * ||M||^2",
+            residual=float(commutator / max(lam_norm * lam_norm, np.finfo(float).tiny)),
+        )
 
 
 def antisymmetric_part(a) -> np.ndarray:
@@ -391,8 +425,9 @@ def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
     multiplicity, unmatched complex cluster, mu mismatch).
     """
     m = as_square_matrix(a)
-    cn_residual, norm = _require_conjugate_normal(m, tol)
+    cn_residual, norm, gram_norm = _require_conjugate_normal(m, tol)
     lam = m @ m.conj()
+    _require_normal(lam, cn_residual, norm, gram_norm, tol)
     values, vectors = eig_normal(lam, tol)
     images = m @ vectors.conj()
     # both are fresh: the pairing holds them without a copy
@@ -500,17 +535,18 @@ def _symplectic_basis(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal pairs (x_k, i C conj(x_k)) spanning C^d for a unitary skew C.
 
     x is orthogonal to i C conj(x) and a pair's orthocomplement maps into
-    itself, so Gram-Schmidt adding one pair per step (pivot on the residual
-    projector's largest diagonal, orthogonalize once more, rank-2 update)
-    spans C^d in O(d^3)."""
+    itself, so Gram-Schmidt adding one pair per step spans C^d in O(d^3): pivot
+    on the largest diagonal p of 1 - Q Q^H (kept in O(d) per pair), take its
+    column ``e_p - Q conj(Q[p])`` from Q (column-major), orthogonalize again."""
     d = c.shape[0]
-    q = np.zeros((d, d), dtype=np.complex128)  # columns x_0, w_0, x_1, w_1, ...
-    proj = np.eye(d, dtype=np.complex128)
+    q = np.zeros((d, d), dtype=np.complex128, order="F")  # x_0, w_0, x_1, w_1, ...
+    residual = np.ones(d)  # the diagonal of 1 - Q Q^H
     for k in range(0, d, 2):
-        x = _orthonormalize(proj[:, int(np.argmax(proj.diagonal().real))], q[:, :k])
-        q[:, k] = x
+        p = int(np.argmax(residual))
+        pivot = np.eye(1, d, p, dtype=np.complex128)[0] - q[:, :k] @ q[p, :k].conj()
+        x = q[:, k] = _orthonormalize(pivot, q[:, :k])
         q[:, k + 1] = _orthonormalize(1j * (c @ x.conj()), q[:, : k + 1])
-        proj -= q[:, k : k + 2] @ q[:, k : k + 2].conj().T
+        residual -= np.sum(np.abs(q[:, k : k + 2]) ** 2, axis=1)
     return q[:, 0::2], q[:, 1::2]
 
 

@@ -144,6 +144,29 @@ class TestExitCodes:
         assert payload["error"]["code"] == 2
         assert payload["error"]["message"].startswith("line ")
 
+    @pytest.mark.parametrize(
+        "argv, data",
+        [
+            (["pf"], b"%%MatrixMarket matrix array complex general\n2 2\n1 0\n0 0\n0 \xff\n1 0\n"),
+            (
+                ["pf", "--format", "json"],
+                b'{"rows": 2, "cols": 2, "entries": [[1,0],[0,0],[0,0],[1,\xff]]}',
+            ),
+            (["gen"], b'{"spectrum": [{"class": "complex\xff", "omega": [1, 1]}]}'),
+        ],
+        ids=["mm", "json", "gen"],
+    )
+    def test_non_utf8_file_exit_2_as_on_stdin(self, capsys, tmp_path, monkeypatch, argv, data):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        code, out = run(capsys, argv + [str(path)])
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"]["code"] == 2
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert run(capsys, argv + ["-"]) == (code, out)
+
     def test_missing_file_exit_2(self, capsys):
         code, out = run(capsys, ["pf", "/nonexistent/m.mm"])
         assert code == 2

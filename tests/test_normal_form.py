@@ -1,5 +1,6 @@
 """Normal-form construction: blocks, classification, reconstruction, gauges."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wignerpf import (
+    DEFAULT_TOL,
     InputError,
     NotConjugateNormalError,
+    NotNormalError,
     OffDiagBlock,
     Real1Block,
     ReconstructionError,
@@ -26,6 +29,7 @@ from wignerpf import (
     wigner_normal_form,
 )
 from wignerpf import generalized, linalg, normal_form, pfaffian
+from wignerpf.cli import main
 from wignerpf.ensembles import random_unitary, spectrum_blocks
 from wignerpf.linalg import det_lu, frobenius, unitarity_defect
 from wignerpf.normal_form import (
@@ -39,6 +43,8 @@ from wignerpf.normal_form import (
     _block_key,
     _check_block_order,
     _cluster_indices,
+    _orthonormalize,
+    _symplectic_basis,
     antisymmetric_part,
     assemble_sigma,
 )
@@ -770,9 +776,15 @@ class TestOnePass:
         apf = original_pr(antisymmetric_part(matrix))
         assert result.diagnostics.det_antisymmetric == apf**2
 
-    def test_five_gram_products_and_one_classification_per_pfaffian(self, monkeypatch):
-        # the guard's A^H A and A A^H, eig_normal's two commutator products
-        # and the unitarity check's U^H U
+    @pytest.mark.parametrize("residual, grams", [(0.0, 3), (3e-11, 5)])
+    def test_three_gram_products_when_certified_five_when_not(
+        self, monkeypatch, residual, grams
+    ):
+        # the guard's A^T A* and A A^H and the unitarity check's U^H U; the
+        # commutator's two only where the guard cannot certify Lambda normal
+        matrix = random_conjugate_normal(corpus_spec(1))
+        if residual:
+            matrix = with_guard_residual(matrix, residual, seed=0)
         calls = {"gram": 0, "classify": 0}
         original_gram = linalg._gram
         original_classify = normal_form.classify_spectrum
@@ -788,8 +800,8 @@ class TestOnePass:
         monkeypatch.setattr(linalg, "_gram", counted_gram)
         monkeypatch.setattr(normal_form, "_gram", counted_gram)
         monkeypatch.setattr(normal_form, "classify_spectrum", counted_classify)
-        generalized_pfaffian(random_conjugate_normal(corpus_spec(1)))
-        assert calls == {"gram": 5, "classify": 1}
+        generalized_pfaffian(matrix)
+        assert calls == {"gram": grams, "classify": 1}
 
     def test_fresh_arrays_are_held_without_a_copy(self, monkeypatch):
         # the eigenvectors, their images and U are built read-only, so the
@@ -959,3 +971,186 @@ class TestOneProduct:
             nf = wigner_normal_form(matrix)
         assert sorted(seen) == sorted(["negative-real", "positive-real", "zero"] + ["complex"] * 2)
         assert_valid_normal_form(matrix, nf)
+
+
+def with_guard_residual(matrix, residual, seed):
+    """``matrix + e P``, P a seeded complex Gaussian matrix and e set so that
+    the conjugate-normality residual is ``residual`` to about six digits."""
+    rng = np.random.default_rng(seed)
+    step = rng.standard_normal(matrix.shape) + 1j * rng.standard_normal(matrix.shape)
+    size = residual * frobenius(matrix) / frobenius(step)
+    for _ in range(3):  # the residual is linear in e away from rounding
+        size *= residual / is_conjugate_normal(matrix + size * step)[1]
+    return matrix + size * step
+
+
+def commutator_check(matrix):
+    """``(||[L, L^H]||, ||L||)`` for L = fl(A conj(A)), read from the two Gram
+    triangles of the unconditional normality check."""
+    lam = matrix @ matrix.conj()
+    gram = linalg._gram(lam.T)
+    gram -= linalg._gram(lam.T, adjoint_first=True)
+    return linalg._hermitian_norm(gram), frobenius(lam)
+
+
+def spread_spectrum(dim, seed):
+    """A conjugate-normal matrix of dimension ``dim`` whose |omega| lie in
+    [1/2, 2], so ||A||^2 / ||Lambda|| is near sqrt(dim)."""
+    rng = np.random.default_rng(seed)
+    omegas = np.exp(rng.uniform(-math.log(2), math.log(2), dim // 2)) * np.exp(
+        1j * rng.uniform(0.05, math.pi - 0.05, dim // 2)
+    )
+    entries = tuple(SpectrumEntry("complex", complex(w)) for w in omegas)
+    if dim % 2:
+        entries += (SpectrumEntry("positive-real", 1.0, 1),)
+    return random_conjugate_normal(SpectrumSpec(entries, seed=seed))
+
+
+class TestNormalityCertificate:
+    """``classify_spectrum`` skips the commutator of Lambda = A conj(A) only
+    where the guard's values certify that it is below its threshold."""
+
+    @staticmethod
+    def certified(matrix, monkeypatch) -> bool:
+        """Whether Lambda's normality is certified without its commutator."""
+        grams = []
+        original = normal_form._gram
+
+        def counted(x, adjoint_first=False):
+            grams.append(x.shape)
+            return original(x, adjoint_first)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(normal_form, "_gram", counted)
+            residual, norm, gram_norm = normal_form._require_conjugate_normal(
+                matrix, DEFAULT_TOL
+            )
+            del grams[:]
+            try:
+                normal_form._require_normal(
+                    matrix @ matrix.conj(), residual, norm, gram_norm, DEFAULT_TOL
+                )
+            except NotNormalError:
+                pass
+        return not grams
+
+    def test_skips_only_where_the_commutator_passes(self, monkeypatch):
+        # n from 2 to 300, guard residuals from 0 to just under the
+        # tolerance, scales over 16 decades
+        rng = np.random.default_rng(2024)
+        outcomes = []
+        for case, dim in enumerate([2, 3, 4, 5, 8, 13, 20, 32, 50, 80, 128, 200, 300] * 3):
+            matrix = spread_spectrum(dim, seed=case)
+            residual = 0.0 if case % 4 == 0 else 10.0 ** rng.uniform(-14.0, math.log10(9.9e-11))
+            if residual:
+                matrix = with_guard_residual(matrix, residual, seed=case)
+            matrix = matrix * 10.0 ** rng.uniform(-8.0, 8.0)
+            assert is_conjugate_normal(matrix)[0]
+            commutator, lam_norm = commutator_check(matrix)
+            ratio = commutator / (DEFAULT_TOL.eig_residual * lam_norm * lam_norm)
+            skipped = self.certified(matrix, monkeypatch)
+            outcomes.append(skipped)
+            assert not skipped or ratio <= 1.0, (dim, residual, ratio)
+        assert 0 < sum(outcomes) < len(outcomes)
+
+    @pytest.mark.parametrize("scale, skips", [(1e-70, True), (1e-75, False), (1e-200, False)])
+    def test_skips_only_on_a_normal_threshold(self, monkeypatch, scale, skips):
+        # at 1e-75 ||A||^2 is a normal double but the threshold 1e-10 ||L||^2
+        # is subnormal, where rounding no longer bounds the check's error
+        matrix = scale * np.array([[0.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])
+        assert self.certified(matrix, monkeypatch) is skips
+
+    def test_skips_on_every_corpus_input(self, corpus, monkeypatch):
+        assert all(self.certified(matrix, monkeypatch) for _, matrix in corpus)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_guard_passing_commutator_failing_input_raises(self, seed):
+        # the guard passes at residual 9e-11 but the commutator is 1.1-1.4
+        # times its threshold: the certificate cannot skip, and the check
+        # raises as it always did
+        matrix = with_guard_residual(spread_spectrum(20, seed), 9e-11, seed)
+        commutator, lam_norm = commutator_check(matrix)
+        assert is_conjugate_normal(matrix)[0]
+        assert commutator > DEFAULT_TOL.eig_residual * lam_norm * lam_norm
+        with pytest.raises(NotNormalError) as info:
+            classify_spectrum(matrix)
+        assert str(info.value) == (
+            f"matrix is not normal: ||[M, M^H]|| = {commutator:.3e} > 1.0e-10 * ||M||^2"
+        )
+        assert info.value.residual == commutator / (lam_norm * lam_norm)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("scale", ["1e-155", "1e-200", "1e160"])
+    @pytest.mark.parametrize("command", ["pf", "wnf", "check"])
+    def test_scale_extremes_answer_as_the_unconditional_check(
+        self, capsys, tmp_path, monkeypatch, scale, command
+    ):
+        # c [[0, 1+i], [1-i, 0]]: Lambda's norm or the threshold leaves the
+        # normal range, so the commutator is computed and every answer stays
+        path = tmp_path / "two.mm"
+        path.write_text(
+            "%%MatrixMarket matrix array complex general\n2 2\n"
+            f"0 0\n{scale} -{scale}\n{scale} {scale}\n0 0\n"
+        )
+        got = main([command, str(path)]), capsys.readouterr().out
+        original = normal_form._require_normal
+        monkeypatch.setattr(
+            normal_form,
+            "_require_normal",
+            lambda lam, residual, norm, gram_norm, tol: original(
+                lam, residual, math.nan, gram_norm, tol
+            ),
+        )
+        want = main([command, str(path)]), capsys.readouterr().out
+        assert got == want
+
+
+def projector_symplectic_basis(c):
+    """Oracle of :func:`_symplectic_basis`: the same pivoted Gram-Schmidt with
+    the d x d residual projector formed and updated by rank 2 per pair."""
+    d = c.shape[0]
+    q = np.zeros((d, d), dtype=np.complex128)
+    proj = np.eye(d, dtype=np.complex128)
+    for k in range(0, d, 2):
+        x = _orthonormalize(proj[:, int(np.argmax(proj.diagonal().real))], q[:, :k])
+        q[:, k] = x
+        q[:, k + 1] = _orthonormalize(1j * (c @ x.conj()), q[:, : k + 1])
+        proj -= q[:, k : k + 2] @ q[:, k : k + 2].conj().T
+    return q[:, 0::2], q[:, 1::2]
+
+
+def unitary_skew(d, seed):
+    """V J V^T for a random unitary V and the standard symplectic J."""
+    v = random_unitary(d, seed)
+    half = np.eye(d // 2)
+    j = np.block([[0 * half, half], [-half, 0 * half]])
+    return v @ j @ v.T
+
+
+class TestSymplecticBasis:
+    @pytest.mark.parametrize("d", [2, 4, 40, 120])
+    def test_orthonormal_pairs_to_working_precision(self, d):
+        c = unitary_skew(d, seed=d)
+        xs, ws = _symplectic_basis(c)
+        q = np.hstack([xs, ws])
+        eps = np.finfo(float).eps
+        assert frobenius(q.conj().T @ q - np.eye(d)) <= 4 * d * eps
+        assert frobenius(ws - 1j * (c @ xs.conj())) <= 4 * d * eps
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_two_dimensional_basis_matches_the_projector_oracle_bit_for_bit(self, seed):
+        c = unitary_skew(2, seed)
+        for got, want in zip(_symplectic_basis(c), projector_symplectic_basis(c)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mults", [(2,), (4, 2), (40,), (6, 4, 2)])
+    def test_det_u_matches_the_projector_oracle(self, monkeypatch, mults):
+        entries = tuple(
+            SpectrumEntry("negative-real", -0.5 - k, mult) for k, mult in enumerate(mults)
+        )
+        matrix = random_conjugate_normal(
+            SpectrumSpec(entries + (SpectrumEntry("complex", 1 + 1j),), seed=len(mults))
+        )
+        det_u = wigner_normal_form(matrix).det_u
+        monkeypatch.setattr(normal_form, "_symplectic_basis", projector_symplectic_basis)
+        assert abs(det_u - wigner_normal_form(matrix).det_u) <= 1e-12
