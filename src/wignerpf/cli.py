@@ -19,6 +19,7 @@ Pfaffian undefined, 5 tolerance or spectral-consistency failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import os
@@ -150,11 +151,14 @@ def _read_matrix(path: str, fmt: str) -> np.ndarray:
     return parse_matrix(sys.stdin if path == "-" else path, fmt).matrix
 
 
-def _parse_complex(text: str) -> complex:
+def _parse_lam(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError:
-        raise InputError(f"cannot parse {text!r} as a complex number") from None
+        raise InputError(f"cannot parse --lam {text!r} as a complex number") from None
+    if not cmath.isfinite(value):
+        raise InputError(f"--lam must be finite, got {text!r}")
+    return value
 
 
 def _pf_payload(result) -> dict:
@@ -219,7 +223,7 @@ def _run_single(args, matrix: np.ndarray, tol: Tolerances) -> dict:
         report = identity_report(
             matrix,
             partner,
-            _parse_complex(args.lam),
+            _parse_lam(args.lam),
             tol,
             congruence_seed=seed,
         )

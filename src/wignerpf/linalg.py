@@ -82,7 +82,9 @@ class Tolerances:
     def __post_init__(self):
         for name in ("eig_residual", "cluster"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if isinstance(value, bool) or not (
+                isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+            ):
                 raise InputError(f"tolerance {name!r} must be a positive finite number")
         if self.cluster < self.eig_residual:
             raise InputError("cluster tolerance must be at least the eigen-residual tolerance")
@@ -129,15 +131,15 @@ def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     After the eigensolve one product P = M Q gives T's diagonal,
     ``T_jj = q_j^H p_j`` (T = Q^H M Q), and the residual ``R = P - Q diag(T)``,
     whose norm is ``||T - diag(T)||`` for a unitary Q, so T is never formed.
-    Only the columns whose residual exceeds their share ``4 sqrt(dim) eps ||M||``
-    of the bound below are ones the eigensolve left mixed (eigenvalues whose
-    ``Re w + c Im w`` lie close); one Newton step (:func:`_local_newton_step`)
-    unmixes them, updating their P columns along with their Q columns, at
-    O(dim^2) per column.  The complex Schur form is the fallback when that
-    step X is not small (``||X|| > sqrt(eps)``) or leaves the off-diagonal
-    mass ``||R||`` above what a Schur form would (``4 dim eps ||M||``).  That
-    mass is both the eigen-residual of the result and eig_normal's own witness
-    of normality, held to ``tol.eig_residual``.
+    Only the k columns S whose residual exceeds their share
+    ``4 sqrt(dim) eps ||M||`` of the bound below are ones the eigensolve left
+    mixed (eigenvalues whose ``Re w + c Im w`` lie close).  Their span is
+    invariant up to the other columns' residual, so one Rayleigh-Ritz step
+    unmixes them: with Z the Schur vectors of the k x k ``T_SS = Q_S^H P_S``,
+    ``Q_S Z`` and ``P_S Z`` replace Q_S and P_S, at O(dim k^2) and without a
+    product with M.  The off-diagonal mass ``||R||`` left after that is both
+    the eigen-residual of the result and eig_normal's own witness of
+    normality, held to ``tol.eig_residual``.
 
     Returns ``(values, vectors)`` with ``vectors[:, k]`` belonging to
     ``values[k]``; ``vectors`` owns its memory.  Raises
@@ -163,41 +165,22 @@ def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     mixed = np.flatnonzero(
         np.linalg.norm(residual, axis=0) > 4 * math.sqrt(dim) * eps * norm
     )
-    step_norm = 0.0
     if mixed.size:
-        q_s, p_s, step_norm = _local_newton_step(q[:, mixed], p[:, mixed], tol.cluster * norm)
+        q_s, p_s = q[:, mixed], p[:, mixed]
+        _, z = scipy.linalg.schur(q_s.conj().T @ p_s, output="complex")
+        q_s = q_s @ z
+        p_s = p_s @ z
         q[:, mixed] = q_s
         values[mixed] = np.einsum("ij,ij->j", q_s.conj(), p_s)
         residual[:, mixed] = p_s - q_s * values[mixed]
     off = np.linalg.norm(residual)
-    if step_norm > math.sqrt(eps) or off > 4 * dim * eps * norm:
-        t, q = scipy.linalg.schur(m, output="complex")
-        values = np.diag(t).copy()
-        off = np.linalg.norm(t - np.diag(values))
     if off > tol.eig_residual * max(norm, np.finfo(float).tiny):
         raise NotNormalError(
-            "Schur form of a nominally normal matrix is not diagonal: "
+            "eigenvectors of a nominally normal matrix leave a residual: "
             f"off-diagonal mass {off:.3e} exceeds {tol.eig_residual:.1e} * ||M||",
             residual=float(off / max(norm, np.finfo(float).tiny)),
         )
     return values, q
-
-
-def _local_newton_step(q, p, floor: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """``(Q (1 + X), P (1 + X), ||X||)`` for k columns Q of an approximate
-    eigenbasis and their images P = M Q, X the skew-Hermitian part of
-    ``T_ij / (T_jj - T_ii)`` (T = Q^H P, k x k) where ``|T_jj - T_ii| > floor``.
-    P (1 + X) equals M Q (1 + X) in exact arithmetic, so no product with M
-    is made."""
-    step = q.conj().T @ p  # T, turned into X in place
-    gap = np.diag(step)[None, :] - np.diag(step)[:, None]
-    close = np.abs(gap) <= floor
-    step[close] = 0.0
-    gap[close] = 1.0
-    step /= gap
-    step -= step.conj().T
-    step /= 2
-    return q + q @ step, p + p @ step, float(np.linalg.norm(step))
 
 
 def unitarity_defect(u) -> float:

@@ -24,8 +24,10 @@ The package's one conjugate-normality guard lives here as well; it measures
 ||A||_F, which :func:`classify_spectrum` reuses for its thresholds and
 :func:`wigner_normal_form` for its reconstruction check.  Its values certify
 that Lambda is normal (:func:`_require_normal`, else Lambda's commutator);
-:func:`~wignerpf.linalg.eig_normal`'s residual is a second witness, and its
-one full product is Lambda V.  One product
+:func:`~wignerpf.linalg.eig_normal` finds V from one Hermitian eigensolve,
+unmixing only the columns it leaves mixed by a Rayleigh-Ritz step on them;
+its residual is a second witness, and its one full product is Lambda V.
+One product
 P = A conj(V) over Lambda's eigenvectors V then serves three uses: the mu
 check from P's column norms (``v^H A^T A* v = ||A conj(v)||^2``), the partner
 columns of complex pairs and the restricted maps of real clusters.
@@ -614,13 +616,8 @@ def wigner_normal_form(a, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     pairs = [g for g in groups if g[2] is not None]
     columns = [g[1] for g in pairs] + [g[2] for g in pairs]
     columns += [g[1] for g in groups if g[2] is None]
-    u_mat = np.column_stack(columns) if columns else np.zeros((dim, 0))
+    u_mat = np.column_stack(columns)
     u_mat.flags.writeable = False  # fresh: the NormalForm holds it without a copy
-    if u_mat.shape != (dim, dim):
-        raise SpectralConsistencyError(
-            f"normal-form construction produced {u_mat.shape[1]} columns for "
-            f"a dimension-{dim} matrix"
-        )
 
     defect = unitarity_defect(u_mat)
     if defect > _UNITARITY_RTOL * math.sqrt(dim):

@@ -16,8 +16,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from wignerpf import SpectrumEntry, SpectrumSpec, linalg, normal_form, random_conjugate_normal
+from wignerpf import SpectrumEntry, SpectrumSpec, normal_form, random_conjugate_normal
 from wignerpf.ensembles import random_unitary
 
 CORPUS_SIZE = 300
@@ -78,17 +79,17 @@ def corpus():
 
 
 @pytest.fixture
-def newton_step_widths(monkeypatch):
-    """The column count of every Newton step ``linalg.eig_normal`` takes, in order."""
-    widths = []
-    step = linalg._local_newton_step
+def schur_orders(monkeypatch):
+    """The order of every ``scipy.linalg.schur`` call, in order."""
+    orders = []
+    schur = scipy.linalg.schur
 
-    def spying(q, p, floor):
-        widths.append(q.shape[1])
-        return step(q, p, floor)
+    def spying(a, *args, **kwargs):
+        orders.append(np.shape(a)[0])
+        return schur(a, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "_local_newton_step", spying)
-    return widths
+    monkeypatch.setattr(scipy.linalg, "schur", spying)
+    return orders
 
 
 @contextmanager

@@ -281,12 +281,15 @@ class TestIdentities:
             assert out.count("\n") == 1
             assert "seed must be >= 0" in json.loads(out)["error"]["message"]
 
-    def test_bad_lam_exit_2(self, capsys, files):
-        code, out = run(
-            capsys, ["identities", "--format", "json", "--lam", "xyz", files["a2.json"]]
-        )
+    @pytest.mark.parametrize("lam", ["xyz", "nan", "inf", "1+nanj"])
+    def test_bad_lam_exit_2(self, capsys, files, lam):
+        code = main(["identities", "--format", "json", "--lam", lam, files["a2.json"]])
+        out, err = capsys.readouterr()
         assert code == 2
-        assert json.loads(out)["error"]["code"] == 2
+        assert err == ""
+        error = json.loads(out)["error"]
+        assert error["code"] == 2
+        assert "--lam" in error["message"]
 
 
 SPEC_JSON = (

@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from wignerpf import InputError, NotNormalError, Tolerances
 from wignerpf.linalg import (
@@ -84,6 +83,10 @@ class TestTolerances:
         with pytest.raises(InputError):
             Tolerances(cluster=np.inf)
 
+    def test_rejects_bool(self):
+        with pytest.raises(InputError):
+            Tolerances(eig_residual=True, cluster=True)
+
     def test_rejects_cluster_below_eig_residual(self):
         with pytest.raises(InputError):
             Tolerances(eig_residual=1e-6, cluster=1e-8)
@@ -151,18 +154,6 @@ class TestEigNormal:
         return q @ np.diag(values) @ q.conj().T
 
     @staticmethod
-    def _count_schur(monkeypatch):
-        calls = []
-        schur = scipy.linalg.schur
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return schur(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "schur", counting)
-        return calls
-
-    @staticmethod
     def _assert_working_precision(m, values, vectors):
         eps = np.finfo(float).eps
         dim = m.shape[0]
@@ -177,14 +168,15 @@ class TestEigNormal:
 
         np.testing.assert_allclose(ordered(values), ordered(want), atol=1e-12)
 
-    def test_distinct_spectrum_to_working_precision_without_schur(self, monkeypatch):
+    def test_distinct_spectrum_to_working_precision_schurs_only_the_mixed_block(
+        self, schur_orders
+    ):
         rng = np.random.default_rng(5)
         want = rng.normal(size=150) + 1j * rng.normal(size=150)
         want = np.concatenate([want, np.conj(want)])
         m = self._normal(want, 6)
-        schur_calls = self._count_schur(monkeypatch)
         values, vectors = eig_normal(m)
-        assert schur_calls == []
+        assert len(schur_orders) <= 1 and all(k < m.shape[0] / 10 for k in schur_orders)
         self._assert_working_precision(m, values, vectors)
         self._assert_spectrum(values, want)
 
@@ -195,15 +187,26 @@ class TestEigNormal:
         self._assert_working_precision(m, values, vectors)
         self._assert_spectrum(values, want)
 
-    def test_eigenvalues_the_hermitian_combination_merges_use_schur(self, monkeypatch):
+    def test_eigenvalues_the_hermitian_combination_merges_use_schur(self, schur_orders):
         # w = c and w = i share Re w + c Im w = c, so H + c K cannot separate
-        # their eigenvectors; the Schur form has to
+        # their eigenvectors; the Schur form of their 2 x 2 block has to
         c = (5**0.5 - 1) / 2
         want = np.array([c, 1j, -1j, 2.0, -0.5 + 0.25j, -0.5 - 0.25j])
         m = self._normal(want, 9)
-        schur_calls = self._count_schur(monkeypatch)
         values, vectors = eig_normal(m)
-        assert schur_calls == [1]
+        assert schur_orders == [2]
+        self._assert_working_precision(m, values, vectors)
+        self._assert_spectrum(values, want)
+
+    def test_one_exact_collision_schurs_only_the_mixed_block(self, schur_orders):
+        # one pair that H + c K merges among 298 distinct eigenvalues: only the
+        # mixed columns go through a Schur form, not the whole matrix
+        c = (5**0.5 - 1) / 2
+        rng = np.random.default_rng(16)
+        want = np.concatenate([rng.normal(size=298) + 1j * rng.normal(size=298), [c, 1j]])
+        m = self._normal(want, 17)
+        values, vectors = eig_normal(m)
+        assert schur_orders and all(k < m.shape[0] for k in schur_orders)
         self._assert_working_precision(m, values, vectors)
         self._assert_spectrum(values, want)
 
@@ -220,37 +223,32 @@ class TestEigNormal:
         return np.concatenate([w, w + 0.5 * u + 0.5 * collision])
 
     @pytest.mark.parametrize("collision", [1e-4, 1e-6])
-    def test_pairs_the_hermitian_combination_nearly_merges_without_schur(
-        self, monkeypatch, collision
-    ):
+    def test_pairs_the_hermitian_combination_nearly_merges(self, collision):
         want = self._colliding_pairs(collision, 60, 12)
         m = self._normal(want, 13)
-        schur_calls = self._count_schur(monkeypatch)
         values, vectors = eig_normal(m)
-        assert schur_calls == []
         self._assert_working_precision(m, values, vectors)
         self._assert_spectrum(values, want)
 
-    def test_pairs_merged_to_1e7_use_schur(self, monkeypatch):
-        # the eigensolve mixes such a pair by more than sqrt(eps): one Newton
-        # step is not enough, so the Schur form is used
+    def test_pairs_merged_to_1e7_use_schur(self, schur_orders):
+        # the eigensolve mixes such a pair by more than sqrt(eps): the Schur
+        # form of the mixed block unmixes it
         want = self._colliding_pairs(1e-7, 60, 12)
         m = self._normal(want, 13)
-        schur_calls = self._count_schur(monkeypatch)
         values, vectors = eig_normal(m)
-        assert schur_calls == [1]
+        assert len(schur_orders) == 1
         self._assert_working_precision(m, values, vectors)
         self._assert_spectrum(values, want)
 
-    def test_newton_step_sees_only_the_mixed_columns(self, newton_step_widths):
+    def test_schur_sees_only_the_mixed_columns(self, schur_orders):
         # three colliding pairs among 100 eigenvalues whose Re w + c Im w lie
-        # at least 0.05 apart: the step is taken on the pairs' six columns
+        # at least 0.05 apart: the Schur form is taken of the pairs' six columns
         separated = np.arange(100) * 0.05 + 1j * np.tile([-1.0, 1.0], 50) / 1.5
         separated = separated - (5**0.5 - 1) / 2 * separated.imag + 10
         want = np.concatenate([separated, self._colliding_pairs(1e-6, 3, 14)])
         m = self._normal(want, 15)
         values, vectors = eig_normal(m)
-        assert newton_step_widths == [6]
+        assert schur_orders == [6]
         self._assert_working_precision(m, values, vectors)
         self._assert_spectrum(values, want)
 

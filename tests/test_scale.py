@@ -118,14 +118,14 @@ def table_matrix(dim: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("j", [-20, -6, 6, 20])
-def test_power_of_two_scaling_is_exact_through_the_newton_step(newton_step_widths, j):
+def test_power_of_two_scaling_is_exact_through_the_mixed_block(schur_orders, j):
     # at n = 300 the eigensolve leaves a few columns mixed and only those take
-    # the Newton step; the columns chosen, and so U and pf, scale with A
+    # the Schur step; the columns chosen, and so U and pf, scale with A
     matrix = table_matrix(300)
     scale = 2.0**j
     assert wigner_normal_form(scale * matrix).u.tobytes() == wigner_normal_form(matrix).u.tobytes()
-    width, scaled_width = newton_step_widths
-    assert width == scaled_width > 0
+    order, scaled_order = schur_orders
+    assert order == scaled_order > 0
     want = scaled_exactly(generalized_pfaffian(matrix).value, j * 150)
     if want is None:
         with pytest.raises(InputError) as info:
