@@ -239,7 +239,6 @@ def _run_single(args, matrix: np.ndarray, tol: Tolerances) -> dict:
                 for c in report.checks
             ],
         }
-    raise InputError(f"unknown command {command!r}")
 
 
 def _error_line(exc: Error) -> str:

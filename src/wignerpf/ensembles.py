@@ -10,6 +10,7 @@ for golden tests.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +82,8 @@ class SpectrumEntry:
         if self.multiplicity < 1:
             raise InputError("multiplicity must be >= 1")
         omega = complex(self.omega)
+        if not cmath.isfinite(omega):
+            raise InputError(f"spectrum entry omega must be finite, got {omega}")
         if self.kind == COMPLEX_PAIR and not omega.imag > 0:
             raise InputError(f"a complex entry needs Im(omega) > 0, got {omega}")
         if self.kind == NEGATIVE_REAL:

@@ -198,7 +198,7 @@ def generalized_pfaffian_via_relation(
     if engine not in ("parlett-reid", "polynomial"):
         raise InputError(f"unknown engine {engine!r}")
     m = as_square_matrix(a)
-    cn_residual, *_ = _require_conjugate_normal(m, tol)
+    cn_residual, _ = _require_conjugate_normal(m, tol)
     a_as = antisymmetric_part(m)
     det_a = det_lu(m)
     if engine == "polynomial":
@@ -300,6 +300,9 @@ def identity_report(
     the individual Pfaffian computations.
     """
     m = as_square_matrix(a)
+    lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise InputError(f"lam must be finite, got {lam}")
     base = generalized_pfaffian(m, tol)
     if base.diagnostics.singular:
         raise PfUndefinedError("the identity battery requires a non-singular matrix")
@@ -311,7 +314,6 @@ def identity_report(
     b = as_square_matrix(b)
     if np.linalg.norm(b - b.T) > 1e-12 * np.linalg.norm(b):
         raise InputError("the tensor partner B must be symmetric")
-    lam = complex(lam)
     q = random_unitary(dim, congruence_seed)  # rejects a bad seed before the battery
 
     checks: list[IdentityCheck] = []

@@ -127,7 +127,6 @@ def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     has M's eigenvectors; a Hermitian eigensolve costs the same on every
     spectrum, unlike the QR iterations of a Schur form.
 
-    The caller has witnessed that M is normal (``normal_form._require_normal``).
     After the eigensolve one product P = M Q gives T's diagonal,
     ``T_jj = q_j^H p_j`` (T = Q^H M Q), and the residual ``R = P - Q diag(T)``,
     whose norm is ``||T - diag(T)||`` for a unitary Q, so T is never formed.
@@ -138,8 +137,9 @@ def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     unmixes them: with Z the Schur vectors of the k x k ``T_SS = Q_S^H P_S``,
     ``Q_S Z`` and ``P_S Z`` replace Q_S and P_S, at O(dim k^2) and without a
     product with M.  The off-diagonal mass ``||R||`` left after that is both
-    the eigen-residual of the result and eig_normal's own witness of
-    normality, held to ``tol.eig_residual``.
+    the eigen-residual of the result and the witness that M is normal
+    (``||[M, M^H]|| <= 4 ||M|| ||R|| + 2 ||R||^2``), held to
+    ``tol.eig_residual``.
 
     Returns ``(values, vectors)`` with ``vectors[:, k]`` belonging to
     ``values[k]``; ``vectors`` owns its memory.  Raises

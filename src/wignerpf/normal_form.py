@@ -22,15 +22,14 @@ positive-real clusters move det(U); those clusters orient their columns from
 their span, so det(U) is a function of A.
 The package's one conjugate-normality guard lives here as well; it measures
 ||A||_F, which :func:`classify_spectrum` reuses for its thresholds and
-:func:`wigner_normal_form` for its reconstruction check.  Its values certify
-that Lambda is normal (:func:`_require_normal`, else Lambda's commutator);
+:func:`wigner_normal_form` for its reconstruction check.
 :func:`~wignerpf.linalg.eig_normal` finds V from one Hermitian eigensolve,
 unmixing only the columns it leaves mixed by a Rayleigh-Ritz step on them;
-its residual is a second witness, and its one full product is Lambda V.
-One product
-P = A conj(V) over Lambda's eigenvectors V then serves three uses: the mu
-check from P's column norms (``v^H A^T A* v = ||A conj(v)||^2``), the partner
-columns of complex pairs and the restricted maps of real clusters.
+its one full product is Lambda V, and its residual check is the one witness
+that Lambda is normal.  One product P = A conj(V) over Lambda's eigenvectors V
+then serves three uses: the mu check from P's column norms
+(``v^H A^T A* v = ||A conj(v)||^2``), the partner columns of complex pairs
+and the restricted maps of real clusters.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ import scipy.linalg
 from .errors import (
     InputError,
     NotConjugateNormalError,
-    NotNormalError,
     ReconstructionError,
     SpectralConsistencyError,
 )
@@ -91,6 +89,8 @@ class OffDiagBlock:
         if self.multiplicity < 1:
             raise InputError("block multiplicity must be >= 1")
         s = complex(self.s)
+        if not cmath.isfinite(s):
+            raise InputError(f"off-diagonal block value s must be finite, got {s}")
         if s.imag < 0 or (s.imag == 0 and s.real >= 0):
             raise InputError(
                 f"off-diagonal block value {s} must lie in the open upper "
@@ -266,19 +266,18 @@ def is_conjugate_normal(a, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
     matrix), compared against ``tol.eig_residual``.
     """
     try:
-        residual, *_ = _require_conjugate_normal(as_square_matrix(a), tol)
+        residual, _ = _require_conjugate_normal(as_square_matrix(a), tol)
     except NotConjugateNormalError as exc:
         return False, exc.residual
     return True, residual
 
 
-def _require_conjugate_normal(m: np.ndarray, tol: Tolerances) -> tuple[float, float, float]:
-    """The conjugate-normality guard: returns ``(residual, ||A||_F, ||A^T A*||_F)``
-    or raises :class:`NotConjugateNormalError` carrying the residual."""
+def _require_conjugate_normal(m: np.ndarray, tol: Tolerances) -> tuple[float, float]:
+    """The conjugate-normality guard: returns ``(residual, ||A||_F)`` or raises
+    :class:`NotConjugateNormalError` carrying the residual."""
     norm = frobenius(m)
     # with X = A^T: X X^H = A^T A* and X^H X = conj(A A^H), one Gram triangle each
     defect = _gram(m.T)
-    gram_norm = _hermitian_norm(defect)
     defect -= np.conj(_gram(m.T, adjoint_first=True))
     residual = _hermitian_norm(defect) / max(norm * norm, np.finfo(float).tiny)
     if not residual <= tol.eig_residual:
@@ -287,38 +286,7 @@ def _require_conjugate_normal(m: np.ndarray, tol: Tolerances) -> tuple[float, fl
             f"{tol.eig_residual:.1e}",
             residual=residual,
         )
-    return residual, norm, gram_norm
-
-
-def _require_normal(lam, residual: float, norm: float, gram_norm: float, tol: Tolerances) -> None:
-    """Raise :class:`NotNormalError` unless ``||[L, L^H]|| <= t = tol.eig_residual
-    ||L||^2`` for L = fl(A conj(A)), skipping its two Gram triangles when t is
-    not subnormal and at least the bound below, from the guard's r, ||A||, g.
-
-    With D = A^T A* - A A^H, B = A A^H: [A conj(A), (A conj(A))^H] = -(BD + DB +
-    D^2) - A conj(D) A^H - A^T conj(D) A*, and ||A||_2^2 = ||A^T A*||_2, so its
-    norm is at most (4 ||A^T A*|| + ||D||) ||D||.  A product or Gram triangle is
-    off by at most e = gamma ||A||^2 (gamma = n eps / (1 - n eps), eps = 2u counts
-    first-order terms twice): ||A^T A*|| <= g + e, g = ||fl(A^T A*)||, ||D|| <=
-    delta = r ||A||^2 (1 + gamma) + 2e.  E = L - A conj(A) adds 2e (2 ||L|| + 3e),
-    the check's triangles 2 gamma ||L||^2."""
-    n_eps = lam.shape[0] * np.finfo(float).eps
-    gamma, lam_norm = n_eps / (1.0 - n_eps), float(np.linalg.norm(lam))
-    threshold = tol.eig_residual * lam_norm * lam_norm
-    err = gamma * norm * norm
-    delta = residual * norm * norm * (1.0 + gamma) + 2.0 * err
-    bound = (4.0 * (gram_norm + err) + delta) * delta + 2.0 * err * (2.0 * lam_norm + 3.0 * err)
-    bound = (1.0 + gamma) * (bound + 2.0 * gamma * lam_norm * lam_norm)
-    if np.finfo(float).tiny <= threshold and bound <= threshold:  # t = inf cannot fail
-        return
-    # with X = L^T: X X^H = conj(L^H L) and X^H X = conj(L L^H)
-    commutator = _hermitian_norm(_gram(lam.T) - _gram(lam.T, adjoint_first=True))
-    if commutator > threshold:
-        raise NotNormalError(
-            "matrix is not normal: ||[M, M^H]|| = "
-            f"{commutator:.3e} > {tol.eig_residual:.1e} * ||M||^2",
-            residual=float(commutator / max(lam_norm * lam_norm, np.finfo(float).tiny)),
-        )
+    return residual, norm
 
 
 def antisymmetric_part(a) -> np.ndarray:
@@ -421,16 +389,14 @@ def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
     to equal |omega|; it is read from the images ``A conj(v)`` of the
     eigenvectors, since ``v^H M v = ||A conj(v)||^2``.
 
-    Raises :class:`NotConjugateNormalError` for input failing the
-    conjugate-normality test and :class:`SpectralConsistencyError` when the
-    cluster structure violates the constraints above (odd negative-real
-    multiplicity, unmatched complex cluster, mu mismatch).
+    Raises :class:`NotConjugateNormalError` for input failing the guard,
+    :class:`NotNormalError` when the eigensolver finds Lambda not normal, and
+    :class:`SpectralConsistencyError` when the clusters violate the constraints
+    above (odd negative-real multiplicity, unmatched complex pair, mu mismatch).
     """
     m = as_square_matrix(a)
-    cn_residual, norm, gram_norm = _require_conjugate_normal(m, tol)
-    lam = m @ m.conj()
-    _require_normal(lam, cn_residual, norm, gram_norm, tol)
-    values, vectors = eig_normal(lam, tol)
+    cn_residual, norm = _require_conjugate_normal(m, tol)
+    values, vectors = eig_normal(m @ m.conj(), tol)
     images = m @ vectors.conj()
     # both are fresh: the pairing holds them without a copy
     vectors.flags.writeable = images.flags.writeable = False

@@ -383,6 +383,19 @@ class TestGen:
             assert out.count("\n") == 1
             assert "outside the double range" in json.loads(out)["error"]["message"]
 
+    def test_non_finite_omega_exit_2_without_a_warning(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        for omega in ("[1, 1e999]", "[-1e999, 1]", "1e999"):
+            kind = "positive-real" if omega == "1e999" else "complex"
+            path.write_text('{"spectrum": [{"class": "%s", "omega": %s}]}' % (kind, omega))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["gen", str(path)])
+            out, err = capsys.readouterr()
+            assert code == 2
+            assert "omega must be finite" in json.loads(out)["error"]["message"]
+            assert err == ""
+
     def test_non_number_omega_exit_2(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
         for omega in ('["a", 1]', "[null, 1]", '["1", "2"]', "[true, 0]"):

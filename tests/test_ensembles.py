@@ -1,5 +1,7 @@
 """Seeded matrix generators and the spectrum prescription format."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,22 @@ class TestSpectrumEntry:
     def test_unknown_class(self):
         with pytest.raises(InputError):
             SpectrumEntry("imaginary", 1.0j, 1)
+
+    @pytest.mark.parametrize(
+        "kind, omega",
+        [
+            ("complex", complex(1.0, math.inf)),
+            ("complex", complex(-math.inf, 1.0)),
+            ("complex", complex(math.nan, 1.0)),
+            ("negative-real", -math.inf),
+            ("positive-real", math.inf),
+            ("positive-real", math.nan),
+            ("zero", math.nan),
+        ],
+    )
+    def test_non_finite_omega_rejected(self, kind, omega):
+        with pytest.raises(InputError, match="omega must be finite"):
+            SpectrumEntry(kind, omega, 2)
 
     def test_dimension_accounting(self):
         assert SpectrumEntry("complex", 1.0 + 1.0j, 3).dimension == 6

@@ -1,5 +1,7 @@
 """Generalized Pfaffian, the determinant-ratio route, and the identity battery."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -341,6 +343,16 @@ class TestIdentityReport:
         with pytest.raises(InputError, match="seed must be >= 0"):
             identity_report(random_conjugate_normal(corpus_spec(14)), congruence_seed=-1)
         assert len(calls) == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, complex(1.0, math.nan)])
+    def test_non_finite_lam_rejected_before_any_pipeline(self, monkeypatch, lam):
+        def no_pipeline(m, tol):
+            raise AssertionError("a non-finite lam runs no pipeline")
+
+        monkeypatch.setattr(generalized, "generalized_pfaffian", no_pipeline)
+        with pytest.raises(InputError, match="lam must be finite"):
+            identity_report(random_conjugate_normal(corpus_spec(14)), lam=lam)
 
     def test_rejects_asymmetric_tensor_partner(self):
         with pytest.raises(InputError):

@@ -63,6 +63,13 @@ class TestBlocks:
         with pytest.raises(InputError):
             OffDiagBlock(1.0j, 0)
 
+    @pytest.mark.parametrize(
+        "s", [complex(-math.inf, 0.0), complex(0.0, math.inf), complex(1.0, math.nan)]
+    )
+    def test_offdiag_block_rejects_non_finite_s(self, s):
+        with pytest.raises(InputError, match="value s must be finite"):
+            OffDiagBlock(s, 1)
+
     def test_real1_block_requires_nonnegative(self):
         Real1Block(0.0, 2)
         Real1Block(1.5, 1)
@@ -776,12 +783,9 @@ class TestOnePass:
         apf = original_pr(antisymmetric_part(matrix))
         assert result.diagnostics.det_antisymmetric == apf**2
 
-    @pytest.mark.parametrize("residual, grams", [(0.0, 3), (3e-11, 5)])
-    def test_three_gram_products_when_certified_five_when_not(
-        self, monkeypatch, residual, grams
-    ):
-        # the guard's A^T A* and A A^H and the unitarity check's U^H U; the
-        # commutator's two only where the guard cannot certify Lambda normal
+    @pytest.mark.parametrize("residual", [0.0, 3e-11])
+    def test_three_gram_products_at_every_guard_residual(self, monkeypatch, residual):
+        # the guard's A^T A* and A A^H and the unitarity check's U^H U
         matrix = random_conjugate_normal(corpus_spec(1))
         if residual:
             matrix = with_guard_residual(matrix, residual, seed=0)
@@ -801,7 +805,7 @@ class TestOnePass:
         monkeypatch.setattr(normal_form, "_gram", counted_gram)
         monkeypatch.setattr(normal_form, "classify_spectrum", counted_classify)
         generalized_pfaffian(matrix)
-        assert calls == {"gram": grams, "classify": 1}
+        assert calls == {"gram": 3, "classify": 1}
 
     def test_fresh_arrays_are_held_without_a_copy(self, monkeypatch):
         # the eigenvectors, their images and U are built read-only, so the
@@ -1006,103 +1010,69 @@ def spread_spectrum(dim, seed):
     return random_conjugate_normal(SpectrumSpec(entries, seed=seed))
 
 
-class TestNormalityCertificate:
-    """``classify_spectrum`` skips the commutator of Lambda = A conj(A) only
-    where the guard's values certify that it is below its threshold."""
+#: (scale, command, exit code, stdout line) on c [[0, 1+i], [1-i, 0]]; at 1e-200
+#: Lambda underflows to 0, so pf reads 0 (singular) for a non-singular matrix
+_SCALE_EXTREMES = [
+    ("1e-155", "pf", 0, '{"pfaffian": [-6.1996442125645625e-172, 1.4142135623730954e-155], '
+     '"method": "normal-form", "det": [-1.9999999999999939e-310, 0], "singular": false, '
+     '"cross_check_residual": null}'),
+    ("1e-155", "wnf", 0, '{"det_U": [1.0000000000000018, 4.3838104636483426e-17], '
+     '"blocks": [{"type": "offdiag", "value": [9.9999999999999857e-156, '
+     '9.9999999999999857e-156], "multiplicity": 1}], "reconstruction_residual": 0}'),
+    ("1e-155", "check", 0, '{"conjugate_normal": true, "residual": 0}'),
+    ("1e-200", "pf", 0, '{"pfaffian": [0, 0], "method": "normal-form", "det": [0, 0], '
+     '"singular": true, "cross_check_residual": null}'),
+    ("1e-200", "wnf", 0, '{"det_U": [1, 0], "blocks": [{"type": "real1", "value": 0, '
+     '"multiplicity": 2}], "reconstruction_residual": 0}'),
+    ("1e-200", "check", 0, '{"conjugate_normal": true, "residual": 0}'),
+    ("1e160", "pf", 3, '{"error": {"code": 3, "message": "matrix is not conjugate-normal: '
+     'residual nan exceeds 1.0e-10"}}'),
+    ("1e160", "wnf", 3, '{"error": {"code": 3, "message": "matrix is not conjugate-normal: '
+     'residual nan exceeds 1.0e-10"}}'),
+    ("1e160", "check", 0, '{"conjugate_normal": false, "residual": null}'),
+]
 
-    @staticmethod
-    def certified(matrix, monkeypatch) -> bool:
-        """Whether Lambda's normality is certified without its commutator."""
-        grams = []
-        original = normal_form._gram
 
-        def counted(x, adjoint_first=False):
-            grams.append(x.shape)
-            return original(x, adjoint_first)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(normal_form, "_gram", counted)
-            residual, norm, gram_norm = normal_form._require_conjugate_normal(
-                matrix, DEFAULT_TOL
-            )
-            del grams[:]
-            try:
-                normal_form._require_normal(
-                    matrix @ matrix.conj(), residual, norm, gram_norm, DEFAULT_TOL
-                )
-            except NotNormalError:
-                pass
-        return not grams
-
-    def test_skips_only_where_the_commutator_passes(self, monkeypatch):
-        # n from 2 to 300, guard residuals from 0 to just under the
-        # tolerance, scales over 16 decades
-        rng = np.random.default_rng(2024)
-        outcomes = []
-        for case, dim in enumerate([2, 3, 4, 5, 8, 13, 20, 32, 50, 80, 128, 200, 300] * 3):
-            matrix = spread_spectrum(dim, seed=case)
-            residual = 0.0 if case % 4 == 0 else 10.0 ** rng.uniform(-14.0, math.log10(9.9e-11))
-            if residual:
-                matrix = with_guard_residual(matrix, residual, seed=case)
-            matrix = matrix * 10.0 ** rng.uniform(-8.0, 8.0)
-            assert is_conjugate_normal(matrix)[0]
-            commutator, lam_norm = commutator_check(matrix)
-            ratio = commutator / (DEFAULT_TOL.eig_residual * lam_norm * lam_norm)
-            skipped = self.certified(matrix, monkeypatch)
-            outcomes.append(skipped)
-            assert not skipped or ratio <= 1.0, (dim, residual, ratio)
-        assert 0 < sum(outcomes) < len(outcomes)
-
-    @pytest.mark.parametrize("scale, skips", [(1e-70, True), (1e-75, False), (1e-200, False)])
-    def test_skips_only_on_a_normal_threshold(self, monkeypatch, scale, skips):
-        # at 1e-75 ||A||^2 is a normal double but the threshold 1e-10 ||L||^2
-        # is subnormal, where rounding no longer bounds the check's error
-        matrix = scale * np.array([[0.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])
-        assert self.certified(matrix, monkeypatch) is skips
-
-    def test_skips_on_every_corpus_input(self, corpus, monkeypatch):
-        assert all(self.certified(matrix, monkeypatch) for _, matrix in corpus)
+class TestNormalityWitness:
+    """``eig_normal``'s residual check is the one witness that Lambda =
+    A conj(A) is normal: nothing before the eigensolve checks it."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_guard_passing_commutator_failing_input_raises(self, seed):
-        # the guard passes at residual 9e-11 but the commutator is 1.1-1.4
-        # times its threshold: the certificate cannot skip, and the check
-        # raises as it always did
+        # the guard passes at residual 9e-11 but Lambda's commutator is 1.1-1.4
+        # times its threshold: the eigensolver's residual check raises
         matrix = with_guard_residual(spread_spectrum(20, seed), 9e-11, seed)
         commutator, lam_norm = commutator_check(matrix)
         assert is_conjugate_normal(matrix)[0]
         assert commutator > DEFAULT_TOL.eig_residual * lam_norm * lam_norm
-        with pytest.raises(NotNormalError) as info:
+        with pytest.raises(NotNormalError, match="eigenvectors of a nominally normal") as info:
             classify_spectrum(matrix)
-        assert str(info.value) == (
-            f"matrix is not normal: ||[M, M^H]|| = {commutator:.3e} > 1.0e-10 * ||M||^2"
-        )
-        assert info.value.residual == commutator / (lam_norm * lam_norm)
+        assert info.value.residual > DEFAULT_TOL.eig_residual
+
+    @pytest.mark.parametrize("dim, seed", [(2, 4), (3, 7)])
+    def test_commutator_over_its_threshold_is_answered_within_the_checks(self, dim, seed):
+        # ||[Lambda, Lambda^H]|| is 1.1-1.4 times tol.eig_residual ||Lambda||^2,
+        # yet Lambda's eigenbasis leaves a residual under tol.eig_residual: the
+        # normal form is built and passes the unitarity and reconstruction checks
+        matrix = with_guard_residual(spread_spectrum(dim, seed), 9e-11, seed)
+        commutator, lam_norm = commutator_check(matrix)
+        assert commutator > DEFAULT_TOL.eig_residual * lam_norm * lam_norm
+        assert_valid_normal_form(matrix, wigner_normal_form(matrix))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.parametrize("scale", ["1e-155", "1e-200", "1e160"])
-    @pytest.mark.parametrize("command", ["pf", "wnf", "check"])
-    def test_scale_extremes_answer_as_the_unconditional_check(
-        self, capsys, tmp_path, monkeypatch, scale, command
+    @pytest.mark.parametrize("scale, command, code, out", _SCALE_EXTREMES)
+    def test_scale_extremes_keep_their_answers(
+        self, capsys, tmp_path, scale, command, code, out
     ):
-        # c [[0, 1+i], [1-i, 0]]: Lambda's norm or the threshold leaves the
-        # normal range, so the commutator is computed and every answer stays
+        # c [[0, 1+i], [1-i, 0]] where ||Lambda||^2 or tol.eig_residual
+        # ||Lambda||^2 leaves the normal double range: every answer is pinned
         path = tmp_path / "two.mm"
         path.write_text(
             "%%MatrixMarket matrix array complex general\n2 2\n"
             f"0 0\n{scale} -{scale}\n{scale} {scale}\n0 0\n"
         )
-        got = main([command, str(path)]), capsys.readouterr().out
-        original = normal_form._require_normal
-        monkeypatch.setattr(
-            normal_form,
-            "_require_normal",
-            lambda lam, residual, norm, gram_norm, tol: original(
-                lam, residual, math.nan, gram_norm, tol
-            ),
-        )
-        want = main([command, str(path)]), capsys.readouterr().out
-        assert got == want
+        assert main([command, str(path)]) == code
+        assert capsys.readouterr().out == out + "\n"
 
 
 def projector_symplectic_basis(c):

@@ -1,6 +1,7 @@
 """The package namespace: what ``from wignerpf import *`` exports, which
 module may hold the skew-Pfaffian oracle, the one production path of the
-normal form, and the inputs the result types take and how they compare."""
+normal form, the inputs the result types take and how they compare, and
+that no module imports a name it does not use."""
 
 import ast
 import io
@@ -79,3 +80,26 @@ def test_array_holding_results_compare_by_identity():
         assert first != second
         assert hash(first) == hash(first)
         assert len({first, second}) == 2
+
+
+def test_every_imported_name_is_used():
+    # a stdlib stand-in for a linter's unused-import rule: each name a module
+    # imports is read somewhere in it or exported through its __all__
+    package = Path(wignerpf.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        unused = sorted(imported - used)
+        assert not unused, f"{path.name} imports {unused} without using them"
