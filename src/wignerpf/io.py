@@ -5,6 +5,8 @@ Supported formats:
 * Matrix Market, ``array`` layout, fields ``complex``/``real``/``integer``,
   symmetry ``general``, column-major values; ``%`` lines before the size line
   are ``metadata["comments"]``, blank and ``%`` lines among values are skipped.
+  Values are read by one C-level ``np.loadtxt`` pass; a document it rejects
+  is read again a line at a time by ``float()``, which finds the bad line.
 * JSON: ``{"rows": N, "cols": M, "entries": [[re, im], ...]}`` with the
   entries in row-major order.
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -196,8 +199,8 @@ def _parse_mm(text: str) -> MatrixDocument:
     expected = rows * cols
     per_line = 2 if fld == "complex" else 1
     numbers = _mm_values(lines, expected, per_line)
-    if numbers is None or not np.isfinite(numbers).all():
-        _raise_mm_error(text.splitlines(), cursor, expected, per_line, fld)
+    if numbers is None:
+        numbers = _mm_line_values(text, cursor, expected, per_line, fld)
     values = numbers.view(np.complex128) if per_line == 2 else numbers.astype(np.complex128)
     matrix = values.reshape((cols, rows)).T
     metadata = {"field": fld}
@@ -207,47 +210,46 @@ def _parse_mm(text: str) -> MatrixDocument:
 
 
 def _mm_values(lines, expected: int, per_line: int) -> np.ndarray | None:
-    """The ``expected * per_line`` numbers of the value lines, or None when
-    the count of value lines, the tokens of one of them or a number is wrong.
-    Lines are read in batches of 1024, each batch's tokens converted by one
-    ``np.array`` (float() per token), so no list holds every token."""
-    blocks, found = [], 0
-    while batch := list(islice(lines, 1024)):
-        entries = [s for s in map(str.strip, batch) if s and not s.startswith("%")]
-        found += len(entries)
-        if found > expected or (entries and set(map(len, map(str.split, entries))) != {per_line}):
-            return None
-        try:
-            blocks.append(np.array(" ".join(entries).split(), dtype=np.float64))
-        except ValueError:
-            return None
-    return np.concatenate(blocks) if found == expected else None
+    """The value lines as an ``(expected, per_line)`` array from one C-level
+    ``np.loadtxt`` pass, which converts a token as ``float()`` does, or None
+    when it rejects a token or a line, the shape is wrong or a value is not finite."""
+    numbers = None
+    if first := next(filter(str.strip, lines), None):  # loadtxt warns on no lines
+        with suppress(ValueError):
+            numbers = np.loadtxt(chain((first,), lines), dtype=np.float64, comments=None, ndmin=2)
+    ok = numbers is not None and numbers.shape == (expected, per_line)
+    return numbers if ok and np.isfinite(numbers).all() else None
 
 
-def _raise_mm_error(lines, cursor, expected, per_line, fld):
-    """Raise the ParseError of the first bad value line, once the bulk pass has failed."""
-    found = 0
-    for lineno in range(cursor, len(lines)):
-        stripped = lines[lineno].strip()
+def _mm_line_values(text, cursor, expected, per_line, fld) -> np.ndarray:
+    """The values after line ``cursor``, streamed a line at a time through
+    ``float()``, or the ParseError of the first bad line."""
+    values, found, lineno = array("d"), 0, cursor
+    lines = islice(chain.from_iterable(_line_blocks(text)), cursor, None)
+    for lineno, line in enumerate(lines, cursor + 1):
+        stripped = line.strip()
         if not stripped or stripped.startswith("%"):
             continue
         if found >= expected:
-            raise ParseError(f"expected {expected} entries, found more", line=lineno + 1)
+            raise ParseError(f"expected {expected} entries, found more", line=lineno)
         tokens = stripped.split()
         if len(tokens) != per_line:
             raise ParseError(
                 f"expected {per_line} value(s) per line for field '{fld}', "
                 f"got {len(tokens)}",
-                line=lineno + 1,
+                line=lineno,
             )
         try:
             numbers = [float(t) for t in tokens]
         except ValueError:
-            raise ParseError(f"malformed number in {stripped!r}", line=lineno + 1) from None
+            raise ParseError(f"malformed number in {stripped!r}", line=lineno) from None
         if not all(map(math.isfinite, numbers)):
-            raise ParseError("non-finite value", line=lineno + 1)
+            raise ParseError("non-finite value", line=lineno)
+        values.extend(numbers)
         found += 1
-    raise ParseError(f"expected {expected} entries, found {found}", line=len(lines))
+    if found != expected:
+        raise ParseError(f"expected {expected} entries, found {found}", line=lineno)
+    return np.frombuffer(values)
 
 
 def _parse_json(text: str) -> MatrixDocument:

@@ -352,22 +352,20 @@ def _cluster_indices(values: np.ndarray, threshold: float) -> list[list[int]]:
     """Group eigenvalues into connected components at the given distance
     (single linkage, order independent), in order of their smallest index,
     members ascending.  An eigenvalue close to no other is its own component;
-    the others are grown from their smallest index over the closeness matrix
-    restricted to them.  Every eigenvalue is labelled by that smallest index."""
+    the others take their neighbours' least label, then that label's label,
+    until none changes: each is then labelled by its component's least index."""
     close = np.abs(values[:, None] - values[None, :]) <= threshold
     labels = np.arange(len(values))
     linked = np.flatnonzero(np.count_nonzero(close, axis=1) > 1)
     close = close[linked][:, linked]
-    unassigned = np.ones(len(linked), dtype=bool)
-    while unassigned.any():
-        first = np.argmax(unassigned)
-        member = np.zeros_like(unassigned)
-        frontier = np.arange(len(linked)) == first
-        while frontier.any():
-            member |= frontier
-            frontier = close[frontier].any(axis=0) & ~member
-        unassigned &= ~member
-        labels[linked[member]] = linked[first]
+    roots = np.arange(len(linked))
+    while len(roots):
+        new = np.where(close, roots, len(roots)).min(axis=1)
+        new = new[new]
+        if np.array_equal(new, roots):
+            break
+        roots = new
+    labels[linked] = linked[roots]
     order = np.argsort(labels, kind="stable").tolist()
     bounds = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), len(order)]
     return [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]

@@ -60,6 +60,7 @@ class TestFloatFormatting:
         assert complex_pair(1.5 - 2.0j) == [1.5, -2.0]
 
 
+@pytest.mark.filterwarnings("error")
 class TestMatrixMarketParsing:
     def test_column_major_order(self):
         doc = parse_matrix(io.StringIO(MM_EXAMPLE), "mm")
@@ -96,6 +97,9 @@ class TestMatrixMarketParsing:
             ("%%MatrixMarket matrix array complex general\n1 1\nx y\n", 3, "malformed number"),
             ("%%MatrixMarket matrix array complex general\n1 1\ninf 0\n", 3, "non-finite"),
             ("%%MatrixMarket matrix array complex general\n2 1\n1 0\n", 3, "expected 2 entries, found 1"),
+            # no value line, or blank ones only: no warning from the C pass
+            ("%%MatrixMarket matrix array complex general\n2 1\n", 2, "expected 2 entries, found 0"),
+            ("%%MatrixMarket matrix array complex general\n2 1\n\n \t\n", 4, "entries, found 0"),
             ("%%MatrixMarket matrix array complex general\n1 1\n1 0\n2 0\n", 4, "found more"),
             # four tokens on two lines, but 3 + 1 rather than 2 + 2
             ("%%MatrixMarket matrix array complex general\n2 1\n1 0 0\n1\n", 3, "value(s) per line"),
@@ -136,12 +140,18 @@ class TestMatrixMarketParsing:
         with pytest.raises(ParseError):
             parse_matrix("/nonexistent/matrix.mm", "mm")
 
-    def test_parse_peak_memory_is_below_three_times_the_file(self, tmp_path):
-        # the value lines are split a piece of text at a time, never all at once
+    @pytest.mark.parametrize("comment_line", [False, True], ids=["c-pass", "line-loop"])
+    def test_parse_peak_memory_is_below_three_times_the_file(self, tmp_path, comment_line):
+        # the value lines are split a piece of text at a time, never all at
+        # once; a % line among the values sends the document to the line loop
         rng = np.random.default_rng(4)
         matrix = rng.normal(size=(400, 400)) + 1j * rng.normal(size=(400, 400))
         path = tmp_path / "m.mtx"
         write_matrix(matrix, str(path), "mm")
+        if comment_line:
+            lines = path.read_text().splitlines(keepends=True)
+            lines.insert(len(lines) // 2, "% among the values\n")
+            path.write_text("".join(lines))
         tracemalloc.start()
         try:
             doc = parse_matrix(str(path), "mm")
@@ -152,6 +162,7 @@ class TestMatrixMarketParsing:
         np.testing.assert_array_equal(doc.matrix, matrix)
 
 
+@pytest.mark.filterwarnings("error")
 class TestJsonParsing:
     def test_basic(self):
         doc = parse_matrix(
@@ -236,6 +247,7 @@ finite = st.floats(
 )
 
 
+@pytest.mark.filterwarnings("error")
 class TestLosslessRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(

@@ -18,7 +18,9 @@ import numpy as np
 import pytest
 
 import wignerpf.io
-from wignerpf import ParseError, parse_matrix
+from wignerpf import ParseError, parse_matrix, render_matrix
+
+pytestmark = pytest.mark.filterwarnings("error")
 
 DOCUMENTS = 20_000
 
@@ -167,7 +169,14 @@ ODD_TOKENS = [
     "1_0", "-0", "-0.0", "+.5", "1.", "1e-400", "-1e-400", "١", "١٢.٥", "𝟏", "0.1e+5",
     "nan", "-NaN", "inf", "-Infinity", "1e400", "-1e400",
     "abc", "0x1", "1__0", "_1", "1_", ".", "1e", "nan(1)", "1,5", "1\x00",
+    "０", "1_000.5", "-nan", "+inf", "1E5", "1d5", "e1", "𝟗𝟗", "+nan", "INF", "1e+05",
+    "0001.5", "-.0", "1.e3", "٣.٥e٢", "1e5_0", "１e3", "1-", "+-1", "--1", "1ee5",
 ]
+
+# The characters str.split() splits on that are not line boundaries, and the
+# line boundaries of str.splitlines() ("\r\n" is one boundary).
+SEPARATORS = "\t\x1f \xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B))) + "\u202f\u205f\u3000"
+LINE_ENDS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 def _mm_token(rng: random.Random, odd: float) -> str:
@@ -213,13 +222,15 @@ def _mm_document(rng: random.Random, sizes=(1, 4), odd: float = 0.15) -> str:
             if len(values[k]) > 1:
                 values[k : k + 1] = [values[k][:1], values[k][1:]]
     separators = [" ", "  ", "\t", " \t "]
+    separators += [rng.choice(SEPARATORS), "".join(rng.choices(SEPARATORS, k=3))]
     for tokens in values:
         sep = rng.choice(separators)
         line = sep.join(tokens)
         if rng.random() < 0.1:
-            line = rng.choice([" ", "\t"]) + line + rng.choice(["", " ", "\t"])
+            line = rng.choice([" ", "\t", *SEPARATORS]) + line
+            line += rng.choice(["", " ", "\t", *SEPARATORS])
         lines.append(line)
-    newline = rng.choice(["\n", "\n", "\r\n"])
+    newline = rng.choice(["\n", "\n", "\r\n", *LINE_ENDS])
     return newline.join(lines) + rng.choice([newline, ""])
 
 
@@ -284,7 +295,7 @@ def test_matrix_market_reader_matches_the_line_loop():
 
 
 def test_matrix_market_reader_matches_on_documents_of_thousands_of_lines():
-    """Values are converted a block of lines at a time: cross the block edges."""
+    """The text is split into lines a 64k-character piece at a time: cross the piece edges."""
     rng = random.Random(7)
     texts = [_mm_document(rng, sizes=(33, 60), odd=0.0) for _ in range(60)]
     outcomes = [_outcome(oracle_parse_mm, text) for text in texts]
@@ -331,3 +342,30 @@ def test_generators_reach_every_outcome(make, oracle, patterns):
     assert any(o[0] == "ok" for o in outcomes)
     for pattern in patterns:
         assert any(o[0] == "error" and re.search(pattern, o[1]) for o in outcomes), pattern
+
+
+def test_rendered_documents_never_enter_the_line_loop(monkeypatch):
+    """Every document the package writes is read by the C pass alone."""
+
+    def fail(*args):
+        raise AssertionError("the line loop was entered")
+
+    monkeypatch.setattr(wignerpf.io, "_mm_line_values", fail)
+    rng = np.random.default_rng(80)
+    matrix = rng.normal(size=(80, 80)) + 1j * rng.normal(size=(80, 80))
+    doc = parse_matrix(io.StringIO(render_matrix(matrix, "mm")), "mm")
+    np.testing.assert_array_equal(doc.matrix, matrix)
+
+
+@pytest.mark.parametrize(
+    "values",
+    ["1_0 -0\n2 0\n", "١ 0\n2 -0.0\n", "1 0\n% between values\n-0 2\n", "1 0\n2 1_0\n3 0\n"],
+    ids=["digit-separator", "arabic-indic-digit", "comment-line", "one-line-too-many"],
+)
+def test_documents_the_c_pass_rejects_go_through_the_line_loop(monkeypatch, values):
+    text = "%%MatrixMarket matrix array complex general\n2 1\n" + values
+    calls = []
+    loop = wignerpf.io._mm_line_values
+    monkeypatch.setattr(wignerpf.io, "_mm_line_values", lambda *a: calls.append(a) or loop(*a))
+    assert _outcome(_library, text, "mm") == _outcome(oracle_parse_mm, text)
+    assert len(calls) == 1

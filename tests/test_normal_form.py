@@ -293,6 +293,23 @@ class TestClassifySpectrum:
             assert _cluster_indices(values, 0.5) == union_find_clusters(values, 0.5)
             assert len(_cluster_indices(values, 0.5)) == 2
 
+    def test_clustering_matches_the_breadth_first_search(self):
+        """Label propagation against the per-component search it replaced,
+        on chains near the threshold, doubled values and jittered clusters."""
+        rng = np.random.default_rng(20240613)
+        for case in range(3000):
+            count = int(rng.integers(1, 60))
+            if case % 3 == 0:  # a chain whose steps straddle the threshold
+                steps = rng.choice([0.4, 0.5, 0.6], count) * np.exp(1j * rng.normal(0, 0.3, count))
+                values = np.cumsum(steps)[rng.permutation(count)]
+            elif case % 3 == 1:  # every value twice, as in a direct sum A + A
+                values = np.repeat(rng.normal(size=count) + 1j * rng.normal(size=count), 2)
+                values = values[rng.permutation(len(values))]
+            else:  # a few centres with jittered members
+                centres = 4 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+                values = centres[rng.integers(0, 3, count)] + rng.normal(0, 0.3, count)
+            assert _cluster_indices(values, 0.5) == breadth_first_clusters(values, 0.5)
+
 
 
 def classify_with_eigenvalues(monkeypatch, values):
@@ -359,6 +376,28 @@ class TestClassificationErrors:
             partner = pairing.clusters[cluster.partner]
             assert partner.kind == COMPLEX_PAIR and partner.partner == i
             assert partner.multiplicity == cluster.multiplicity
+
+def breadth_first_clusters(values, threshold):
+    """Reference grouping: each component grown by a breadth-first search from
+    its smallest index over the closeness matrix of the linked eigenvalues."""
+    close = np.abs(values[:, None] - values[None, :]) <= threshold
+    labels = np.arange(len(values))
+    linked = np.flatnonzero(np.count_nonzero(close, axis=1) > 1)
+    close = close[linked][:, linked]
+    unassigned = np.ones(len(linked), dtype=bool)
+    while unassigned.any():
+        first = np.argmax(unassigned)
+        member = np.zeros_like(unassigned)
+        frontier = np.arange(len(linked)) == first
+        while frontier.any():
+            member |= frontier
+            frontier = close[frontier].any(axis=0) & ~member
+        unassigned &= ~member
+        labels[linked[member]] = linked[first]
+    order = np.argsort(labels, kind="stable").tolist()
+    bounds = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), len(order)]
+    return [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
 
 def union_find_clusters(values, threshold):
     """Reference single-linkage clustering: a union-find over all pairs."""
