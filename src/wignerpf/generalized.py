@@ -10,8 +10,8 @@ Two extensions of the Pfaffian beyond skew-symmetric matrices live here:
   for every square matrix.
 
 They are linked by ``pf(A) = sqrt(det(A) / det((A - A^T)/2)) * apf(A)``
-with a positive real ratio, which doubles as an internal cross-check, and
-they always share their complex phase.
+with a positive real ratio, which :func:`generalized_pfaffian` cross-checks
+once its value is decided, and they always share their complex phase.
 The conjugate-normality guard lives in :mod:`wignerpf.normal_form`;
 :func:`generalized_pfaffian` meets it inside :func:`wigner_normal_form`.
 """
@@ -29,6 +29,7 @@ from .ensembles import random_unitary
 from .errors import InputError, NotConjugateNormalError, PfUndefinedError
 from .linalg import DEFAULT_TOL, Tolerances, as_square_matrix, det_lu
 from .normal_form import (
+    NormalForm,
     Real1Block,
     _require_conjugate_normal,
     antisymmetric_part,
@@ -116,24 +117,32 @@ def generalized_pfaffian(a, tol: Tolerances = DEFAULT_TOL) -> PfResult:
     every non-singular odd-dimensional matrix) means no continuous Pfaffian
     extension exists and :class:`PfUndefinedError` is raised.  A non-singular
     ``|pf|`` outside ``[tiny, inf)`` raises :class:`InputError`; it is never
-    returned as 0.
+    returned as 0.  Both errors come before any diagnostic is computed.
 
-    For non-singular results the value is independently recomputed through
-    the determinant-ratio relation and the relative discrepancy is recorded
-    in ``diagnostics.cross_check_residual``; it is None unless ``det(A)``
-    and ``det((A - A^T)/2) = apf**2`` (``apf`` from the one Parlett-Reid
-    factorization) both lie in ``[tiny, inf)``.
+    Only then are ``det(A)`` and ``apf`` (one Parlett-Reid factorization)
+    computed, and a non-singular value is recomputed through the
+    determinant-ratio relation, its relative discrepancy recorded in
+    ``diagnostics.cross_check_residual``; that is None unless ``det(A)`` and
+    ``det((A - A^T)/2) = apf**2`` both lie in ``[tiny, inf)``.
     """
     m = as_square_matrix(a)
-    nf = wigner_normal_form(m, tol)
-    cn_residual = nf.conjugate_normal_residual
+    nf, value = _normal_form_pfaffian(m, tol)
     det_a = det_lu(m)
     apf = pf_skew_parlett_reid(antisymmetric_part(m))
+    cross = None
+    if value != 0 and _in_range(det_a) and _in_range(apf**2):
+        cross = float(abs(value - _relation_value(det_a, apf)) / abs(value))
+    diag = PfDiagnostics(det_a, apf, nf.conjugate_normal_residual, value == 0, cross)
+    return PfResult(value, "normal-form", diag)
 
+
+def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[NormalForm, complex]:
+    """The normal form of a square ``m`` and :func:`generalized_pfaffian`'s
+    value from it (0 when singular), with its errors and no diagnostics."""
+    nf = wigner_normal_form(m, tol)
     real_blocks = [b for b in nf.blocks if isinstance(b, Real1Block)]
     if any(b.sigma == 0.0 for b in real_blocks):
-        diag = PfDiagnostics(det_a, apf, cn_residual, True, None)
-        return PfResult(0j, "normal-form", diag)
+        return nf, 0j
     if real_blocks:
         dim = m.shape[0]
         extra = " (odd dimension)" if dim % 2 else ""
@@ -151,12 +160,7 @@ def generalized_pfaffian(a, tol: Tolerances = DEFAULT_TOL) -> PfResult:
     if not _in_range(value):
         exponent = sum(b.multiplicity * math.log10(abs(b.s)) for b in nf.blocks)
         raise InputError(f"|pf(A)| ~ 1e{exponent:.0f} is outside the double range")
-
-    cross = None
-    if _in_range(det_a) and _in_range(apf**2):
-        cross = float(abs(value - _relation_value(det_a, apf)) / abs(value))
-    diag = PfDiagnostics(det_a, apf, cn_residual, False, cross)
-    return PfResult(complex(value), "normal-form", diag)
+    return nf, complex(value)
 
 
 def _in_range(x: complex) -> bool:
@@ -295,6 +299,9 @@ def identity_report(
     Hermitian example [[0,1+i],[1-i,0]] (equal to its own adjoint, Pfaffian
     i sqrt(2)) confirms the adjoint sign independently.
 
+    One :func:`generalized_pfaffian` call on A gives the det(A) and apf(A)
+    the ``square-det`` and ``phase`` rows read; each derived row runs the
+    normal form with all of its checks but no determinant-ratio cross-check.
     B defaults to diag(2, 3).  Raises :class:`PfUndefinedError` for
     singular A (most rows degenerate there); other errors propagate from
     the individual Pfaffian computations.
@@ -323,7 +330,7 @@ def identity_report(
         checks.append(IdentityCheck(name, residual, IDENTITY_THRESHOLD))
 
     def pf(x) -> complex:
-        return generalized_pfaffian(x, tol).value
+        return _normal_form_pfaffian(x, tol)[1]
 
     sign_n = -1.0 if n % 2 else 1.0
     add("square-det", pf_a * pf_a, base.diagnostics.det)

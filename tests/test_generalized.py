@@ -1,9 +1,11 @@
 """Generalized Pfaffian, the determinant-ratio route, and the identity battery."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from wignerpf import (
     InputError,
@@ -24,9 +26,11 @@ from wignerpf import (
     wigner_normal_form,
 )
 from wignerpf import generalized, normal_form
+from wignerpf.ensembles import random_unitary
 from wignerpf.linalg import det_lu
 
-from conftest import corpus_spec, mixed_gauge
+from conftest import CORPUS_SIZE, corpus_spec, mixed_gauge
+from test_scale import table_matrix
 
 SQRT2 = np.sqrt(2.0)
 
@@ -116,6 +120,27 @@ class TestUndefinedAndSingular:
     def test_rejects_non_conjugate_normal(self):
         with pytest.raises(NotConjugateNormalError):
             generalized_pfaffian([[1.0, 5.0], [0.0, 2.0]])
+
+    @pytest.mark.parametrize(
+        "matrix,error,message",
+        [
+            ([[2.0]], PfUndefinedError, "positive real eigenvalue (odd dimension); the"),
+            (np.diag([3.0, 5.0]), PfUndefinedError, "positive real eigenvalue; the"),
+            (1e-8 * table_matrix(200), InputError, "|pf(A)| ~ 1e-798 is outside the double range"),
+        ],
+        ids=["odd-dimension", "positive-real", "out-of-range"],
+    )
+    def test_errors_are_raised_before_the_cross_check(self, monkeypatch, matrix, error, message):
+        calls = []
+        for name in ("det_lu", "pf_skew_parlett_reid"):
+            original = getattr(generalized, name)
+            monkeypatch.setattr(
+                generalized, name, lambda m, f=original, n=name: calls.append(n) or f(m)
+            )
+        with pytest.raises(error) as info:
+            generalized_pfaffian(matrix)
+        assert message in str(info.value)
+        assert calls == []
 
 
 class TestSquareIsDeterminant:
@@ -320,16 +345,16 @@ class TestIdentityReport:
         # the phase row keeps its own floor
         assert report.check("phase").threshold == generalized.PHASE_THRESHOLD
 
-    def test_one_skew_pfaffian_per_pipeline(self, monkeypatch):
-        # nine generalized_pfaffian calls; the phase row reads the first
-        # one's apf instead of factoring (A - A^T)/2 again
+    def test_one_skew_pfaffian_per_battery(self, monkeypatch):
+        # only the base call factors (A - A^T)/2, and the phase row reads its
+        # apf; the derived rows take the normal-form value alone
         calls = []
         original = generalized.pf_skew_parlett_reid
         monkeypatch.setattr(
             generalized, "pf_skew_parlett_reid", lambda m: calls.append(1) or original(m)
         )
         identity_report(random_conjugate_normal(corpus_spec(14)))
-        assert len(calls) == 9
+        assert len(calls) == 1
 
     def test_negative_congruence_seed_rejected_before_the_battery(self, monkeypatch):
         calls = []
@@ -371,6 +396,99 @@ class TestIdentityReport:
         np.testing.assert_allclose(pf_adj, -np.conj(pf), atol=1e-13)
         pf_inv = generalized_pfaffian(np.linalg.inv(matrix)).value
         np.testing.assert_allclose(pf_inv, -1.0 / pf, atol=1e-13)
+
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+    def test_derived_rows_match_the_full_pipeline(self, scale):
+        for index in range(0, CORPUS_SIZE, 20):
+            matrix = scale * random_conjugate_normal(corpus_spec(index))
+            assert residual_bits(identity_report(matrix)) == full_pipeline_residuals(matrix)
+
+    def test_derived_rows_match_the_full_pipeline_with_b_and_lam(self):
+        matrix = random_conjugate_normal(corpus_spec(2))
+        b3 = np.array([[2.0, 0.5, 0.0], [0.5, 3.0, 0.25], [0.0, 0.25, 1.5]])
+        report = identity_report(matrix, b=b3, lam=-0.7 + 0.3j)
+        assert residual_bits(report) == full_pipeline_residuals(matrix, b3, -0.7 + 0.3j)
+
+
+def residual_bits(report) -> list[str]:
+    return [check.residual.hex() for check in report.checks]
+
+
+def full_pipeline_residuals(a, b=None, lam=2.0) -> list[str]:
+    """The oracle of :func:`identity_report`: every row's residual, in
+    order and as its exact bits, with every Pfaffian taken as
+    ``generalized_pfaffian(x).value``, so each derived row also runs the
+    determinant-ratio cross-check."""
+    m = np.asarray(a, dtype=complex)
+    b = np.diag([2.0, 3.0]) if b is None else np.asarray(b, dtype=complex)
+    lam = complex(lam)
+    base = generalized_pfaffian(m)
+    pf_a = base.value
+    dim = m.shape[0]
+    n = dim // 2
+    q = random_unitary(dim, generalized.DEFAULT_IDENTITY_SEED)
+    perm = np.arange(dim)
+    perm[[0, 1]] = perm[[1, 0]]
+    sign_n = -1.0 if n % 2 else 1.0
+    mdim = b.shape[0]
+    tensor_sign = -1.0 if (n * mdim * (mdim - 1) // 2) % 2 else 1.0
+
+    def pf(x) -> complex:
+        return generalized_pfaffian(x).value
+
+    rows = [
+        (pf_a * pf_a, base.diagnostics.det),
+        (pf(lam * m), lam**n * pf_a),
+        (pf(m.T), sign_n * pf_a),
+        (pf(m.conj().T), sign_n * np.conj(pf_a)),
+        (pf(np.linalg.inv(m)), sign_n / pf_a),
+        (pf(scipy.linalg.block_diag(m, m)), pf_a * pf_a),
+        (pf(np.kron(m, b)), tensor_sign * pf_a**mdim * det_lu(b) ** n),
+        (pf(m[np.ix_(perm, perm)]), -pf_a),
+        (pf(q @ m @ q.T), det_lu(q) * pf_a),
+    ]
+    residuals = [float(abs(lhs - rhs) / max(abs(rhs), 1e-300)) for lhs, rhs in rows]
+    delta = cmath.phase(base.diagnostics.apf) - cmath.phase(pf_a)
+    residuals.append(abs((delta + math.pi) % (2.0 * math.pi) - math.pi))
+    return [r.hex() for r in residuals]
+
+
+class TestPassBudget:
+    """Every O(n^3) pass of one call, counted through the bindings the
+    pipeline calls: a change that adds a pass changes this test."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        counts = dict.fromkeys(("eigh", "lu_factor", "zherk", "skew"), 0)
+
+        def counting(name, f):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return f(*args, **kwargs)
+
+            return counted
+
+        for module, attr, name in (
+            (scipy.linalg, "eigh", "eigh"),
+            (scipy.linalg, "lu_factor", "lu_factor"),
+            (scipy.linalg.blas, "zherk", "zherk"),
+            (generalized, "pf_skew_parlett_reid", "skew"),
+        ):
+            monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
+        return counts
+
+    def test_passes_per_call_and_per_battery(self, passes):
+        matrix = random_conjugate_normal(corpus_spec(14))
+        generalized_pfaffian(matrix)
+        # eigh of H + cK; det(U) and det(A); the guard's two Gram triangles
+        # and the unitarity check's one; the cross-check's apf
+        assert passes == {"eigh": 1, "lu_factor": 2, "zherk": 3, "skew": 1}
+        passes.update(dict.fromkeys(passes, 0))
+        identity_report(matrix)
+        # nine normal forms, each with its det(U), then det(A), det(B) and
+        # det(Q); one apf, read by the phase row
+        assert passes == {"eigh": 9, "lu_factor": 12, "zherk": 27, "skew": 1}
 
 
 class TestGaugeInvariance:
