@@ -134,12 +134,12 @@ def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     ``4 sqrt(dim) eps ||M||`` of the bound below are ones the eigensolve left
     mixed (eigenvalues whose ``Re w + c Im w`` lie close).  Their span is
     invariant up to the other columns' residual, so one Rayleigh-Ritz step
-    unmixes them: with Z the Schur vectors of one connected component C of
-    ``T_SS = Q_S^H P_S``'s entries above that share, ``Q_C Z`` and ``P_C Z``
-    replace Q_C and P_C, at O(dim |C|^2) and without a product with M.  The
-    off-diagonal mass ``||R||`` left after that is both the eigen-residual of
-    the result and the witness that M is normal (``||[M, M^H]|| <= 4 ||M||
-    ||R|| + 2 ||R||^2``), held to ``tol.eig_residual``.
+    unmixes them: with Z the Schur vectors of the k x k ``T_SS = Q_S^H P_S``,
+    ``Q_S Z`` and ``P_S Z`` replace Q_S and P_S, at O(dim k^2) and without a
+    product with M.  The off-diagonal mass ``||R||`` left after that is both
+    the eigen-residual of the result and the witness that M is normal
+    (``||[M, M^H]|| <= 4 ||M|| ||R|| + 2 ||R||^2``), held to
+    ``tol.eig_residual``.
 
     Returns ``(values, vectors)`` with ``vectors[:, k]`` belonging to
     ``values[k]``; ``vectors`` owns its memory.  Raises
@@ -161,19 +161,18 @@ def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     values = np.einsum("ij,ij->j", q.conj(), p)  # T_jj = q_j^H p_j
     residual = q * values
     np.subtract(p, residual, out=residual)  # M Q - Q diag(T)
-    share = 4 * math.sqrt(dim) * np.finfo(float).eps * norm
-    mixed = np.flatnonzero(np.linalg.norm(residual, axis=0) > share)
+    eps = np.finfo(float).eps
+    mixed = np.flatnonzero(
+        np.linalg.norm(residual, axis=0) > 4 * math.sqrt(dim) * eps * norm
+    )
     if mixed.size:
-        t = q[:, mixed].conj().T @ p[:, mixed]
-        labels = _component_labels(np.abs(t) + np.abs(t.T) > share)
-        for root in np.flatnonzero(np.bincount(labels) > 1):
-            part = np.flatnonzero(labels == root)
-            _, z = scipy.linalg.schur(t[np.ix_(part, part)], output="complex")
-            cols = mixed[part]
-            q[:, cols] = q_c = q[:, cols] @ z
-            p_c = p[:, cols] @ z
-            values[cols] = np.einsum("ij,ij->j", q_c.conj(), p_c)
-            residual[:, cols] = p_c - q_c * values[cols]
+        q_s, p_s = q[:, mixed], p[:, mixed]
+        _, z = scipy.linalg.schur(q_s.conj().T @ p_s, output="complex")
+        q_s = q_s @ z
+        p_s = p_s @ z
+        q[:, mixed] = q_s
+        values[mixed] = np.einsum("ij,ij->j", q_s.conj(), p_s)
+        residual[:, mixed] = p_s - q_s * values[mixed]
     off = np.linalg.norm(residual)
     if off > tol.eig_residual * max(norm, np.finfo(float).tiny):
         raise NotNormalError(
@@ -182,24 +181,6 @@ def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
             residual=float(off / max(norm, np.finfo(float).tiny)),
         )
     return values, q
-
-
-def _component_labels(close: np.ndarray) -> np.ndarray:
-    """Each node of the symmetric adjacency ``close`` (diagonal set here) labelled by
-    its component's least index, found by min-label propagation with a pointer jump."""
-    np.fill_diagonal(close, True)
-    labels = np.arange(len(close))
-    linked = np.flatnonzero(np.count_nonzero(close, axis=1) > 1)
-    close = close[linked][:, linked]
-    roots = np.arange(len(linked))
-    while len(roots):
-        new = np.where(close, roots, len(roots)).min(axis=1)
-        new = new[new]
-        if np.array_equal(new, roots):
-            break
-        roots = new
-    labels[linked] = linked[roots]
-    return labels
 
 
 def unitarity_defect(u) -> float:

@@ -51,7 +51,6 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
-    _component_labels,
     _frozen,
     _gram,
     _hermitian_norm,
@@ -352,8 +351,21 @@ class SpectralPairing:
 def _cluster_indices(values: np.ndarray, threshold: float) -> list[list[int]]:
     """Group eigenvalues into connected components at the given distance
     (single linkage, order independent), in order of their smallest index,
-    members ascending, labelled by :func:`_component_labels`."""
-    labels = _component_labels(np.abs(values[:, None] - values[None, :]) <= threshold)
+    members ascending.  An eigenvalue close to no other is its own component;
+    the others take their neighbours' least label, then that label's label,
+    until none changes: each is then labelled by its component's least index."""
+    close = np.abs(values[:, None] - values[None, :]) <= threshold
+    labels = np.arange(len(values))
+    linked = np.flatnonzero(np.count_nonzero(close, axis=1) > 1)
+    close = close[linked][:, linked]
+    roots = np.arange(len(linked))
+    while len(roots):
+        new = np.where(close, roots, len(roots)).min(axis=1)
+        new = new[new]
+        if np.array_equal(new, roots):
+            break
+        roots = new
+    labels[linked] = linked[roots]
     order = np.argsort(labels, kind="stable").tolist()
     bounds = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), len(order)]
     return [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
