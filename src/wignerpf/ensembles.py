@@ -130,17 +130,6 @@ class SpectrumSpec:
     def dimension(self) -> int:
         return sum(e.dimension for e in self.entries)
 
-    def to_json_dict(self) -> dict:
-        spectrum = []
-        for e in self.entries:
-            entry: dict = {"class": e.kind, "multiplicity": e.multiplicity}
-            if e.kind == COMPLEX_PAIR:
-                entry["omega"] = [e.omega.real, e.omega.imag]
-            elif e.kind != ZERO:
-                entry["omega"] = e.omega.real
-            spectrum.append(entry)
-        return {"seed": self.seed, "spectrum": spectrum}
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "SpectrumSpec":
         if not isinstance(data, dict):

@@ -32,7 +32,6 @@ from .normal_form import (
     NormalForm,
     Real1Block,
     _require_conjugate_normal,
-    antisymmetric_part,
     wigner_normal_form,
 )
 from .pfaffian import pf_polynomial, pf_skew_parlett_reid
@@ -128,7 +127,7 @@ def generalized_pfaffian(a, tol: Tolerances = DEFAULT_TOL) -> PfResult:
     m = as_square_matrix(a)
     nf, value = _normal_form_pfaffian(m, tol)
     det_a = det_lu(m)
-    apf = pf_skew_parlett_reid(antisymmetric_part(m))
+    apf = pf_skew_parlett_reid((m - m.T) / 2.0)
     cross = None
     if value != 0 and _in_range(det_a) and _in_range(apf**2):
         cross = float(abs(value - _relation_value(det_a, apf)) / abs(value))
@@ -176,7 +175,7 @@ def antisymmetrized_pfaffian(a) -> PfResult:
     the antisymmetric part is always singular).  ``apf`` is the value itself.
     """
     m = as_square_matrix(a)
-    value = pf_skew_parlett_reid(antisymmetric_part(m))
+    value = pf_skew_parlett_reid((m - m.T) / 2.0)
     diag = PfDiagnostics(det_lu(m), value, None, value == 0, None)
     return PfResult(value, "antisymmetrized", diag)
 
@@ -203,7 +202,7 @@ def generalized_pfaffian_via_relation(
         raise InputError(f"unknown engine {engine!r}")
     m = as_square_matrix(a)
     cn_residual, _ = _require_conjugate_normal(m, tol)
-    a_as = antisymmetric_part(m)
+    a_as = (m - m.T) / 2.0
     det_a = det_lu(m)
     if engine == "polynomial":
         apf = pf_polynomial(a_as)
@@ -219,17 +218,19 @@ def generalized_pfaffian_via_relation(
 def pfaffian_derivative(a, da, tol: Tolerances = DEFAULT_TOL) -> complex:
     """Directional derivative ``(1/2) pf(A) tr(A^{-1} dA)``.
 
-    Requires a non-singular A with a defined Pfaffian.
+    Requires a non-singular A with a defined Pfaffian.  pf(A) is
+    :func:`generalized_pfaffian`'s value, without its diagnostics; A is
+    factored once, by the solve.
     """
     m = as_square_matrix(a)
     d = as_square_matrix(da)
     if d.shape != m.shape:
         raise InputError(f"dA has shape {d.shape}, expected {m.shape}")
-    result = generalized_pfaffian(m, tol)
-    if result.diagnostics.singular:
+    _, value = _normal_form_pfaffian(m, tol)
+    if value == 0:
         raise PfUndefinedError("the derivative formula requires a non-singular matrix")
     trace = complex(np.trace(np.linalg.solve(m, d)))
-    return complex(0.5 * result.value * trace)
+    return complex(0.5 * value * trace)
 
 
 @dataclass(frozen=True)

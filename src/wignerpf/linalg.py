@@ -2,7 +2,10 @@
 
 Everything here works on plain ``numpy.ndarray``s with dtype complex128;
 :func:`as_matrix` / :func:`as_square_matrix` are the validation gates through
-which all user input passes.
+which all user input passes.  The kernels (:func:`det_lu`,
+:func:`eig_normal`, :func:`unitarity_defect`) take a square complex128
+array as given: their callers pass arrays that were checked where they
+entered or that the pipeline made itself.
 """
 
 from __future__ import annotations
@@ -59,11 +62,6 @@ def _frozen(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def frobenius(a) -> float:
-    """Frobenius norm of a matrix."""
-    return float(np.linalg.norm(a))
-
-
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical tolerances used across the package.
@@ -102,13 +100,13 @@ _HERMITIAN_SLOPE = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def det_lu(a) -> complex:
-    """Determinant via LU factorization with partial pivoting.
+def det_lu(m: np.ndarray) -> complex:
+    """Determinant of a square complex128 array via LU factorization with
+    partial pivoting.
 
     The determinant is the product of the U diagonal times (-1) per row swap
     recorded in the pivot vector, returned as it rounds (0, inf or nan).
     """
-    m = as_square_matrix(a)
     with warnings.catch_warnings():
         # an exactly singular factor only warns; a zero determinant is a
         # legitimate result here
@@ -120,7 +118,8 @@ def det_lu(a) -> complex:
 
 
 def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a normal matrix with orthonormal eigenvectors.
+    """Eigendecomposition of a normal square complex128 array with orthonormal
+    eigenvectors.
 
     For a normal M, H = (M + M^H)/2 and K = (M - M^H)/2i commute, so the
     Hermitian part ``H + c K`` of ``(1 - i c) M`` (c = :data:`_HERMITIAN_SLOPE`)
@@ -146,9 +145,8 @@ def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     :class:`NotNormalError` if M is not normal within ``tol.eig_residual``
     (relative), with the offending residual attached.
     """
-    m = as_square_matrix(m)
     dim = m.shape[0]
-    norm = frobenius(m)
+    norm = float(np.linalg.norm(m))
     herm = (1 - 1j * _HERMITIAN_SLOPE) / 2 * m
     herm += herm.conj().T
     # after this, herm.T is H + cK in Fortran order: LAPACK overwrites it, no copy
@@ -183,9 +181,9 @@ def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     return values, q
 
 
-def unitarity_defect(u) -> float:
-    """||U^H U - 1|| in the Frobenius norm, read from one Gram triangle."""
-    u = as_square_matrix(u)
+def unitarity_defect(u: np.ndarray) -> float:
+    """||U^H U - 1|| in the Frobenius norm of a square complex128 array, read
+    from one Gram triangle."""
     gram = _gram(u.T)  # conj(U^H U), whose distance to 1 is the same
     gram.flat[:: u.shape[0] + 1] -= 1.0
     return _hermitian_norm(gram)

@@ -1,6 +1,7 @@
 """Generalized Pfaffian, the determinant-ratio route, and the identity battery."""
 
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from wignerpf import (
     random_conjugate_normal,
     wigner_normal_form,
 )
-from wignerpf import generalized, normal_form
+from wignerpf import generalized, linalg, normal_form
 from wignerpf.linalg import det_lu
 
 from conftest import CORPUS_SIZE, corpus_spec, mixed_gauge
@@ -275,7 +276,7 @@ class TestDerivative:
     def test_singular_matrix_rejected(self):
         j = np.array([[0.0, 1.0], [-1.0, 0.0]])
         singular = np.block([[j, np.zeros((2, 2))], [np.zeros((2, 2)), np.zeros((2, 2))]])
-        with pytest.raises(PfUndefinedError):
+        with pytest.raises(PfUndefinedError, match="requires a non-singular matrix"):
             pfaffian_derivative(singular, np.eye(4))
 
 
@@ -465,6 +466,42 @@ class TestPassBudget:
         # nine normal forms, each with its det(U), then det(A), det(B) and
         # det(Q); one apf, read by the phase row
         assert passes == {"eigh": 9, "lu_factor": 12, "zherk": 27, "skew": 1}
+
+    def test_derivative_runs_one_normal_form_and_no_diagnostics(self, passes):
+        matrix = random_conjugate_normal(corpus_spec(14))
+        pfaffian_derivative(matrix, np.eye(matrix.shape[0]))
+        # eigh of H + cK; det(U); the guard's two Gram triangles and the
+        # unitarity check's one; no det(A) and no apf (the solve factors A)
+        assert passes == {"eigh": 1, "lu_factor": 1, "zherk": 3, "skew": 0}
+
+    def test_each_matrix_is_checked_where_it_enters(self, monkeypatch):
+        # as_square_matrix reads as_matrix as a module global, so the spy
+        # sees every check; the kernels take the pipeline's arrays as given
+        kernels = {"det_lu", "eig_normal", "unitarity_defect"}
+        callers = []
+        original = linalg.as_matrix
+
+        def counted(a):
+            callers.append({frame.name for frame in traceback.extract_stack()} & kernels)
+            return original(a)
+
+        monkeypatch.setattr(linalg, "as_matrix", counted)
+        matrix = random_conjugate_normal(corpus_spec(14))
+        counts = []
+        for call in (
+            lambda: generalized_pfaffian(matrix),
+            lambda: identity_report(matrix),
+            lambda: pfaffian_derivative(matrix, np.eye(matrix.shape[0])),
+        ):
+            callers.clear()
+            call()
+            assert not any(callers)
+            counts.append(len(callers))
+        # a call: its entry, wigner_normal_form, classify_spectrum, the
+        # pairing's vectors and images, NormalForm's u and the skew check; a
+        # battery: its entry, one call, B and five per derived row; the
+        # derivative: A, dA and five
+        assert counts == [7, 49, 7]
 
 
 class TestGaugeInvariance:

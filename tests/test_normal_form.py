@@ -31,7 +31,7 @@ from wignerpf import (
 from wignerpf import generalized, linalg, normal_form, pfaffian
 from wignerpf.cli import main
 from wignerpf.ensembles import random_unitary, spectrum_blocks
-from wignerpf.linalg import det_lu, frobenius, unitarity_defect
+from wignerpf.linalg import det_lu, unitarity_defect
 from wignerpf.normal_form import (
     _RECONSTRUCT_RTOL,
     _UNITARITY_RTOL,
@@ -45,7 +45,6 @@ from wignerpf.normal_form import (
     _cluster_indices,
     _orthonormalize,
     _symplectic_basis,
-    antisymmetric_part,
     assemble_sigma,
 )
 
@@ -136,12 +135,6 @@ class TestConjugateNormality:
         assert not is_conjugate_normal(h)[0]
         assert is_conjugate_normal([[0.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])[0]
 
-    def test_antisymmetric_part(self):
-        m = np.array([[1.0, 2.0], [4.0, 3.0]])
-        np.testing.assert_array_equal(
-            antisymmetric_part(m), [[0.0, -1.0], [1.0, 0.0]]
-        )
-
 
 class TestClassifySpectrum:
     def test_kinds_multiplicities_and_partners(self):
@@ -201,13 +194,13 @@ class TestClassifySpectrum:
         for _, matrix in corpus[:60]:
             pairing = classify_spectrum(matrix)
             m_op = matrix.T @ matrix.conj()
-            scale = 8 * matrix.shape[0] * np.finfo(float).eps * frobenius(m_op)
+            scale = 8 * matrix.shape[0] * np.finfo(float).eps * np.linalg.norm(m_op)
             for cluster in pairing.clusters:
                 cols = pairing.vectors[:, cluster.columns]
                 mu = np.mean(np.real(np.sum(np.conj(cols) * (m_op @ cols), axis=0)))
                 assert abs(cluster.mu - mu) <= scale
             assert [c.partner for c in pairing.clusters] == greedy_partners(
-                pairing.clusters, Tolerances().cluster_threshold(frobenius(matrix))
+                pairing.clusters, Tolerances().cluster_threshold(np.linalg.norm(matrix))
             )
 
     def test_mu_is_read_from_the_images(self, corpus):
@@ -216,12 +209,12 @@ class TestClassifySpectrum:
             pairing = classify_spectrum(matrix)
             vectors, images = pairing.vectors, pairing.images
             np.testing.assert_allclose(
-                images, matrix @ vectors.conj(), rtol=0, atol=1e-14 * frobenius(matrix)
+                images, matrix @ vectors.conj(), rtol=0, atol=1e-14 * np.linalg.norm(matrix)
             )
             m_op = matrix.T @ matrix.conj()
             rayleigh = np.real(np.sum(vectors.conj() * (m_op @ vectors), axis=0))
             from_images = np.sum(np.abs(images) ** 2, axis=0)
-            bound = 1e-13 * frobenius(matrix) ** 2
+            bound = 1e-13 * np.linalg.norm(matrix) ** 2
             assert np.max(np.abs(from_images - rayleigh)) <= bound
             for cluster in pairing.clusters:
                 assert abs(cluster.mu - np.mean(rayleigh[list(cluster.columns)])) <= bound
@@ -439,7 +432,7 @@ def greedy_partners(clusters, threshold):
 
 
 def assert_valid_normal_form(matrix, nf):
-    norm = frobenius(matrix)
+    norm = np.linalg.norm(matrix)
     assert unitarity_defect(nf.u) <= _UNITARITY_RTOL * np.sqrt(matrix.shape[0])
     np.testing.assert_allclose(
         reconstruct(nf), matrix, atol=_RECONSTRUCT_RTOL * max(norm, 1.0)
@@ -784,11 +777,16 @@ class TestOnePass:
         assert len(calls) == 2
 
     def test_one_frobenius_norm_of_a_per_call(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(
-            normal_form, "frobenius", lambda x: calls.append(1) or frobenius(x)
-        )
         matrix = random_conjugate_normal(corpus_spec(1))
+        calls = []
+        norm = np.linalg.norm
+
+        def counted(x, *args, **kwargs):
+            if x is matrix:
+                calls.append(1)
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
         wigner_normal_form(matrix)
         assert len(calls) == 1
         generalized_pfaffian(matrix)
@@ -819,7 +817,7 @@ class TestOnePass:
         matrix = random_conjugate_normal(corpus_spec(1))
         result = generalized_pfaffian(matrix)
         assert calls == {"parlett-reid": 1, "det": 2}
-        apf = original_pr(antisymmetric_part(matrix))
+        apf = original_pr((matrix - matrix.T) / 2.0)
         assert result.diagnostics.det_antisymmetric == apf**2
 
     @pytest.mark.parametrize("residual", [0.0, 3e-11])
@@ -987,7 +985,7 @@ class TestOneProduct:
             seed=17,
         )
         matrix = random_conjugate_normal(spec)
-        atol = 1e-14 * frobenius(matrix)
+        atol = 1e-14 * np.linalg.norm(matrix)
         seen = []
         original = normal_form._cluster_columns
 
@@ -1021,7 +1019,7 @@ def with_guard_residual(matrix, residual, seed):
     the conjugate-normality residual is ``residual`` to about six digits."""
     rng = np.random.default_rng(seed)
     step = rng.standard_normal(matrix.shape) + 1j * rng.standard_normal(matrix.shape)
-    size = residual * frobenius(matrix) / frobenius(step)
+    size = residual * np.linalg.norm(matrix) / np.linalg.norm(step)
     for _ in range(3):  # the residual is linear in e away from rounding
         size *= residual / is_conjugate_normal(matrix + size * step)[1]
     return matrix + size * step
@@ -1033,7 +1031,7 @@ def commutator_check(matrix):
     lam = matrix @ matrix.conj()
     gram = linalg._gram(lam.T)
     gram -= linalg._gram(lam.T, adjoint_first=True)
-    return linalg._hermitian_norm(gram), frobenius(lam)
+    return linalg._hermitian_norm(gram), np.linalg.norm(lam)
 
 
 def spread_spectrum(dim, seed):
@@ -1051,6 +1049,12 @@ def spread_spectrum(dim, seed):
 
 #: (scale, command, exit code, stdout line) on c [[0, 1+i], [1-i, 0]]; at 1e-200
 #: Lambda underflows to 0, so pf reads 0 (singular) for a non-singular matrix
+#: the guard's norm of c [[0, 1+i], [1-i, 0]] overflows from c ~ 1e155 on
+_GUARD_OVERFLOW = (
+    '{"error": {"code": 3, "message": "matrix is not conjugate-normal: '
+    'residual nan exceeds 1.0e-10"}}'
+)
+
 _SCALE_EXTREMES = [
     ("1e-155", "pf", 0, '{"pfaffian": [-6.1996442125645625e-172, 1.4142135623730954e-155], '
      '"method": "normal-form", "det": [-1.9999999999999939e-310, 0], "singular": false, '
@@ -1064,10 +1068,12 @@ _SCALE_EXTREMES = [
     ("1e-200", "wnf", 0, '{"det_U": [1, 0], "blocks": [{"type": "real1", "value": 0, '
      '"multiplicity": 2}], "reconstruction_residual": 0}'),
     ("1e-200", "check", 0, '{"conjugate_normal": true, "residual": 0}'),
-    ("1e160", "pf", 3, '{"error": {"code": 3, "message": "matrix is not conjugate-normal: '
-     'residual nan exceeds 1.0e-10"}}'),
-    ("1e160", "wnf", 3, '{"error": {"code": 3, "message": "matrix is not conjugate-normal: '
-     'residual nan exceeds 1.0e-10"}}'),
+    *(
+        (scale, command, 3, _GUARD_OVERFLOW)
+        for scale in ("1e155", "1e160")
+        for command in ("pf", "wnf", "pf --method relation")
+    ),
+    ("1e155", "check", 0, '{"conjugate_normal": false, "residual": null}'),
     ("1e160", "check", 0, '{"conjugate_normal": false, "residual": null}'),
 ]
 
@@ -1098,20 +1104,29 @@ class TestNormalityWitness:
         assert commutator > DEFAULT_TOL.eig_residual * lam_norm * lam_norm
         assert_valid_normal_form(matrix, wigner_normal_form(matrix))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale, command, code, out", _SCALE_EXTREMES)
     def test_scale_extremes_keep_their_answers(
         self, capsys, tmp_path, scale, command, code, out
     ):
         # c [[0, 1+i], [1-i, 0]] where ||Lambda||^2 or tol.eig_residual
-        # ||Lambda||^2 leaves the normal double range: every answer is pinned
+        # ||Lambda||^2 leaves the normal double range: every answer is pinned,
+        # and no numpy warning reaches stderr
         path = tmp_path / "two.mm"
         path.write_text(
             "%%MatrixMarket matrix array complex general\n2 2\n"
             f"0 0\n{scale} -{scale}\n{scale} {scale}\n0 0\n"
         )
-        assert main([command, str(path)]) == code
-        assert capsys.readouterr().out == out + "\n"
+        assert main([*command.split(), str(path)]) == code
+        assert capsys.readouterr() == (out + "\n", "")
+
+    @pytest.mark.filterwarnings("error")
+    def test_identities_at_an_overflowing_lam_fail_the_guard_quietly(self, capsys, tmp_path):
+        # the scale row's lam A overflows the guard's norm and Gram difference
+        path = tmp_path / "j.mm"
+        path.write_text("%%MatrixMarket matrix array real general\n2 2\n0\n-1\n1\n0\n")
+        assert main(["identities", "--lam", "1e308", str(path)]) == 3
+        assert capsys.readouterr() == (_GUARD_OVERFLOW + "\n", "")
 
 
 def projector_symplectic_basis(c):
@@ -1143,8 +1158,8 @@ class TestSymplecticBasis:
         xs, ws = _symplectic_basis(c)
         q = np.hstack([xs, ws])
         eps = np.finfo(float).eps
-        assert frobenius(q.conj().T @ q - np.eye(d)) <= 4 * d * eps
-        assert frobenius(ws - 1j * (c @ xs.conj())) <= 4 * d * eps
+        assert np.linalg.norm(q.conj().T @ q - np.eye(d)) <= 4 * d * eps
+        assert np.linalg.norm(ws - 1j * (c @ xs.conj())) <= 4 * d * eps
 
     @pytest.mark.parametrize("seed", range(10))
     def test_two_dimensional_basis_matches_the_projector_oracle_bit_for_bit(self, seed):
