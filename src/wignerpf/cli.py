@@ -51,6 +51,62 @@ from .normal_form import OffDiagBlock, is_conjugate_normal, wigner_normal_form
 SEED_ENV = "WIGNERPF_SEED"
 
 
+#: every option a subcommand may take, by flag
+_OPTIONS = {
+    "--format": dict(
+        choices=FORMATS,
+        default=FORMAT_MM,
+        help="matrix document format (default: mm, Matrix Market array)",
+    ),
+    "--tol-eig": dict(
+        type=float,
+        default=DEFAULT_TOL.eig_residual,
+        metavar="X",
+        help="relative eigen-residual / conjugate-normality tolerance",
+    ),
+    "--tol-cluster": dict(
+        type=float,
+        default=DEFAULT_TOL.cluster,
+        metavar="X",
+        help="relative resolution of the spectrum of A conj(A), and its zero floor",
+    ),
+    "--seed": dict(
+        type=int,
+        help=f"seed for seeded operations (default: ${SEED_ENV} if set)",
+    ),
+    "--output": dict(metavar="PATH", help="write output to PATH instead of stdout"),
+    "--method": dict(
+        choices=("normal-form", "relation", "polynomial"),
+        default="normal-form",
+        help="evaluation route (polynomial is limited to dimension 12)",
+    ),
+    "--partner": dict(
+        metavar="PATH",
+        help="symmetric tensor-partner matrix file (default: seeded random 2x2)",
+    ),
+    "--lam": dict(
+        metavar="Z",
+        default="0.6+0.8j",
+        help="scaling constant, Python complex syntax (default: 0.6+0.8j)",
+    ),
+}
+
+_TOLERANCES = ("--tol-eig", "--tol-cluster")
+
+#: subcommand -> (help, the options it reads besides --format and --output)
+_COMMANDS = {
+    "pf": ("generalized Pfaffian", (*_TOLERANCES, "--method")),
+    "apf": ("antisymmetrized Pfaffian", ()),
+    "wnf": ("normal form A = U Sigma U^T", _TOLERANCES),
+    "check": ("conjugate-normality test", ("--tol-eig",)),
+    "identities": (
+        "algebraic identity battery",
+        (*_TOLERANCES, "--seed", "--partner", "--lam"),
+    ),
+    "gen": ("generate a matrix from a spectrum JSON", ("--seed",)),
+}
+
+
 @functools.cache  # parse_args leaves the parser as it is: build it once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -58,80 +114,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Wigner normal form and generalized Pfaffians of "
         "conjugate-normal matrices.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=FORMATS,
-        default=FORMAT_MM,
-        help="matrix document format (default: mm, Matrix Market array)",
-    )
-    common.add_argument(
-        "--tol-eig",
-        type=float,
-        default=DEFAULT_TOL.eig_residual,
-        metavar="X",
-        help="relative eigen-residual / conjugate-normality tolerance",
-    )
-    common.add_argument(
-        "--tol-cluster",
-        type=float,
-        default=DEFAULT_TOL.cluster,
-        metavar="X",
-        help="base eigenvalue clustering tolerance",
-    )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help=f"seed for seeded operations (default: ${SEED_ENV} if set)",
-    )
-    common.add_argument(
-        "--output",
-        metavar="PATH",
-        default=None,
-        help="write output to PATH instead of stdout",
-    )
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pf = sub.add_parser("pf", parents=[common], help="generalized Pfaffian")
-    pf.add_argument(
-        "--method",
-        choices=("normal-form", "relation", "polynomial"),
-        default="normal-form",
-        help="evaluation route (polynomial is limited to dimension 12)",
-    )
-    pf.add_argument("inputs", nargs="+", help="matrix file(s); '-' reads stdin")
-
-    for name, help_text in (
-        ("apf", "antisymmetrized Pfaffian"),
-        ("wnf", "normal form A = U Sigma U^T"),
-        ("check", "conjugate-normality test"),
-    ):
-        cmd = sub.add_parser(name, parents=[common], help=help_text)
-        cmd.add_argument("inputs", nargs="+", help="matrix file(s); '-' reads stdin")
-
-    identities = sub.add_parser(
-        "identities", parents=[common], help="algebraic identity battery"
-    )
-    identities.add_argument(
-        "--partner",
-        metavar="PATH",
-        default=None,
-        help="symmetric tensor-partner matrix file (default: seeded random 2x2)",
-    )
-    identities.add_argument(
-        "--lam",
-        metavar="Z",
-        default="0.6+0.8j",
-        help="scaling constant, Python complex syntax (default: 0.6+0.8j)",
-    )
-    identities.add_argument("inputs", nargs="+", help="matrix file(s); '-' reads stdin")
-
-    gen = sub.add_parser(
-        "gen", parents=[common], help="generate a matrix from a spectrum JSON"
-    )
-    gen.add_argument("spec", help="spectrum-prescription JSON file; '-' reads stdin")
+    for name, (help_text, options) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        for flag in ("--format", *options, "--output"):
+            cmd.add_argument(flag, **_OPTIONS[flag])
+        if name == "gen":
+            cmd.add_argument("spec", help="spectrum-prescription JSON file; '-' reads stdin")
+        else:
+            cmd.add_argument("inputs", nargs="+", help="matrix file(s); '-' reads stdin")
     return parser
 
 
@@ -294,7 +285,11 @@ def main(argv=None) -> int:
     lines: list[str] = []
     code = 0
     try:
-        tol = Tolerances(eig_residual=args.tol_eig, cluster=args.tol_cluster)
+        # a subcommand without a tolerance option never reads its default
+        tol = Tolerances(
+            eig_residual=getattr(args, "tol_eig", DEFAULT_TOL.eig_residual),
+            cluster=getattr(args, "tol_cluster", DEFAULT_TOL.cluster),
+        )
         for path in args.inputs:
             matrix = _read_matrix(path, args.format)
             lines.append(json_dumps(_run_single(args, matrix, tol)) + "\n")

@@ -72,6 +72,8 @@ class Tolerances:
     cluster
         The relative resolution of the spectrum of A·conj(A): two of its
         eigenvalues closer than ``cluster * ||A||^2`` are one eigenvalue.
+        The clustering, the only code that reads both, requires
+        ``cluster >= eig_residual``.
     """
 
     eig_residual: float = 1e-10
@@ -84,8 +86,6 @@ class Tolerances:
                 isinstance(value, (int, float)) and math.isfinite(value) and value > 0
             ):
                 raise InputError(f"tolerance {name!r} must be a positive finite number")
-        if self.cluster < self.eig_residual:
-            raise InputError("cluster tolerance must be at least the eigen-residual tolerance")
 
     def cluster_threshold(self, norm_a: float) -> float:
         """The one threshold of every decision on the spectrum of A·conj(A)."""

@@ -386,7 +386,11 @@ def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
     :class:`NotNormalError` when the eigensolver finds Lambda not normal, and
     :class:`SpectralConsistencyError` when the clusters violate the constraints
     above (odd negative-real multiplicity, unmatched complex pair, mu mismatch).
+    Raises :class:`InputError` when ``tol.cluster < tol.eig_residual``: a
+    resolution finer than the eigen-residual would split noise.
     """
+    if tol.cluster < tol.eig_residual:
+        raise InputError("cluster tolerance must be at least the eigen-residual tolerance")
     m = as_square_matrix(a)
     cn_residual, norm = _require_conjugate_normal(m, tol)
     values, vectors = eig_normal(m @ m.conj(), tol)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, formats, seeds, exit codes."""
 
+import argparse
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from wignerpf import SpectrumEntry, SpectrumSpec, random_conjugate_normal
-from wignerpf.cli import main
+from wignerpf.cli import _build_parser, main
 from wignerpf.io import write_matrix
 
 from conftest import corpus_spec
@@ -196,6 +197,76 @@ class TestExitCodes:
         code, out = run(capsys, ["pf", "--tol-eig", "-1", files["j.mm"]])
         assert code == 2
         assert json.loads(out)["error"]["code"] == 2
+
+
+#: the options each subcommand takes besides --help: the ones it reads
+OPTION_SETS = {
+    "pf": {"--format", "--tol-eig", "--tol-cluster", "--method", "--output"},
+    "apf": {"--format", "--output"},
+    "wnf": {"--format", "--tol-eig", "--tol-cluster", "--output"},
+    "check": {"--format", "--tol-eig", "--output"},
+    "identities": {
+        "--format", "--tol-eig", "--tol-cluster", "--seed", "--partner", "--lam", "--output"
+    },
+    "gen": {"--format", "--seed", "--output"},
+}
+
+CLUSTER_BELOW_EIG = "cluster tolerance must be at least the eigen-residual tolerance"
+
+
+class TestOptionSets:
+    @pytest.mark.parametrize("command", OPTION_SETS)
+    def test_each_subcommand_takes_only_the_options_it_reads(self, command):
+        (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        actions = sub.choices[command]._actions
+        flags = {flag for action in actions for flag in action.option_strings}
+        assert flags - {"-h", "--help"} == OPTION_SETS[command]
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            ("pf", "--seed"),
+            ("apf", "--tol-eig"),
+            ("apf", "--tol-cluster"),
+            ("apf", "--seed"),
+            ("wnf", "--seed"),
+            ("check", "--tol-cluster"),
+            ("check", "--seed"),
+            ("gen", "--tol-eig"),
+            ("gen", "--tol-cluster"),
+        ],
+    )
+    def test_an_option_the_subcommand_does_not_read_exits_2(self, capsys, files, command, option):
+        with pytest.raises(SystemExit) as info:
+            main([command, option, "1", files["j.mm"]])
+        out, err = capsys.readouterr()
+        assert info.value.code == 2
+        assert out == ""
+        # rejected as any unknown option is, by the top-level parser
+        assert err.startswith("usage: wignerpf ")
+        assert f"wignerpf: error: unrecognized arguments: {option}" in err
+
+    @pytest.mark.parametrize("argv", [["check"], ["pf", "--method", "relation"]])
+    def test_eig_residual_above_cluster_where_nothing_is_clustered(self, capsys, files, argv):
+        argv = [*argv, "--format", "json"]
+        default = run(capsys, [*argv, files["a2.json"]])
+        loose = run(capsys, [*argv, "--tol-eig", "1e-6", files["a2.json"]])
+        assert default[0] == 0
+        assert loose == default
+
+    @pytest.mark.parametrize("command", ["pf", "wnf", "identities"])
+    def test_eig_residual_above_cluster_where_the_spectrum_is_clustered(
+        self, capsys, files, command
+    ):
+        argv = [command, "--format", "json", "--tol-eig", "1e-6", files["a2.json"]]
+        code, out = run(capsys, argv)
+        assert code == 2
+        assert json.loads(out) == {"error": {"code": 2, "message": CLUSTER_BELOW_EIG}}
+        # the rule is checked when a matrix reaches the clustering: a file
+        # that cannot be read fails first
+        code, out = run(capsys, [*argv[:-1], "/nonexistent/m.json"])
+        assert code == 2
+        assert json.loads(out)["error"]["message"].startswith("cannot read /nonexistent/m.json")
 
 
 class TestMultipleInputs:
@@ -404,6 +475,15 @@ class TestGen:
             assert code == 2
             assert out.count("\n") == 1
             assert "omega must be a number or [re, im]" in json.loads(out)["error"]["message"]
+
+    def test_spec_that_is_not_json_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text("spectrum: complex")
+        code, out = run(capsys, ["gen", str(path)])
+        assert code == 2
+        assert json.loads(out) == {
+            "error": {"code": 2, "message": "line 1: invalid JSON: Expecting value"}
+        }
 
     def test_bad_spec_exit_2(self, capsys, tmp_path):
         path = tmp_path / "spec.json"

@@ -30,6 +30,11 @@ class TestGenerators:
         with pytest.raises(InputError):
             random_unitary(3, -7)
 
+    def test_dimension_below_one_rejected(self):
+        with pytest.raises(InputError) as info:
+            random_ginibre(0, 1)
+        assert str(info.value) == "dimension must be >= 1, got 0"
+
     def test_seed_changes_output(self):
         assert not np.allclose(random_ginibre(4, 0), random_ginibre(4, 1))
 
@@ -57,6 +62,11 @@ class TestSpectrumEntry:
             SpectrumEntry("complex", 1.0 - 0.5j)
         with pytest.raises(InputError):
             SpectrumEntry("complex", 1.0 + 0.0j)
+
+    def test_multiplicity_below_one_rejected(self):
+        with pytest.raises(InputError) as info:
+            SpectrumEntry("complex", 1.0 + 0.5j, 0)
+        assert str(info.value) == "multiplicity must be >= 1"
 
     def test_negative_real_requires_even_multiplicity(self):
         SpectrumEntry("negative-real", -2.0, 2)
@@ -108,6 +118,12 @@ class TestSpectrumSpec:
             ),
             seed=17,
         )
+
+    def test_dim_must_be_an_integer(self):
+        data = {"spectrum": [{"class": "complex", "omega": [0, 1]}], "dim": "4"}
+        with pytest.raises(InputError) as info:
+            SpectrumSpec.from_json_dict(data)
+        assert str(info.value) == '"dim" must be an integer when present'
 
     def test_dimension(self):
         assert self._spec().dimension == 5

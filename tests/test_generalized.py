@@ -1,5 +1,6 @@
 """Generalized Pfaffian, the determinant-ratio route, and the identity battery."""
 
+import cmath
 import math
 import traceback
 
@@ -13,6 +14,7 @@ from wignerpf import (
     PfDiagnostics,
     PfResult,
     PfUndefinedError,
+    SpectralConsistencyError,
     SpectrumEntry,
     SpectrumSpec,
     antisymmetrized_pfaffian,
@@ -236,6 +238,65 @@ class TestRelationRoute:
             apf = antisymmetrized_pfaffian(matrix)
             assert apf.value == 0
             assert apf.diagnostics.singular
+
+
+    def test_positive_real_ratio_off_conjugate_normal_input(self):
+        # det/apf^2 is positive real on every conjugate-normal matrix, but not
+        # only there: this one has ratio 8/9, and the guard rejects it
+        matrix = np.array([[0.0, 2.0], [-1.0, 0.0]])
+        apf = antisymmetrized_pfaffian(matrix)
+        ratio = apf.diagnostics.det / apf.value**2
+        assert ratio.real == pytest.approx(8 / 9, rel=1e-15)
+        assert ratio.imag == 0
+        with pytest.raises(NotConjugateNormalError) as info:
+            generalized_pfaffian_via_relation(matrix)
+        assert info.value.residual == pytest.approx(0.6 * math.sqrt(2), rel=1e-12)
+        assert str(info.value) == (
+            "matrix is not conjugate-normal: residual 8.485e-01 exceeds 1.0e-10"
+        )
+
+    def test_ratio_that_is_not_positive_real(self):
+        with pytest.raises(NotConjugateNormalError) as info:
+            generalized._relation_value(-1 + 0j, 1 + 0j)
+        assert str(info.value) == (
+            "det(A)/det((A - A^T)/2) = -1+0j is not positive real; the input is "
+            "not conjugate-normal (the ratio is guaranteed positive for "
+            "conjugate-normal matrices)"
+        )
+
+
+def near_axis_pair(radius, seed):
+    """A conjugate-normal 4x4 matrix whose Lambda holds 1+2i and a complex
+    pair of modulus ``radius`` at angle 1 (and their conjugates)."""
+    spec = SpectrumSpec(
+        (SpectrumEntry("complex", 1 + 2j), SpectrumEntry("complex", cmath.rect(radius, 1.0))),
+        seed=seed,
+    )
+    return random_conjugate_normal(spec)
+
+
+class TestNearAxisComplexPair:
+    """The standing near-axis defect: a complex pair with ``|omega - conj(omega)|``
+    of 5e-8 to 2e-6 times ``||Lambda||`` has eigenvectors fixed only to about
+    ``eps ||Lambda|| / |omega - conj(omega)|``, so U fails the unitarity check
+    (exit 5) on conjugate-normal input."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=SpectralConsistencyError,
+        reason="near-axis complex pair: U is not unitary (standing defect)",
+    )
+    @pytest.mark.parametrize("seed", range(5))
+    def test_small_pair_gives_the_pfaffian(self, seed):
+        matrix = near_axis_pair(1e-7, seed)
+        value = generalized_pfaffian(matrix).value
+        np.testing.assert_allclose(value**2, np.linalg.det(matrix), rtol=1e-6)
+
+    def test_pair_clear_of_the_axis_gives_the_pfaffian(self):
+        for seed in range(5):
+            matrix = near_axis_pair(1e-5, seed)
+            value = generalized_pfaffian(matrix).value
+            np.testing.assert_allclose(value**2, np.linalg.det(matrix), rtol=1e-6)
 
 
 class TestDerivative:

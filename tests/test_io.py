@@ -162,6 +162,31 @@ class TestMatrixMarketParsing:
         np.testing.assert_array_equal(doc.matrix, matrix)
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "%%MatrixMarket matrix array\n1 1\n1\n",
+                "line 1: malformed header: expected '%%MatrixMarket matrix array "
+                "<field> general'",
+            ),
+            (
+                "%%MatrixMarket vector array real general\n1 1\n1\n",
+                "line 1: unsupported object 'vector' (only 'matrix')",
+            ),
+            (
+                "%%MatrixMarket matrix array real general\n2 x\n1\n",
+                "line 2: size line must hold exactly two integers",
+            ),
+        ],
+        ids=["header", "object", "size-not-integer"],
+    )
+    def test_exact_header_errors(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_matrix(io.StringIO(text), "mm")
+        assert str(info.value) == message
+
+
 @pytest.mark.filterwarnings("error")
 class TestJsonParsing:
     def test_basic(self):
@@ -204,6 +229,11 @@ class TestJsonParsing:
         with pytest.raises(ParseError) as info:
             parse_matrix(io.StringIO(text), "json")
         assert fragment in str(info.value)
+
+    def test_entries_not_an_array(self):
+        with pytest.raises(ParseError) as info:
+            parse_matrix(io.StringIO('{"rows": 1, "cols": 1, "entries": {}}'), "json")
+        assert str(info.value) == '"entries" must be an array of [re, im] pairs'
 
     def test_invalid_json_has_line_number(self):
         with pytest.raises(ParseError) as info:
@@ -276,3 +306,8 @@ class TestMatrixDocument:
         )
         assert doc.source_format == "json"
         assert doc.metadata == {"k": "v"}
+
+    def test_rejects_unknown_format(self):
+        with pytest.raises(ParseError) as info:
+            MatrixDocument(matrix=np.eye(1), source_format="csv")
+        assert str(info.value) == "unknown format 'csv'; expected one of ('mm', 'json')"

@@ -69,6 +69,13 @@ class TestValidation:
         np.testing.assert_array_equal(as_matrix(src), src)
 
 
+    def test_non_numeric_entry(self):
+        with pytest.raises(InputError) as info:
+            as_matrix([[1, "a"]])
+        assert type(info.value) is InputError
+        assert str(info.value).startswith("cannot interpret input as a complex matrix: ")
+
+
 class TestTolerances:
     def test_defaults(self):
         assert DEFAULT_TOL.eig_residual == 1e-10
@@ -86,9 +93,10 @@ class TestTolerances:
         with pytest.raises(InputError):
             Tolerances(eig_residual=True, cluster=True)
 
-    def test_rejects_cluster_below_eig_residual(self):
-        with pytest.raises(InputError):
-            Tolerances(eig_residual=1e-6, cluster=1e-8)
+    def test_takes_cluster_below_eig_residual(self):
+        # only the clustering ties the two (see test_normal_form.py)
+        tol = Tolerances(eig_residual=1e-6, cluster=1e-8)
+        assert (tol.eig_residual, tol.cluster) == (1e-6, 1e-8)
 
     def test_threshold_scaling(self):
         tol = Tolerances()

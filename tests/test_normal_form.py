@@ -95,6 +95,25 @@ class TestBlocks:
             assemble_sigma([Real1Block(1.0, 1), OffDiagBlock(2.0j, 1)])
 
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Real1Block(1.0, 0), "block multiplicity must be >= 1"),
+            (lambda: assemble_sigma(["x"]), "unknown block type: str"),
+            (
+                lambda: NormalForm(np.eye(3), (OffDiagBlock(1j, 1),), 0.0, 0.0),
+                "u has dimension 3 but blocks describe dimension 2",
+            ),
+        ],
+        ids=["multiplicity", "block-type", "u-dimension"],
+    )
+    def test_exact_error(self, make, message):
+        with pytest.raises(InputError) as info:
+            make()
+        assert type(info.value) is InputError
+        assert str(info.value) == message
+
+
 class TestConjugateNormality:
     def test_constructed_matrices_pass(self):
         spec = corpus_spec(1)
@@ -352,6 +371,27 @@ class TestClassificationErrors:
             classify_with_eigenvalues(monkeypatch, values)
         assert type(info.value) is SpectralConsistencyError
         assert str(info.value) == message
+
+    def test_rejects_cluster_below_eig_residual(self):
+        # the one rule that ties the two tolerances is the clustering's; every
+        # normal-form entry point reaches it
+        tol = Tolerances(eig_residual=1e-6, cluster=1e-8)
+        hand = np.array([[0.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])
+        for entry in (classify_spectrum, wigner_normal_form, generalized_pfaffian):
+            with pytest.raises(InputError) as info:
+                entry(hand, tol)
+            assert type(info.value) is InputError
+            assert str(info.value) == (
+                "cluster tolerance must be at least the eigen-residual tolerance"
+            )
+
+    def test_routes_that_cluster_nothing_take_cluster_below_eig_residual(self):
+        tol = Tolerances(eig_residual=1e-6, cluster=1e-8)
+        hand = np.array([[0.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])
+        assert is_conjugate_normal(hand, tol) == is_conjugate_normal(hand)
+        for engine in ("parlett-reid", "polynomial"):
+            loose = generalized_pfaffian_via_relation(hand, tol, engine=engine)
+            assert loose == generalized_pfaffian_via_relation(hand, engine=engine)
 
     def test_partners_are_mutual(self, monkeypatch):
         values = [1j, -1j, 1.0, 0.6 + 0.8j, 0.6 - 0.8j, -1.0, -1.0]
