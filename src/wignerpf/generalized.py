@@ -12,8 +12,13 @@ Two extensions of the Pfaffian beyond skew-symmetric matrices live here:
 They are linked by ``pf(A) = sqrt(det(A) / det((A - A^T)/2)) * apf(A)``
 with a positive real ratio, which :func:`generalized_pfaffian` cross-checks
 once its value is decided, and they always share their complex phase.
-The conjugate-normality guard lives in :mod:`wignerpf.normal_form`;
-:func:`generalized_pfaffian` meets it inside :func:`wigner_normal_form`.
+
+:func:`generalized_pfaffian` builds no U.  Unitary congruence,
+``pf(Q A Q^T) = det(Q) pf(A)``, and the direct sum, ``pf(A + B) = pf(A)
+pf(B)``, give ``pf(A) = det(X) prod_J pf(C_J)`` from one SVD ``A = X D
+Y^H``, with ``C_J`` the diagonal blocks of ``X^H A conj(X)`` on the groups
+of equal singular values; each block takes the relation above.  The
+conjugate-normality guard lives in :mod:`wignerpf.normal_form`.
 """
 
 from __future__ import annotations
@@ -26,13 +31,23 @@ import numpy as np
 import scipy.linalg
 
 from .ensembles import random_unitary
-from .errors import InputError, NotConjugateNormalError, PfUndefinedError
-from .linalg import DEFAULT_TOL, Tolerances, as_square_matrix, det_lu
+from .errors import (
+    InputError,
+    NotConjugateNormalError,
+    PfUndefinedError,
+    ReconstructionError,
+    SpectralConsistencyError,
+)
+from .linalg import DEFAULT_TOL, Tolerances, as_square_matrix, det_lu, unitarity_defect
 from .normal_form import (
-    NormalForm,
-    Real1Block,
+    _RECONSTRUCT_RTOL,
+    _UNITARITY_RTOL,
+    POSITIVE_REAL,
+    ZERO,
+    _normal_form,
     _require_conjugate_normal,
-    wigner_normal_form,
+    _require_resolution,
+    classify_spectrum,
 )
 from .pfaffian import pf_polynomial, pf_skew_parlett_reid
 
@@ -46,6 +61,12 @@ DEFAULT_IDENTITY_SEED = 1905  #: seeds Q in the battery's congruence row
 
 #: i**k by k mod 4, the exact 4-cycle (never a floating-point power)
 _I_POWER = (1 + 0j, 1j, -1 + 0j, -1j)
+
+#: singular values of A whose gap is at most _GROUP_RTOL * d_1 share a group:
+#: a group's singular vectors are good to about eps ||A|| / gap
+_GROUP_RTOL = 1e-6
+
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -107,16 +128,17 @@ def _relation_value(det_a: complex, apf: complex) -> complex:
 def generalized_pfaffian(a, tol: Tolerances = DEFAULT_TOL) -> PfResult:
     """Pfaffian of a conjugate-normal matrix through its normal form.
 
-    ``pf(A) = i^(n^2) det(U) prod |s_k|`` over the 2x2 blocks, n = dim/2;
-    every tolerance is relative to ||A||, so pf(2^j A) = 2^(j n) pf(A) bit
-    for bit.  Singularity comes only from a 1x1 block with sigma = 0 (a
-    "zero" Lambda-eigenvalue, decided by :func:`classify_spectrum` at
-    ``tol.cluster * ||A||^2``): the value is then 0 with
-    ``diagnostics.singular`` set.  A 1x1 block with sigma > 0 (this includes
-    every non-singular odd-dimensional matrix) means no continuous Pfaffian
-    extension exists and :class:`PfUndefinedError` is raised.  A non-singular
-    ``|pf|`` outside ``[tiny, inf)`` raises :class:`InputError`; it is never
-    returned as 0.  Both errors come before any diagnostic is computed.
+    ``pf(A) = i^(n^2) det(U) prod |s_k|`` over the 2x2 blocks, n = dim/2,
+    read as ``det(X) prod_J pf(C_J)`` over the groups of A's singular values
+    (see :func:`_normal_form_pfaffian`); every tolerance is relative to
+    ||A||, so pf(2^j A) = 2^(j n) pf(A) bit for bit.  A smallest singular
+    value at or below ``dim * eps * d_1`` makes A singular: the value is then
+    0 with ``diagnostics.singular`` set.  A 1x1 block with sigma > 0 (this
+    includes every non-singular odd-dimensional matrix) means no continuous
+    Pfaffian extension exists and :class:`PfUndefinedError` is raised.  A
+    non-singular ``|pf|`` outside ``[tiny, inf)`` raises :class:`InputError`;
+    it is never returned as 0.  Both errors come before any diagnostic is
+    computed.
 
     Only then are ``det(A)`` and ``apf`` (one Parlett-Reid factorization)
     computed, and a non-singular value is recomputed through the
@@ -125,41 +147,192 @@ def generalized_pfaffian(a, tol: Tolerances = DEFAULT_TOL) -> PfResult:
     ``det((A - A^T)/2) = apf**2`` both lie in ``[tiny, inf)``.
     """
     m = as_square_matrix(a)
-    nf, value = _normal_form_pfaffian(m, tol)
+    cn_residual, value = _normal_form_pfaffian(m, tol)
     det_a = det_lu(m)
     apf = pf_skew_parlett_reid((m - m.T) / 2.0)
     cross = None
     if value != 0 and _in_range(det_a) and _in_range(apf**2):
         cross = float(abs(value - _relation_value(det_a, apf)) / abs(value))
-    diag = PfDiagnostics(det_a, apf, nf.conjugate_normal_residual, value == 0, cross)
+    diag = PfDiagnostics(det_a, apf, cn_residual, value == 0, cross)
     return PfResult(value, "normal-form", diag)
 
 
-def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[NormalForm, complex]:
-    """The normal form of a square ``m`` and :func:`generalized_pfaffian`'s
-    value from it (0 when singular), with its errors and no diagnostics."""
-    nf = wigner_normal_form(m, tol)
-    real_blocks = [b for b in nf.blocks if isinstance(b, Real1Block)]
-    if any(b.sigma == 0.0 for b in real_blocks):
-        return nf, 0j
-    if real_blocks:
-        dim = m.shape[0]
-        extra = " (odd dimension)" if dim % 2 else ""
-        raise PfUndefinedError(
-            "the spectrum of A conj(A) contains a positive real "
-            f"eigenvalue{extra}; the antisymmetric part is singular while A "
-            "is not, so no continuous Pfaffian extension exists"
+def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[float, complex]:
+    """:func:`generalized_pfaffian`'s value of a square ``m`` (0 when
+    singular) and the guard's residual, with its errors and no diagnostics.
+
+    One SVD ``A = X D Y^H`` (:func:`_svd`) and the descending d split into
+    groups J wherever a gap exceeds ``_GROUP_RTOL * d_1``.  A group's left
+    singular space is spanned by U's columns for the blocks with ``|s|`` (or
+    sigma) in it and its right one by their conjugates, so
+    ``C = X^H A conj(X) = D (Y^H conj(X))`` is block diagonal,
+    ``A = X C X^T`` and ``pf(A) = det(X) prod_J pf(C_J)``.  Two witnesses
+    bound what the normal form's unitarity and reconstruction checks bound:
+    ``unitarity_defect(X) <= _UNITARITY_RTOL sqrt(dim)``, and the norm of C
+    outside its group blocks, which is ``||A - X (+)_J C_J X^T||``, at most
+    ``_RECONSTRUCT_RTOL ||A||_F``.
+
+    A smallest d at or below ``dim * eps * d_1`` makes A singular; otherwise
+    a group of odd size holds a positive sigma and the value is undefined.
+    Each even group's block is scaled by a power of two near its d and takes
+    the determinant-ratio relation (the 2x2 blocks all at once, in closed
+    form); a block whose ratio is not positive real takes the Lambda
+    pipeline (:func:`_spectral_value`), which decides a positive sigma there
+    from its classes.  A single group that spans A takes that pipeline on A.
+    """
+    # any group may take the pipeline, which clusters: the rule is checked
+    # whatever the input
+    _require_resolution(tol)
+    x, d, yh = _svd(m)
+    dim = m.shape[0]
+    stops = np.append(np.flatnonzero(d[:-1] - d[1:] > _GROUP_RTOL * d[0]) + 1, dim)
+    if len(stops) == 1:
+        return _spectral_value(m, tol)
+    cn_residual, norm = _require_conjugate_normal(m, tol)
+    starts = np.concatenate(([0], stops[:-1]))
+    sizes = stops - starts
+
+    c = yh @ x.conj()
+    c *= d[:, None]
+    # the 2x2 blocks gathered in one array, the others one by one; then the
+    # blocks are zeroed and what is left of C is the reconstruction residual
+    pair_rows = starts[sizes == 2][:, None] + np.arange(2)
+    pair_index = (pair_rows[:, :, None], pair_rows[:, None, :])
+    pairs = c[pair_index]
+    c[pair_index] = 0.0
+    others = []
+    for lo, hi in zip(starts[sizes != 2].tolist(), stops[sizes != 2].tolist()):
+        others.append((lo, hi, c[lo:hi, lo:hi].copy()))
+        c[lo:hi, lo:hi] = 0.0
+    defect = unitarity_defect(x)
+    if defect > _UNITARITY_RTOL * math.sqrt(dim):
+        raise SpectralConsistencyError(
+            f"singular vectors X are not unitary within tolerance: defect "
+            f"{defect:.3e} exceeds {_UNITARITY_RTOL:.1e} * sqrt({dim})"
+        )
+    residual = float(np.linalg.norm(c))
+    if residual > _RECONSTRUCT_RTOL * norm:
+        raise ReconstructionError(
+            f"||A - X C X^T|| = {residual:.3e} outside the singular-value groups "
+            f"exceeds {_RECONSTRUCT_RTOL:.1e} * ||A||; the input is likely further "
+            "from conjugate-normal than the tolerances assume"
         )
 
+    if d[-1] <= dim * np.finfo(float).eps * d[0]:
+        return cn_residual, 0j
+    if any((hi - lo) % 2 for lo, hi, _ in others):
+        raise _positive_sigma(dim)
+
+    # each block is scaled by 2^-e, e the exponent nearest log2 of its
+    # largest d, so pf(2^j A) = 2^(j dim/2) pf(A) bit for bit
+    pair_exponents = _near_exponent(d[pair_rows[:, 0]])
+    pairs *= np.ldexp(1.0, -pair_exponents)[:, None, None]
+    values = _pair_values(pairs, tol)
+    exponent = int(np.sum(pair_exponents))
+    for lo, hi, block in others:
+        e = int(_near_exponent(d[lo]))
+        block *= math.ldexp(1.0, -e)
+        values.append(_group_value(block, tol))
+        exponent += e * (hi - lo) // 2
+
+    # the product as a mantissa and a power of two, so no partial product
+    # leaves the double range; |det(X)| = 1 decides nothing about the range
+    mantissa = 1 + 0j
+    for value in values:
+        mantissa *= value
+        _, e = math.frexp(abs(mantissa))
+        mantissa = complex(math.ldexp(mantissa.real, -e), math.ldexp(mantissa.imag, -e))
+        exponent += e
+    if mantissa == 0:
+        return cn_residual, 0j
+    log10_abs = math.log10(abs(mantissa)) + exponent * math.log10(2.0)
+    if not -1021 <= exponent <= 1024:
+        raise _out_of_range(log10_abs)
+    value = det_lu(x) * complex(
+        math.ldexp(mantissa.real, exponent), math.ldexp(mantissa.imag, exponent)
+    )
+    if not _in_range(value):  # |det(X)| = 1 to rounding moved it out
+        raise _out_of_range(log10_abs)
+    return cn_residual, value
+
+
+def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(X, d, Y^H)`` of ``m`` from LAPACK's divide and conquer ``gesdd``, or
+    from ``gesvd`` when ``gesdd`` does not converge."""
+    try:
+        return scipy.linalg.svd(m, lapack_driver="gesdd", check_finite=False)
+    except scipy.linalg.LinAlgError:
+        return scipy.linalg.svd(m, lapack_driver="gesvd", check_finite=False)
+
+
+def _near_exponent(d):
+    """The integer e with ``d / 2^e`` in ``[sqrt(1/2), sqrt(2))``, elementwise
+    and exact under power-of-two scaling."""
+    mantissa, e = np.frexp(d)
+    return e - (mantissa < _SQRT_HALF)
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _pair_values(blocks: np.ndarray, tol: Tolerances) -> list[complex]:
+    """pf of every 2x2 block, ``sqrt(det / apf^2) apf`` with
+    :func:`_relation_value`'s test of the ratio, all blocks at once; a block
+    whose ratio fails takes the normal form, as in :func:`_group_value`."""
+    apf = (blocks[:, 0, 1] - blocks[:, 1, 0]) / 2.0
+    det = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
+    ratio = det / apf**2
+    ok = (apf != 0) & (ratio.real > 0.0) & (
+        np.abs(ratio.imag) <= RATIO_IMAG_RTOL * np.abs(ratio.real)
+    )
+    values = (np.sqrt(np.where(ok, ratio.real, 0.0)) * apf).tolist()
+    for k in np.flatnonzero(~ok).tolist():
+        values[k] = _spectral_value(blocks[k], tol)[1]
+    return values
+
+
+def _group_value(block: np.ndarray, tol: Tolerances) -> complex:
+    """pf of one group's block through the determinant-ratio relation, or,
+    where its ratio is not positive real or its apf is 0, through the
+    normal-form pipeline."""
+    try:
+        return _relation_value(det_lu(block), pf_skew_parlett_reid((block - block.T) / 2.0))
+    except (NotConjugateNormalError, PfUndefinedError):
+        return _spectral_value(block, tol)[1]
+
+
+def _spectral_value(m: np.ndarray, tol: Tolerances) -> tuple[float, complex]:
+    """The value ``i^(n^2) det(U) prod |s_k|`` of a square ``m`` from its
+    normal form, and the guard's residual.  The classes decide first: a zero
+    Lambda-eigenvalue makes ``m`` singular (value 0) and a positive-real one
+    leaves the value undefined, and only a value builds U."""
+    pairing = classify_spectrum(m, tol)
+    kinds = {cluster.kind for cluster in pairing.clusters}
+    if ZERO in kinds:
+        return pairing.conjugate_normal_residual, 0j
+    if POSITIVE_REAL in kinds:
+        raise _positive_sigma(m.shape[0])
+
+    nf = _normal_form(m, pairing)
     try:
         magnitude = math.prod(abs(b.s) ** b.multiplicity for b in nf.blocks)
     except OverflowError:  # one block's power alone overflows
         magnitude = math.inf
     value = _I_POWER[nf.half_dim * nf.half_dim % 4] * nf.det_u * magnitude
     if not _in_range(value):
-        exponent = sum(b.multiplicity * math.log10(abs(b.s)) for b in nf.blocks)
-        raise InputError(f"|pf(A)| ~ 1e{exponent:.0f} is outside the double range")
-    return nf, complex(value)
+        raise _out_of_range(sum(b.multiplicity * math.log10(abs(b.s)) for b in nf.blocks))
+    return nf.conjugate_normal_residual, complex(value)
+
+
+def _positive_sigma(dim: int) -> PfUndefinedError:
+    extra = " (odd dimension)" if dim % 2 else ""
+    return PfUndefinedError(
+        "the spectrum of A conj(A) contains a positive real "
+        f"eigenvalue{extra}; the antisymmetric part is singular while A "
+        "is not, so no continuous Pfaffian extension exists"
+    )
+
+
+def _out_of_range(log10_abs: float) -> InputError:
+    return InputError(f"|pf(A)| ~ 1e{log10_abs:.0f} is outside the double range")
 
 
 def _in_range(x: complex) -> bool:
@@ -301,8 +474,9 @@ def identity_report(
     i sqrt(2)) confirms the adjoint sign independently.
 
     One :func:`generalized_pfaffian` call on A gives the det(A) and apf(A)
-    the ``square-det`` and ``phase`` rows read; each derived row runs the
-    normal form with all of its checks but no determinant-ratio cross-check.
+    the ``square-det`` and ``phase`` rows read; each derived row takes the
+    value alone (:func:`_normal_form_pfaffian`, with the guard and both
+    witnesses) and no determinant-ratio cross-check.
     B defaults to diag(2, 3).  Raises :class:`PfUndefinedError` for
     singular A (most rows degenerate there); other errors propagate from
     the individual Pfaffian computations.

@@ -14,6 +14,7 @@ from wignerpf import (
     PfDiagnostics,
     PfResult,
     PfUndefinedError,
+    ReconstructionError,
     SpectralConsistencyError,
     SpectrumEntry,
     SpectrumSpec,
@@ -276,27 +277,104 @@ def near_axis_pair(radius, seed):
 
 
 class TestNearAxisComplexPair:
-    """The standing near-axis defect: a complex pair with ``|omega - conj(omega)|``
-    of 5e-8 to 2e-6 times ``||Lambda||`` has eigenvectors fixed only to about
-    ``eps ||Lambda|| / |omega - conj(omega)|``, so U fails the unitarity check
-    (exit 5) on conjugate-normal input."""
+    """A complex pair with ``|omega - conj(omega)|`` of 5e-8 to 2e-6 times
+    ``||Lambda||`` has Lambda-eigenvectors fixed only to about ``eps ||Lambda|| /
+    |omega - conj(omega)|``, so the normal form's U fails its unitarity check
+    (exit 5).  The Pfaffian reads the pair from A's singular values instead,
+    whose resolution is relative to ``||A||``, not ``||A||^2``."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("radius", [1e-7, 3e-7, 1e-6, 3e-6, 1e-5])
+    def test_small_pair_gives_the_pfaffian(self, radius, seed):
+        matrix = near_axis_pair(radius, seed)
+        value = generalized_pfaffian(matrix).value
+        np.testing.assert_allclose(value**2, np.linalg.det(matrix), rtol=1e-6)
+        relation = generalized_pfaffian_via_relation(matrix).value
+        np.testing.assert_allclose(value, relation, rtol=1e-10)
 
     @pytest.mark.xfail(
         strict=True,
         raises=SpectralConsistencyError,
-        reason="near-axis complex pair: U is not unitary (standing defect)",
+        reason="near-axis complex pair: U is not unitary (standing defect of wnf)",
     )
-    @pytest.mark.parametrize("seed", range(5))
-    def test_small_pair_gives_the_pfaffian(self, seed):
-        matrix = near_axis_pair(1e-7, seed)
-        value = generalized_pfaffian(matrix).value
-        np.testing.assert_allclose(value**2, np.linalg.det(matrix), rtol=1e-6)
+    @pytest.mark.parametrize("seed", range(20))
+    def test_small_pair_gives_the_normal_form(self, seed):
+        wigner_normal_form(near_axis_pair(1e-7, seed))
 
-    def test_pair_clear_of_the_axis_gives_the_pfaffian(self):
-        for seed in range(5):
-            matrix = near_axis_pair(1e-5, seed)
+
+def real_pair_spec(omega, delta):
+    """Lambda-eigenvalues omega and omega (1 + delta), each of multiplicity 2,
+    next to the complex pair 1+2i."""
+    kind = "negative-real" if omega < 0 else "positive-real"
+    return SpectrumSpec(
+        (
+            SpectrumEntry("complex", 1 + 2j),
+            SpectrumEntry(kind, omega, 2),
+            SpectrumEntry(kind, omega * (1 + delta), 2),
+        ),
+        seed=1,
+    )
+
+
+def assert_relation_value(matrix, rtol):
+    value = generalized_pfaffian(matrix).value
+    relation = generalized_pfaffian_via_relation(matrix).value
+    assert abs(value - relation) <= rtol * abs(relation)
+
+
+class TestStandingDefectWindows:
+    """The inputs on which the Lambda route exits 5 (the standing defects:
+    near-degenerate real eigenvalues, pairs near the real axis, eigenvalues
+    under the zero floor ``cluster ||A||^2``).  The Pfaffian gives the value
+    of the determinant-ratio relation there, or exits 4 for a positive
+    sigma; ``wigner_normal_form`` still exits 5 on them."""
+
+    @pytest.mark.parametrize("delta", np.logspace(-10, -5, 26).tolist())
+    def test_near_degenerate_negative_real_eigenvalues(self, delta):
+        assert_relation_value(random_conjugate_normal(real_pair_spec(-2.0, delta)), 1e-12)
+
+    @pytest.mark.parametrize("delta", np.logspace(-10, -5, 26).tolist())
+    def test_near_degenerate_positive_real_eigenvalues(self, delta):
+        with pytest.raises(PfUndefinedError, match="positive real eigenvalue; the"):
+            generalized_pfaffian(random_conjugate_normal(real_pair_spec(2.0, delta)))
+
+    @pytest.mark.parametrize("side", [1, -1], ids=["positive", "negative"])
+    @pytest.mark.parametrize("angle", np.logspace(-12, -4, 17).tolist())
+    def test_pair_near_the_real_axis(self, angle, side):
+        omega = side * 2.0 * cmath.exp(1j * side * angle)
+        entries = (SpectrumEntry("complex", 1 + 2j), SpectrumEntry("complex", omega))
+        matrix = random_conjugate_normal(SpectrumSpec(entries, seed=2))
+        try:
             value = generalized_pfaffian(matrix).value
-            np.testing.assert_allclose(value**2, np.linalg.det(matrix), rtol=1e-6)
+        except PfUndefinedError:
+            # within the resolution of the pair's ratio it is a positive sigma
+            assert side == 1 and angle < 1e-9
+            return
+        relation = generalized_pfaffian_via_relation(matrix).value
+        # both routes' phase is good to eps times the pair's factor |s| / Im s
+        s = cmath.sqrt(omega)
+        factor = abs(s) / abs(s.imag)
+        assert abs(value - relation) <= (1e-13 + 10 * np.finfo(float).eps * factor) * abs(relation)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            SpectrumEntry("negative-real", -5e-8, 2),
+            SpectrumEntry("complex", 9e-8 + 6e-8j),
+        ],
+        ids=["negative-real", "complex"],
+    )
+    def test_small_block_under_the_zero_floor(self, entry):
+        base = (SpectrumEntry("complex", 1 + 2j), SpectrumEntry("negative-real", -3.0, 2))
+        matrix = random_conjugate_normal(SpectrumSpec(base + (entry,), seed=1))
+        assert_relation_value(matrix, 1e-10)
+
+    def test_small_positive_sigma_under_the_zero_floor_is_undefined(self):
+        base = (SpectrumEntry("complex", 1 + 2j), SpectrumEntry("negative-real", -3.0, 2))
+        entry = SpectrumEntry("positive-real", 5e-8)
+        matrix = random_conjugate_normal(SpectrumSpec(base + (entry,), seed=1))
+        with pytest.raises(PfUndefinedError, match=r"eigenvalue \(odd dimension\)"):
+            generalized_pfaffian(matrix)
 
 
 class TestDerivative:
@@ -479,9 +557,9 @@ def assert_rows_take_the_full_pipeline_value(matrix, **kwargs):
     original = generalized._normal_form_pfaffian
 
     def recording(x, tol):
-        nf, value = original(x, tol)
+        residual, value = original(x, tol)
         seen.append((np.array(x), value))
-        return nf, value
+        return residual, value
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(generalized, "_normal_form_pfaffian", recording)
@@ -498,7 +576,7 @@ class TestPassBudget:
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        counts = dict.fromkeys(("eigh", "lu_factor", "zherk", "skew"), 0)
+        counts = dict.fromkeys(("svd", "eigh", "lu_factor", "zherk", "skew"), 0)
 
         def counting(name, f):
             def counted(*args, **kwargs):
@@ -508,6 +586,7 @@ class TestPassBudget:
             return counted
 
         for module, attr, name in (
+            (scipy.linalg, "svd", "svd"),
             (scipy.linalg, "eigh", "eigh"),
             (scipy.linalg, "lu_factor", "lu_factor"),
             (scipy.linalg.blas, "zherk", "zherk"),
@@ -517,27 +596,51 @@ class TestPassBudget:
         return counts
 
     def test_passes_per_call_and_per_battery(self, passes):
-        matrix = random_conjugate_normal(corpus_spec(14))
+        matrix = random_conjugate_normal(corpus_spec(2))  # 14 groups of two
         generalized_pfaffian(matrix)
-        # eigh of H + cK; det(U) and det(A); the guard's two Gram triangles
-        # and the unitarity check's one; the cross-check's apf
-        assert passes == {"eigh": 1, "lu_factor": 2, "zherk": 3, "skew": 1}
+        # the SVD; det(X) and det(A); the guard's two Gram triangles and the
+        # unitarity witness's one; the cross-check's apf
+        assert passes == {"svd": 1, "eigh": 0, "lu_factor": 2, "zherk": 3, "skew": 1}
         passes.update(dict.fromkeys(passes, 0))
         identity_report(matrix)
-        # nine normal forms, each with its det(U), then det(A), det(B) and
-        # det(Q); one apf, read by the phase row
-        assert passes == {"eigh": 9, "lu_factor": 12, "zherk": 27, "skew": 1}
+        # nine SVDs, each with its det(X) and three Gram triangles; the
+        # direct-sum row doubles every singular value, and each of its 14
+        # groups of four takes one LU and one apf; then det(A), det(B) and
+        # det(Q), and the apf the phase row reads
+        assert passes == {"svd": 9, "eigh": 0, "lu_factor": 26, "zherk": 27, "skew": 15}
+
+    def test_group_of_four_takes_one_lu_and_one_skew_pfaffian(self, passes):
+        matrix = random_conjugate_normal(corpus_spec(6))  # a complex pair of multiplicity 2
+        generalized_pfaffian(matrix)
+        assert passes == {"svd": 1, "eigh": 0, "lu_factor": 3, "zherk": 3, "skew": 2}
+
+    def test_single_group_takes_the_normal_form(self, passes):
+        # both singular values of a 2x2 pair are equal: the one group spans A,
+        # which takes the Lambda pipeline (eigh of H + cK, det(U), the guard
+        # and U's unitarity check) after the SVD
+        generalized_pfaffian(random_conjugate_normal(corpus_spec(14)))
+        assert passes == {"svd": 1, "eigh": 1, "lu_factor": 2, "zherk": 3, "skew": 1}
 
     def test_derivative_runs_one_normal_form_and_no_diagnostics(self, passes):
-        matrix = random_conjugate_normal(corpus_spec(14))
+        matrix = random_conjugate_normal(corpus_spec(2))
         pfaffian_derivative(matrix, np.eye(matrix.shape[0]))
-        # eigh of H + cK; det(U); the guard's two Gram triangles and the
-        # unitarity check's one; no det(A) and no apf (the solve factors A)
-        assert passes == {"eigh": 1, "lu_factor": 1, "zherk": 3, "skew": 0}
+        # the SVD; det(X); the guard's two Gram triangles and the unitarity
+        # witness's one; no det(A) and no apf (the solve factors A)
+        assert passes == {"svd": 1, "eigh": 0, "lu_factor": 1, "zherk": 3, "skew": 0}
 
-    def test_each_matrix_is_checked_where_it_enters(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "index, counts",
+        [(2, [2, 18, 2]), (14, [6, 36, 6])],
+        ids=["groups", "single-group"],
+    )
+    def test_each_matrix_is_checked_where_it_enters(self, monkeypatch, index, counts):
         # as_square_matrix reads as_matrix as a module global, so the spy
-        # sees every check; the kernels take the pipeline's arrays as given
+        # sees every check; the kernels take the pipeline's arrays as given.
+        # With groups, a call checks its entry and the skew kernel's input; a
+        # battery its entry, one call, B and each group of four of the
+        # direct-sum row; the derivative A and dA.  A single group adds
+        # classify_spectrum's entry, the pairing's vectors and images and
+        # NormalForm's u per normal form
         kernels = {"det_lu", "eig_normal", "unitarity_defect"}
         callers = []
         original = linalg.as_matrix
@@ -547,8 +650,8 @@ class TestPassBudget:
             return original(a)
 
         monkeypatch.setattr(linalg, "as_matrix", counted)
-        matrix = random_conjugate_normal(corpus_spec(14))
-        counts = []
+        matrix = random_conjugate_normal(corpus_spec(index))
+        seen = []
         for call in (
             lambda: generalized_pfaffian(matrix),
             lambda: identity_report(matrix),
@@ -557,17 +660,77 @@ class TestPassBudget:
             callers.clear()
             call()
             assert not any(callers)
-            counts.append(len(callers))
-        # a call: its entry, wigner_normal_form, classify_spectrum, the
-        # pairing's vectors and images, NormalForm's u and the skew check; a
-        # battery: its entry, one call, B and five per derived row; the
-        # derivative: A, dA and five
-        assert counts == [7, 49, 7]
+            seen.append(len(callers))
+        assert seen == counts
+
+
+class TestGroupKernel:
+    """The singular-value group kernel behind every Pfaffian value."""
+
+    def test_gesdd_failure_falls_back_to_gesvd(self, monkeypatch):
+        matrix = random_conjugate_normal(corpus_spec(2))
+        default = generalized_pfaffian(matrix).value
+        svd = scipy.linalg.svd
+        drivers = []
+
+        def failing(a, *args, lapack_driver, **kwargs):
+            drivers.append(lapack_driver)
+            if lapack_driver == "gesdd":
+                raise scipy.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, lapack_driver=lapack_driver, **kwargs)
+
+        def gesvd_only(a, *args, lapack_driver, **kwargs):
+            return svd(a, *args, lapack_driver="gesvd", **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy.linalg, "svd", failing)
+            value = generalized_pfaffian(matrix).value
+        assert drivers == ["gesdd", "gesvd"]
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy.linalg, "svd", gesvd_only)
+            want = generalized_pfaffian(matrix).value
+        assert (value.real.hex(), value.imag.hex()) == (want.real.hex(), want.imag.hex())
+        assert abs(value - default) <= 1e-13 * abs(default)
+
+    def test_unitarity_witness_raises(self, monkeypatch):
+        monkeypatch.setattr(generalized, "_UNITARITY_RTOL", 1e-17)
+        with pytest.raises(SpectralConsistencyError, match="X are not unitary"):
+            generalized_pfaffian(random_conjugate_normal(corpus_spec(2)))
+
+    def test_reconstruction_witness_raises(self, monkeypatch):
+        monkeypatch.setattr(generalized, "_RECONSTRUCT_RTOL", 1e-18)
+        with pytest.raises(ReconstructionError, match="outside the singular-value groups"):
+            generalized_pfaffian(random_conjugate_normal(corpus_spec(2)))
+
+    @pytest.mark.parametrize("odd", [1, 3])
+    def test_odd_group_is_a_positive_sigma(self, odd):
+        spec = SpectrumSpec(
+            (SpectrumEntry("complex", 1 + 2j), SpectrumEntry("positive-real", 0.5, odd)),
+            seed=3,
+        )
+        with pytest.raises(PfUndefinedError, match="eigenvalue \\(odd dimension\\); the"):
+            generalized_pfaffian(random_conjugate_normal(spec))
+
+    def test_positive_sigma_group_of_two_is_undefined(self):
+        spec = SpectrumSpec(
+            (SpectrumEntry("complex", 1 + 2j), SpectrumEntry("positive-real", 0.5, 2)),
+            seed=3,
+        )
+        with pytest.raises(PfUndefinedError, match="eigenvalue; the"):
+            generalized_pfaffian(random_conjugate_normal(spec))
 
 
 class TestGaugeInvariance:
-    def test_value_ignores_gauge_seed(self):
-        matrix = random_conjugate_normal(corpus_spec(6))  # degenerate spectrum
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            random_conjugate_normal(corpus_spec(6)),  # a group of four
+            # one group spans A, which takes the normal form
+            random_conjugate_normal(SpectrumSpec((SpectrumEntry("complex", 1 + 1j, 2),), seed=5)),
+        ],
+        ids=["groups", "single-group"],
+    )
+    def test_value_ignores_gauge_seed(self, matrix):
         base = generalized_pfaffian(matrix).value
         for seed in (1, 2, 5):
             with mixed_gauge(seed):

@@ -377,9 +377,17 @@ class TestClassificationErrors:
         # normal-form entry point reaches it
         tol = Tolerances(eig_residual=1e-6, cluster=1e-8)
         hand = np.array([[0.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])
-        for entry in (classify_spectrum, wigner_normal_form, generalized_pfaffian):
+        # the Pfaffian clusters only where a group takes the normal form, and
+        # checks the rule whatever its input: corpus matrix 2 has 14 groups
+        groups = random_conjugate_normal(corpus_spec(2))
+        for entry, matrix in (
+            (classify_spectrum, hand),
+            (wigner_normal_form, hand),
+            (generalized_pfaffian, hand),
+            (generalized_pfaffian, groups),
+        ):
             with pytest.raises(InputError) as info:
-                entry(hand, tol)
+                entry(matrix, tol)
             assert type(info.value) is InputError
             assert str(info.value) == (
                 "cluster tolerance must be at least the eigen-residual tolerance"
@@ -862,7 +870,8 @@ class TestOnePass:
 
     @pytest.mark.parametrize("residual", [0.0, 3e-11])
     def test_three_gram_products_at_every_guard_residual(self, monkeypatch, residual):
-        # the guard's A^T A* and A A^H and the unitarity check's U^H U
+        # the guard's A^T A* and A A^H and the unitarity witness's X^H X; the
+        # Pfaffian classifies no spectrum of Lambda
         matrix = random_conjugate_normal(corpus_spec(1))
         if residual:
             matrix = with_guard_residual(matrix, residual, seed=0)
@@ -881,8 +890,9 @@ class TestOnePass:
         monkeypatch.setattr(linalg, "_gram", counted_gram)
         monkeypatch.setattr(normal_form, "_gram", counted_gram)
         monkeypatch.setattr(normal_form, "classify_spectrum", counted_classify)
+        monkeypatch.setattr(generalized, "classify_spectrum", counted_classify)
         generalized_pfaffian(matrix)
-        assert calls == {"gram": 3, "classify": 1}
+        assert calls == {"gram": 3, "classify": 0}
 
     def test_fresh_arrays_are_held_without_a_copy(self, monkeypatch):
         # the eigenvectors, their images and U are built read-only, so the
@@ -896,7 +906,7 @@ class TestOnePass:
             return held
 
         monkeypatch.setattr(normal_form, "_frozen", spy)
-        generalized_pfaffian(random_conjugate_normal(corpus_spec(1)))
+        wigner_normal_form(random_conjugate_normal(corpus_spec(1)))
         assert kept == [True, True, True]
 
     def test_every_route_raises_the_same_guard_error(self):
