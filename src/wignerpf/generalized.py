@@ -66,6 +66,10 @@ _I_POWER = (1 + 0j, 1j, -1 + 0j, -1j)
 #: a group's singular vectors are good to about eps ||A|| / gap
 _GROUP_RTOL = 1e-6
 
+#: a group block's apf at or below _APF_NOISE * dim * eps * d_1 (times
+#: d_J^(k/2 - 1) for a group of k) is rounding noise
+_APF_NOISE = 16.0
+
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -175,10 +179,16 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[float, comple
     A smallest d at or below ``dim * eps * d_1`` makes A singular; otherwise
     a group of odd size holds a positive sigma and the value is undefined.
     Each even group's block is scaled by a power of two near its d and takes
-    the determinant-ratio relation (the 2x2 blocks all at once, in closed
-    form); a block whose ratio is not positive real takes the Lambda
+    the determinant-ratio relation (a 2x2 block's det and apf in closed
+    form, a larger one's from one LU and one Parlett-Reid factorization).
+    A block whose apf is rounding noise (``_APF_NOISE``: on real input the
+    ratio of a positive-sigma block is real and positive, so only its apf
+    tells it apart) or whose ratio is not positive real takes the Lambda
     pipeline (:func:`_spectral_value`), which decides a positive sigma there
-    from its classes.  A single group that spans A takes that pipeline on A.
+    from its classes.  A single group that spans A takes that pipeline on
+    A, which keeps the 2x2 examples exact: the group's block would carry
+    rounding from X, and ``pf([[0, 1+ix], [1-ix, 0]])`` would no longer
+    flip its sign exactly with x.
     """
     # any group may take the pipeline, which clusters: the rule is checked
     # whatever the input
@@ -224,15 +234,26 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[float, comple
         raise _positive_sigma(dim)
 
     # each block is scaled by 2^-e, e the exponent nearest log2 of its
-    # largest d, so pf(2^j A) = 2^(j dim/2) pf(A) bit for bit
+    # largest d, so pf(2^j A) = 2^(j dim/2) pf(A) bit for bit.  C's entries
+    # carry rounding of about dim eps d_1, so a block's apf at or below
+    # _APF_NOISE dim eps d_1 d_J^(k/2 - 1) is noise, not a pair off the axis
+    noise = _APF_NOISE * dim * np.finfo(float).eps
     pair_exponents = _near_exponent(d[pair_rows[:, 0]])
     pairs *= np.ldexp(1.0, -pair_exponents)[:, None, None]
-    values = _pair_values(pairs, tol)
+    dets = pairs[:, 0, 0] * pairs[:, 1, 1] - pairs[:, 0, 1] * pairs[:, 1, 0]
+    apfs = (pairs[:, 0, 1] - pairs[:, 1, 0]) / 2.0
+    floors = noise * np.ldexp(d[0], -pair_exponents)
+    values = [
+        _block_value(block, det, apf, floor, tol)
+        for block, det, apf, floor in zip(pairs, dets.tolist(), apfs.tolist(), floors.tolist())
+    ]
     exponent = int(np.sum(pair_exponents))
     for lo, hi, block in others:
         e = int(_near_exponent(d[lo]))
         block *= math.ldexp(1.0, -e)
-        values.append(_group_value(block, tol))
+        floor = noise * math.ldexp(d[0], -e) * math.ldexp(d[lo], -e) ** ((hi - lo) // 2 - 1)
+        apf = pf_skew_parlett_reid((block - block.T) / 2.0)
+        values.append(_block_value(block, det_lu(block), apf, floor, tol))
         exponent += e * (hi - lo) // 2
 
     # the product as a mantissa and a power of two, so no partial product
@@ -272,31 +293,20 @@ def _near_exponent(d):
     return e - (mantissa < _SQRT_HALF)
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _pair_values(blocks: np.ndarray, tol: Tolerances) -> list[complex]:
-    """pf of every 2x2 block, ``sqrt(det / apf^2) apf`` with
-    :func:`_relation_value`'s test of the ratio, all blocks at once; a block
-    whose ratio fails takes the normal form, as in :func:`_group_value`."""
-    apf = (blocks[:, 0, 1] - blocks[:, 1, 0]) / 2.0
-    det = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
-    ratio = det / apf**2
-    ok = (apf != 0) & (ratio.real > 0.0) & (
-        np.abs(ratio.imag) <= RATIO_IMAG_RTOL * np.abs(ratio.real)
-    )
-    values = (np.sqrt(np.where(ok, ratio.real, 0.0)) * apf).tolist()
-    for k in np.flatnonzero(~ok).tolist():
-        values[k] = _spectral_value(blocks[k], tol)[1]
-    return values
-
-
-def _group_value(block: np.ndarray, tol: Tolerances) -> complex:
-    """pf of one group's block through the determinant-ratio relation, or,
-    where its ratio is not positive real or its apf is 0, through the
-    normal-form pipeline."""
-    try:
-        return _relation_value(det_lu(block), pf_skew_parlett_reid((block - block.T) / 2.0))
-    except (NotConjugateNormalError, PfUndefinedError):
-        return _spectral_value(block, tol)[1]
+def _block_value(
+    block: np.ndarray, det: complex, apf: complex, floor: float, tol: Tolerances
+) -> complex:
+    """pf of one group's block from its determinant and apf through the
+    determinant-ratio relation, or, where its apf is at or below ``floor``
+    (rounding noise: the block's sigmas may be positive), its ratio is not
+    positive real or ``apf**2`` underflows, through the normal-form
+    pipeline."""
+    if abs(apf) > floor:
+        try:
+            return _relation_value(det, apf)
+        except (NotConjugateNormalError, PfUndefinedError):
+            pass
+    return _spectral_value(block, tol)[1]
 
 
 def _spectral_value(m: np.ndarray, tol: Tolerances) -> tuple[float, complex]:

@@ -584,6 +584,8 @@ def _normal_form(m: np.ndarray, pairing: SpectralPairing) -> NormalForm:
         basis = pairing.vectors[:, cluster.columns]
         image = pairing.images[:, cluster.columns]
         groups.append(_cluster_columns(cluster, basis, image))
+    # V and A conj(V) are not needed past this point
+    del pairing
 
     groups.sort(key=lambda g: _block_key(g[0]))
     pairs = [g for g in groups if g[2] is not None]

@@ -188,6 +188,25 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(out)["error"]["code"] == 3
 
+    def test_singular_odd_input_printed_to_12_digits_exit_4(self, capsys, files, tmp_path):
+        # pf's zero floor is the SVD's rounding, dim eps d_1, whatever
+        # --tol-cluster says: 12 printed digits leave the smallest singular
+        # value near 1e-12 d_1, a positive sigma in an odd dimension
+        code, out = run(capsys, ["pf", files["odd.mm"]])
+        assert (code, json.loads(out)["singular"]) == (0, True)
+        q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))
+        a = q @ np.array([[1.0, 2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, 0.0]]) @ q.T
+        path = tmp_path / "noisy.mm"
+        path.write_text(
+            "%%MatrixMarket matrix array real general\n3 3\n"
+            + "".join(f"{x:.12g}\n" for x in a.T.ravel())
+        )
+        for argv in (["pf", str(path)], ["pf", "--tol-cluster", "1e-2", str(path)]):
+            code, out = run(capsys, argv)
+            assert code == 4
+            message = json.loads(out)["error"]["message"]
+            assert "positive real eigenvalue (odd dimension)" in message
+
     def test_overmerged_clusters_exit_5(self, capsys, files):
         code, out = run(capsys, ["wnf", "--tol-cluster", "0.5", files["odd.mm"]])
         assert code == 5

@@ -719,6 +719,23 @@ class TestGroupKernel:
         with pytest.raises(PfUndefinedError, match="eigenvalue; the"):
             generalized_pfaffian(random_conjugate_normal(spec))
 
+    @pytest.mark.parametrize("scale", [2.0**-60, 1.0, 2.0**60])
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize(
+        "core",
+        [
+            np.diag([3.0, 3.0, 1.0, 1.0]),
+            scipy.linalg.block_diag(3.0 * np.eye(4), [[0.0, 1.0], [-1.0, 0.0]]),
+        ],
+        ids=["two-pairs", "group-of-four"],
+    )
+    def test_real_positive_sigma_group_is_undefined(self, core, seed, scale):
+        # on real input a positive-sigma block's det/apf^2 is real and
+        # positive; only its apf, rounding noise, tells it from a pair
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(core.shape))
+        with pytest.raises(PfUndefinedError, match="eigenvalue; the"):
+            generalized_pfaffian(scale * (q @ core @ q.T))
+
 
 class TestGaugeInvariance:
     @pytest.mark.parametrize(
