@@ -91,17 +91,15 @@ _OPTIONS = {
     ),
 }
 
-_TOLERANCES = ("--tol-eig", "--tol-cluster")
-
 #: subcommand -> (help, the options it reads besides --format and --output)
 _COMMANDS = {
-    "pf": ("generalized Pfaffian", (*_TOLERANCES, "--method")),
+    "pf": ("generalized Pfaffian", ("--tol-eig", "--method")),
     "apf": ("antisymmetrized Pfaffian", ()),
-    "wnf": ("normal form A = U Sigma U^T", _TOLERANCES),
+    "wnf": ("normal form A = U Sigma U^T", ("--tol-eig", "--tol-cluster")),
     "check": ("conjugate-normality test", ("--tol-eig",)),
     "identities": (
         "algebraic identity battery",
-        (*_TOLERANCES, "--seed", "--partner", "--lam"),
+        ("--tol-eig", "--seed", "--partner", "--lam"),
     ),
     "gen": ("generate a matrix from a spectrum JSON", ("--seed",)),
 }

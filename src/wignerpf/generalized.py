@@ -9,15 +9,15 @@ Two extensions of the Pfaffian beyond skew-symmetric matrices live here:
 * the antisymmetrized Pfaffian ``apf(A) = pf_skew((A - A^T)/2)``, defined
   for every square matrix.
 
-They are linked by ``pf(A) = sqrt(det(A) / det((A - A^T)/2)) * apf(A)``
-with a positive real ratio, which :func:`generalized_pfaffian` cross-checks
-once its value is decided, and they always share their complex phase.
+pf is a square root of det(A) and differs from apf by a positive real
+factor, so ``pf(A) = +-sqrt(det(A))`` with the sign that agrees with apf
+(:func:`_relation_value`).
 
 :func:`generalized_pfaffian` builds no U.  Unitary congruence,
 ``pf(Q A Q^T) = det(Q) pf(A)``, and the direct sum, ``pf(A + B) = pf(A)
 pf(B)``, give ``pf(A) = det(X) prod_J pf(C_J)`` from one SVD ``A = X D
 Y^H``, with ``C_J`` the diagonal blocks of ``X^H A conj(X)`` on the groups
-of equal singular values; each block takes the relation above.  The
+of equal singular values; each block takes that one rule.  The
 conjugate-normality guard lives in :mod:`wignerpf.normal_form`.
 """
 
@@ -39,35 +39,23 @@ from .errors import (
     SpectralConsistencyError,
 )
 from .linalg import DEFAULT_TOL, Tolerances, as_square_matrix, det_lu, unitarity_defect
-from .normal_form import (
-    _RECONSTRUCT_RTOL,
-    _UNITARITY_RTOL,
-    POSITIVE_REAL,
-    ZERO,
-    _normal_form,
-    _require_conjugate_normal,
-    _require_resolution,
-    classify_spectrum,
-)
+from .normal_form import _RECONSTRUCT_RTOL, _UNITARITY_RTOL, _require_conjugate_normal
 from .pfaffian import pf_polynomial, pf_skew_parlett_reid
 
-#: |Im(ratio)| <= RATIO_IMAG_RTOL * |Re(ratio)| is required of the
-#: det(A)/det((A - A^T)/2) ratio before its square root is taken
+#: |Im(w2)| <= RATIO_IMAG_RTOL * |Re(w2)| is required of w2 = det conj(apf)^2 /
+#: |apf|^2, a positive multiple of the det(A)/det((A - A^T)/2) ratio
 RATIO_IMAG_RTOL = 1e-6
 
 METHODS = ("normal-form", "antisymmetrized", "relation", "polynomial")
 
 DEFAULT_IDENTITY_SEED = 1905  #: seeds Q in the battery's congruence row
 
-#: i**k by k mod 4, the exact 4-cycle (never a floating-point power)
-_I_POWER = (1 + 0j, 1j, -1 + 0j, -1j)
-
 #: singular values of A whose gap is at most _GROUP_RTOL * d_1 share a group:
 #: a group's singular vectors are good to about eps ||A|| / gap
 _GROUP_RTOL = 1e-6
 
-#: a group block's apf at or below _APF_NOISE * dim * eps * d_1 (times
-#: d_J^(k/2 - 1) for a group of k) is rounding noise
+#: a singular value of a group block's skew part at or below
+#: _APF_NOISE * dim * eps * d_1 is rounding noise: the block holds a positive sigma
 _APF_NOISE = 16.0
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -110,23 +98,48 @@ class PfResult:
             raise InputError("a singular result must carry the exact value 0")
 
 
-def _relation_value(det_a: complex, apf: complex) -> complex:
-    """sqrt(det(A)/apf**2) * apf with the positivity checks applied."""
-    det_as = apf**2
-    if det_as == 0:
+@np.errstate(over="ignore", invalid="ignore")
+def _relation_value(det, apf):
+    """``sqrt(det)`` with the sign that makes ``w = sqrt(det) conj(apf) /
+    |apf|`` positive, elementwise over arrays of determinants and apfs.
+
+    pf is a square root of det and shares its phase with apf (their ratio is
+    a positive real factor), so ``w**2 = det conj(apf)^2 / |apf|^2``, a
+    positive multiple of ``det / apf**2``, must be positive real within
+    :data:`RATIO_IMAG_RTOL`; a nan or inf fails that test.  Raises
+    :class:`PfUndefinedError` where ``apf**2`` is 0 and
+    :class:`NotConjugateNormalError` where ``w**2`` is not positive real.
+    """
+    det = np.asarray(det, dtype=np.complex128)
+    apf = np.asarray(apf, dtype=np.complex128)
+    if np.any(apf * apf == 0):
         raise PfUndefinedError(
             "the antisymmetric part is singular; the determinant-ratio "
             "relation does not apply"
         )
-    ratio = det_a / det_as
-    if not (ratio.real > 0.0 and abs(ratio.imag) <= RATIO_IMAG_RTOL * abs(ratio.real)):
+    phase = apf.conj() / abs(apf)
+    w2 = det * phase * phase
+    positive = (w2.real > 0.0) & (abs(w2.imag) <= RATIO_IMAG_RTOL * abs(w2.real))
+    if not positive.all():
+        ratio = complex((det / (apf * apf))[~positive].flat[0])
         raise NotConjugateNormalError(
             f"det(A)/det((A - A^T)/2) = {ratio:.6g} is not positive real; "
             "the input is not conjugate-normal (the ratio is guaranteed "
             "positive for conjugate-normal matrices)"
         )
-    # positive real root of the real part; the imaginary residue is noise
-    return math.sqrt(ratio.real) * apf
+    root = np.sqrt(det)
+    return np.where((root * phase).real < 0.0, -root, root)
+
+
+@dataclass(frozen=True)
+class _Measured:
+    """What :func:`_normal_form_pfaffian` measured on A besides its value:
+    the guard's residual and, when one group spans A, the det(A) and apf(A)
+    of the factorizations that gave the value (None otherwise)."""
+
+    conjugate_normal_residual: float
+    det: complex | None = None
+    apf: complex | None = None
 
 
 def generalized_pfaffian(a, tol: Tolerances = DEFAULT_TOL) -> PfResult:
@@ -137,144 +150,159 @@ def generalized_pfaffian(a, tol: Tolerances = DEFAULT_TOL) -> PfResult:
     (see :func:`_normal_form_pfaffian`); every tolerance is relative to
     ||A||, so pf(2^j A) = 2^(j n) pf(A) bit for bit.  A smallest singular
     value at or below ``dim * eps * d_1`` makes A singular: the value is then
-    0 with ``diagnostics.singular`` set.  A 1x1 block with sigma > 0 (this
-    includes every non-singular odd-dimensional matrix) means no continuous
-    Pfaffian extension exists and :class:`PfUndefinedError` is raised.  A
-    non-singular ``|pf|`` outside ``[tiny, inf)`` raises :class:`InputError`;
-    it is never returned as 0.  Both errors come before any diagnostic is
-    computed.
+    0 with ``diagnostics.singular`` set.  A positive sigma (a group of odd
+    size, which includes every non-singular odd-dimensional matrix, or a
+    group block that fails the rule) means no continuous Pfaffian extension
+    exists and :class:`PfUndefinedError` is raised.  A non-singular
+    ``|pf|`` outside ``[tiny, inf)`` raises :class:`InputError`; it is never
+    returned as 0.  Both errors come before any diagnostic is computed.
 
     Only then are ``det(A)`` and ``apf`` (one Parlett-Reid factorization)
-    computed, and a non-singular value is recomputed through the
-    determinant-ratio relation, its relative discrepancy recorded in
+    computed, unless one group spans A, whose block's LU and apf are A's own,
+    rescaled exactly.  A non-singular value is recomputed through the
+    determinant-ratio relation on A, its relative discrepancy recorded in
     ``diagnostics.cross_check_residual``; that is None unless ``det(A)`` and
     ``det((A - A^T)/2) = apf**2`` both lie in ``[tiny, inf)``.
     """
     m = as_square_matrix(a)
-    cn_residual, value = _normal_form_pfaffian(m, tol)
-    det_a = det_lu(m)
-    apf = pf_skew_parlett_reid((m - m.T) / 2.0)
+    measured, value = _normal_form_pfaffian(m, tol)
+    det_a, apf = measured.det, measured.apf
+    if det_a is None:
+        det_a = det_lu(m)
+        apf = pf_skew_parlett_reid((m - m.T) / 2.0)
     cross = None
     if value != 0 and _in_range(det_a) and _in_range(apf**2):
         cross = float(abs(value - _relation_value(det_a, apf)) / abs(value))
-    diag = PfDiagnostics(det_a, apf, cn_residual, value == 0, cross)
+    diag = PfDiagnostics(det_a, apf, measured.conjugate_normal_residual, value == 0, cross)
     return PfResult(value, "normal-form", diag)
 
 
-def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[float, complex]:
+def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, complex]:
     """:func:`generalized_pfaffian`'s value of a square ``m`` (0 when
-    singular) and the guard's residual, with its errors and no diagnostics.
+    singular), with its errors and no diagnostics, and what it measured on
+    the way (:class:`_Measured`).
 
-    One SVD ``A = X D Y^H`` (:func:`_svd`) and the descending d split into
-    groups J wherever a gap exceeds ``_GROUP_RTOL * d_1``.  A group's left
-    singular space is spanned by U's columns for the blocks with ``|s|`` (or
-    sigma) in it and its right one by their conjugates, so
-    ``C = X^H A conj(X) = D (Y^H conj(X))`` is block diagonal,
-    ``A = X C X^T`` and ``pf(A) = det(X) prod_J pf(C_J)``.  Two witnesses
-    bound what the normal form's unitarity and reconstruction checks bound:
+    One SVD ``A = X D Y^H`` (:func:`_svd`), the guard, and the descending d
+    split into groups J wherever a gap exceeds ``_GROUP_RTOL * d_1``.  A
+    group's left singular space is spanned by U's columns for the blocks
+    with ``|s|`` (or sigma) in it and its right one by their conjugates, so
+    ``C = X^H A conj(X) = D (Y^H conj(X))`` is block diagonal, ``A = X C
+    X^T`` and ``pf(A) = det(X) prod_J pf(C_J)``.  Two witnesses bound what
+    the normal form's unitarity and reconstruction checks bound:
     ``unitarity_defect(X) <= _UNITARITY_RTOL sqrt(dim)``, and the norm of C
     outside its group blocks, which is ``||A - X (+)_J C_J X^T||``, at most
-    ``_RECONSTRUCT_RTOL ||A||_F``.
+    ``_RECONSTRUCT_RTOL ||A||_F``.  A single group that spans A takes X = 1
+    and C = A instead: both witnesses hold exactly and det(X) = 1.
 
     A smallest d at or below ``dim * eps * d_1`` makes A singular; otherwise
     a group of odd size holds a positive sigma and the value is undefined.
-    Each even group's block is scaled by a power of two near its d and takes
-    the determinant-ratio relation (a 2x2 block's det and apf in closed
-    form, a larger one's from one LU and one Parlett-Reid factorization).
-    A block whose apf is rounding noise (``_APF_NOISE``: on real input the
-    ratio of a positive-sigma block is real and positive, so only its apf
-    tells it apart) or whose ratio is not positive real takes the Lambda
-    pipeline (:func:`_spectral_value`), which decides a positive sigma there
-    from its classes.  A single group that spans A takes that pipeline on
-    A, which keeps the 2x2 examples exact: the group's block would carry
-    rounding from X, and ``pf([[0, 1+ix], [1-ix, 0]])`` would no longer
-    flip its sign exactly with x.
+    Each even group's block is scaled by a power of two near its d and
+    takes :func:`_relation_value`, one call for all blocks, on its
+    determinant and apf (a 2x2 block's in closed form, a larger one's from
+    one LU and one Parlett-Reid factorization).  A block holds a positive sigma, and
+    raises, when its skew part has a singular value at or below the noise
+    floor ``_APF_NOISE * dim * eps * d_1`` (a 2x2 block's is ``|apf|``; a
+    larger one runs ``svdvals`` only when ``|apf|``, a product of half of
+    them, each at most d_J, is below ``floor * d_J^(k/2 - 1)``) or when it
+    fails the rule.  A block whose ``apf**2`` leaves the double range takes
+    the phase of the apf of its skew part scaled by a power of two near the
+    mean of those singular values.
     """
-    # any group may take the pipeline, which clusters: the rule is checked
-    # whatever the input
-    _require_resolution(tol)
     x, d, yh = _svd(m)
+    cn_residual, norm = _require_conjugate_normal(m, tol)
     dim = m.shape[0]
     stops = np.append(np.flatnonzero(d[:-1] - d[1:] > _GROUP_RTOL * d[0]) + 1, dim)
-    if len(stops) == 1:
-        return _spectral_value(m, tol)
-    cn_residual, norm = _require_conjugate_normal(m, tol)
     starts = np.concatenate(([0], stops[:-1]))
-    sizes = stops - starts
-
-    c = yh @ x.conj()
-    c *= d[:, None]
+    if len(stops) == 1:
+        # X = 1 and C = A; the block is factored whatever its size, so its
+        # det and apf are A's own
+        x, c, paired = None, m.copy(), np.zeros(1, dtype=bool)
+    else:
+        c = yh @ x.conj()
+        c *= d[:, None]
+        paired = stops - starts == 2
     # the 2x2 blocks gathered in one array, the others one by one; then the
     # blocks are zeroed and what is left of C is the reconstruction residual
-    pair_rows = starts[sizes == 2][:, None] + np.arange(2)
+    pair_rows = starts[paired][:, None] + np.arange(2)
     pair_index = (pair_rows[:, :, None], pair_rows[:, None, :])
     pairs = c[pair_index]
     c[pair_index] = 0.0
     others = []
-    for lo, hi in zip(starts[sizes != 2].tolist(), stops[sizes != 2].tolist()):
+    for lo, hi in zip(starts[~paired].tolist(), stops[~paired].tolist()):
         others.append((lo, hi, c[lo:hi, lo:hi].copy()))
         c[lo:hi, lo:hi] = 0.0
-    defect = unitarity_defect(x)
-    if defect > _UNITARITY_RTOL * math.sqrt(dim):
-        raise SpectralConsistencyError(
-            f"singular vectors X are not unitary within tolerance: defect "
-            f"{defect:.3e} exceeds {_UNITARITY_RTOL:.1e} * sqrt({dim})"
-        )
-    residual = float(np.linalg.norm(c))
-    if residual > _RECONSTRUCT_RTOL * norm:
-        raise ReconstructionError(
-            f"||A - X C X^T|| = {residual:.3e} outside the singular-value groups "
-            f"exceeds {_RECONSTRUCT_RTOL:.1e} * ||A||; the input is likely further "
-            "from conjugate-normal than the tolerances assume"
-        )
+    if x is not None:
+        defect = unitarity_defect(x)
+        if defect > _UNITARITY_RTOL * math.sqrt(dim):
+            raise SpectralConsistencyError(
+                f"singular vectors X are not unitary within tolerance: defect "
+                f"{defect:.3e} exceeds {_UNITARITY_RTOL:.1e} * sqrt({dim})"
+            )
+        residual = float(np.linalg.norm(c))
+        if residual > _RECONSTRUCT_RTOL * norm:
+            raise ReconstructionError(
+                f"||A - X C X^T|| = {residual:.3e} outside the singular-value groups "
+                f"exceeds {_RECONSTRUCT_RTOL:.1e} * ||A||; the input is likely further "
+                "from conjugate-normal than the tolerances assume"
+            )
 
+    measured = _Measured(cn_residual)
     if d[-1] <= dim * np.finfo(float).eps * d[0]:
-        return cn_residual, 0j
+        return measured, 0j
     if any((hi - lo) % 2 for lo, hi, _ in others):
         raise _positive_sigma(dim)
 
     # each block is scaled by 2^-e, e the exponent nearest log2 of its
     # largest d, so pf(2^j A) = 2^(j dim/2) pf(A) bit for bit.  C's entries
-    # carry rounding of about dim eps d_1, so a block's apf at or below
-    # _APF_NOISE dim eps d_1 d_J^(k/2 - 1) is noise, not a pair off the axis
+    # carry rounding of about dim eps d_1, which sets the noise floor
     noise = _APF_NOISE * dim * np.finfo(float).eps
     pair_exponents = _near_exponent(d[pair_rows[:, 0]])
     pairs *= np.ldexp(1.0, -pair_exponents)[:, None, None]
     dets = pairs[:, 0, 0] * pairs[:, 1, 1] - pairs[:, 0, 1] * pairs[:, 1, 0]
     apfs = (pairs[:, 0, 1] - pairs[:, 1, 0]) / 2.0
-    floors = noise * np.ldexp(d[0], -pair_exponents)
-    values = [
-        _block_value(block, det, apf, floor, tol)
-        for block, det, apf, floor in zip(pairs, dets.tolist(), apfs.tolist(), floors.tolist())
-    ]
+    if np.any(abs(apfs) <= noise * np.ldexp(d[0], -pair_exponents)):
+        raise _positive_sigma(dim)
     exponent = int(np.sum(pair_exponents))
+    block_dets, block_apfs = [], []
     for lo, hi, block in others:
+        k = hi - lo
         e = int(_near_exponent(d[lo]))
         block *= math.ldexp(1.0, -e)
-        floor = noise * math.ldexp(d[0], -e) * math.ldexp(d[lo], -e) ** ((hi - lo) // 2 - 1)
-        apf = pf_skew_parlett_reid((block - block.T) / 2.0)
-        values.append(_block_value(block, det_lu(block), apf, floor, tol))
-        exponent += e * (hi - lo) // 2
+        skew = (block - block.T) / 2.0
+        det, apf = det_lu(block), pf_skew_parlett_reid(skew)
+        if x is None:  # the block is A: its det and apf are A's, rescaled
+            measured = _Measured(cn_residual, _ldexp(det, e * k), _ldexp(apf, e * k // 2))
+        floor = noise * math.ldexp(d[0], -e)
+        bound = floor * math.ldexp(d[lo], -e) ** (k // 2 - 1)
+        if abs(apf) <= bound or not _in_range(apf * apf):
+            apf = _checked_apf(skew, apf, floor, dim)
+        block_dets.append(det)
+        block_apfs.append(apf)
+        exponent += e * k // 2
+    try:
+        values = _relation_value(np.append(dets, block_dets), np.append(apfs, block_apfs))
+    except (NotConjugateNormalError, PfUndefinedError):
+        raise _positive_sigma(dim) from None
 
     # the product as a mantissa and a power of two, so no partial product
     # leaves the double range; |det(X)| = 1 decides nothing about the range
     mantissa = 1 + 0j
-    for value in values:
+    for value in values.tolist():
         mantissa *= value
         _, e = math.frexp(abs(mantissa))
         mantissa = complex(math.ldexp(mantissa.real, -e), math.ldexp(mantissa.imag, -e))
         exponent += e
-    if mantissa == 0:
-        return cn_residual, 0j
     log10_abs = math.log10(abs(mantissa)) + exponent * math.log10(2.0)
     if not -1021 <= exponent <= 1024:
         raise _out_of_range(log10_abs)
-    value = det_lu(x) * complex(
-        math.ldexp(mantissa.real, exponent), math.ldexp(mantissa.imag, exponent)
-    )
+    # det(X) joins the mantissa before the scaling, the one step that may
+    # round (a subnormal part), so 2^j A scales bit for bit
+    if x is not None:
+        mantissa *= det_lu(x)
+    value = _ldexp(mantissa, exponent)
     if not _in_range(value):  # |det(X)| = 1 to rounding moved it out
         raise _out_of_range(log10_abs)
-    return cn_residual, value
+    return measured, value
 
 
 def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -293,43 +321,24 @@ def _near_exponent(d):
     return e - (mantissa < _SQRT_HALF)
 
 
-def _block_value(
-    block: np.ndarray, det: complex, apf: complex, floor: float, tol: Tolerances
-) -> complex:
-    """pf of one group's block from its determinant and apf through the
-    determinant-ratio relation, or, where its apf is at or below ``floor``
-    (rounding noise: the block's sigmas may be positive), its ratio is not
-    positive real or ``apf**2`` underflows, through the normal-form
-    pipeline."""
-    if abs(apf) > floor:
-        try:
-            return _relation_value(det, apf)
-        except (NotConjugateNormalError, PfUndefinedError):
-            pass
-    return _spectral_value(block, tol)[1]
+def _checked_apf(skew: np.ndarray, apf: complex, floor: float, dim: int) -> complex:
+    """The apf of a block whose skew part may have a singular value at or
+    below ``floor``, where the block holds a positive sigma and this raises.
+    Where ``apf**2`` leaves the double range, the apf of the skew part scaled
+    by the power of two nearest the geometric mean of its singular values: a
+    positive multiple of apf, read only for its phase."""
+    sv = scipy.linalg.svdvals(skew, check_finite=False)
+    if sv[-1] <= floor:
+        raise _positive_sigma(dim)
+    if _in_range(apf * apf):
+        return apf
+    return pf_skew_parlett_reid(skew * math.ldexp(1.0, -round(float(np.mean(np.log2(sv))))))
 
 
-def _spectral_value(m: np.ndarray, tol: Tolerances) -> tuple[float, complex]:
-    """The value ``i^(n^2) det(U) prod |s_k|`` of a square ``m`` from its
-    normal form, and the guard's residual.  The classes decide first: a zero
-    Lambda-eigenvalue makes ``m`` singular (value 0) and a positive-real one
-    leaves the value undefined, and only a value builds U."""
-    pairing = classify_spectrum(m, tol)
-    kinds = {cluster.kind for cluster in pairing.clusters}
-    if ZERO in kinds:
-        return pairing.conjugate_normal_residual, 0j
-    if POSITIVE_REAL in kinds:
-        raise _positive_sigma(m.shape[0])
-
-    nf = _normal_form(m, pairing)
-    try:
-        magnitude = math.prod(abs(b.s) ** b.multiplicity for b in nf.blocks)
-    except OverflowError:  # one block's power alone overflows
-        magnitude = math.inf
-    value = _I_POWER[nf.half_dim * nf.half_dim % 4] * nf.det_u * magnitude
-    if not _in_range(value):
-        raise _out_of_range(sum(b.multiplicity * math.log10(abs(b.s)) for b in nf.blocks))
-    return nf.conjugate_normal_residual, complex(value)
+@np.errstate(over="ignore")
+def _ldexp(z: complex, k: int) -> complex:
+    """``z * 2^k`` as it rounds (inf where it overflows)."""
+    return complex(np.ldexp(z.real, k), np.ldexp(z.imag, k))
 
 
 def _positive_sigma(dim: int) -> PfUndefinedError:
@@ -393,9 +402,9 @@ def generalized_pfaffian_via_relation(
     else:
         apf = pf_skew_parlett_reid(a_as)
         method = "relation"
-    value = _relation_value(det_a, apf)
+    value = complex(_relation_value(det_a, apf))
     diag = PfDiagnostics(det_a, apf, cn_residual, value == 0, None)
-    return PfResult(complex(value), method, diag)
+    return PfResult(value, method, diag)
 
 
 def pfaffian_derivative(a, da, tol: Tolerances = DEFAULT_TOL) -> complex:
@@ -403,7 +412,7 @@ def pfaffian_derivative(a, da, tol: Tolerances = DEFAULT_TOL) -> complex:
 
     Requires a non-singular A with a defined Pfaffian.  pf(A) is
     :func:`generalized_pfaffian`'s value, without its diagnostics; A is
-    factored once, by the solve.
+    factored by the solve, and also by the value's LU when one group spans A.
     """
     m = as_square_matrix(a)
     d = as_square_matrix(da)

@@ -366,14 +366,6 @@ def _cluster_indices(values: np.ndarray, threshold: float) -> list[list[int]]:
     return [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _require_resolution(tol: Tolerances) -> None:
-    """The one rule that ties the two tolerances, ``tol.cluster >=
-    tol.eig_residual``: a resolution of the spectrum finer than the
-    eigen-residual would split noise.  Raises :class:`InputError`."""
-    if tol.cluster < tol.eig_residual:
-        raise InputError("cluster tolerance must be at least the eigen-residual tolerance")
-
-
 def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
     """Cluster and classify the spectrum of Lambda = A conj(A).
 
@@ -394,10 +386,11 @@ def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
     :class:`NotNormalError` when the eigensolver finds Lambda not normal, and
     :class:`SpectralConsistencyError` when the clusters violate the constraints
     above (odd negative-real multiplicity, unmatched complex pair, mu mismatch).
-    Raises :class:`InputError` when ``tol.cluster < tol.eig_residual``
-    (:func:`_require_resolution`).
+    Raises :class:`InputError` when ``tol.cluster < tol.eig_residual``: a
+    resolution finer than the eigen-residual would split noise.
     """
-    _require_resolution(tol)
+    if tol.cluster < tol.eig_residual:
+        raise InputError("cluster tolerance must be at least the eigen-residual tolerance")
     m = as_square_matrix(a)
     cn_residual, norm = _require_conjugate_normal(m, tol)
     values, vectors = eig_normal(m @ m.conj(), tol)
@@ -567,13 +560,8 @@ def wigner_normal_form(a, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     residual are verified before returning.
     """
     m = as_square_matrix(a)
-    return _normal_form(m, classify_spectrum(m, tol))
-
-
-def _normal_form(m: np.ndarray, pairing: SpectralPairing) -> NormalForm:
-    """:func:`wigner_normal_form` of a square ``m`` from its classified
-    spectrum."""
     dim = m.shape[0]
+    pairing = classify_spectrum(m, tol)
     cn_residual, norm = pairing.conjugate_normal_residual, pairing.frobenius_norm
 
     # each entry: (block, V columns, W columns of a 2x2 block or None)

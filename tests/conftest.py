@@ -25,13 +25,7 @@ import numpy as np  # noqa: E402
 import pytest
 import scipy.linalg
 
-from wignerpf import (
-    SpectrumEntry,
-    SpectrumSpec,
-    generalized,
-    normal_form,
-    random_conjugate_normal,
-)
+from wignerpf import SpectrumEntry, SpectrumSpec, normal_form, random_conjugate_normal
 from wignerpf.ensembles import random_unitary
 
 CORPUS_SIZE = 300
@@ -109,13 +103,11 @@ def schur_orders(monkeypatch):
 def mixed_gauge(seed):
     """Inside the block, every normal form is built from a mixed eigenbasis.
 
-    Patches ``normal_form.classify_spectrum`` (and the Pfaffian's binding of
-    it in ``generalized``) to return the same pairing with
+    Patches ``normal_form.classify_spectrum`` to return the same pairing with
     each cluster's eigenvectors B replaced by B R and their images A conj(B)
     by A conj(B) conj(R), R a random unitary drawn from a generator seeded
     with ``seed`` afresh on every call (so repeated calls mix alike).  The
-    Pfaffian, the blocks and det(U) must not depend on R.  ``None`` mixes
-    nothing.
+    blocks and det(U) must not depend on R.  ``None`` mixes nothing.
     """
     original = normal_form.classify_spectrum
 
@@ -131,11 +123,11 @@ def mixed_gauge(seed):
         return replace(pairing, vectors=vectors, images=images)
 
     if seed is not None:
-        normal_form.classify_spectrum = generalized.classify_spectrum = mixed
+        normal_form.classify_spectrum = mixed
     try:
         yield
     finally:
-        normal_form.classify_spectrum = generalized.classify_spectrum = original
+        normal_form.classify_spectrum = original
 
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")

@@ -189,9 +189,9 @@ class TestExitCodes:
         assert json.loads(out)["error"]["code"] == 3
 
     def test_singular_odd_input_printed_to_12_digits_exit_4(self, capsys, files, tmp_path):
-        # pf's zero floor is the SVD's rounding, dim eps d_1, whatever
-        # --tol-cluster says: 12 printed digits leave the smallest singular
-        # value near 1e-12 d_1, a positive sigma in an odd dimension
+        # pf's zero floor is the SVD's rounding, dim eps d_1: 12 printed
+        # digits leave the smallest singular value near 1e-12 d_1, a positive
+        # sigma in an odd dimension
         code, out = run(capsys, ["pf", files["odd.mm"]])
         assert (code, json.loads(out)["singular"]) == (0, True)
         q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))
@@ -201,11 +201,10 @@ class TestExitCodes:
             "%%MatrixMarket matrix array real general\n3 3\n"
             + "".join(f"{x:.12g}\n" for x in a.T.ravel())
         )
-        for argv in (["pf", str(path)], ["pf", "--tol-cluster", "1e-2", str(path)]):
-            code, out = run(capsys, argv)
-            assert code == 4
-            message = json.loads(out)["error"]["message"]
-            assert "positive real eigenvalue (odd dimension)" in message
+        code, out = run(capsys, ["pf", str(path)])
+        assert code == 4
+        message = json.loads(out)["error"]["message"]
+        assert "positive real eigenvalue (odd dimension)" in message
 
     def test_overmerged_clusters_exit_5(self, capsys, files):
         code, out = run(capsys, ["wnf", "--tol-cluster", "0.5", files["odd.mm"]])
@@ -220,13 +219,11 @@ class TestExitCodes:
 
 #: the options each subcommand takes besides --help: the ones it reads
 OPTION_SETS = {
-    "pf": {"--format", "--tol-eig", "--tol-cluster", "--method", "--output"},
+    "pf": {"--format", "--tol-eig", "--method", "--output"},
     "apf": {"--format", "--output"},
     "wnf": {"--format", "--tol-eig", "--tol-cluster", "--output"},
     "check": {"--format", "--tol-eig", "--output"},
-    "identities": {
-        "--format", "--tol-eig", "--tol-cluster", "--seed", "--partner", "--lam", "--output"
-    },
+    "identities": {"--format", "--tol-eig", "--seed", "--partner", "--lam", "--output"},
     "gen": {"--format", "--seed", "--output"},
 }
 
@@ -244,6 +241,7 @@ class TestOptionSets:
     @pytest.mark.parametrize(
         "command, option",
         [
+            ("pf", "--tol-cluster"),
             ("pf", "--seed"),
             ("apf", "--tol-eig"),
             ("apf", "--tol-cluster"),
@@ -253,6 +251,7 @@ class TestOptionSets:
             ("check", "--seed"),
             ("gen", "--tol-eig"),
             ("gen", "--tol-cluster"),
+            ("identities", "--tol-cluster"),
         ],
     )
     def test_an_option_the_subcommand_does_not_read_exits_2(self, capsys, files, command, option):
@@ -265,7 +264,9 @@ class TestOptionSets:
         assert err.startswith("usage: wignerpf ")
         assert f"wignerpf: error: unrecognized arguments: {option}" in err
 
-    @pytest.mark.parametrize("argv", [["check"], ["pf", "--method", "relation"]])
+    @pytest.mark.parametrize(
+        "argv", [["check"], ["pf"], ["pf", "--method", "relation"], ["identities"]]
+    )
     def test_eig_residual_above_cluster_where_nothing_is_clustered(self, capsys, files, argv):
         argv = [*argv, "--format", "json"]
         default = run(capsys, [*argv, files["a2.json"]])
@@ -273,7 +274,7 @@ class TestOptionSets:
         assert default[0] == 0
         assert loose == default
 
-    @pytest.mark.parametrize("command", ["pf", "wnf", "identities"])
+    @pytest.mark.parametrize("command", ["wnf"])
     def test_eig_residual_above_cluster_where_the_spectrum_is_clustered(
         self, capsys, files, command
     ):

@@ -1,6 +1,7 @@
 """Generalized Pfaffian, the determinant-ratio route, and the identity battery."""
 
 import cmath
+import itertools
 import math
 import traceback
 
@@ -29,6 +30,7 @@ from wignerpf import (
     wigner_normal_form,
 )
 from wignerpf import generalized, linalg, normal_form
+from wignerpf.ensembles import random_unitary
 from wignerpf.linalg import det_lu
 
 from conftest import CORPUS_SIZE, corpus_spec, mixed_gauge
@@ -322,6 +324,33 @@ def assert_relation_value(matrix, rtol):
     assert abs(value - relation) <= rtol * abs(relation)
 
 
+def oracle_pfaffian(spec):
+    """``i^(n^2) det(U) prod |s_k|`` of a spectrum of complex pairs, with
+    det(U) from the slogdet of the generator's U, as the benchmark's oracle:
+    no code in common with the Pfaffian under test."""
+    sign, log_det = np.linalg.slogdet(random_unitary(spec.dimension, spec.seed))
+    n = spec.dimension // 2
+    log_abs = log_det + sum(0.5 * e.multiplicity * math.log(abs(e.omega)) for e in spec.entries)
+    return 1j ** (n * n % 4) * complex(sign) * math.exp(log_abs)
+
+
+def near_axis_oracle_cases():
+    """(angle, side, seed, one_group) over the near-axis sweep from
+    10^-9.5 on; the pair alone is one group.  At seed 3 the two-group
+    input's pair at 10^-9.5 is within its ratio's resolution of a positive
+    sigma: its w^2 fails RATIO_IMAG_RTOL, and it exits 4 as at the parent."""
+    cases = []
+    for angle in np.logspace(-9.5, -4, 12).tolist():
+        for side, seed, one_group in itertools.product((1, -1), (2, 3), (False, True)):
+            marks = ()
+            if (side, seed, one_group) == (1, 3, False) and angle < 1e-9:
+                marks = pytest.mark.xfail(
+                    strict=True, raises=PfUndefinedError, reason="w^2 not positive real"
+                )
+            cases.append(pytest.param(angle, side, seed, one_group, marks=marks))
+    return cases
+
+
 class TestStandingDefectWindows:
     """The inputs on which the Lambda route exits 5 (the standing defects:
     near-degenerate real eigenvalues, pairs near the real axis, eigenvalues
@@ -355,6 +384,28 @@ class TestStandingDefectWindows:
         s = cmath.sqrt(omega)
         factor = abs(s) / abs(s.imag)
         assert abs(value - relation) <= (1e-13 + 10 * np.finfo(float).eps * factor) * abs(relation)
+
+    @pytest.mark.parametrize("angle, side, seed, one_group", near_axis_oracle_cases())
+    def test_pair_near_the_real_axis_meets_the_oracle(self, angle, side, seed, one_group):
+        # pf takes its phase from sqrt(det) of the pair's block, which is
+        # well conditioned, and only its sign from the pair's apf
+        omega = side * 2.0 * cmath.exp(1j * side * angle)
+        entries = (SpectrumEntry("complex", omega),)
+        if not one_group:
+            entries = (SpectrumEntry("complex", 1 + 2j),) + entries
+        spec = SpectrumSpec(entries, seed=seed)
+        value = generalized_pfaffian(random_conjugate_normal(spec)).value
+        want = oracle_pfaffian(spec)
+        assert abs(value - want) <= 1e-12 * abs(want)
+
+    def test_underflowing_apf_squared_meets_the_oracle(self):
+        # one group of 40 pairs at angle 1e-4 from the axis: its block's apf
+        # is about 1e-172, whose square underflows, so its phase is read
+        # from the apf of the rescaled skew part
+        spec = SpectrumSpec((SpectrumEntry("complex", 4 * cmath.exp(1e-4j), 40),), seed=1)
+        value = generalized_pfaffian(random_conjugate_normal(spec)).value
+        want = oracle_pfaffian(spec)
+        assert abs(value - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize(
         "entry",
@@ -484,15 +535,18 @@ class TestIdentityReport:
         assert report.check("phase").threshold == generalized.PHASE_THRESHOLD
 
     def test_one_skew_pfaffian_per_battery(self, monkeypatch):
-        # only the base call factors (A - A^T)/2, and the phase row reads its
-        # apf; the derived rows take the normal-form value alone
+        # (A - A^T)/2 is factored once: corpus matrix 14 is one 2x2 group,
+        # whose block is A itself, and the base call's diagnostics and the
+        # phase row reuse that apf.  A derived row whose matrix is one group
+        # factors that matrix's skew part as its block, and every row is but
+        # the tensor row, whose kron with B splits into pairs: 1 + 7
         calls = []
         original = generalized.pf_skew_parlett_reid
         monkeypatch.setattr(
             generalized, "pf_skew_parlett_reid", lambda m: calls.append(1) or original(m)
         )
         identity_report(random_conjugate_normal(corpus_spec(14)))
-        assert len(calls) == 1
+        assert len(calls) == 8
 
     def test_negative_congruence_seed_rejected_before_the_battery(self, monkeypatch):
         calls = []
@@ -616,10 +670,17 @@ class TestPassBudget:
 
     def test_single_group_takes_the_normal_form(self, passes):
         # both singular values of a 2x2 pair are equal: the one group spans A,
-        # which takes the Lambda pipeline (eigh of H + cK, det(U), the guard
-        # and U's unitarity check) after the SVD
+        # so X = 1 and its block is A, factored once by one LU and one skew
+        # kernel whose det and apf the diagnostics reuse; the guard's two Gram
+        # triangles, and no unitarity witness
         generalized_pfaffian(random_conjugate_normal(corpus_spec(14)))
-        assert passes == {"svd": 1, "eigh": 1, "lu_factor": 2, "zherk": 3, "skew": 1}
+        assert passes == {"svd": 1, "eigh": 0, "lu_factor": 1, "zherk": 2, "skew": 1}
+
+    def test_single_group_of_four_is_factored_once(self, passes):
+        # a complex pair of multiplicity 2: the one group spans A, as above
+        spec = SpectrumSpec((SpectrumEntry("complex", 1 + 1j, 2),), seed=5)
+        generalized_pfaffian(random_conjugate_normal(spec))
+        assert passes == {"svd": 1, "eigh": 0, "lu_factor": 1, "zherk": 2, "skew": 1}
 
     def test_derivative_runs_one_normal_form_and_no_diagnostics(self, passes):
         matrix = random_conjugate_normal(corpus_spec(2))
@@ -630,7 +691,7 @@ class TestPassBudget:
 
     @pytest.mark.parametrize(
         "index, counts",
-        [(2, [2, 18, 2]), (14, [6, 36, 6])],
+        [(2, [2, 18, 2]), (14, [2, 11, 3])],
         ids=["groups", "single-group"],
     )
     def test_each_matrix_is_checked_where_it_enters(self, monkeypatch, index, counts):
@@ -638,9 +699,10 @@ class TestPassBudget:
         # sees every check; the kernels take the pipeline's arrays as given.
         # With groups, a call checks its entry and the skew kernel's input; a
         # battery its entry, one call, B and each group of four of the
-        # direct-sum row; the derivative A and dA.  A single group adds
-        # classify_spectrum's entry, the pairing's vectors and images and
-        # NormalForm's u per normal form
+        # direct-sum row; the derivative A and dA.  A single group checks the
+        # skew kernel's input of its block, which is the whole matrix: the
+        # call's one, the battery's base call and seven derived rows (all but
+        # the tensor row, whose groups are pairs), and the derivative's one
         kernels = {"det_lu", "eig_normal", "unitarity_defect"}
         callers = []
         original = linalg.as_matrix

@@ -377,17 +377,9 @@ class TestClassificationErrors:
         # normal-form entry point reaches it
         tol = Tolerances(eig_residual=1e-6, cluster=1e-8)
         hand = np.array([[0.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])
-        # the Pfaffian clusters only where a group takes the normal form, and
-        # checks the rule whatever its input: corpus matrix 2 has 14 groups
-        groups = random_conjugate_normal(corpus_spec(2))
-        for entry, matrix in (
-            (classify_spectrum, hand),
-            (wigner_normal_form, hand),
-            (generalized_pfaffian, hand),
-            (generalized_pfaffian, groups),
-        ):
+        for entry in (classify_spectrum, wigner_normal_form):
             with pytest.raises(InputError) as info:
-                entry(matrix, tol)
+                entry(hand, tol)
             assert type(info.value) is InputError
             assert str(info.value) == (
                 "cluster tolerance must be at least the eigen-residual tolerance"
@@ -397,6 +389,10 @@ class TestClassificationErrors:
         tol = Tolerances(eig_residual=1e-6, cluster=1e-8)
         hand = np.array([[0.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])
         assert is_conjugate_normal(hand, tol) == is_conjugate_normal(hand)
+        # the Pfaffian reads no cluster tolerance, whatever its groups: the
+        # hand example is one group, corpus matrix 2 has 14
+        for matrix in (hand, random_conjugate_normal(corpus_spec(2))):
+            assert generalized_pfaffian(matrix, tol) == generalized_pfaffian(matrix)
         for engine in ("parlett-reid", "polynomial"):
             loose = generalized_pfaffian_via_relation(hand, tol, engine=engine)
             assert loose == generalized_pfaffian_via_relation(hand, engine=engine)
@@ -890,7 +886,6 @@ class TestOnePass:
         monkeypatch.setattr(linalg, "_gram", counted_gram)
         monkeypatch.setattr(normal_form, "_gram", counted_gram)
         monkeypatch.setattr(normal_form, "classify_spectrum", counted_classify)
-        monkeypatch.setattr(generalized, "classify_spectrum", counted_classify)
         generalized_pfaffian(matrix)
         assert calls == {"gram": 3, "classify": 0}
 
@@ -1098,7 +1093,8 @@ def spread_spectrum(dim, seed):
 
 
 #: (scale, command, exit code, stdout line) on c [[0, 1+i], [1-i, 0]]; at 1e-200
-#: Lambda underflows to 0, so pf reads 0 (singular) for a non-singular matrix
+#: Lambda underflows to 0, so wnf reads two zero blocks for a non-singular
+#: matrix, while pf, which forms no Lambda, keeps its value down to 1e-300
 #: the guard's norm of c [[0, 1+i], [1-i, 0]] overflows from c ~ 1e155 on
 _GUARD_OVERFLOW = (
     '{"error": {"code": 3, "message": "matrix is not conjugate-normal: '
@@ -1106,18 +1102,20 @@ _GUARD_OVERFLOW = (
 )
 
 _SCALE_EXTREMES = [
-    ("1e-155", "pf", 0, '{"pfaffian": [-6.1996442125645625e-172, 1.4142135623730954e-155], '
+    ("1e-155", "pf", 0, '{"pfaffian": [0, 1.414213562373095e-155], '
      '"method": "normal-form", "det": [-1.9999999999999939e-310, 0], "singular": false, '
      '"cross_check_residual": null}'),
     ("1e-155", "wnf", 0, '{"det_U": [1.0000000000000018, 4.3838104636483426e-17], '
      '"blocks": [{"type": "offdiag", "value": [9.9999999999999857e-156, '
      '9.9999999999999857e-156], "multiplicity": 1}], "reconstruction_residual": 0}'),
     ("1e-155", "check", 0, '{"conjugate_normal": true, "residual": 0}'),
-    ("1e-200", "pf", 0, '{"pfaffian": [0, 0], "method": "normal-form", "det": [0, 0], '
-     '"singular": true, "cross_check_residual": null}'),
+    ("1e-200", "pf", 0, '{"pfaffian": [0, 1.414213562373095e-200], "method": "normal-form", '
+     '"det": [0, 0], "singular": false, "cross_check_residual": null}'),
     ("1e-200", "wnf", 0, '{"det_U": [1, 0], "blocks": [{"type": "real1", "value": 0, '
      '"multiplicity": 2}], "reconstruction_residual": 0}'),
     ("1e-200", "check", 0, '{"conjugate_normal": true, "residual": 0}'),
+    ("1e-300", "pf", 0, '{"pfaffian": [0, 1.414213562373095e-300], "method": "normal-form", '
+     '"det": [0, 0], "singular": false, "cross_check_residual": null}'),
     *(
         (scale, command, 3, _GUARD_OVERFLOW)
         for scale in ("1e155", "1e160")

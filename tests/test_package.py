@@ -46,6 +46,20 @@ def test_normal_form_has_no_test_fork():
         assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
 
 
+def test_the_pfaffian_imports_nothing_of_the_lambda_pipeline():
+    # one kernel for pf: every singular-value group takes the determinant-ratio
+    # rule, so generalized.py reaches no clustering, normal form or eigensolve
+    package = Path(wignerpf.__file__).parent
+    tree = ast.parse((package / "generalized.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not imported & {"classify_spectrum", "_normal_form", "eig_normal"}
+
+
 def test_result_types_take_only_source_values():
     # half_dim, det_u, multiplicity, passed and det_antisymmetric follow from
     # the other fields, so no constructor takes them
