@@ -17,8 +17,10 @@ factor, so ``pf(A) = +-sqrt(det(A))`` with the sign that agrees with apf
 ``pf(Q A Q^T) = det(Q) pf(A)``, and the direct sum, ``pf(A + B) = pf(A)
 pf(B)``, give ``pf(A) = det(X) prod_J pf(C_J)`` from one SVD ``A = X D
 Y^H``, with ``C_J`` the diagonal blocks of ``X^H A conj(X)`` on the groups
-of equal singular values; each block takes that one rule.  The
-conjugate-normality guard lives in :mod:`wignerpf.normal_form`.
+of equal singular values; each block takes that one rule.  The same SVD
+gives the conjugate-normality guard's residual; the guard's rule, and the
+Gram form of its residual that the other routes take, live in
+:mod:`wignerpf.normal_form`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,12 @@ from .errors import (
     SpectralConsistencyError,
 )
 from .linalg import DEFAULT_TOL, Tolerances, as_square_matrix, det_lu, unitarity_defect
-from .normal_form import _RECONSTRUCT_RTOL, _UNITARITY_RTOL, _require_conjugate_normal
+from .normal_form import (
+    _RECONSTRUCT_RTOL,
+    _UNITARITY_RTOL,
+    _guard,
+    _require_conjugate_normal,
+)
 from .pfaffian import pf_polynomial, pf_skew_parlett_reid
 
 #: |Im(w2)| <= RATIO_IMAG_RTOL * |Re(w2)| is required of w2 = det conj(apf)^2 /
@@ -67,11 +74,16 @@ class PfDiagnostics:
 
     ``apf`` is the route's skew Pfaffian of ``(A - A^T)/2`` and
     ``det_antisymmetric`` is ``apf**2``.  ``cross_check_residual`` is the
-    relative discrepancy between the normal-form value and an independent
-    recomputation through the determinant-ratio relation (None when not
-    applicable or when a determinant is not a normal double), and
-    ``conjugate_normal_residual`` is None on the antisymmetrized route,
-    which runs no conjugate-normality test.
+    relative discrepancy between the normal-form value and a recomputation
+    through the determinant-ratio relation (None when not applicable or when
+    a determinant is not a normal double).  It is an independent recheck only
+    where A has two or more singular-value groups: where one group spans A,
+    the value and the relation share A's LU and apf, so it reads 0 by
+    construction.  ``conjugate_normal_residual`` is
+    ``||A^T A* - A A^H||_F / ||A||_F^2``: on the normal-form route read off
+    its SVD (:func:`_normal_form_pfaffian`), on the relation and polynomial
+    routes from two Gram triangles (:func:`~wignerpf.normal_form.is_conjugate_normal`);
+    None on the antisymmetrized route, which runs no conjugate-normality test.
     """
 
     det: complex
@@ -157,12 +169,17 @@ def generalized_pfaffian(a, tol: Tolerances = DEFAULT_TOL) -> PfResult:
     ``|pf|`` outside ``[tiny, inf)`` raises :class:`InputError`; it is never
     returned as 0.  Both errors come before any diagnostic is computed.
 
+    The guard's residual comes from the same SVD, not from Gram products of
+    A, so no norm on this route overflows before the value does.
+
     Only then are ``det(A)`` and ``apf`` (one Parlett-Reid factorization)
     computed, unless one group spans A, whose block's LU and apf are A's own,
     rescaled exactly.  A non-singular value is recomputed through the
     determinant-ratio relation on A, its relative discrepancy recorded in
     ``diagnostics.cross_check_residual``; that is None unless ``det(A)`` and
-    ``det((A - A^T)/2) = apf**2`` both lie in ``[tiny, inf)``.
+    ``det((A - A^T)/2) = apf**2`` both lie in ``[tiny, inf)``, and 0 by
+    construction where one group spans A (the value and the relation then
+    share that LU and apf).
     """
     m = as_square_matrix(a)
     measured, value = _normal_form_pfaffian(m, tol)
@@ -183,23 +200,30 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
     the way (:class:`_Measured`).
 
     One SVD ``A = X D Y^H`` (:func:`_svd`), the guard, and the descending d
-    split into groups J wherever a gap exceeds ``_GROUP_RTOL * d_1``.  A
-    group's left singular space is spanned by U's columns for the blocks
-    with ``|s|`` (or sigma) in it and its right one by their conjugates, so
-    ``C = X^H A conj(X) = D (Y^H conj(X))`` is block diagonal, ``A = X C
-    X^T`` and ``pf(A) = det(X) prod_J pf(C_J)``.  Two witnesses bound what
-    the normal form's unitarity and reconstruction checks bound:
+    split into groups J wherever a gap exceeds ``_GROUP_RTOL * d_1``.  With
+    ``W = Y^H conj(X)``, ``A^T A* - A A^H = conj(Y) [D^2, conj(W)] X^H``, so the
+    guard's residual is ``||(delta_i^2 - delta_j^2) W_ij||_F / sum delta^2``
+    on ``delta = d / d_1`` (0 for the zero matrix), held to
+    ``tol.eig_residual`` by the rule the Gram form shares.  A group's left
+    singular space is spanned by U's columns for the blocks with ``|s|`` (or
+    sigma) in it and its right one by their conjugates, so ``C = X^H A
+    conj(X) = D W`` (formed in W's place) is block diagonal, ``A = X C X^T``
+    and ``pf(A) = det(X) prod_J pf(C_J)``.  Two witnesses bound what the
+    normal form's unitarity and reconstruction checks bound:
     ``unitarity_defect(X) <= _UNITARITY_RTOL sqrt(dim)``, and the norm of C
     outside its group blocks, which is ``||A - X (+)_J C_J X^T||``, at most
-    ``_RECONSTRUCT_RTOL ||A||_F``.  A single group that spans A takes X = 1
-    and C = A instead: both witnesses hold exactly and det(X) = 1.
+    ``_RECONSTRUCT_RTOL ||A||_F``; both norms are taken as ``d_1 ||. /
+    d_1||``, so none overflows.  A single group that spans A takes X = 1 and
+    C = A instead: both witnesses hold exactly and det(X) = 1.
 
     A smallest d at or below ``dim * eps * d_1`` makes A singular; otherwise
     a group of odd size holds a positive sigma and the value is undefined.
     Each even group's block is scaled by a power of two near its d and
     takes :func:`_relation_value`, one call for all blocks, on its
-    determinant and apf (a 2x2 block's in closed form, a larger one's from
-    one LU and one Parlett-Reid factorization).  A block holds a positive sigma, and
+    determinant and apf: a 2x2 block's in closed form; the 4x4 blocks of
+    two or more groups from one LU of their stack and the three-term
+    matching sum; a larger one's, or the one block that spans A, from one LU
+    and one Parlett-Reid factorization.  A block holds a positive sigma, and
     raises, when its skew part has a singular value at or below the noise
     floor ``_APF_NOISE * dim * eps * d_1`` (a 2x2 block's is ``|apf|``; a
     larger one runs ``svdvals`` only when ``|apf|``, a product of half of
@@ -209,26 +233,35 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
     mean of those singular values.
     """
     x, d, yh = _svd(m)
-    cn_residual, norm = _require_conjugate_normal(m, tol)
     dim = m.shape[0]
+    # with W = Y^H conj(X), A^T A* - A A^H = conj(Y) [D^2, conj(W)] X^H: the
+    # guard reads its norm off W, on delta = d / d_1 so that none overflows
+    w = yh @ x.conj()
+    delta = d / d[0] if d[0] else d
+    square = delta * delta
+    commutator = float(np.linalg.norm(w * (square[:, None] - square)))
+    cn_residual = _guard(commutator / max(float(square.sum()), np.finfo(float).tiny), tol)
     stops = np.append(np.flatnonzero(d[:-1] - d[1:] > _GROUP_RTOL * d[0]) + 1, dim)
     starts = np.concatenate(([0], stops[:-1]))
+    sizes = stops - starts
     if len(stops) == 1:
         # X = 1 and C = A; the block is factored whatever its size, so its
         # det and apf are A's own
-        x, c, paired = None, m.copy(), np.zeros(1, dtype=bool)
+        x, c = None, m.copy()
+        is_pair = is_quad = np.zeros(1, dtype=bool)
     else:
-        c = yh @ x.conj()
+        c = w
         c *= d[:, None]
-        paired = stops - starts == 2
-    # the 2x2 blocks gathered in one array, the others one by one; then the
-    # blocks are zeroed and what is left of C is the reconstruction residual
-    pair_rows = starts[paired][:, None] + np.arange(2)
-    pair_index = (pair_rows[:, :, None], pair_rows[:, None, :])
-    pairs = c[pair_index]
-    c[pair_index] = 0.0
+        is_pair, is_quad = sizes == 2, sizes == 4
+    # the blocks of two and of four gathered in one array each, the others
+    # one by one; then the blocks are zeroed and what is left of C is the
+    # reconstruction residual
+    pair_starts, quad_starts = starts[is_pair], starts[is_quad]
+    pairs = _take_blocks(c, pair_starts, 2)
+    quads = _take_blocks(c, quad_starts, 4)
+    looped = ~(is_pair | is_quad)
     others = []
-    for lo, hi in zip(starts[~paired].tolist(), stops[~paired].tolist()):
+    for lo, hi in zip(starts[looped].tolist(), stops[looped].tolist()):
         others.append((lo, hi, c[lo:hi, lo:hi].copy()))
         c[lo:hi, lo:hi] = 0.0
     if x is not None:
@@ -238,33 +271,61 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
                 f"singular vectors X are not unitary within tolerance: defect "
                 f"{defect:.3e} exceeds {_UNITARITY_RTOL:.1e} * sqrt({dim})"
             )
-        residual = float(np.linalg.norm(c))
-        if residual > _RECONSTRUCT_RTOL * norm:
+        # ||A||_F = d_1 ||delta|| and the residual d_1 ||C / d_1||: neither
+        # overflows, and d_1 > 0 where there are two groups
+        residual = float(np.linalg.norm(c / d[0]))
+        if residual > _RECONSTRUCT_RTOL * float(np.linalg.norm(delta)):
             raise ReconstructionError(
-                f"||A - X C X^T|| = {residual:.3e} outside the singular-value groups "
-                f"exceeds {_RECONSTRUCT_RTOL:.1e} * ||A||; the input is likely further "
-                "from conjugate-normal than the tolerances assume"
+                f"||A - X C X^T|| = {float(d[0]) * residual:.3e} outside the "
+                f"singular-value groups exceeds {_RECONSTRUCT_RTOL:.1e} * ||A||; the "
+                "input is likely further from conjugate-normal than the tolerances assume"
             )
 
     measured = _Measured(cn_residual)
     if d[-1] <= dim * np.finfo(float).eps * d[0]:
         return measured, 0j
-    if any((hi - lo) % 2 for lo, hi, _ in others):
+    if np.any(sizes % 2):
         raise _positive_sigma(dim)
 
     # each block is scaled by 2^-e, e the exponent nearest log2 of its
     # largest d, so pf(2^j A) = 2^(j dim/2) pf(A) bit for bit.  C's entries
     # carry rounding of about dim eps d_1, which sets the noise floor
     noise = _APF_NOISE * dim * np.finfo(float).eps
-    pair_exponents = _near_exponent(d[pair_rows[:, 0]])
+    pair_exponents = _near_exponent(d[pair_starts])
     pairs *= np.ldexp(1.0, -pair_exponents)[:, None, None]
     dets = pairs[:, 0, 0] * pairs[:, 1, 1] - pairs[:, 0, 1] * pairs[:, 1, 0]
     apfs = (pairs[:, 0, 1] - pairs[:, 1, 0]) / 2.0
     if np.any(abs(apfs) <= noise * np.ldexp(d[0], -pair_exponents)):
         raise _positive_sigma(dim)
     exponent = int(np.sum(pair_exponents))
-    block_dets, block_apfs = [], []
-    for lo, hi, block in others:
+
+    # the blocks of four: one LU of the stack, and the apf as the three-term
+    # matching sum; only a block that the floor or the range flags is checked
+    quad_exponents = _near_exponent(d[quad_starts])
+    quads *= np.ldexp(1.0, -quad_exponents)[:, None, None]
+    skews = (quads - quads.transpose(0, 2, 1)) / 2.0
+    quad_dets = det_lu(quads) if len(quads) else np.empty(0, dtype=np.complex128)
+    quad_apfs = (
+        skews[:, 0, 1] * skews[:, 2, 3]
+        - skews[:, 0, 2] * skews[:, 1, 3]
+        + skews[:, 0, 3] * skews[:, 1, 2]
+    )
+    floors = noise * np.ldexp(d[0], -quad_exponents)
+    with np.errstate(over="ignore", invalid="ignore"):
+        flagged = (
+            abs(quad_apfs) <= floors * np.ldexp(d[quad_starts], -quad_exponents)
+        ) | ~_in_range(quad_apfs * quad_apfs)
+    for i in np.flatnonzero(flagged).tolist():
+        quad_apfs[i] = _checked_apf(skews[i], complex(quad_apfs[i]), float(floors[i]), dim)
+    exponent += 2 * int(np.sum(quad_exponents))
+
+    # the other blocks one by one, each in its group's place among the blocks
+    # of four, so the product below takes the values in the order of d
+    quad_slots = is_quad[~is_pair]
+    block_dets = np.empty(len(quad_slots), dtype=np.complex128)
+    block_apfs = np.empty_like(block_dets)
+    block_dets[quad_slots], block_apfs[quad_slots] = quad_dets, quad_apfs
+    for slot, (lo, hi, block) in zip(np.flatnonzero(~quad_slots).tolist(), others):
         k = hi - lo
         e = int(_near_exponent(d[lo]))
         block *= math.ldexp(1.0, -e)
@@ -276,8 +337,7 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
         bound = floor * math.ldexp(d[lo], -e) ** (k // 2 - 1)
         if abs(apf) <= bound or not _in_range(apf * apf):
             apf = _checked_apf(skew, apf, floor, dim)
-        block_dets.append(det)
-        block_apfs.append(apf)
+        block_dets[slot], block_apfs[slot] = det, apf
         exponent += e * k // 2
     try:
         values = _relation_value(np.append(dets, block_dets), np.append(apfs, block_apfs))
@@ -312,6 +372,16 @@ def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return scipy.linalg.svd(m, lapack_driver="gesdd", check_finite=False)
     except scipy.linalg.LinAlgError:
         return scipy.linalg.svd(m, lapack_driver="gesvd", check_finite=False)
+
+
+def _take_blocks(c: np.ndarray, starts: np.ndarray, k: int) -> np.ndarray:
+    """The k x k diagonal blocks of ``c`` that begin at ``starts``, as one
+    ``(G, k, k)`` stack; they are zeroed in ``c``."""
+    rows = starts[:, None] + np.arange(k)
+    index = (rows[:, :, None], rows[:, None, :])
+    blocks = c[index]
+    c[index] = 0.0
+    return blocks
 
 
 def _near_exponent(d):
@@ -354,9 +424,10 @@ def _out_of_range(log10_abs: float) -> InputError:
     return InputError(f"|pf(A)| ~ 1e{log10_abs:.0f} is outside the double range")
 
 
-def _in_range(x: complex) -> bool:
-    """Whether |x| is a normal double: in [tiny, inf), never nan."""
-    return np.finfo(float).tiny <= abs(x) < math.inf
+def _in_range(x):
+    """Whether |x| is a normal double: in [tiny, inf), never nan; elementwise."""
+    size = abs(x)
+    return (np.finfo(float).tiny <= size) & (size < math.inf)
 
 
 def antisymmetrized_pfaffian(a) -> PfResult:

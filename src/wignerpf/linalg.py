@@ -100,9 +100,11 @@ _HERMITIAN_SLOPE = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def det_lu(m: np.ndarray) -> complex:
+def det_lu(m: np.ndarray):
     """Determinant of a square complex128 array via LU factorization with
-    partial pivoting.
+    partial pivoting; of a ``(G, k, k)`` stack, the array of its G
+    determinants from one ``scipy.linalg.lu_factor`` call, each bit for bit
+    its member's.
 
     The determinant is the product of the U diagonal times (-1) per row swap
     recorded in the pivot vector, returned as it rounds (0, inf or nan).
@@ -112,9 +114,10 @@ def det_lu(m: np.ndarray) -> complex:
         # legitimate result here
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    swaps = int(np.count_nonzero(piv != np.arange(m.shape[0])))
-    det = complex(np.prod(np.diag(lu)))
-    return -det if swaps % 2 else det
+    odd = np.count_nonzero(piv != np.arange(m.shape[-1]), axis=-1) % 2 == 1
+    det = np.prod(np.diagonal(lu, axis1=-2, axis2=-1), axis=-1)
+    det = np.where(odd, -det, det)
+    return complex(det) if m.ndim == 2 else det
 
 
 def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -281,13 +281,21 @@ def _require_conjugate_normal(m: np.ndarray, tol: Tolerances) -> tuple[float, fl
     defect = _gram(m.T)
     defect -= np.conj(_gram(m.T, adjoint_first=True))
     residual = _hermitian_norm(defect) / max(norm * norm, np.finfo(float).tiny)
+    return _guard(residual, tol), norm
+
+
+def _guard(residual: float, tol: Tolerances) -> float:
+    """The one rule of the conjugate-normality guard, whichever way its
+    relative residual ``||A^T A* - A A^H||_F / ||A||_F^2`` was measured:
+    returns it, or raises :class:`NotConjugateNormalError` carrying it where
+    it exceeds ``tol.eig_residual`` or is nan."""
     if not residual <= tol.eig_residual:
         raise NotConjugateNormalError(
             f"matrix is not conjugate-normal: residual {residual:.3e} exceeds "
             f"{tol.eig_residual:.1e}",
             residual=residual,
         )
-    return residual, norm
+    return residual
 
 
 @dataclass(frozen=True)

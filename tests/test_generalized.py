@@ -32,6 +32,7 @@ from wignerpf import (
 from wignerpf import generalized, linalg, normal_form
 from wignerpf.ensembles import random_unitary
 from wignerpf.linalg import det_lu
+from wignerpf.pfaffian import pf_skew_parlett_reid
 
 from conftest import CORPUS_SIZE, corpus_spec, mixed_gauge
 from test_scale import table_matrix
@@ -652,54 +653,56 @@ class TestPassBudget:
     def test_passes_per_call_and_per_battery(self, passes):
         matrix = random_conjugate_normal(corpus_spec(2))  # 14 groups of two
         generalized_pfaffian(matrix)
-        # the SVD; det(X) and det(A); the guard's two Gram triangles and the
-        # unitarity witness's one; the cross-check's apf
-        assert passes == {"svd": 1, "eigh": 0, "lu_factor": 2, "zherk": 3, "skew": 1}
+        # the SVD, which also gives the guard; det(X) and det(A); the
+        # unitarity witness's Gram triangle; the cross-check's apf
+        assert passes == {"svd": 1, "eigh": 0, "lu_factor": 2, "zherk": 1, "skew": 1}
         passes.update(dict.fromkeys(passes, 0))
         identity_report(matrix)
-        # nine SVDs, each with its det(X) and three Gram triangles; the
-        # direct-sum row doubles every singular value, and each of its 14
-        # groups of four takes one LU and one apf; then det(A), det(B) and
-        # det(Q), and the apf the phase row reads
-        assert passes == {"svd": 9, "eigh": 0, "lu_factor": 26, "zherk": 27, "skew": 15}
+        # nine SVDs, each with its det(X) and one Gram triangle; the
+        # direct-sum row doubles every singular value, and its 14 groups of
+        # four take one LU of their stack and no skew kernel; then det(A),
+        # det(B) and det(Q), and the apf the phase row reads
+        assert passes == {"svd": 9, "eigh": 0, "lu_factor": 13, "zherk": 9, "skew": 1}
 
-    def test_group_of_four_takes_one_lu_and_one_skew_pfaffian(self, passes):
+    def test_group_of_four_takes_one_lu_and_no_skew_pfaffian(self, passes):
         matrix = random_conjugate_normal(corpus_spec(6))  # a complex pair of multiplicity 2
         generalized_pfaffian(matrix)
-        assert passes == {"svd": 1, "eigh": 0, "lu_factor": 3, "zherk": 3, "skew": 2}
+        # the group of four's apf is its three-term matching sum; the one
+        # skew kernel is the cross-check's
+        assert passes == {"svd": 1, "eigh": 0, "lu_factor": 3, "zherk": 1, "skew": 1}
 
     def test_single_group_takes_the_normal_form(self, passes):
         # both singular values of a 2x2 pair are equal: the one group spans A,
         # so X = 1 and its block is A, factored once by one LU and one skew
-        # kernel whose det and apf the diagnostics reuse; the guard's two Gram
-        # triangles, and no unitarity witness
+        # kernel whose det and apf the diagnostics reuse; the guard comes from
+        # the SVD, and there is no unitarity witness
         generalized_pfaffian(random_conjugate_normal(corpus_spec(14)))
-        assert passes == {"svd": 1, "eigh": 0, "lu_factor": 1, "zherk": 2, "skew": 1}
+        assert passes == {"svd": 1, "eigh": 0, "lu_factor": 1, "zherk": 0, "skew": 1}
 
     def test_single_group_of_four_is_factored_once(self, passes):
         # a complex pair of multiplicity 2: the one group spans A, as above
         spec = SpectrumSpec((SpectrumEntry("complex", 1 + 1j, 2),), seed=5)
         generalized_pfaffian(random_conjugate_normal(spec))
-        assert passes == {"svd": 1, "eigh": 0, "lu_factor": 1, "zherk": 2, "skew": 1}
+        assert passes == {"svd": 1, "eigh": 0, "lu_factor": 1, "zherk": 0, "skew": 1}
 
     def test_derivative_runs_one_normal_form_and_no_diagnostics(self, passes):
         matrix = random_conjugate_normal(corpus_spec(2))
         pfaffian_derivative(matrix, np.eye(matrix.shape[0]))
-        # the SVD; det(X); the guard's two Gram triangles and the unitarity
-        # witness's one; no det(A) and no apf (the solve factors A)
-        assert passes == {"svd": 1, "eigh": 0, "lu_factor": 1, "zherk": 3, "skew": 0}
+        # the SVD, which also gives the guard; det(X); the unitarity
+        # witness's Gram triangle; no det(A) and no apf (the solve factors A)
+        assert passes == {"svd": 1, "eigh": 0, "lu_factor": 1, "zherk": 1, "skew": 0}
 
     @pytest.mark.parametrize(
         "index, counts",
-        [(2, [2, 18, 2]), (14, [2, 11, 3])],
+        [(2, [2, 4, 2]), (14, [2, 11, 3])],
         ids=["groups", "single-group"],
     )
     def test_each_matrix_is_checked_where_it_enters(self, monkeypatch, index, counts):
         # as_square_matrix reads as_matrix as a module global, so the spy
         # sees every check; the kernels take the pipeline's arrays as given.
         # With groups, a call checks its entry and the skew kernel's input; a
-        # battery its entry, one call, B and each group of four of the
-        # direct-sum row; the derivative A and dA.  A single group checks the
+        # battery its entry, one call and B (the direct-sum row's groups of
+        # four take no skew kernel); the derivative A and dA.  A single group checks the
         # skew kernel's input of its block, which is the whole matrix: the
         # call's one, the battery's base call and seven derived rows (all but
         # the tensor row, whose groups are pairs), and the derivative's one
@@ -724,6 +727,30 @@ class TestPassBudget:
             assert not any(callers)
             seen.append(len(callers))
         assert seen == counts
+
+
+def per_block_value(matrix):
+    """Oracle of the stacked blocks of four: the value of an input whose
+    groups all have four members, each block factored by its own LU and
+    Parlett-Reid apf and the values multiplied in the order of d as the
+    kernel multiplies them."""
+    x, d, yh = scipy.linalg.svd(matrix, lapack_driver="gesdd", check_finite=False)
+    c = yh @ x.conj()
+    c *= d[:, None]
+    dets, apfs, exponent = [], [], 0
+    for lo in range(0, len(d), 4):
+        e = int(generalized._near_exponent(d[lo]))
+        block = c[lo : lo + 4, lo : lo + 4] * math.ldexp(1.0, -e)
+        dets.append(det_lu(block))
+        apfs.append(pf_skew_parlett_reid((block - block.T) / 2.0))
+        exponent += 2 * e
+    mantissa = 1 + 0j
+    for value in generalized._relation_value(dets, apfs).tolist():
+        mantissa *= value
+        _, e = math.frexp(abs(mantissa))
+        mantissa = complex(math.ldexp(mantissa.real, -e), math.ldexp(mantissa.imag, -e))
+        exponent += e
+    return generalized._ldexp(mantissa * det_lu(x), exponent)
 
 
 class TestGroupKernel:
@@ -753,6 +780,55 @@ class TestGroupKernel:
             want = generalized_pfaffian(matrix).value
         assert (value.real.hex(), value.imag.hex()) == (want.real.hex(), want.imag.hex())
         assert abs(value - default) <= 1e-13 * abs(default)
+
+    def test_kramers_degenerate_input_keeps_its_value_bit_for_bit(self):
+        # every complex pair at multiplicity 2, n = 200: 50 groups of four,
+        # factored as one stack, give the per-block loop's value bit for bit
+        rng = np.random.default_rng(23)
+        omegas = np.exp(rng.uniform(-0.5, 0.5, 50)) * np.exp(
+            1j * rng.uniform(0.1, math.pi - 0.1, 50)
+        )
+        spec = SpectrumSpec(tuple(SpectrumEntry("complex", complex(w), 2) for w in omegas), seed=23)
+        matrix = random_conjugate_normal(spec)
+        value = generalized_pfaffian(matrix).value
+        want = per_block_value(matrix)
+        assert (value.real.hex(), value.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+    def test_groups_of_every_size_keep_their_order(self):
+        # groups of two, four, six and four again: the stacked blocks of four
+        # and the looped block of six multiply in the order of d
+        spec = SpectrumSpec(
+            (
+                SpectrumEntry("complex", 3 + 1j, 1),
+                SpectrumEntry("complex", 0.5 + 2j, 2),
+                SpectrumEntry("negative-real", -1.5, 6),
+                SpectrumEntry("complex", -0.4 + 0.3j, 2),
+            ),
+            seed=4,
+        )
+        matrix = random_conjugate_normal(spec)
+        d = scipy.linalg.svdvals(matrix)
+        stops = np.flatnonzero(d[:-1] - d[1:] > 1e-6 * d[0]) + 1
+        assert np.diff(np.concatenate(([0], stops, [len(d)]))).tolist() == [2, 4, 6, 4]
+        value = generalized_pfaffian(matrix).value
+        want = generalized_pfaffian_via_relation(matrix).value
+        assert abs(value - want) <= 1e-13 * abs(want)
+
+    def test_flagged_group_of_four_alone_is_checked(self, monkeypatch):
+        # a positive-sigma group of four beside a pair: the stacked floor test
+        # flags it, and only it reaches the checked apf, which raises
+        flagged = []
+        original = generalized._checked_apf
+        monkeypatch.setattr(
+            generalized,
+            "_checked_apf",
+            lambda skew, *args: flagged.append(skew.shape) or original(skew, *args),
+        )
+        core = scipy.linalg.block_diag(3.0 * np.eye(4), [[0.0, 1.0], [-1.0, 0.0]])
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal(core.shape))
+        with pytest.raises(PfUndefinedError, match="eigenvalue; the"):
+            generalized_pfaffian(q @ core @ q.T)
+        assert flagged == [(4, 4)]
 
     def test_unitarity_witness_raises(self, monkeypatch):
         monkeypatch.setattr(generalized, "_UNITARITY_RTOL", 1e-17)

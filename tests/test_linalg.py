@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from wignerpf import InputError, NotNormalError, Tolerances
 from wignerpf.linalg import (
@@ -126,6 +127,32 @@ class TestDeterminant:
 
     def test_scalar(self):
         assert det_lu(np.array([[2.0 - 3.0j]])) == pytest.approx(2.0 - 3.0j)
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 7])
+    def test_stack_gives_each_members_determinant_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        stack = rng.normal(size=(6, k, k)) + 1j * rng.normal(size=(6, k, k))
+        stack[1] = stack[1][::-1]  # a member with its own swap parity
+        stack[2] = 0.0  # exactly singular
+        stack[3, :, 0] = 0.0  # singular through one column
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dets = det_lu(stack)
+        assert dets.shape == (6,)
+        assert dets[2] == 0 and dets[3] == 0
+        for member, det in zip(stack, dets):
+            want = det_lu(member)
+            assert isinstance(want, complex)
+            assert (det.real.hex(), det.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+    def test_stack_takes_one_factorization(self, monkeypatch):
+        calls = []
+        original = scipy.linalg.lu_factor
+        monkeypatch.setattr(
+            scipy.linalg, "lu_factor", lambda *a, **kw: calls.append(1) or original(*a, **kw)
+        )
+        det_lu(np.tile(np.eye(4, dtype=complex), (50, 1, 1)))
+        assert calls == [1]
 
 
 class TestEigNormal:

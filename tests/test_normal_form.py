@@ -1,10 +1,12 @@
 """Normal-form construction: blocks, classification, reconstruction, gauges."""
 
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +30,7 @@ from wignerpf import (
     reconstruct,
     wigner_normal_form,
 )
-from wignerpf import generalized, linalg, normal_form, pfaffian
+from wignerpf import errors, generalized, linalg, normal_form, pfaffian
 from wignerpf.cli import main
 from wignerpf.ensembles import random_unitary, spectrum_blocks
 from wignerpf.linalg import det_lu, unitarity_defect
@@ -760,6 +762,21 @@ class TestCanonicalGauge:
             assert abs(other.det_u - base.det_u) <= 1e-12
 
 
+#: on a conjugate-normal input the guard's residual is rounding, measured at
+#: most 3.1e-15 either way on the corpus and the guard sweep below
+_ROUNDING_RESIDUAL = 5e-15
+
+
+def svd_guard_residual(matrix):
+    """The Pfaffian's guard residual, recomputed: with A = X D Y^H and W =
+    Y^H conj(X), ``||A^T A* - A A^H||_F / ||A||_F^2`` is ``||(delta_i^2 -
+    delta_j^2) W_ij||_F / sum delta^2`` for delta = d / d_1."""
+    x, d, yh = scipy.linalg.svd(matrix, lapack_driver="gesdd", check_finite=False)
+    w = yh @ x.conj()
+    square = (d / d[0]) ** 2
+    return float(np.linalg.norm(w * (square[:, None] - square))) / float(square.sum())
+
+
 class TestOnePass:
     """Every check of one call runs once; its value is carried, not remeasured."""
 
@@ -769,8 +786,11 @@ class TestOnePass:
         nf = wigner_normal_form(matrix)
         assert nf.conjugate_normal_residual == is_conjugate_normal(matrix)[1]
         assert nf.reconstruction_residual == float(np.linalg.norm(matrix - reconstruct(nf)))
-        result = generalized_pfaffian(matrix)
-        assert result.diagnostics.conjugate_normal_residual == nf.conjugate_normal_residual
+        # the Pfaffian reads its residual off the SVD it takes; both are
+        # rounding on a conjugate-normal input
+        residual = generalized_pfaffian(matrix).diagnostics.conjugate_normal_residual
+        assert residual == svd_guard_residual(matrix)
+        assert abs(residual - nf.conjugate_normal_residual) <= _ROUNDING_RESIDUAL
 
     def test_det_u_is_computed_on_first_read_only(self, monkeypatch):
         calls = []
@@ -806,15 +826,17 @@ class TestOnePass:
         assert len(calls) == 1
 
     def test_one_conjugate_normality_test_per_pfaffian(self, monkeypatch):
+        # one guard per call: the normal-form route's from its SVD, the
+        # relation route's from the Gram triangles
         calls = []
-        original = normal_form._require_conjugate_normal
+        original = normal_form._guard
 
-        def counted(m, tol):
+        def counted(residual, tol):
             calls.append(1)
-            return original(m, tol)
+            return original(residual, tol)
 
-        monkeypatch.setattr(normal_form, "_require_conjugate_normal", counted)
-        monkeypatch.setattr(generalized, "_require_conjugate_normal", counted)
+        monkeypatch.setattr(normal_form, "_guard", counted)
+        monkeypatch.setattr(generalized, "_guard", counted)
         generalized_pfaffian(random_conjugate_normal(corpus_spec(1)))
         assert len(calls) == 1
         generalized_pfaffian_via_relation(random_conjugate_normal(corpus_spec(1)))
@@ -833,10 +855,11 @@ class TestOnePass:
         monkeypatch.setattr(np.linalg, "norm", counted)
         wigner_normal_form(matrix)
         assert len(calls) == 1
+        # the Pfaffian takes ||A||_F as d_1 ||d / d_1|| from its singular values
         generalized_pfaffian(matrix)
-        assert len(calls) == 2
+        assert len(calls) == 1
         classify_spectrum(matrix)
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_one_skew_pfaffian_and_two_determinants_per_pfaffian(self, monkeypatch):
         calls = {"parlett-reid": 0, "det": 0}
@@ -865,8 +888,8 @@ class TestOnePass:
         assert result.diagnostics.det_antisymmetric == apf**2
 
     @pytest.mark.parametrize("residual", [0.0, 3e-11])
-    def test_three_gram_products_at_every_guard_residual(self, monkeypatch, residual):
-        # the guard's A^T A* and A A^H and the unitarity witness's X^H X; the
+    def test_one_gram_product_at_every_guard_residual(self, monkeypatch, residual):
+        # the unitarity witness's X^H X; the guard comes from the SVD, and the
         # Pfaffian classifies no spectrum of Lambda
         matrix = random_conjugate_normal(corpus_spec(1))
         if residual:
@@ -887,7 +910,7 @@ class TestOnePass:
         monkeypatch.setattr(normal_form, "_gram", counted_gram)
         monkeypatch.setattr(normal_form, "classify_spectrum", counted_classify)
         generalized_pfaffian(matrix)
-        assert calls == {"gram": 3, "classify": 0}
+        assert calls == {"gram": 1, "classify": 0}
 
     def test_fresh_arrays_are_held_without_a_copy(self, monkeypatch):
         # the eigenvectors, their images and U are built read-only, so the
@@ -1094,8 +1117,11 @@ def spread_spectrum(dim, seed):
 
 #: (scale, command, exit code, stdout line) on c [[0, 1+i], [1-i, 0]]; at 1e-200
 #: Lambda underflows to 0, so wnf reads two zero blocks for a non-singular
-#: matrix, while pf, which forms no Lambda, keeps its value down to 1e-300
-#: the guard's norm of c [[0, 1+i], [1-i, 0]] overflows from c ~ 1e155 on
+#: matrix, while pf, which forms no Lambda, keeps its value down to 1e-300.
+#: From c ~ 1e155 on, the Gram guard's norm of c [[0, 1+i], [1-i, 0]]
+#: overflows on the routes that keep it (wnf, pf --method relation, check);
+#: pf reads its guard and norms off d / d_1 and keeps its value, with det(A)
+#: out of range (null) and so no cross-check
 _GUARD_OVERFLOW = (
     '{"error": {"code": 3, "message": "matrix is not conjugate-normal: '
     'residual nan exceeds 1.0e-10"}}'
@@ -1116,10 +1142,14 @@ _SCALE_EXTREMES = [
     ("1e-200", "check", 0, '{"conjugate_normal": true, "residual": 0}'),
     ("1e-300", "pf", 0, '{"pfaffian": [0, 1.414213562373095e-300], "method": "normal-form", '
      '"det": [0, 0], "singular": false, "cross_check_residual": null}'),
+    ("1e155", "pf", 0, '{"pfaffian": [0, 1.414213562373095e+155], "method": "normal-form", '
+     '"det": [null, 0], "singular": false, "cross_check_residual": null}'),
+    ("1e160", "pf", 0, '{"pfaffian": [0, 1.4142135623730951e+160], "method": "normal-form", '
+     '"det": [null, 0], "singular": false, "cross_check_residual": null}'),
     *(
         (scale, command, 3, _GUARD_OVERFLOW)
         for scale in ("1e155", "1e160")
-        for command in ("pf", "wnf", "pf --method relation")
+        for command in ("wnf", "pf --method relation")
     ),
     ("1e155", "check", 0, '{"conjugate_normal": false, "residual": null}'),
     ("1e160", "check", 0, '{"conjugate_normal": false, "residual": null}'),
@@ -1169,12 +1199,112 @@ class TestNormalityWitness:
         assert capsys.readouterr() == (out + "\n", "")
 
     @pytest.mark.filterwarnings("error")
-    def test_identities_at_an_overflowing_lam_fail_the_guard_quietly(self, capsys, tmp_path):
-        # the scale row's lam A overflows the guard's norm and Gram difference
+    def test_identities_at_a_huge_lam_pass_quietly(self, capsys, tmp_path):
+        # the scale row's lam A would overflow a Gram guard's norm and
+        # difference; pf reads its guard off the SVD, so every row passes
         path = tmp_path / "j.mm"
         path.write_text("%%MatrixMarket matrix array real general\n2 2\n0\n-1\n1\n0\n")
-        assert main(["identities", "--lam", "1e308", str(path)]) == 3
-        assert capsys.readouterr() == (_GUARD_OVERFLOW + "\n", "")
+        assert main(["identities", "--lam", "1e308", str(path)]) == 0
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert err == ""
+        assert report["passed"]
+        assert {c["name"]: c["residual"] for c in report["checks"]}["scale"] == 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e100, 1e140])
+    def test_four_by_four_keeps_its_value_where_its_gram_products_overflow(self, scale):
+        # the Gram guard's norm squares the entries of A^T A* - A A^H, which
+        # overflows from ||A||_F ~ 1e77 on; pf takes every norm on d / d_1
+        matrix = random_conjugate_normal(corpus_spec(1))
+        want = scale * scale * generalized_pfaffian(matrix).value
+        result = generalized_pfaffian(scale * matrix)
+        assert abs(result.value / want - 1) <= 1e-15
+        assert result.diagnostics.conjugate_normal_residual <= _ROUNDING_RESIDUAL
+        assert not is_conjugate_normal(scale * matrix)[0]  # the Gram guard overflows
+
+
+def guard_sweep_input(dim, size, seed):
+    """``A + size ||A||_F G / dim`` for a conjugate-normal A
+    (:func:`spread_spectrum`) and a seeded complex Gaussian G."""
+    matrix = spread_spectrum(dim, seed)
+    rng = np.random.default_rng(1000 + seed)
+    step = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return matrix + size * np.linalg.norm(matrix) * step / dim
+
+
+@pytest.fixture
+def pf_guard(monkeypatch):
+    """Runs generalized_pfaffian and returns ``(error class or None, the
+    residual its guard read)``, whichever error followed the guard."""
+    seen = []
+    original = generalized._guard
+    monkeypatch.setattr(
+        generalized, "_guard", lambda residual, tol: seen.append(residual) or original(residual, tol)
+    )
+
+    def run(matrix):
+        seen.clear()
+        try:
+            generalized_pfaffian(matrix)
+        except errors.Error as exc:
+            return type(exc), seen[0]
+        return None, seen[0]
+
+    return run
+
+
+_GUARD_SIZES = [4, 10, 40, 100]
+_GUARD_STEPS = [0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-6, 1e-2]
+
+
+class TestGuardFromTheSvd:
+    """pf reads the guard off its SVD, ``||[D^2, W]||_F / ||A||_F^2`` with W
+    = Y^H conj(X); the other routes take the two Gram triangles.  The two
+    must make the same decision and read the same residual."""
+
+    @pytest.mark.parametrize("size", _GUARD_STEPS)
+    @pytest.mark.parametrize("dim", _GUARD_SIZES)
+    def test_pf_fails_the_guard_where_the_gram_guard_does(self, pf_guard, dim, size):
+        for seed in range(20):
+            matrix = guard_sweep_input(dim, size, seed)
+            passed, gram = is_conjugate_normal(matrix)
+            error, residual = pf_guard(matrix)
+            assert (error is NotConjugateNormalError) == (not passed)
+            if gram > 1e-13:  # measured: at most 5.1e-4 apart
+                assert abs(residual - gram) <= 1e-3 * gram
+            if size == 0:
+                assert max(residual, gram) <= _ROUNDING_RESIDUAL
+
+    @pytest.mark.parametrize("size", [0.0, 1e-11, 1e-2])
+    @pytest.mark.parametrize("dim", _GUARD_SIZES)
+    def test_residual_scales_bit_for_bit(self, pf_guard, dim, size):
+        for seed in range(5):
+            matrix = guard_sweep_input(dim, size, seed)
+            _, residual = pf_guard(matrix)
+            for j in (-64, -1, 1, 64):
+                assert pf_guard(math.ldexp(1.0, j) * matrix)[1] == residual
+
+    @pytest.mark.parametrize("dim", _GUARD_SIZES)
+    def test_gram_residuals_either_side_of_the_bound(self, pf_guard, dim):
+        for seed in range(5):
+            below = with_guard_residual(spread_spectrum(dim, seed), 9e-11, seed)
+            error, residual = pf_guard(below)
+            assert error is not NotConjugateNormalError
+            assert residual <= DEFAULT_TOL.eig_residual
+            above = with_guard_residual(spread_spectrum(dim, seed), 1.1e-10, seed)
+            error, residual = pf_guard(above)
+            assert error is NotConjugateNormalError
+            assert residual > DEFAULT_TOL.eig_residual
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_warning_escapes_at_any_scale(self):
+        # c [[0, 1+i], [1-i, 0]] from c = 1e-300 to 1e160: the value c sqrt(2) i
+        core = np.array([[0.0, 1 + 1j], [1 - 1j, 0.0]])
+        for k in range(-300, 161, 5):
+            scale = 10.0**k
+            value = generalized_pfaffian(scale * core).value
+            assert abs(value - scale * math.sqrt(2.0) * 1j) <= 4e-16 * scale
 
 
 def projector_symplectic_basis(c):
