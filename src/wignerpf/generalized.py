@@ -47,7 +47,7 @@ from .normal_form import (
     _guard,
     _require_conjugate_normal,
 )
-from .pfaffian import pf_polynomial, pf_skew_parlett_reid
+from .pfaffian import _matching_sum, pf_polynomial, pf_skew_parlett_reid
 
 #: |Im(w2)| <= RATIO_IMAG_RTOL * |Re(w2)| is required of w2 = det conj(apf)^2 /
 #: |apf|^2, a positive multiple of the det(A)/det((A - A^T)/2) ratio
@@ -218,19 +218,20 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
 
     A smallest d at or below ``dim * eps * d_1`` makes A singular; otherwise
     a group of odd size holds a positive sigma and the value is undefined.
-    Each even group's block is scaled by a power of two near its d and
-    takes :func:`_relation_value`, one call for all blocks, on its
-    determinant and apf: a 2x2 block's in closed form; the 4x4 blocks of
-    two or more groups from one LU of their stack and the three-term
-    matching sum; a larger one's, or the one block that spans A, from one LU
-    and one Parlett-Reid factorization.  A block holds a positive sigma, and
-    raises, when its skew part has a singular value at or below the noise
-    floor ``_APF_NOISE * dim * eps * d_1`` (a 2x2 block's is ``|apf|``; a
-    larger one runs ``svdvals`` only when ``|apf|``, a product of half of
-    them, each at most d_J, is below ``floor * d_J^(k/2 - 1)``) or when it
-    fails the rule.  A block whose ``apf**2`` leaves the double range takes
-    the phase of the apf of its skew part scaled by a power of two near the
-    mean of those singular values.
+    The blocks of each size k, one stack per size, are scaled by powers of
+    two near their d and take :func:`_relation_value` on their determinants
+    and apfs: the determinant in closed form at k = 2 and from one LU of the
+    stack otherwise, the apf as the matching sum
+    (:func:`~wignerpf.pfaffian._matching_sum`) at k <= 4 and by Parlett-Reid
+    block by block otherwise.  The one block of a single group, A itself,
+    takes one LU and one Parlett-Reid factorization whatever its size.  A
+    block holds a positive sigma, and raises, when its skew part has a
+    singular value at or below the noise floor ``_APF_NOISE * dim * eps *
+    d_1`` or when it fails the rule; ``svdvals`` runs only on a block whose
+    ``|apf|``, a product of half of those singular values, each at most d_J,
+    is at most ``floor * d_J^(k/2 - 1)``.  A block whose ``apf**2`` leaves
+    the double range takes the phase of the apf of its skew part scaled by
+    a power of two near the mean of those singular values.
     """
     x, d, yh = _svd(m)
     dim = m.shape[0]
@@ -244,27 +245,15 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
     stops = np.append(np.flatnonzero(d[:-1] - d[1:] > _GROUP_RTOL * d[0]) + 1, dim)
     starts = np.concatenate(([0], stops[:-1]))
     sizes = stops - starts
-    if len(stops) == 1:
-        # X = 1 and C = A; the block is factored whatever its size, so its
-        # det and apf are A's own
-        x, c = None, m.copy()
-        is_pair = is_quad = np.zeros(1, dtype=bool)
+    single = len(stops) == 1
+    if single:  # X = 1 and C = A: no witness to take, and det(X) = 1
+        stacks = {dim: m[None]}
     else:
         c = w
         c *= d[:, None]
-        is_pair, is_quad = sizes == 2, sizes == 4
-    # the blocks of two and of four gathered in one array each, the others
-    # one by one; then the blocks are zeroed and what is left of C is the
-    # reconstruction residual
-    pair_starts, quad_starts = starts[is_pair], starts[is_quad]
-    pairs = _take_blocks(c, pair_starts, 2)
-    quads = _take_blocks(c, quad_starts, 4)
-    looped = ~(is_pair | is_quad)
-    others = []
-    for lo, hi in zip(starts[looped].tolist(), stops[looped].tolist()):
-        others.append((lo, hi, c[lo:hi, lo:hi].copy()))
-        c[lo:hi, lo:hi] = 0.0
-    if x is not None:
+        # the blocks of each size as one stack, zeroed in C, so that what is
+        # left of C is the reconstruction residual
+        stacks = {k: _take_blocks(c, starts[sizes == k], k) for k in np.unique(sizes).tolist()}
         defect = unitarity_defect(x)
         if defect > _UNITARITY_RTOL * math.sqrt(dim):
             raise SpectralConsistencyError(
@@ -291,63 +280,48 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
     # largest d, so pf(2^j A) = 2^(j dim/2) pf(A) bit for bit.  C's entries
     # carry rounding of about dim eps d_1, which sets the noise floor
     noise = _APF_NOISE * dim * np.finfo(float).eps
-    pair_exponents = _near_exponent(d[pair_starts])
-    pairs *= np.ldexp(1.0, -pair_exponents)[:, None, None]
-    dets = pairs[:, 0, 0] * pairs[:, 1, 1] - pairs[:, 0, 1] * pairs[:, 1, 0]
-    apfs = (pairs[:, 0, 1] - pairs[:, 1, 0]) / 2.0
-    if np.any(abs(apfs) <= noise * np.ldexp(d[0], -pair_exponents)):
-        raise _positive_sigma(dim)
-    exponent = int(np.sum(pair_exponents))
-
-    # the blocks of four: one LU of the stack, and the apf as the three-term
-    # matching sum; only a block that the floor or the range flags is checked
-    quad_exponents = _near_exponent(d[quad_starts])
-    quads *= np.ldexp(1.0, -quad_exponents)[:, None, None]
-    skews = (quads - quads.transpose(0, 2, 1)) / 2.0
-    quad_dets = det_lu(quads) if len(quads) else np.empty(0, dtype=np.complex128)
-    quad_apfs = (
-        skews[:, 0, 1] * skews[:, 2, 3]
-        - skews[:, 0, 2] * skews[:, 1, 3]
-        + skews[:, 0, 3] * skews[:, 1, 2]
-    )
-    floors = noise * np.ldexp(d[0], -quad_exponents)
-    with np.errstate(over="ignore", invalid="ignore"):
-        flagged = (
-            abs(quad_apfs) <= floors * np.ldexp(d[quad_starts], -quad_exponents)
-        ) | ~_in_range(quad_apfs * quad_apfs)
-    for i in np.flatnonzero(flagged).tolist():
-        quad_apfs[i] = _checked_apf(skews[i], complex(quad_apfs[i]), float(floors[i]), dim)
-    exponent += 2 * int(np.sum(quad_exponents))
-
-    # the other blocks one by one, each in its group's place among the blocks
-    # of four, so the product below takes the values in the order of d
-    quad_slots = is_quad[~is_pair]
-    block_dets = np.empty(len(quad_slots), dtype=np.complex128)
-    block_apfs = np.empty_like(block_dets)
-    block_dets[quad_slots], block_apfs[quad_slots] = quad_dets, quad_apfs
-    for slot, (lo, hi, block) in zip(np.flatnonzero(~quad_slots).tolist(), others):
-        k = hi - lo
-        e = int(_near_exponent(d[lo]))
-        block *= math.ldexp(1.0, -e)
-        skew = (block - block.T) / 2.0
-        det, apf = det_lu(block), pf_skew_parlett_reid(skew)
-        if x is None:  # the block is A: its det and apf are A's, rescaled
-            measured = _Measured(cn_residual, _ldexp(det, e * k), _ldexp(apf, e * k // 2))
-        floor = noise * math.ldexp(d[0], -e)
-        bound = floor * math.ldexp(d[lo], -e) ** (k // 2 - 1)
-        if abs(apf) <= bound or not _in_range(apf * apf):
-            apf = _checked_apf(skew, apf, floor, dim)
-        block_dets[slot], block_apfs[slot] = det, apf
-        exponent += e * k // 2
-    try:
-        values = _relation_value(np.append(dets, block_dets), np.append(apfs, block_apfs))
-    except (NotConjugateNormalError, PfUndefinedError):
-        raise _positive_sigma(dim) from None
+    values = np.empty(len(stops), dtype=np.complex128)
+    exponent = 0
+    for k, blocks in stacks.items():
+        at = sizes == k
+        lead = d[starts[at]]  # each block's largest d
+        e = _near_exponent(lead)
+        blocks = blocks * np.ldexp(1.0, -e)[:, None, None]
+        skews = (blocks - blocks.transpose(0, 2, 1)) / 2.0
+        if single:  # the block is A: its det and apf, rescaled, are A's own
+            dets, apfs = det_lu(blocks), np.array([pf_skew_parlett_reid(skews[0])])
+            measured = _Measured(
+                cn_residual,
+                _ldexp(complex(dets[0]), int(e[0]) * k),
+                _ldexp(complex(apfs[0]), int(e[0]) * k // 2),
+            )
+        else:
+            if k == 2:
+                dets = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
+            else:
+                dets = det_lu(blocks)
+            if k <= 4:
+                apfs = _matching_sum(skews)
+            else:
+                apfs = np.array([pf_skew_parlett_reid(skew) for skew in skews])
+        floors = noise * np.ldexp(d[0], -e)
+        with np.errstate(over="ignore", invalid="ignore"):
+            flagged = (
+                abs(apfs) <= floors * np.ldexp(lead, -e) ** (k // 2 - 1)
+            ) | ~_in_range(apfs * apfs)
+        for i in np.flatnonzero(flagged).tolist():
+            apfs[i] = _checked_apf(skews[i], complex(apfs[i]), float(floors[i]), dim)
+        try:
+            values[at] = _relation_value(dets, apfs)
+        except (NotConjugateNormalError, PfUndefinedError):
+            raise _positive_sigma(dim) from None
+        exponent += k // 2 * int(np.sum(e))
 
     # the product as a mantissa and a power of two, so no partial product
-    # leaves the double range; |det(X)| = 1 decides nothing about the range
+    # leaves the double range; |det(X)| = 1 decides nothing about the range.
+    # The pairs come first, then the other blocks in the order of d
     mantissa = 1 + 0j
-    for value in values.tolist():
+    for value in values[np.argsort(sizes != 2, kind="stable")].tolist():
         mantissa *= value
         _, e = math.frexp(abs(mantissa))
         mantissa = complex(math.ldexp(mantissa.real, -e), math.ldexp(mantissa.imag, -e))
@@ -357,7 +331,7 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
         raise _out_of_range(log10_abs)
     # det(X) joins the mantissa before the scaling, the one step that may
     # round (a subnormal part), so 2^j A scales bit for bit
-    if x is not None:
+    if not single:
         mantissa *= det_lu(x)
     value = _ldexp(mantissa, exponent)
     if not _in_range(value):  # |det(X)| = 1 to rounding moved it out

@@ -6,7 +6,9 @@ pivoting whose trailing updates are matrix products (after Wimmer, ACM TOMS
 references check it: :func:`pf_skew_householder`, an independent O(n^3)
 route by unitary Householder tridiagonalization that only the tests call,
 and :func:`pf_polynomial`, a brute-force sum over perfect matchings that
-accepts arbitrary square matrices and backs ``--method polynomial``.
+accepts arbitrary square matrices and backs ``--method polynomial``.  Its
+sum, :func:`_matching_sum`, takes stacks of matrices too and gives the apf
+of the 2x2 and 4x4 group blocks of :func:`wignerpf.generalized_pfaffian`.
 """
 
 from __future__ import annotations
@@ -185,19 +187,25 @@ def pf_polynomial(a) -> complex:
         raise InputError(
             f"polynomial pfaffian limited to dimension {MAX_POLYNOMIAL_DIM}, got {n}"
         )
-    half = (m - m.T) / 2.0
+    return complex(_matching_sum((m - m.T) / 2.0))
 
-    def matchings(indices: tuple[int, ...]) -> complex:
-        # pair the smallest free index with every other free index; crossing
-        # pos-1 remaining indices contributes sign (-1)**(pos-1)
-        if not indices:
-            return 1.0 + 0j
-        first = indices[0]
-        total = 0j
-        for pos in range(1, len(indices)):
-            rest = indices[1:pos] + indices[pos + 1:]
-            term = half[first, indices[pos]] * matchings(rest)
-            total += -term if pos % 2 == 0 else term
+
+def _matching_sum(half: np.ndarray):
+    """The perfect-matching sum of each member of a ``(..., k, k)`` stack of
+    skew matrices, k even and at least 2, elementwise over the stack: the
+    Pfaffian expanded along the first row.  At k = 2 it is ``half[..., 0,
+    1]`` and at k = 4 ``a01 a23 - a02 a13 + a03 a12``, term for term."""
+
+    def matchings(indices: tuple[int, ...]):
+        # pair the first index with each other one; crossing the pos indices
+        # before it contributes the sign (-1)**pos
+        first, rest = indices[0], indices[1:]
+        if len(rest) == 1:
+            return half[..., first, rest[0]]
+        total = half[..., first, rest[0]] * matchings(rest[1:])
+        for pos in range(1, len(rest)):
+            term = half[..., first, rest[pos]] * matchings(rest[:pos] + rest[pos + 1:])
+            total = total - term if pos % 2 else total + term
         return total
 
-    return complex(matchings(tuple(range(n))))
+    return matchings(tuple(range(half.shape[-1])))

@@ -671,6 +671,21 @@ class TestPassBudget:
         # skew kernel is the cross-check's
         assert passes == {"svd": 1, "eigh": 0, "lu_factor": 3, "zherk": 1, "skew": 1}
 
+    def test_groups_of_one_size_take_one_lu(self, passes):
+        # groups [2, 6, 6]: the pair in closed form, both blocks of six from
+        # one LU of their stack and one skew kernel each
+        spec = SpectrumSpec(
+            (
+                SpectrumEntry("complex", 3 + 1j, 1),
+                SpectrumEntry("negative-real", -1.5, 6),
+                SpectrumEntry("negative-real", -0.4, 6),
+            ),
+            seed=4,
+        )
+        generalized_pfaffian(random_conjugate_normal(spec))
+        # det(X), the stack and det(A); the cross-check's apf is the third
+        assert passes == {"svd": 1, "eigh": 0, "lu_factor": 3, "zherk": 1, "skew": 3}
+
     def test_single_group_takes_the_normal_form(self, passes):
         # both singular values of a 2x2 pair are equal: the one group spans A,
         # so X = 1 and its block is A, factored once by one LU and one skew
@@ -730,20 +745,27 @@ class TestPassBudget:
 
 
 def per_block_value(matrix):
-    """Oracle of the stacked blocks of four: the value of an input whose
-    groups all have four members, each block factored by its own LU and
-    Parlett-Reid apf and the values multiplied in the order of d as the
-    kernel multiplies them."""
+    """Oracle of the stacked blocks: the value of a non-singular input, each
+    group's block factored on its own (a pair's determinant in closed form,
+    any other's by its own LU) with its own Parlett-Reid apf, and the values
+    multiplied as the kernel multiplies them: the pairs first, then the
+    other blocks in the order of d."""
     x, d, yh = scipy.linalg.svd(matrix, lapack_driver="gesdd", check_finite=False)
     c = yh @ x.conj()
     c *= d[:, None]
+    stops = np.flatnonzero(d[:-1] - d[1:] > 1e-6 * d[0]) + 1
+    bounds = list(zip([0, *stops.tolist()], [*stops.tolist(), len(d)]))
+    bounds.sort(key=lambda bound: bound[1] - bound[0] != 2)
     dets, apfs, exponent = [], [], 0
-    for lo in range(0, len(d), 4):
+    for lo, hi in bounds:
         e = int(generalized._near_exponent(d[lo]))
-        block = c[lo : lo + 4, lo : lo + 4] * math.ldexp(1.0, -e)
-        dets.append(det_lu(block))
+        block = c[lo:hi, lo:hi] * math.ldexp(1.0, -e)
+        if hi - lo == 2:
+            dets.append(block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0])
+        else:
+            dets.append(det_lu(block))
         apfs.append(pf_skew_parlett_reid((block - block.T) / 2.0))
-        exponent += 2 * e
+        exponent += e * (hi - lo) // 2
     mantissa = 1 + 0j
     for value in generalized._relation_value(dets, apfs).tolist():
         mantissa *= value
@@ -794,23 +816,41 @@ class TestGroupKernel:
         want = per_block_value(matrix)
         assert (value.real.hex(), value.imag.hex()) == (want.real.hex(), want.imag.hex())
 
-    def test_groups_of_every_size_keep_their_order(self):
-        # groups of two, four, six and four again: the stacked blocks of four
-        # and the looped block of six multiply in the order of d
-        spec = SpectrumSpec(
+    @pytest.mark.parametrize(
+        "entries, sizes",
+        [
             (
-                SpectrumEntry("complex", 3 + 1j, 1),
-                SpectrumEntry("complex", 0.5 + 2j, 2),
-                SpectrumEntry("negative-real", -1.5, 6),
-                SpectrumEntry("complex", -0.4 + 0.3j, 2),
+                (
+                    SpectrumEntry("complex", 3 + 1j, 1),
+                    SpectrumEntry("complex", 0.5 + 2j, 2),
+                    SpectrumEntry("negative-real", -1.5, 6),
+                    SpectrumEntry("complex", -0.4 + 0.3j, 2),
+                ),
+                [2, 4, 6, 4],
             ),
-            seed=4,
-        )
-        matrix = random_conjugate_normal(spec)
+            (
+                (
+                    SpectrumEntry("negative-real", -2.5, 6),
+                    SpectrumEntry("complex", 0.5 + 2j, 2),
+                    SpectrumEntry("negative-real", -0.4, 8),
+                    SpectrumEntry("complex", -0.3 + 0.2j, 1),
+                    SpectrumEntry("negative-real", -0.1, 6),
+                ),
+                [6, 4, 8, 2, 6],
+            ),
+        ],
+        ids=["2-4-6-4", "6-4-8-2-6"],
+    )
+    def test_groups_of_every_size_keep_their_order(self, entries, sizes):
+        # the blocks of each size, one stack per size, multiply as the
+        # per-block oracle does: the pairs first, then the rest in the order of d
+        matrix = random_conjugate_normal(SpectrumSpec(entries, seed=4))
         d = scipy.linalg.svdvals(matrix)
         stops = np.flatnonzero(d[:-1] - d[1:] > 1e-6 * d[0]) + 1
-        assert np.diff(np.concatenate(([0], stops, [len(d)]))).tolist() == [2, 4, 6, 4]
+        assert np.diff(np.concatenate(([0], stops, [len(d)]))).tolist() == sizes
         value = generalized_pfaffian(matrix).value
+        want = per_block_value(matrix)
+        assert (value.real.hex(), value.imag.hex()) == (want.real.hex(), want.imag.hex())
         want = generalized_pfaffian_via_relation(matrix).value
         assert abs(value - want) <= 1e-13 * abs(want)
 

@@ -1,7 +1,8 @@
 """The package namespace: what ``from wignerpf import *`` exports, which
 module may hold the skew-Pfaffian oracle, the one production path of the
 normal form, the inputs the result types take and how they compare, and
-that no module imports a name it does not use."""
+that no module imports a name it does not use and no private function or
+class goes unread."""
 
 import ast
 import io
@@ -117,3 +118,26 @@ def test_every_imported_name_is_used():
                 used.update(ast.literal_eval(node.value))
         unused = sorted(imported - used)
         assert not unused, f"{path.name} imports {unused} without using them"
+
+
+def test_every_private_definition_is_used():
+    # the same stand-in for a dead-code rule: each module-level private
+    # function or class is read by name, or as an attribute, somewhere in
+    # the package besides its own definition
+    package = Path(wignerpf.__file__).parent
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))]
+    defined = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    }
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = sorted(defined - used)
+    assert not unused, f"private definitions {unused} are never read"

@@ -127,9 +127,18 @@ class TestValidationAndLimits:
         with pytest.raises(InputError):
             pf_skew_householder([[1.0, 0.0], [0.0, 1.0]])
 
-    def test_polynomial_accepts_general_matrices(self):
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_polynomial_accepts_general_matrices(self, dim):
         # only the antisymmetric part contributes: (7 - 2) / 2
         assert pf_polynomial([[5.0, 7.0], [2.0, 9.0]]) == pytest.approx(2.5)
+        # the matching sum of a stack, as the group kernel takes its blocks,
+        # gives every member's pf_polynomial bit for bit
+        rng = np.random.default_rng(dim)
+        stack = rng.normal(size=(5, dim, dim)) + 1j * rng.normal(size=(5, dim, dim))
+        sums = pfaffian._matching_sum((stack - stack.transpose(0, 2, 1)) / 2.0)
+        for member, value in zip(stack, sums.tolist()):
+            want = pf_polynomial(member)
+            assert (value.real.hex(), value.imag.hex()) == (want.real.hex(), want.imag.hex())
 
     def test_polynomial_dimension_limit(self):
         big = np.zeros((MAX_POLYNOMIAL_DIM + 2, MAX_POLYNOMIAL_DIM + 2))
