@@ -18,9 +18,10 @@ factor, so ``pf(A) = +-sqrt(det(A))`` with the sign that agrees with apf
 pf(B)``, give ``pf(A) = det(X) prod_J pf(C_J)`` from one SVD ``A = X D
 Y^H``, with ``C_J`` the diagonal blocks of ``X^H A conj(X)`` on the groups
 of equal singular values; each block takes that one rule.  The same SVD
-gives the conjugate-normality guard's residual; the guard's rule, and the
-Gram form of its residual that the other routes take, live in
-:mod:`wignerpf.normal_form`.
+gives the conjugate-normality guard's residual.  The SVD, the guard and
+the group split live in :mod:`wignerpf.normal_form`, whose normal form
+starts from the same groups, together with the Gram form of the guard's
+residual that the other routes take.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from .linalg import DEFAULT_TOL, Tolerances, as_square_matrix, det_lu, unitarity
 from .normal_form import (
     _RECONSTRUCT_RTOL,
     _UNITARITY_RTOL,
-    _guard,
     _require_conjugate_normal,
+    _singular_groups,
 )
 from .pfaffian import _matching_sum, pf_polynomial, pf_skew_parlett_reid
 
@@ -56,10 +57,6 @@ RATIO_IMAG_RTOL = 1e-6
 METHODS = ("normal-form", "antisymmetrized", "relation", "polynomial")
 
 DEFAULT_IDENTITY_SEED = 1905  #: seeds Q in the battery's congruence row
-
-#: singular values of A whose gap is at most _GROUP_RTOL * d_1 share a group:
-#: a group's singular vectors are good to about eps ||A|| / gap
-_GROUP_RTOL = 1e-6
 
 #: a singular value of a group block's skew part at or below
 #: _APF_NOISE * dim * eps * d_1 is rounding noise: the block holds a positive sigma
@@ -199,16 +196,12 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
     singular), with its errors and no diagnostics, and what it measured on
     the way (:class:`_Measured`).
 
-    One SVD ``A = X D Y^H`` (:func:`_svd`), the guard, and the descending d
-    split into groups J wherever a gap exceeds ``_GROUP_RTOL * d_1``.  With
-    ``W = Y^H conj(X)``, ``A^T A* - A A^H = conj(Y) [D^2, conj(W)] X^H``, so the
-    guard's residual is ``||(delta_i^2 - delta_j^2) W_ij||_F / sum delta^2``
-    on ``delta = d / d_1`` (0 for the zero matrix), held to
-    ``tol.eig_residual`` by the rule the Gram form shares.  A group's left
-    singular space is spanned by U's columns for the blocks with ``|s|`` (or
-    sigma) in it and its right one by their conjugates, so ``C = X^H A
-    conj(X) = D W`` (formed in W's place) is block diagonal, ``A = X C X^T``
-    and ``pf(A) = det(X) prod_J pf(C_J)``.  Two witnesses bound what the
+    One SVD ``A = X D Y^H``, the guard read off it and the groups J of
+    equal singular values, all from
+    :func:`~wignerpf.normal_form._singular_groups`, which the normal form
+    shares.  ``C = X^H A conj(X) = D W`` (formed in W's place) is block
+    diagonal over the groups, so ``A = X C X^T`` and ``pf(A) = det(X)
+    prod_J pf(C_J)``.  Two witnesses bound what the
     normal form's unitarity and reconstruction checks bound:
     ``unitarity_defect(X) <= _UNITARITY_RTOL sqrt(dim)``, and the norm of C
     outside its group blocks, which is ``||A - X (+)_J C_J X^T||``, at most
@@ -233,17 +226,8 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
     the double range takes the phase of the apf of its skew part scaled by
     a power of two near the mean of those singular values.
     """
-    x, d, yh = _svd(m)
+    x, d, w, cn_residual, starts, stops = _singular_groups(m, tol)
     dim = m.shape[0]
-    # with W = Y^H conj(X), A^T A* - A A^H = conj(Y) [D^2, conj(W)] X^H: the
-    # guard reads its norm off W, on delta = d / d_1 so that none overflows
-    w = yh @ x.conj()
-    delta = d / d[0] if d[0] else d
-    square = delta * delta
-    commutator = float(np.linalg.norm(w * (square[:, None] - square)))
-    cn_residual = _guard(commutator / max(float(square.sum()), np.finfo(float).tiny), tol)
-    stops = np.append(np.flatnonzero(d[:-1] - d[1:] > _GROUP_RTOL * d[0]) + 1, dim)
-    starts = np.concatenate(([0], stops[:-1]))
     sizes = stops - starts
     single = len(stops) == 1
     if single:  # X = 1 and C = A: no witness to take, and det(X) = 1
@@ -260,10 +244,10 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
                 f"singular vectors X are not unitary within tolerance: defect "
                 f"{defect:.3e} exceeds {_UNITARITY_RTOL:.1e} * sqrt({dim})"
             )
-        # ||A||_F = d_1 ||delta|| and the residual d_1 ||C / d_1||: neither
+        # ||A||_F = d_1 ||d / d_1|| and the residual d_1 ||C / d_1||: neither
         # overflows, and d_1 > 0 where there are two groups
         residual = float(np.linalg.norm(c / d[0]))
-        if residual > _RECONSTRUCT_RTOL * float(np.linalg.norm(delta)):
+        if residual > _RECONSTRUCT_RTOL * float(np.linalg.norm(d / d[0])):
             raise ReconstructionError(
                 f"||A - X C X^T|| = {float(d[0]) * residual:.3e} outside the "
                 f"singular-value groups exceeds {_RECONSTRUCT_RTOL:.1e} * ||A||; the "
@@ -337,15 +321,6 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
     if not _in_range(value):  # |det(X)| = 1 to rounding moved it out
         raise _out_of_range(log10_abs)
     return measured, value
-
-
-def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(X, d, Y^H)`` of ``m`` from LAPACK's divide and conquer ``gesdd``, or
-    from ``gesvd`` when ``gesdd`` does not converge."""
-    try:
-        return scipy.linalg.svd(m, lapack_driver="gesdd", check_finite=False)
-    except scipy.linalg.LinAlgError:
-        return scipy.linalg.svd(m, lapack_driver="gesvd", check_finite=False)
 
 
 def _take_blocks(c: np.ndarray, starts: np.ndarray, k: int) -> np.ndarray:

@@ -20,9 +20,20 @@ assembles the *collected* Sigma: all 2x2 blocks first, as
 entries on the diagonal.  Of the blocks' symmetries only those of zero and
 positive-real clusters move det(U); those clusters orient their columns from
 their span, so det(U) is a function of A.
-The package's one conjugate-normality guard lives here as well; it measures
-||A||_F, which :func:`classify_spectrum` reuses for its thresholds and
-:func:`wigner_normal_form` for its reconstruction check.
+
+Each block carries one singular value of A (``|s|`` or sigma), so one SVD
+``A = X D Y^H`` splits U into groups whose normal forms are small problems:
+``C = X^H A conj(X)`` is block diagonal over the groups of equal singular
+values (:func:`_singular_groups`, which the Pfaffian shares), and the
+congruence and direct-sum properties give ``U = [X_J Z_J]`` from the normal
+forms ``Z_J`` of its blocks, factored with the same restricted-map kernels
+at group size.  :func:`wigner_normal_form` takes that route on every input
+whose column norms differ, and the Lambda route only where they agree (a
+multiple of a unitary matrix, one group).
+The package's one conjugate-normality guard lives here as well, in two
+forms: read off that SVD, or from two Gram triangles, which measure ||A||_F
+for :func:`classify_spectrum`'s thresholds and the Lambda route's
+reconstruction check.
 :func:`~wignerpf.linalg.eig_normal` finds V from one Hermitian eigensolve,
 unmixing only the columns it leaves mixed by a Rayleigh-Ritz step on them;
 its one full product is Lambda V, and its residual check is the one witness
@@ -70,6 +81,15 @@ ZERO = "zero"
 #: bounds of ||U^H U - 1|| / sqrt(dim) and ||A - U Sigma U^T|| / ||A||
 _UNITARITY_RTOL = 1e-10
 _RECONSTRUCT_RTOL = 1e-9
+
+_SQRT_HALF = math.sqrt(0.5)
+
+#: Q^H for Q = [[1, i], [1, -i]] / sqrt(2), whose Q Q^T is [[0, 1], [1, 0]]
+_Q_ADJOINT = np.array([[1.0, 1.0], [-1j, 1j]]) * _SQRT_HALF
+
+#: singular values of A whose gap is at most _GROUP_RTOL * d_1 share a group:
+#: a group's singular vectors are good to about eps ||A|| / gap
+_GROUP_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -298,6 +318,38 @@ def _guard(residual: float, tol: Tolerances) -> float:
     return residual
 
 
+def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(X, d, Y^H)`` of ``m`` from LAPACK's divide and conquer ``gesdd``, or
+    from ``gesvd`` when ``gesdd`` does not converge."""
+    try:
+        return scipy.linalg.svd(m, lapack_driver="gesdd", check_finite=False)
+    except scipy.linalg.LinAlgError:
+        return scipy.linalg.svd(m, lapack_driver="gesvd", check_finite=False)
+
+
+def _singular_groups(m: np.ndarray, tol: Tolerances):
+    """One SVD ``A = X D Y^H`` of a square ``m`` (:func:`_svd`), the guard read
+    off it, and the descending d split into groups wherever a gap exceeds
+    ``_GROUP_RTOL * d_1``: returns ``(X, d, W, residual, starts, stops)``,
+    with ``W = Y^H conj(X)`` and group J the indices ``starts[J]:stops[J]``.
+
+    ``A^T A* - A A^H = conj(Y) [D^2, conj(W)] X^H``, so the guard's residual
+    is ``||(delta_i^2 - delta_j^2) W_ij||_F / sum delta^2`` on ``delta = d /
+    d_1`` (0 for the zero matrix), held to ``tol.eig_residual`` by the rule
+    the Gram form shares; taken on delta, none of its norms overflows.  A
+    group's left singular space is spanned by U's columns for the blocks with
+    ``|s|`` (or sigma) in it and its right one by their conjugates, so ``C =
+    X^H A conj(X) = D W`` is block diagonal over the groups."""
+    x, d, yh = _svd(m)
+    w = yh @ x.conj()
+    delta = d / d[0] if d[0] else d
+    square = delta * delta
+    commutator = float(np.linalg.norm(w * (square[:, None] - square)))
+    residual = _guard(commutator / max(float(square.sum()), np.finfo(float).tiny), tol)
+    stops = np.append(np.flatnonzero(d[:-1] - d[1:] > _GROUP_RTOL * d[0]) + 1, len(d))
+    return x, d, w, residual, np.concatenate(([0], stops[:-1])), stops
+
+
 @dataclass(frozen=True)
 class SpectralCluster:
     """One clustered eigenvalue of Lambda = A conj(A).
@@ -397,10 +449,23 @@ def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
     Raises :class:`InputError` when ``tol.cluster < tol.eig_residual``: a
     resolution finer than the eigen-residual would split noise.
     """
-    if tol.cluster < tol.eig_residual:
-        raise InputError("cluster tolerance must be at least the eigen-residual tolerance")
+    _require_resolution(tol)
     m = as_square_matrix(a)
     cn_residual, norm = _require_conjugate_normal(m, tol)
+    clusters, vectors, images = _clusters(m, tol.cluster_threshold(norm), tol)
+    return SpectralPairing(clusters, vectors, images, cn_residual, norm)
+
+
+def _require_resolution(tol: Tolerances) -> None:
+    """The one rule that ties the two knobs: a resolution finer than the
+    eigen-residual would split noise."""
+    if tol.cluster < tol.eig_residual:
+        raise InputError("cluster tolerance must be at least the eigen-residual tolerance")
+
+
+def _clusters(m: np.ndarray, threshold: float, tol: Tolerances):
+    """:func:`classify_spectrum` of a square ``m`` at a given threshold, with
+    no guard: returns ``(clusters, vectors, images)``."""
     values, vectors = eig_normal(m @ m.conj(), tol)
     images = m @ vectors.conj()
     # both are fresh: the pairing holds them without a copy
@@ -408,7 +473,6 @@ def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
     # Rayleigh quotient v^H M v = ||A conj(v)||^2 of M = A^T A* on every eigenvector
     rayleigh = np.sum(images.real**2 + images.imag**2, axis=0)
 
-    threshold = tol.cluster_threshold(norm)
     groups = _cluster_indices(values, threshold)
     # an isolated eigenvalue is its own mean, read by index
     firsts = [g[0] for g in groups]
@@ -470,18 +534,21 @@ def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
         SpectralCluster(omega, kind, partner, mu, tuple(group))
         for group, omega, kind, partner, mu in zip(groups, reps, kinds, partners, mus)
     )
-    return SpectralPairing(clusters, vectors, images, cn_residual, norm)
+    return clusters, vectors, images
 
 
 def _fixed_basis(c: np.ndarray) -> np.ndarray:
-    """Orthonormal fixed vectors y = C conj(y) of a unitary symmetric C: with
-    y = p + i q, the +1 eigenvectors of the involution [[Re C, Im C], [Im C,
-    -Re C]] (eigenvalues +-1, gap 2).  Inner products of fixed vectors are
-    real once C is exactly symmetric, so orthonormal (p, q) give orthonormal y."""
-    d = c.shape[0]
-    c = (c + c.T) / 2.0
-    _, vecs = np.linalg.eigh(np.block([[c.real, c.imag], [c.imag, -c.real]]))
-    return vecs[:d, d:] + 1j * vecs[d:, d:]
+    """Orthonormal fixed vectors y = C conj(y) of a unitary symmetric C, or of
+    each member of a ``(G, d, d)`` stack: with y = p + i q, the +1
+    eigenvectors of the involution [[Re C, Im C], [Im C, -Re C]] (eigenvalues
+    +-1, gap 2).  Inner products of fixed vectors are real once C is exactly
+    symmetric, so orthonormal (p, q) give orthonormal y."""
+    d = c.shape[-1]
+    c = (c + np.swapaxes(c, -1, -2)) / 2.0
+    top = np.concatenate([c.real, c.imag], axis=-1)
+    bottom = np.concatenate([c.imag, -c.real], axis=-1)
+    _, vecs = np.linalg.eigh(np.concatenate([top, bottom], axis=-2))
+    return vecs[..., :d, d:] + 1j * vecs[..., d:, d:]
 
 
 def _oriented(frame: np.ndarray, kind: str) -> np.ndarray:
@@ -526,27 +593,142 @@ def _symplectic_basis(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _cluster_columns(cluster: SpectralCluster, basis: np.ndarray, image: np.ndarray):
     """The block of one cluster and its U columns ``(block, V, W or None)``,
     from an orthonormal eigenbasis B of the cluster and its image
-    ``A conj(B)``."""
+    ``A conj(B)``; zero and positive-real columns are not yet oriented."""
     block = _block(cluster.kind, cluster.omega, cluster.multiplicity)
     if cluster.kind == COMPLEX_PAIR:
         return block, basis, (block.s / cluster.mu) * image
     if cluster.kind == ZERO:
-        return block, _oriented(basis, ZERO), None
+        return block, basis, None
     # real omega != 0: factor the restricted map C
     root = block.s.imag if cluster.kind == NEGATIVE_REAL else block.sigma
     c = basis.conj().T @ image / root
     if cluster.kind == NEGATIVE_REAL:
         xs, ws = _symplectic_basis(c)
         return block, basis @ xs, basis @ ws
-    return block, _oriented(basis @ _fixed_basis(c), POSITIVE_REAL), None
+    return block, basis @ _fixed_basis(c), None
+
+
+def _cluster_pieces(clusters, vectors: np.ndarray, images: np.ndarray, frame=None):
+    """``(pieces, zeros)`` of classified clusters: a ``(block, V, W or None)``
+    piece for every cluster but the zero ones and the Im < 0 halves of
+    complex pairs, and the zero clusters' columns.  Each column is mapped
+    through ``frame`` (a group's singular vectors) when one is given, and
+    positive-real columns are then oriented."""
+    pieces, zeros = [], []
+    for cluster in clusters:
+        if cluster.kind == COMPLEX_PAIR and cluster.omega.imag < 0:
+            continue  # handled through the Im > 0 partner
+        columns = list(cluster.columns)
+        block, v, w = _cluster_columns(cluster, vectors[:, columns], images[:, columns])
+        if frame is not None:
+            v = frame @ v
+            w = None if w is None else frame @ w
+        if cluster.kind == ZERO:
+            zeros.append(v)
+        elif cluster.kind == POSITIVE_REAL:
+            pieces.append((block, _oriented(v, POSITIVE_REAL), None))
+        else:
+            pieces.append((block, v, w))
+    return pieces, zeros
+
+
+def _pair_pieces(x: np.ndarray, d: np.ndarray, c: np.ndarray, starts: np.ndarray, root: float):
+    """The complex pairs among the 2 x 2 groups at ``starts``, found and
+    factored as one stack: returns their pieces and their starts.
+
+    A 2 x 2 ``C = Z [[0, s], [conj(s), 0]] Z^T`` with ``Z = [v, w]`` unitary
+    has the symmetric part ``Re(s) (v w^T + w v^T)``, of norm ``sqrt(2)
+    Re(s)``, and the skew part ``i Im(s) det(Z) J``.  So s has the phase of
+    ``||(C + C^T) / 2|| / sqrt(2) + i |C_01 - C_10| / 2`` and the mean d as
+    its modulus, and the group is a pair where ``2 |Im s^2| > t``.  Z is the
+    fixed basis of the symmetric part over ``Re(s)``, times ``Q^H`` (``Q Q^T
+    = [[0, 1], [1, 0]]``), reflected where its determinant has the wrong
+    sign; nearer the negative real axis (``Im s >= Re s``), where that
+    determinant carries more of C, its phase is set to the skew part's.
+    Each part is read at its own scale, so no pair near either real axis
+    loses digits to the other, and every test is taken on ``C / |s|`` with
+    ``root = sqrt(t)``, so no square leaves the double range.  The columns
+    are ``X_J v`` and ``X_J w``."""
+    index = starts[:, None] + np.arange(2)
+    modulus = d[index].mean(axis=1)
+    blocks = c[index[:, :, None], index[:, None, :]] / modulus[:, None, None]
+    sym = (blocks + blocks.transpose(0, 2, 1)) / 2.0
+    skew = (blocks[:, 0, 1] - blocks[:, 1, 0]) / 2.0
+    real = np.linalg.norm(sym, axis=(1, 2)) * _SQRT_HALF
+    unit = (real + 1j * abs(skew)) / np.hypot(real, abs(skew))
+    pair = 2.0 * abs((unit * unit).imag) > (root / modulus) ** 2
+    index, sym, skew, real, unit, modulus = (
+        index[pair], sym[pair], skew[pair], real[pair], unit[pair], modulus[pair]
+    )
+    y = _fixed_basis(sym / real[:, None, None])
+    target = skew / (1j * abs(skew))  # det(Z)
+    det_z = (y[:, 0, 0] * y[:, 1, 1] - y[:, 0, 1] * y[:, 1, 0]) * 1j  # det(Q^H) = i
+    flip = abs(det_z - target) > abs(det_z + target)
+    y[flip, :, 1] *= -1.0
+    det_z[flip] *= -1.0
+    z = y @ _Q_ADJOINT
+    skewed = unit.imag >= unit.real
+    z[skewed] *= np.sqrt(target[skewed] / det_z[skewed])[:, None, None]
+    columns = x[:, index]  # (n, G, 2)
+    vs = np.einsum("ngk,gk->ng", columns, z[:, :, 0])
+    ws = np.einsum("ngk,gk->ng", columns, z[:, :, 1])
+    pieces = [
+        (OffDiagBlock(complex(value), 1), vs[:, g : g + 1], ws[:, g : g + 1])
+        for g, value in enumerate((modulus * unit).tolist())
+    ]
+    return pieces, starts[pair]
+
+
+def _group_pieces(frame: np.ndarray, c: np.ndarray, modulus: float, root: float, tol):
+    """``(pieces, zeros)`` of one group with singular vectors ``frame``, block
+    ``C_J`` and mean singular value ``modulus``, as :func:`_cluster_pieces`;
+    ``root`` is ``sqrt(t)``.
+
+    Where every eigenvalue of ``L = C_J conj(C_J)`` lies within t/2 of ``+-
+    modulus^2`` (``||L -+ modulus^2|| <= t/2``), the Lambda route would see
+    one real cluster, whose mean omega ``tr(L) / k`` is not zero: ``C_J /
+    modulus`` is then factored at once, by :func:`_fixed_basis` or
+    :func:`_symplectic_basis`.  Any other group takes the cluster pipeline on
+    ``C_J`` at A's threshold, both scaled by a power of two near ``1 /
+    modulus``, and its blocks are scaled back: its columns and decisions are
+    those of ``C_J``, bit for bit, and as with the test on ``C_J / modulus``
+    no product of the group leaves the double range before A's entries do."""
+    k = c.shape[0]
+    unit = c / modulus
+    lam = unit @ unit.conj()
+    omega = complex(np.trace(lam)) / k
+    sign = 1.0 if omega.real > 0.0 else -1.0
+    lam.flat[:: k + 1] -= sign
+    bound = (root / modulus) ** 2
+    one_class = abs(omega) > bound and float(np.linalg.norm(lam)) <= bound / 2.0
+    # a negative-real eigenvalue has even multiplicity: an odd group that
+    # seems to be one goes to the pipeline, which raises on it
+    if one_class and (sign > 0.0 or k % 2 == 0):
+        if sign > 0.0:
+            columns = _oriented(frame @ _fixed_basis(unit), POSITIVE_REAL)
+            return [(Real1Block(modulus, k), columns, None)], []
+        xs, ws = _symplectic_basis(unit)
+        return [(OffDiagBlock(1j * modulus, k // 2), frame @ xs, frame @ ws)], []
+    scale = math.ldexp(1.0, -math.frexp(modulus)[1])
+    pieces, zeros = _cluster_pieces(*_clusters(c * scale, (root * scale) ** 2, tol), frame)
+    rescaled = []
+    for block, v, w in pieces:
+        if isinstance(block, OffDiagBlock):
+            block = OffDiagBlock(block.s / scale, block.multiplicity)
+        else:
+            block = Real1Block(block.sigma / scale, block.multiplicity)
+        rescaled.append((block, v, w))
+    return rescaled, zeros
 
 
 def wigner_normal_form(a, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     """Construct the normal form A = U Sigma U^T of a conjugate-normal A.
 
-    The construction walks the classified spectrum of Lambda = A conj(A),
-    reading every image ``A conj(B)`` of an eigenbasis B from
-    :attr:`SpectralPairing.images` (no further product with A):
+    A = c V with V unitary has equal column norms, and so has one group of
+    singular values.  Where A's column norms agree to within ``_GROUP_RTOL``,
+    the construction walks the classified spectrum of Lambda = A conj(A)
+    (:func:`classify_spectrum`), reading every image ``A conj(B)`` of an
+    eigenbasis B from :attr:`SpectralPairing.images`:
 
     1. a complex pair omega (the Im > 0 member is used) with orthonormal
        eigenbasis V yields partner columns ``W = (s / mu) A conj(V)`` with
@@ -559,34 +741,67 @@ def wigner_normal_form(a, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
        omega > 0, C is symmetric and one symmetric eigensolve of size 2d yields
        d columns B y, y = C conj(y), sigma = sqrt(omega), unique up to a real
        orthogonal mix, whose sign :func:`_oriented` fixes from their span;
-    4. a zero cluster contributes its eigenbasis with sigma = 0, its phase
-       fixed by :func:`_oriented`, so det(U) is a function of A.
+    4. a zero cluster contributes its eigenbasis with sigma = 0.
 
-    The blocks are then sorted canonically (2x2 first, by descending |s|
-    with ties by ascending arg(s); then 1x1 by ascending sigma), the columns
-    of U are permuted to match, and unitarity of U plus the reconstruction
-    residual are verified before returning.
+    Any other A takes the same steps at the size of its singular-value
+    groups, with no Lambda and no n x n eigensolve: one SVD and the guard read
+    off it (:func:`_singular_groups`), then for each group J with singular
+    vectors X_J the block ``C_J = X_J^H A conj(X_J)`` of ``C = D W``, whose
+    normal form ``Z_J`` gives the columns ``X_J Z_J``.  A group is zero when
+    its largest d has ``d^2 <= t``; the complex pairs among the 2 x 2 groups
+    are found and factored as one stack (:func:`_pair_pieces`); a group of one
+    real class is factored at once, and any other takes the cluster pipeline
+    on its ``C_J`` (:func:`_group_pieces`).  Every decision is the Lambda
+    route's, on the threshold ``t = tol.cluster * ||A||_F^2`` (here ``||A||_F =
+    d_1 ||d / d_1||``); a block's ``|s|`` or sigma is the mean d of its group,
+    or on the pipeline ``sqrt(|omega|)`` of its cluster.
+
+    On both routes the zero columns form one frame whose phase
+    :func:`_oriented` fixes, so det(U) is a function of A.  The blocks are
+    then sorted canonically (2x2 first, by descending |s| with ties by
+    ascending arg(s); then 1x1 by ascending sigma), the columns of U are
+    permuted to match, and unitarity of U plus the reconstruction residual
+    are verified before returning.  ``conjugate_normal_residual`` is the Gram
+    form of the guard's residual on the first route and the SVD form on the
+    second.
     """
+    _require_resolution(tol)
     m = as_square_matrix(a)
     dim = m.shape[0]
-    pairing = classify_spectrum(m, tol)
-    cn_residual, norm = pairing.conjugate_normal_residual, pairing.frobenius_norm
+    with np.errstate(over="ignore"):  # all inf: equal, and the Gram guard fails
+        squares = np.einsum("ij,ij->j", m.real, m.real) + np.einsum("ij,ij->j", m.imag, m.imag)
+    if squares.min() >= (1.0 - _GROUP_RTOL) ** 2 * squares.max():
+        pairing = classify_spectrum(m, tol)
+        cn_residual, norm = pairing.conjugate_normal_residual, pairing.frobenius_norm
+        pieces, zeros = _cluster_pieces(pairing.clusters, pairing.vectors, pairing.images)
+        # V and A conj(V) are not needed past this point
+        del pairing
+    else:
+        x, d, c, cn_residual, starts, stops = _singular_groups(m, tol)
+        norm = float(d[0]) * float(np.linalg.norm(d / d[0]))
+        # sqrt(t): each test compares omega with t at its group's scale, so
+        # that no square leaves the double range before A's entries do
+        root = math.sqrt(tol.cluster) * norm
+        c *= d[:, None]  # C = D W, in W's place
+        nonzero = d[starts] > root
+        pieces, paired = _pair_pieces(x, d, c, starts[nonzero & (stops - starts == 2)], root)
+        zeros = [x[:, lo:hi] for lo, hi in zip(starts[~nonzero], stops[~nonzero])]
+        rest = nonzero & ~np.isin(starts, paired)
+        for lo, hi in zip(starts[rest].tolist(), stops[rest].tolist()):
+            more, more_zeros = _group_pieces(
+                x[:, lo:hi], c[lo:hi, lo:hi], float(np.mean(d[lo:hi])), root, tol
+            )
+            pieces += more
+            zeros += more_zeros
 
-    # each entry: (block, V columns, W columns of a 2x2 block or None)
-    groups: list[tuple] = []
-    for cluster in pairing.clusters:
-        if cluster.kind == COMPLEX_PAIR and cluster.omega.imag < 0:
-            continue  # handled through the Im > 0 partner
-        basis = pairing.vectors[:, cluster.columns]
-        image = pairing.images[:, cluster.columns]
-        groups.append(_cluster_columns(cluster, basis, image))
-    # V and A conj(V) are not needed past this point
-    del pairing
-
-    groups.sort(key=lambda g: _block_key(g[0]))
-    pairs = [g for g in groups if g[2] is not None]
+    # each piece: (block, V columns, W columns of a 2x2 block or None)
+    if zeros:
+        frame = _oriented(np.column_stack(zeros), ZERO)
+        pieces.append((Real1Block(0.0, frame.shape[1]), frame, None))
+    pieces.sort(key=lambda g: _block_key(g[0]))
+    pairs = [g for g in pieces if g[2] is not None]
     columns = [g[1] for g in pairs] + [g[2] for g in pairs]
-    columns += [g[1] for g in groups if g[2] is None]
+    columns += [g[1] for g in pieces if g[2] is None]
     u_mat = np.column_stack(columns)
     u_mat.flags.writeable = False  # fresh: the NormalForm holds it without a copy
 
@@ -597,7 +812,7 @@ def wigner_normal_form(a, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
             f"exceeds {_UNITARITY_RTOL:.1e} * sqrt({dim})"
         )
 
-    blocks = tuple(g[0] for g in groups)
+    blocks = tuple(g[0] for g in pieces)
     residual = float(np.linalg.norm(m - _reconstruct(u_mat, blocks)))
     if residual > _RECONSTRUCT_RTOL * norm:
         raise ReconstructionError(

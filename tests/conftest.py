@@ -101,15 +101,19 @@ def schur_orders(monkeypatch):
 
 @contextmanager
 def mixed_gauge(seed):
-    """Inside the block, every normal form is built from a mixed eigenbasis.
+    """Inside the block, every normal form and Pfaffian is built from a mixed
+    basis.
 
     Patches ``normal_form.classify_spectrum`` to return the same pairing with
     each cluster's eigenvectors B replaced by B R and their images A conj(B)
-    by A conj(B) conj(R), R a random unitary drawn from a generator seeded
-    with ``seed`` afresh on every call (so repeated calls mix alike).  The
-    blocks and det(U) must not depend on R.  ``None`` mixes nothing.
+    by A conj(B) conj(R), and ``normal_form._svd`` to return the same SVD
+    with each group's singular vectors X_J and Y_J replaced by X_J R and Y_J
+    R; R is a random unitary drawn from a generator seeded with ``seed``
+    afresh on every call (so repeated calls mix alike).  The blocks, det(U)
+    and pf must not depend on R.  ``None`` mixes nothing.
     """
     original = normal_form.classify_spectrum
+    original_svd = normal_form._svd
 
     def mixed(a, tol=normal_form.DEFAULT_TOL):
         pairing = original(a, tol)
@@ -122,12 +126,24 @@ def mixed_gauge(seed):
             images[:, cols] = images[:, cols] @ mix.conj()
         return replace(pairing, vectors=vectors, images=images)
 
+    def mixed_svd(m):
+        x, d, yh = original_svd(m)
+        rng = np.random.default_rng(seed)
+        stops = np.flatnonzero(d[:-1] - d[1:] > normal_form._GROUP_RTOL * d[0]) + 1
+        for lo, hi in zip([0, *stops.tolist()], [*stops.tolist(), len(d)]):
+            mix = random_unitary(hi - lo, int(rng.integers(2**32)))
+            x[:, lo:hi] = x[:, lo:hi] @ mix
+            yh[lo:hi] = mix.conj().T @ yh[lo:hi]
+        return x, d, yh
+
     if seed is not None:
         normal_form.classify_spectrum = mixed
+        normal_form._svd = mixed_svd
     try:
         yield
     finally:
         normal_form.classify_spectrum = original
+        normal_form._svd = original_svd
 
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")

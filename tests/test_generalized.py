@@ -282,9 +282,10 @@ def near_axis_pair(radius, seed):
 class TestNearAxisComplexPair:
     """A complex pair with ``|omega - conj(omega)|`` of 5e-8 to 2e-6 times
     ``||Lambda||`` has Lambda-eigenvectors fixed only to about ``eps ||Lambda|| /
-    |omega - conj(omega)|``, so the normal form's U fails its unitarity check
-    (exit 5).  The Pfaffian reads the pair from A's singular values instead,
-    whose resolution is relative to ``||A||``, not ``||A||^2``."""
+    |omega - conj(omega)|``, so a normal form built from them fails its
+    unitarity check (exit 5).  The Pfaffian and the normal form read the pair
+    from A's singular values instead, whose resolution is relative to
+    ``||A||``, not ``||A||^2``: the small pair is a group of its own."""
 
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("radius", [1e-7, 3e-7, 1e-6, 3e-6, 1e-5])
@@ -295,14 +296,18 @@ class TestNearAxisComplexPair:
         relation = generalized_pfaffian_via_relation(matrix).value
         np.testing.assert_allclose(value, relation, rtol=1e-10)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=SpectralConsistencyError,
-        reason="near-axis complex pair: U is not unitary (standing defect of wnf)",
-    )
     @pytest.mark.parametrize("seed", range(20))
-    def test_small_pair_gives_the_normal_form(self, seed):
-        wigner_normal_form(near_axis_pair(1e-7, seed))
+    @pytest.mark.parametrize("radius", [1e-7, 3e-7, 1e-6, 3e-6, 1e-5])
+    def test_small_pair_gives_the_normal_form(self, radius, seed):
+        matrix = near_axis_pair(radius, seed)
+        nf = wigner_normal_form(matrix)
+        big, small = nf.blocks
+        assert abs(big.s - cmath.sqrt(1 + 2j)) <= 1e-14
+        want = cmath.sqrt(cmath.rect(radius, 1.0))
+        assert abs(small.s - want) <= 1e-11 * abs(want)
+        # pf = i^(n^2) det(U) prod |s| with n = 2
+        value = generalized_pfaffian(matrix).value
+        assert abs(nf.det_u * abs(big.s) * abs(small.s) - value) <= 1e-10 * abs(value)
 
 
 def real_pair_spec(omega, delta):
@@ -352,12 +357,62 @@ def near_axis_oracle_cases():
     return cases
 
 
+def wnf_window(still_open, reason):
+    """A strict xfail mark on the ``wigner_normal_form`` inputs of a standing
+    window that still exit 5, or no mark."""
+    if not still_open:
+        return ()
+    return pytest.mark.xfail(strict=True, raises=ReconstructionError, reason=reason)
+
+
 class TestStandingDefectWindows:
     """The inputs on which the Lambda route exits 5 (the standing defects:
     near-degenerate real eigenvalues, pairs near the real axis, eigenvalues
     under the zero floor ``cluster ||A||^2``).  The Pfaffian gives the value
     of the determinant-ratio relation there, or exits 4 for a positive
-    sigma; ``wigner_normal_form`` still exits 5 on them."""
+    sigma.  ``wigner_normal_form`` takes them from A's singular-value groups
+    and gives the normal form wherever its one threshold classes the
+    spectrum as it is; where that threshold merges two eigenvalues into one
+    real cluster, or puts a small one under the zero floor, the blocks
+    cannot reconstruct A and it still exits 5 (strict xfails)."""
+
+    @pytest.mark.parametrize("omega", [2.0, -2.0])
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            pytest.param(
+                delta,
+                marks=wnf_window(6e-9 < delta < 3e-7, "omega and omega (1 + delta) merge"),
+            )
+            for delta in np.logspace(-10, -5, 26).tolist()
+        ],
+    )
+    def test_near_degenerate_real_eigenvalues_in_the_normal_form(self, delta, omega):
+        spec = real_pair_spec(omega, delta)
+        nf = wigner_normal_form(random_conjugate_normal(spec))
+        assert len(nf.blocks) == (2 if delta < 6e-9 else 3)
+
+    @pytest.mark.parametrize("side", [1, -1], ids=["positive", "negative"])
+    @pytest.mark.parametrize(
+        "angle",
+        [
+            pytest.param(
+                angle, marks=wnf_window(3e-9 < angle < 2e-8, "the pair merges into a real cluster")
+            )
+            for angle in np.logspace(-12, -4, 17).tolist()
+        ],
+    )
+    def test_pair_near_the_real_axis_in_the_normal_form(self, angle, side):
+        # 2 |Im omega| > t = 1e-8 ||A||^2 from angle 2.1e-8 on: a complex pair,
+        # read from its 2 x 2 block at the scale of each part; below it a real
+        # cluster of two, which reconstructs A to about angle
+        omega = side * 2.0 * cmath.exp(1j * side * angle)
+        entries = (SpectrumEntry("complex", 1 + 2j), SpectrumEntry("complex", omega))
+        nf = wigner_normal_form(random_conjugate_normal(SpectrumSpec(entries, seed=2)))
+        if angle > 2e-8:
+            assert abs(nf.blocks[1].s - cmath.sqrt(omega)) <= 1e-13
+        else:
+            assert len(nf.blocks) == 2
 
     @pytest.mark.parametrize("delta", np.logspace(-10, -5, 26).tolist())
     def test_near_degenerate_negative_real_eigenvalues(self, delta):
@@ -420,6 +475,28 @@ class TestStandingDefectWindows:
         base = (SpectrumEntry("complex", 1 + 2j), SpectrumEntry("negative-real", -3.0, 2))
         matrix = random_conjugate_normal(SpectrumSpec(base + (entry,), seed=1))
         assert_relation_value(matrix, 1e-10)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            pytest.param(
+                SpectrumEntry("negative-real", -5e-8, 2),
+                marks=wnf_window(True, "the pair is under the zero floor"),
+            ),
+            pytest.param(
+                SpectrumEntry("positive-real", 5e-8),
+                marks=wnf_window(True, "sigma is under the zero floor"),
+            ),
+            SpectrumEntry("complex", 9e-8 + 6e-8j),
+        ],
+        ids=["negative-real", "positive-real", "complex"],
+    )
+    def test_small_block_under_the_zero_floor_in_the_normal_form(self, entry):
+        # |omega| of the complex pair is just above t = 1e-8 ||A||^2: a pair
+        base = (SpectrumEntry("complex", 1 + 2j), SpectrumEntry("negative-real", -3.0, 2))
+        spec = SpectrumSpec(base + (entry,), seed=1)
+        nf = wigner_normal_form(random_conjugate_normal(spec))
+        assert abs(nf.blocks[2].s - cmath.sqrt(entry.omega)) <= 1e-13
 
     def test_small_positive_sigma_under_the_zero_floor_is_undefined(self):
         base = (SpectrumEntry("complex", 1 + 2j), SpectrumEntry("negative-real", -3.0, 2))
@@ -699,6 +776,31 @@ class TestPassBudget:
         spec = SpectrumSpec((SpectrumEntry("complex", 1 + 1j, 2),), seed=5)
         generalized_pfaffian(random_conjugate_normal(spec))
         assert passes == {"svd": 1, "eigh": 0, "lu_factor": 1, "zherk": 0, "skew": 1}
+
+    def test_normal_form_of_groups_forms_no_lambda(self, passes, monkeypatch):
+        # the degenerate workload's shape at n = 40: a negative-real and a
+        # positive-real group of 16 and four pairs, each factored at its own
+        # size; nothing forms Lambda, clusters its spectrum or takes the
+        # guard's Gram triangles
+        for name in ("_clusters", "_require_conjugate_normal"):
+            monkeypatch.setattr(normal_form, name, None)
+        omegas = (1 + 2j, -0.5 + 1j, 2.5 + 0.5j, -3 + 0.2j)
+        spec = SpectrumSpec(
+            (SpectrumEntry("negative-real", -2.0, 16), SpectrumEntry("positive-real", 0.7, 16))
+            + tuple(SpectrumEntry("complex", omega) for omega in omegas),
+            seed=3,
+        )
+        nf = wigner_normal_form(random_conjugate_normal(spec))
+        assert [b.multiplicity for b in nf.blocks] == [1, 1, 1, 8, 1, 16]
+        # the SVD, which also gives the guard; U's unitarity check
+        assert passes == {"svd": 1, "eigh": 0, "lu_factor": 0, "zherk": 1, "skew": 0}
+
+    def test_normal_form_of_one_group_takes_no_svd(self, passes):
+        # a multiple of a unitary matrix, whose column norms agree: the
+        # Lambda eigensolve, the guard's two Gram triangles and U's unitarity
+        spec = SpectrumSpec((SpectrumEntry("complex", 1 + 1j, 20),), seed=3)
+        wigner_normal_form(random_conjugate_normal(spec))
+        assert passes == {"svd": 0, "eigh": 1, "lu_factor": 0, "zherk": 3, "skew": 0}
 
     def test_derivative_runs_one_normal_form_and_no_diagnostics(self, passes):
         matrix = random_conjugate_normal(corpus_spec(2))

@@ -485,6 +485,14 @@ def assert_valid_normal_form(matrix, nf):
     )
 
 
+def assert_same_blocks(got, want, rtol):
+    """The same block types and multiplicities, with values within ``rtol``."""
+    assert [(type(b), b.multiplicity) for b in got] == [(type(b), b.multiplicity) for b in want]
+    for a, b in zip(got, want):
+        value, other = (a.s, b.s) if isinstance(a, OffDiagBlock) else (a.sigma, b.sigma)
+        assert abs(value - other) <= rtol * abs(other)
+
+
 def assert_prescribed_blocks(nf, spec):
     prescribed = spectrum_blocks(spec)
     assert len(nf.blocks) == len(prescribed)
@@ -752,14 +760,34 @@ class TestCanonicalGauge:
             ),
         ],
     )
-    def test_det_u_does_not_depend_on_the_eigenbasis(self, spec):
+    def test_det_u_does_not_depend_on_the_eigenbasis(self, monkeypatch, spec):
+        # these inputs take the singular-value groups, whose vectors are any
+        # basis of their space: the gauge mixes each group, which spans both
+        # columns of a pair, so U moves and the blocks move by rounding only
         matrix = random_conjugate_normal(spec)
         base = wigner_normal_form(matrix)
+        monkeypatch.setattr(normal_form, "classify_spectrum", None)  # no Lambda route
         for gauge_seed in range(8):
             with mixed_gauge(gauge_seed):
                 other = wigner_normal_form(matrix)
-            assert other.blocks == base.blocks
+            assert not np.allclose(other.u, base.u)
+            assert_same_blocks(other.blocks, base.blocks, 4 * np.finfo(float).eps)
             assert abs(other.det_u - base.det_u) <= 1e-12
+
+
+#: a complex pair of multiplicity 2: A is a multiple of a unitary matrix, so
+#: its column norms agree and the normal form takes the Lambda route
+ONE_GROUP = SpectrumSpec((SpectrumEntry("complex", 1 + 1j, 2),), seed=5)
+
+
+def equal_column_norms(spec):
+    """``F Sigma F^T`` for the spectrum of ``spec``, F the unitary DFT: F's
+    entries share one modulus and ``Sigma^H Sigma`` is diagonal, so every
+    column has the norm ``||Sigma||_F / sqrt(dim)``, and the normal form
+    takes the Lambda route whatever the singular-value groups."""
+    sigma = assemble_sigma(spectrum_blocks(spec))
+    dft = scipy.linalg.dft(spec.dimension, scale="sqrtn")
+    return dft @ sigma @ dft.T
 
 
 #: on a conjugate-normal input the guard's residual is rounding, measured at
@@ -780,17 +808,23 @@ def svd_guard_residual(matrix):
 class TestOnePass:
     """Every check of one call runs once; its value is carried, not remeasured."""
 
-    @pytest.mark.parametrize("index", [0, 1, 6, 12])
+    @pytest.mark.parametrize("index", [0, 1, 6, 12, 14, "one-group"])
     def test_residuals_are_the_measured_ones(self, index):
-        matrix = random_conjugate_normal(corpus_spec(index))
+        spec = ONE_GROUP if index == "one-group" else corpus_spec(index)
+        matrix = random_conjugate_normal(spec)
         nf = wigner_normal_form(matrix)
-        assert nf.conjugate_normal_residual == is_conjugate_normal(matrix)[1]
         assert nf.reconstruction_residual == float(np.linalg.norm(matrix - reconstruct(nf)))
-        # the Pfaffian reads its residual off the SVD it takes; both are
-        # rounding on a conjugate-normal input
+        # the Pfaffian reads its residual off the SVD it takes, and so does
+        # the normal form of an input with several singular-value groups; an
+        # input with equal column norms (one group: corpus_spec(14) is a 2x2
+        # pair) keeps the Gram form.  Both are rounding on a conjugate-normal
+        # input
         residual = generalized_pfaffian(matrix).diagnostics.conjugate_normal_residual
         assert residual == svd_guard_residual(matrix)
-        assert abs(residual - nf.conjugate_normal_residual) <= _ROUNDING_RESIDUAL
+        gram = is_conjugate_normal(matrix)[1]
+        one_group = index in (14, "one-group")
+        assert nf.conjugate_normal_residual == (gram if one_group else residual)
+        assert abs(residual - gram) <= _ROUNDING_RESIDUAL
 
     def test_det_u_is_computed_on_first_read_only(self, monkeypatch):
         calls = []
@@ -836,7 +870,6 @@ class TestOnePass:
             return original(residual, tol)
 
         monkeypatch.setattr(normal_form, "_guard", counted)
-        monkeypatch.setattr(generalized, "_guard", counted)
         generalized_pfaffian(random_conjugate_normal(corpus_spec(1)))
         assert len(calls) == 1
         generalized_pfaffian_via_relation(random_conjugate_normal(corpus_spec(1)))
@@ -844,21 +877,24 @@ class TestOnePass:
 
     def test_one_frobenius_norm_of_a_per_call(self, monkeypatch):
         matrix = random_conjugate_normal(corpus_spec(1))
+        one_group = random_conjugate_normal(ONE_GROUP)
         calls = []
         norm = np.linalg.norm
 
         def counted(x, *args, **kwargs):
-            if x is matrix:
+            if any(x is m for m in (matrix, one_group)):
                 calls.append(1)
             return norm(x, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "norm", counted)
+        # with several singular-value groups the normal form, like the
+        # Pfaffian, takes ||A||_F as d_1 ||d / d_1|| from its singular values
         wigner_normal_form(matrix)
-        assert len(calls) == 1
-        # the Pfaffian takes ||A||_F as d_1 ||d / d_1|| from its singular values
         generalized_pfaffian(matrix)
-        assert len(calls) == 1
+        assert len(calls) == 0
         classify_spectrum(matrix)
+        assert len(calls) == 1
+        wigner_normal_form(one_group)
         assert len(calls) == 2
 
     def test_one_skew_pfaffian_and_two_determinants_per_pfaffian(self, monkeypatch):
@@ -912,20 +948,24 @@ class TestOnePass:
         generalized_pfaffian(matrix)
         assert calls == {"gram": 1, "classify": 0}
 
-    def test_fresh_arrays_are_held_without_a_copy(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "spec, held", [(corpus_spec(1), 1), (ONE_GROUP, 3)], ids=["groups", "one-group"]
+    )
+    def test_fresh_arrays_are_held_without_a_copy(self, monkeypatch, spec, held):
         # the eigenvectors, their images and U are built read-only, so the
-        # pairing and the normal form take them as they are
+        # pairing and the normal form take them as they are; with several
+        # singular-value groups there is no pairing, and U is the one array
         kept = []
         original = normal_form._frozen
 
         def spy(m):
-            held = original(m)
-            kept.append(held is m)
-            return held
+            result = original(m)
+            kept.append(result is m)
+            return result
 
         monkeypatch.setattr(normal_form, "_frozen", spy)
-        wigner_normal_form(random_conjugate_normal(corpus_spec(1)))
-        assert kept == [True, True, True]
+        wigner_normal_form(random_conjugate_normal(spec))
+        assert kept == [True] * held
 
     def test_every_route_raises_the_same_guard_error(self):
         matrix = np.array([[1.0, 5.0], [0.0, 2.0]])
@@ -1041,7 +1081,8 @@ class TestOneProduct:
     @pytest.mark.parametrize("gauge_seed", [None, 3, 5])
     def test_columns_from_the_images_match_the_direct_products(self, monkeypatch, gauge_seed):
         # W = (s / mu) A conj(B) and C = B^H A conj(B) / root, with B the
-        # (mixed) eigenbasis of each cluster
+        # (mixed) eigenbasis of each cluster; the column norms agree, so the
+        # normal form takes the Lambda route with every class at once
         spec = SpectrumSpec(
             entries=(
                 SpectrumEntry("negative-real", -4.0, 6),
@@ -1052,7 +1093,7 @@ class TestOneProduct:
             ),
             seed=17,
         )
-        matrix = random_conjugate_normal(spec)
+        matrix = equal_column_norms(spec)
         atol = 1e-14 * np.linalg.norm(matrix)
         seen = []
         original = normal_form._cluster_columns
@@ -1238,9 +1279,9 @@ def pf_guard(monkeypatch):
     """Runs generalized_pfaffian and returns ``(error class or None, the
     residual its guard read)``, whichever error followed the guard."""
     seen = []
-    original = generalized._guard
+    original = normal_form._guard
     monkeypatch.setattr(
-        generalized, "_guard", lambda residual, tol: seen.append(residual) or original(residual, tol)
+        normal_form, "_guard", lambda residual, tol: seen.append(residual) or original(residual, tol)
     )
 
     def run(matrix):

@@ -21,6 +21,7 @@ from wignerpf import (
     PfUndefinedError,
     SpectrumEntry,
     SpectrumSpec,
+    classify_spectrum,
     generalized_pfaffian,
     is_conjugate_normal,
     random_conjugate_normal,
@@ -119,11 +120,16 @@ def table_matrix(dim: int) -> np.ndarray:
 
 @pytest.mark.parametrize("j", [-20, -6, 6, 20])
 def test_power_of_two_scaling_is_exact_through_the_mixed_block(schur_orders, j):
-    # at n = 300 the eigensolve leaves a few columns mixed and only those take
-    # the Schur step; the columns chosen, and so U and pf, scale with A
+    # the normal form takes its 150 pairs from singular-value groups, with no
+    # eigensolve of Lambda and so no Schur step, and U scales with A.  At n =
+    # 300 the Lambda eigensolve leaves a few columns mixed and only those take
+    # the Schur step; the columns chosen scale with A
     matrix = table_matrix(300)
     scale = 2.0**j
     assert wigner_normal_form(scale * matrix).u.tobytes() == wigner_normal_form(matrix).u.tobytes()
+    assert schur_orders == []
+    classify_spectrum(matrix)
+    classify_spectrum(scale * matrix)
     order, scaled_order = schur_orders
     assert order == scaled_order > 0
     want = scaled_exactly(generalized_pfaffian(matrix).value, j * 150)
@@ -133,6 +139,35 @@ def test_power_of_two_scaling_is_exact_through_the_mixed_block(schur_orders, j):
         assert_out_of_range(info)
     else:
         assert generalized_pfaffian(scale * matrix).value == want
+
+
+@pytest.mark.parametrize("scale", [2.0**-40, 1e-3 * (1 + 1j)], ids=["2^-40", "1e-3(1+i)"])
+def test_every_corpus_normal_form_scales(corpus, scale):
+    # the normal form of c A has A's blocks with |s| times |c|
+    for _, matrix in corpus:
+        nf, scaled_nf = wigner_normal_form(matrix), wigner_normal_form(scale * matrix)
+        assert [type(b) for b in scaled_nf.blocks] == [type(b) for b in nf.blocks]
+        for block, scaled in zip(nf.blocks, scaled_nf.blocks):
+            assert scaled.multiplicity == block.multiplicity
+            assert abs(abs(scaled.s) - abs(scale) * abs(block.s)) <= 1e-12 * abs(scaled.s)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+def test_normal_form_of_groups_far_from_unit_scale(scale):
+    # the singular-value route takes every test at its group's scale and
+    # squares no entry of A, so c A has A's blocks times c where the Gram
+    # guard's norms overflow (from ||A||_F ~ 1e77 on) or underflow
+    matrix = random_conjugate_normal(MIXED_KINDS)
+    nf, scaled_nf = wigner_normal_form(matrix), wigner_normal_form(scale * matrix)
+    assert [(type(b), b.multiplicity) for b in scaled_nf.blocks] == [
+        (type(b), b.multiplicity) for b in nf.blocks
+    ]
+    for block, scaled in zip(nf.blocks, scaled_nf.blocks):
+        if isinstance(block, OffDiagBlock):
+            assert abs(scaled.s / scale - block.s) <= 1e-14 * abs(block.s)
+        else:
+            assert abs(scaled.sigma / scale - block.sigma) <= 1e-14 * max(block.sigma, 1.0)
 
 
 def in_range(z: complex) -> bool:
