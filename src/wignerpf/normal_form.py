@@ -648,7 +648,9 @@ def _pair_pieces(x: np.ndarray, d: np.ndarray, c: np.ndarray, starts: np.ndarray
     Each part is read at its own scale, so no pair near either real axis
     loses digits to the other, and every test is taken on ``C / |s|`` with
     ``root = sqrt(t)``, so no square leaves the double range.  The columns
-    are ``X_J v`` and ``X_J w``."""
+    are ``X_J v`` and ``X_J w``.  (The cluster pipeline, which takes v from
+    an eigenvector of ``C conj(C)``, loses the pairs between about 3e-8 and
+    1e-6 rad from the positive real axis.)"""
     index = starts[:, None] + np.arange(2)
     modulus = d[index].mean(axis=1)
     blocks = c[index[:, :, None], index[:, None, :]] / modulus[:, None, None]
@@ -725,10 +727,11 @@ def wigner_normal_form(a, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     """Construct the normal form A = U Sigma U^T of a conjugate-normal A.
 
     A = c V with V unitary has equal column norms, and so has one group of
-    singular values.  Where A's column norms agree to within ``_GROUP_RTOL``,
-    the construction walks the classified spectrum of Lambda = A conj(A)
-    (:func:`classify_spectrum`), reading every image ``A conj(B)`` of an
-    eigenbasis B from :attr:`SpectralPairing.images`:
+    singular values.  Where A's column norms agree to within ``_GROUP_RTOL``
+    (compared at unit scale, so at any scale of A), the construction walks
+    the classified spectrum of Lambda = A conj(A) (:func:`classify_spectrum`),
+    reading every image ``A conj(B)`` of an eigenbasis B from
+    :attr:`SpectralPairing.images`:
 
     1. a complex pair omega (the Im > 0 member is used) with orthonormal
        eigenbasis V yields partner columns ``W = (s / mu) A conj(V)`` with
@@ -768,8 +771,14 @@ def wigner_normal_form(a, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     _require_resolution(tol)
     m = as_square_matrix(a)
     dim = m.shape[0]
-    with np.errstate(over="ignore"):  # all inf: equal, and the Gram guard fails
-        squares = np.einsum("ij,ij->j", m.real, m.real) + np.einsum("ij,ij->j", m.imag, m.imag)
+    # the column norms of A times a power of two near 1 / max |a_ij|: exact,
+    # and no square leaves the double range at any scale of A
+    peak = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
+    unit = m * math.ldexp(1.0, -math.frexp(peak)[1])
+    squares = np.einsum("ij,ij->j", unit.real, unit.real) + np.einsum(
+        "ij,ij->j", unit.imag, unit.imag
+    )
+    del unit
     if squares.min() >= (1.0 - _GROUP_RTOL) ** 2 * squares.max():
         pairing = classify_spectrum(m, tol)
         cn_residual, norm = pairing.conjugate_normal_residual, pairing.frobenius_norm

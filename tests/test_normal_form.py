@@ -721,52 +721,103 @@ def gauge_case(*entries, seed):
     )
 
 
+#: inputs with a complex pair among positive-real, negative-real and zero
+#: clusters, for the eigenbasis and the singular-vector gauges
+_PAIR_GAUGE_CASES = [
+    gauge_case(("complex", 1 + 2j, 1), ("zero", 0, 1), seed=4),
+    gauge_case(("complex", 1 + 2j, 1), ("zero", 0, 2), seed=4),
+    gauge_case(("complex", 1 + 2j, 1), ("zero", 0, 3), seed=4),
+    gauge_case(("positive-real", 3.0, 3), ("complex", 1 + 2j, 1), seed=5),
+    gauge_case(
+        ("positive-real", 3.0, 1),
+        ("negative-real", -1.5, 2),
+        ("complex", 1 + 2j, 1),
+        seed=6,
+    ),
+    gauge_case(
+        ("positive-real", 3.0, 3),
+        ("negative-real", -1.5, 2),
+        ("complex", 1 + 2j, 1),
+        seed=6,
+    ),
+    gauge_case(
+        ("positive-real", 2.0, 40),
+        ("negative-real", -1.5, 20),
+        ("complex", 1 + 2j, 1),
+        seed=6,
+    ),
+    gauge_case(
+        ("zero", 0, 2),
+        ("positive-real", 0.5, 3),
+        ("negative-real", -4.0, 2),
+        ("complex", -1 + 1j, 2),
+        seed=7,
+    ),
+]
+
+
 class TestCanonicalGauge:
     """det(U) is a function of A: a zero cluster (free up to any unitary mix)
     and positive-real fixed vectors (free up to a real orthogonal mix) orient
     their frame from its span, and the other classes leave det(U) alone."""
 
+    @pytest.mark.parametrize("spec", _PAIR_GAUGE_CASES)
+    def test_det_u_does_not_depend_on_the_eigenbasis(self, monkeypatch, spec):
+        # _GROUP_RTOL = 1 sends every input to the Lambda route, whose
+        # clusters the gauge mixes
+        monkeypatch.setattr(normal_form, "_GROUP_RTOL", 1.0)
+        monkeypatch.setattr(normal_form, "_singular_groups", None)
+        matrix = random_conjugate_normal(spec)
+        base = wigner_normal_form(matrix)
+        for gauge_seed in range(8):
+            with mixed_gauge(gauge_seed):
+                other = wigner_normal_form(matrix)
+            assert other.blocks == base.blocks
+            assert abs(other.det_u - base.det_u) <= 1e-12
+
     @pytest.mark.parametrize(
         "spec",
         [
-            gauge_case(("complex", 1 + 2j, 1), ("zero", 0, 1), seed=4),
-            gauge_case(("complex", 1 + 2j, 1), ("zero", 0, 2), seed=4),
-            gauge_case(("complex", 1 + 2j, 1), ("zero", 0, 3), seed=4),
-            gauge_case(("positive-real", 3.0, 3), ("complex", 1 + 2j, 1), seed=5),
+            gauge_case(
+                ("positive-real", 3.0, 3), ("zero", 0, 2), ("negative-real", -1.5, 2), seed=6
+            ),
+            gauge_case(
+                ("zero", 0, 3), ("positive-real", 0.5, 3), ("negative-real", -4.0, 4), seed=7
+            ),
+            gauge_case(
+                ("positive-real", 2.0, 40), ("negative-real", -1.5, 20), ("zero", 0, 1), seed=6
+            ),
             gauge_case(
                 ("positive-real", 3.0, 1),
-                ("negative-real", -1.5, 2),
-                ("complex", 1 + 2j, 1),
-                seed=6,
-            ),
-            gauge_case(
-                ("positive-real", 3.0, 3),
-                ("negative-real", -1.5, 2),
-                ("complex", 1 + 2j, 1),
-                seed=6,
-            ),
-            gauge_case(
-                ("positive-real", 2.0, 40),
-                ("negative-real", -1.5, 20),
-                ("complex", 1 + 2j, 1),
-                seed=6,
-            ),
-            gauge_case(
+                ("positive-real", 1.0, 2),
+                ("negative-real", -0.5, 6),
                 ("zero", 0, 2),
-                ("positive-real", 0.5, 3),
-                ("negative-real", -4.0, 2),
-                ("complex", -1 + 1j, 2),
-                seed=7,
+                seed=5,
             ),
         ],
     )
-    def test_det_u_does_not_depend_on_the_eigenbasis(self, monkeypatch, spec):
-        # these inputs take the singular-value groups, whose vectors are any
-        # basis of their space: the gauge mixes each group, which spans both
-        # columns of a pair, so U moves and the blocks move by rounding only
+    def test_det_u_does_not_depend_on_the_singular_vectors(self, monkeypatch, spec):
+        # the groups route, whose singular vectors the gauge mixes within each
+        # group: a real group's block is the mean of its d, which no mix moves
         matrix = random_conjugate_normal(spec)
+        monkeypatch.setattr(normal_form, "classify_spectrum", None)
         base = wigner_normal_form(matrix)
-        monkeypatch.setattr(normal_form, "classify_spectrum", None)  # no Lambda route
+        for gauge_seed in range(8):
+            with mixed_gauge(gauge_seed):
+                other = wigner_normal_form(matrix)
+            assert not np.allclose(other.u, base.u)
+            assert other.blocks == base.blocks
+            assert abs(other.det_u - base.det_u) <= 1e-12
+
+    @pytest.mark.parametrize("spec", _PAIR_GAUGE_CASES)
+    def test_pair_phase_from_mixed_singular_vectors(self, monkeypatch, spec):
+        # on the groups route a pair's |s| is the mean of its d, but the phase
+        # of s is read from its block C_J, which a mix of the group's
+        # singular vectors recomputes: s moves by rounding, and det(U) by no
+        # more than on the Lambda route
+        matrix = random_conjugate_normal(spec)
+        monkeypatch.setattr(normal_form, "classify_spectrum", None)
+        base = wigner_normal_form(matrix)
         for gauge_seed in range(8):
             with mixed_gauge(gauge_seed):
                 other = wigner_normal_form(matrix)

@@ -153,11 +153,14 @@ def test_every_corpus_normal_form_scales(corpus, scale):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+@pytest.mark.parametrize("scale", [1e-170, 1e-150, 1e-100, 1e100, 1e150, 1e160])
 def test_normal_form_of_groups_far_from_unit_scale(scale):
     # the singular-value route takes every test at its group's scale and
     # squares no entry of A, so c A has A's blocks times c where the Gram
-    # guard's norms overflow (from ||A||_F ~ 1e77 on) or underflow
+    # guard's norms overflow (from ||A||_F ~ 1e77 on) or underflow; the
+    # column norms that choose the route are taken at unit scale, so from
+    # 1e154 on, where A's squared entries overflow, and at 1e-170, where they
+    # underflow, c A still takes that route
     matrix = random_conjugate_normal(MIXED_KINDS)
     nf, scaled_nf = wigner_normal_form(matrix), wigner_normal_form(scale * matrix)
     assert [(type(b), b.multiplicity) for b in scaled_nf.blocks] == [
