@@ -13,15 +13,18 @@ pf is a square root of det(A) and differs from apf by a positive real
 factor, so ``pf(A) = +-sqrt(det(A))`` with the sign that agrees with apf
 (:func:`_relation_value`).
 
-:func:`generalized_pfaffian` builds no U.  Unitary congruence,
-``pf(Q A Q^T) = det(Q) pf(A)``, and the direct sum, ``pf(A + B) = pf(A)
-pf(B)``, give ``pf(A) = det(X) prod_J pf(C_J)`` from one SVD ``A = X D
-Y^H``, with ``C_J`` the diagonal blocks of ``X^H A conj(X)`` on the groups
-of equal singular values; each block takes that one rule.  The same SVD
-gives the conjugate-normality guard's residual.  The SVD, the guard and
-the group split live in :mod:`wignerpf.normal_form`, whose normal form
-starts from the same groups, together with the Gram form of the guard's
-residual that the other routes take.
+:func:`generalized_pfaffian` builds no U.  Where A and its skew part are
+well conditioned (a condition estimate of each on an LU), that rule gives
+the value at once, from the LU of A and one Parlett-Reid factorization of
+its skew part (:func:`_well_conditioned_pfaffian`), after the guard in its
+Gram form.  Everywhere else unitary congruence, ``pf(Q A Q^T) = det(Q)
+pf(A)``, and the direct sum, ``pf(A + B) = pf(A) pf(B)``, give ``pf(A) =
+det(X) prod_J pf(C_J)`` from one SVD ``A = X D Y^H``, with ``C_J`` the
+diagonal blocks of ``X^H A conj(X)`` on the groups of equal singular
+values; each block takes that one rule, and the same SVD gives the
+conjugate-normality guard's residual.  The SVD, the guard in both its
+forms and the group split live in :mod:`wignerpf.normal_form`, whose
+normal form starts from the same groups.
 """
 
 from __future__ import annotations
@@ -41,12 +44,21 @@ from .errors import (
     ReconstructionError,
     SpectralConsistencyError,
 )
-from .linalg import DEFAULT_TOL, Tolerances, as_square_matrix, det_lu, unitarity_defect
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerances,
+    _lu,
+    _odd_swaps,
+    as_square_matrix,
+    det_lu,
+    unitarity_defect,
+)
 from .normal_form import (
     _RECONSTRUCT_RTOL,
     _UNITARITY_RTOL,
     _require_conjugate_normal,
     _singular_groups,
+    _unit_scaled,
 )
 from .pfaffian import _matching_sum, pf_polynomial, pf_skew_parlett_reid
 
@@ -62,6 +74,16 @@ DEFAULT_IDENTITY_SEED = 1905  #: seeds Q in the battery's congruence row
 #: _APF_NOISE * dim * eps * d_1 is rounding noise: the block holds a positive sigma
 _APF_NOISE = 16.0
 
+#: the fast path's one gate: zgecon's reciprocal 1-norm condition estimates
+#: of A and of (A - A^T)/2, the second relative to ||A||_1, must both reach
+#: it.  dim eps / _RCOND_FLOOR then stays far under RATIO_IMAG_RTOL, and the
+#: skew part's smallest singular value far above the SVD route's floors
+_RCOND_FLOOR = 1e-6
+
+#: an LU diagonal is multiplied in chunks of this many pivots, each scaled
+#: into [1/2, 1) first, so no partial product leaves the double range
+_CHUNK = 256
+
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -74,13 +96,15 @@ class PfDiagnostics:
     relative discrepancy between the normal-form value and a recomputation
     through the determinant-ratio relation (None when not applicable or when
     a determinant is not a normal double).  It is an independent recheck only
-    where A has two or more singular-value groups: where one group spans A,
+    where the value came from A's singular-value groups, two or more of
+    them: on the well-conditioned fast path, and where one group spans A,
     the value and the relation share A's LU and apf, so it reads 0 by
     construction.  ``conjugate_normal_residual`` is
-    ``||A^T A* - A A^H||_F / ||A||_F^2``: on the normal-form route read off
-    its SVD (:func:`_normal_form_pfaffian`), on the relation and polynomial
-    routes from two Gram triangles (:func:`~wignerpf.normal_form.is_conjugate_normal`);
-    None on the antisymmetrized route, which runs no conjugate-normality test.
+    ``||A^T A* - A A^H||_F / ||A||_F^2``: on the normal-form route from two
+    Gram triangles of A times a power of two on the fast path, read off the
+    SVD elsewhere (:func:`_normal_form_pfaffian`), on the relation and
+    polynomial routes from two Gram triangles of A; None on the
+    antisymmetrized route, which runs no conjugate-normality test.
     """
 
     det: complex
@@ -143,8 +167,9 @@ def _relation_value(det, apf):
 @dataclass(frozen=True)
 class _Measured:
     """What :func:`_normal_form_pfaffian` measured on A besides its value:
-    the guard's residual and, when one group spans A, the det(A) and apf(A)
-    of the factorizations that gave the value (None otherwise)."""
+    the guard's residual and, where the value came from A's own LU and apf
+    (the fast path, or one group spanning A), that det(A) and apf(A) (None
+    otherwise)."""
 
     conjugate_normal_residual: float
     det: complex | None = None
@@ -166,17 +191,21 @@ def generalized_pfaffian(a, tol: Tolerances = DEFAULT_TOL) -> PfResult:
     ``|pf|`` outside ``[tiny, inf)`` raises :class:`InputError`; it is never
     returned as 0.  Both errors come before any diagnostic is computed.
 
-    The guard's residual comes from the same SVD, not from Gram products of
-    A, so no norm on this route overflows before the value does.
+    Where A and its skew part are well conditioned the value is
+    ``+-sqrt(det A)`` with apf's sign, read straight off A's LU and one
+    Parlett-Reid factorization (:func:`_well_conditioned_pfaffian`), and the
+    guard takes its Gram form on A times a power of two; elsewhere the
+    guard's residual comes from the SVD.  Neither form's norms overflow
+    before the value does.
 
     Only then are ``det(A)`` and ``apf`` (one Parlett-Reid factorization)
-    computed, unless one group spans A, whose block's LU and apf are A's own,
-    rescaled exactly.  A non-singular value is recomputed through the
-    determinant-ratio relation on A, its relative discrepancy recorded in
-    ``diagnostics.cross_check_residual``; that is None unless ``det(A)`` and
-    ``det((A - A^T)/2) = apf**2`` both lie in ``[tiny, inf)``, and 0 by
-    construction where one group spans A (the value and the relation then
-    share that LU and apf).
+    computed, unless the value already came from A's own LU and apf (the
+    fast path, or one group spanning A), rescaled exactly.  A non-singular
+    value is recomputed through the determinant-ratio relation on A, its
+    relative discrepancy recorded in ``diagnostics.cross_check_residual``;
+    that is None unless ``det(A)`` and ``det((A - A^T)/2) = apf**2`` both lie
+    in ``[tiny, inf)``, and 0 by construction where the value came from A's
+    own LU and apf (the value and the relation then share them).
     """
     m = as_square_matrix(a)
     measured, value = _normal_form_pfaffian(m, tol)
@@ -225,7 +254,14 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
     is at most ``floor * d_J^(k/2 - 1)``.  A block whose ``apf**2`` leaves
     the double range takes the phase of the apf of its skew part scaled by
     a power of two near the mean of those singular values.
+
+    All of this runs only where :func:`_well_conditioned_pfaffian`, tried
+    first, declines; it decides every singular, positive-sigma, near-axis
+    and multi-group input.
     """
+    fast = _well_conditioned_pfaffian(m, tol)
+    if fast is not None:
+        return fast
     x, d, w, cn_residual, starts, stops = _singular_groups(m, tol)
     dim = m.shape[0]
     sizes = stops - starts
@@ -272,13 +308,16 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
         e = _near_exponent(lead)
         blocks = blocks * np.ldexp(1.0, -e)[:, None, None]
         skews = (blocks - blocks.transpose(0, 2, 1)) / 2.0
-        if single:  # the block is A: its det and apf, rescaled, are A's own
-            dets, apfs = det_lu(blocks), np.array([pf_skew_parlett_reid(skews[0])])
+        if single:  # the block is A: its det (taken as the fast path takes it)
+            # and apf, rescaled, are A's own
+            det, shift = _det_parts(*_lu(blocks[0]))
+            dets, apfs = np.array([det]), np.array([pf_skew_parlett_reid(skews[0])])
             measured = _Measured(
                 cn_residual,
-                _ldexp(complex(dets[0]), int(e[0]) * k),
+                _ldexp(det, shift + int(e[0]) * k),
                 _ldexp(complex(apfs[0]), int(e[0]) * k // 2),
             )
+            exponent += shift // 2
         else:
             if k == 2:
                 dets = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
@@ -310,17 +349,99 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
         _, e = math.frexp(abs(mantissa))
         mantissa = complex(math.ldexp(mantissa.real, -e), math.ldexp(mantissa.imag, -e))
         exponent += e
-    log10_abs = math.log10(abs(mantissa)) + exponent * math.log10(2.0)
-    if not -1021 <= exponent <= 1024:
-        raise _out_of_range(log10_abs)
+    _require_range(mantissa, exponent)
     # det(X) joins the mantissa before the scaling, the one step that may
     # round (a subnormal part), so 2^j A scales bit for bit
     if not single:
         mantissa *= det_lu(x)
     value = _ldexp(mantissa, exponent)
     if not _in_range(value):  # |det(X)| = 1 to rounding moved it out
-        raise _out_of_range(log10_abs)
+        raise _out_of_range(_log10_abs(mantissa, exponent))
     return measured, value
+
+
+def _well_conditioned_pfaffian(
+    m: np.ndarray, tol: Tolerances
+) -> tuple[_Measured, complex] | None:
+    """:func:`_normal_form_pfaffian` without the SVD, where a condition
+    estimate proves the determinant-ratio relation safe; None where it does
+    not, and the SVD route then decides.
+
+    ``pf(A) = +-sqrt(det A)`` with the sign of ``apf(A)``: the paper's
+    positive real factor between them.  For a conjugate-normal A the
+    singular values of ``A_as = (A - A^T)/2`` are the ``|Im s_k|``, twice
+    each, and a 0 per sigma, so a bounded condition number of A_as rules out
+    every sigma and bounds apf's relative error near ``dim eps cond``, which
+    cannot flip the sign.  So, on ``A 2^-e`` (:func:`_unit_scaled`, exact):
+
+    * the guard in its Gram form, which raises on a non-conjugate-normal A;
+    * one LU of A and one of A_as, each with LAPACK's ``zgecon`` (Hager's
+      1-norm estimator as refined by Higham), both taken against ``||A||_1``
+      so that a small skew part counts as ill-conditioned; either reciprocal
+      estimate under :data:`_RCOND_FLOOR` (or not a number) declines;
+    * ``|pf| = sqrt|det A|`` as a mantissa and a power of two from the LU
+      diagonal (:func:`_det_parts`), whose range raises the out-of-range
+      :class:`InputError` before any skew kernel runs;
+    * the Parlett-Reid apf of A_as scaled by the power of two nearest
+      ``|det|^(1/dim)``, and the value :func:`_relation_value` of the det
+      mantissa and that apf.  An apf whose square is not a normal double, or
+      a ratio that is not positive real, declines.
+
+    An odd dimension declines at once: such an A is singular or holds a
+    positive sigma.  Every step is exact under ``A -> 2^j A``, so the value
+    scales bit for bit; the det and apf it reports are A's own, rescaled.
+    """
+    dim = m.shape[0]
+    if dim % 2:
+        return None
+    unit, e = _unit_scaled(m)
+    cn_residual, _ = _require_conjugate_normal(unit, tol)
+    norm_1 = float(np.abs(unit).sum(axis=0).max())
+    lu, piv = _lu(unit)
+    skew = (unit - unit.T) / 2.0
+    if not (_rcond(lu, norm_1) >= _RCOND_FLOOR and _rcond(_lu(skew)[0], norm_1) >= _RCOND_FLOOR):
+        return None
+    det, shift = _det_parts(lu, piv)
+    half = (shift + e * dim) // 2
+    _require_range(complex(np.sqrt(det)), half)
+    scale = (2 * shift + dim) // (2 * dim)  # nearest shift / dim
+    apf = pf_skew_parlett_reid(skew * math.ldexp(1.0, -scale))
+    if not _in_range(apf * apf):
+        return None
+    try:
+        root = complex(_relation_value(det, apf))
+    except NotConjugateNormalError:
+        return None
+    measured = _Measured(
+        cn_residual, _ldexp(det, shift + e * dim), _ldexp(apf, (e + scale) * dim // 2)
+    )
+    return measured, _ldexp(root, half)
+
+
+def _rcond(lu: np.ndarray, norm_1: float) -> float:
+    """LAPACK ``zgecon``'s reciprocal 1-norm condition estimate from an LU
+    factor, relative to ``norm_1``: 0 where U has a zero on its diagonal."""
+    return float(scipy.linalg.lapack.zgecon(lu, norm_1, norm="1")[0])
+
+
+def _det_parts(lu: np.ndarray, piv: np.ndarray) -> tuple[complex, int]:
+    """The determinant of an LU factorization as ``(mantissa, shift)``, det =
+    mantissa 2^shift with shift even and ``|mantissa|`` in ``[1/4, 1)`` (0 for
+    a singular factor).  Each pivot is scaled into ``[1/2, 1)`` by a power of
+    two and the chunks of :data:`_CHUNK` multiplied in order, so no partial
+    product leaves the double range; up to that size the mantissa is the
+    plain product's, bit for bit, times a power of two."""
+    diag = np.diagonal(lu)
+    _, shifts = np.frexp(np.abs(diag))
+    diag = diag * np.ldexp(1.0, -shifts)
+    mantissa, shift = 1 + 0j, int(shifts.sum())
+    for start in range(0, len(diag), _CHUNK):
+        mantissa *= complex(np.prod(diag[start : start + _CHUNK]))
+        _, e = math.frexp(abs(mantissa))
+        mantissa, shift = _ldexp(mantissa, -e), shift + e
+    if shift % 2:
+        mantissa, shift = mantissa / 2.0, shift + 1
+    return (-mantissa if _odd_swaps(piv) else mantissa), shift
 
 
 def _take_blocks(c: np.ndarray, starts: np.ndarray, k: int) -> np.ndarray:
@@ -371,6 +492,17 @@ def _positive_sigma(dim: int) -> PfUndefinedError:
 
 def _out_of_range(log10_abs: float) -> InputError:
     return InputError(f"|pf(A)| ~ 1e{log10_abs:.0f} is outside the double range")
+
+
+def _log10_abs(mantissa: complex, exponent: int) -> float:
+    return math.log10(abs(mantissa)) + exponent * math.log10(2.0)
+
+
+def _require_range(mantissa: complex, exponent: int) -> None:
+    """Raises the out-of-range :class:`InputError` unless ``|mantissa|
+    2^exponent``, with ``|mantissa|`` in ``[1/2, 1)``, is a normal double."""
+    if not -1021 <= exponent <= 1024:
+        raise _out_of_range(_log10_abs(mantissa, exponent))
 
 
 def _in_range(x):
@@ -432,7 +564,8 @@ def pfaffian_derivative(a, da, tol: Tolerances = DEFAULT_TOL) -> complex:
 
     Requires a non-singular A with a defined Pfaffian.  pf(A) is
     :func:`generalized_pfaffian`'s value, without its diagnostics; A is
-    factored by the solve, and also by the value's LU when one group spans A.
+    factored by the solve, and also by the value's LU where the value comes
+    from A's own LU (the fast path, or one group spanning A).
     """
     m = as_square_matrix(a)
     d = as_square_matrix(da)
@@ -514,8 +647,8 @@ def identity_report(
 
     One :func:`generalized_pfaffian` call on A gives the det(A) and apf(A)
     the ``square-det`` and ``phase`` rows read; each derived row takes the
-    value alone (:func:`_normal_form_pfaffian`, with the guard and both
-    witnesses) and no determinant-ratio cross-check.
+    value alone (:func:`_normal_form_pfaffian`, with the guard, and on the
+    SVD route both witnesses) and no determinant-ratio cross-check.
     B defaults to diag(2, 3).  Raises :class:`PfUndefinedError` for
     singular A (most rows degenerate there); other errors propagate from
     the individual Pfaffian computations.

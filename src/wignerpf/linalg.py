@@ -109,15 +109,25 @@ def det_lu(m: np.ndarray):
     The determinant is the product of the U diagonal times (-1) per row swap
     recorded in the pivot vector, returned as it rounds (0, inf or nan).
     """
-    with warnings.catch_warnings():
-        # an exactly singular factor only warns; a zero determinant is a
-        # legitimate result here
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    odd = np.count_nonzero(piv != np.arange(m.shape[-1]), axis=-1) % 2 == 1
+    lu, piv = _lu(m)
     det = np.prod(np.diagonal(lu, axis1=-2, axis2=-1), axis=-1)
-    det = np.where(odd, -det, det)
+    det = np.where(_odd_swaps(piv), -det, det)
     return complex(det) if m.ndim == 2 else det
+
+
+def _lu(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.linalg.lu_factor`` of a square complex128 array or a stack of
+    them, partial pivoting; an exactly singular factor is returned as it is
+    (a zero on U's diagonal), without the warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        return scipy.linalg.lu_factor(m, check_finite=False)
+
+
+def _odd_swaps(piv: np.ndarray):
+    """Whether the row swaps an LU pivot vector records are odd in number
+    (det is then minus the product of U's diagonal); elementwise over a stack."""
+    return np.count_nonzero(piv != np.arange(piv.shape[-1]), axis=-1) % 2 == 1
 
 
 def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -33,7 +33,8 @@ multiple of a unitary matrix, one group).
 The package's one conjugate-normality guard lives here as well, in two
 forms: read off that SVD, or from two Gram triangles, which measure ||A||_F
 for :func:`classify_spectrum`'s thresholds and the Lambda route's
-reconstruction check.
+reconstruction check; :func:`is_conjugate_normal` and the Pfaffian's fast
+path take the Gram form on A times a power of two (:func:`_unit_scaled`).
 :func:`~wignerpf.linalg.eig_normal` finds V from one Hermitian eigensolve,
 unmixing only the columns it leaves mixed by a Rayleigh-Ritz step on them;
 its one full product is Lambda V, and its residual check is the one witness
@@ -282,13 +283,25 @@ def is_conjugate_normal(a, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
     """Whether A^T A* = A A^H within tolerance; returns (flag, residual).
 
     The residual is ``||A^T A* - A A^H||_F / ||A||_F^2`` (0 for the zero
-    matrix), compared against ``tol.eig_residual``.
+    matrix), compared against ``tol.eig_residual``.  It is taken on A times
+    a power of two near ``1 / max |a_ij|`` (:func:`_unit_scaled`), so it is
+    bit for bit that of A wherever A's own Gram products stay normal
+    doubles, and no product overflows at any scale of A.
     """
     try:
-        residual, _ = _require_conjugate_normal(as_square_matrix(a), tol)
+        residual, _ = _require_conjugate_normal(_unit_scaled(as_square_matrix(a))[0], tol)
     except NotConjugateNormalError as exc:
         return False, exc.residual
     return True, residual
+
+
+def _unit_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(m 2^-e, e)`` with e the exponent of ``max |a_ij|`` over real and
+    imaginary parts: exact, and the largest part of the result lies in
+    ``[1/2, 1)`` at every scale of ``m`` (e = 0 for the zero matrix)."""
+    peak = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
+    e = math.frexp(peak)[1]
+    return m * math.ldexp(1.0, -e), e
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -764,17 +777,18 @@ def wigner_normal_form(a, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     then sorted canonically (2x2 first, by descending |s| with ties by
     ascending arg(s); then 1x1 by ascending sigma), the columns of U are
     permuted to match, and unitarity of U plus the reconstruction residual
-    are verified before returning.  ``conjugate_normal_residual`` is the Gram
-    form of the guard's residual on the first route and the SVD form on the
-    second.
+    are verified before returning; the residual is taken as ``2^e ||(A - U
+    Sigma U^T) 2^-e||``, e from A's largest entry, so it neither underflows
+    to 0 nor overflows at any scale of A.  ``conjugate_normal_residual`` is
+    the Gram form of the guard's residual on the first route and the SVD
+    form on the second.
     """
     _require_resolution(tol)
     m = as_square_matrix(a)
     dim = m.shape[0]
     # the column norms of A times a power of two near 1 / max |a_ij|: exact,
     # and no square leaves the double range at any scale of A
-    peak = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
-    unit = m * math.ldexp(1.0, -math.frexp(peak)[1])
+    unit, exponent = _unit_scaled(m)
     squares = np.einsum("ij,ij->j", unit.real, unit.real) + np.einsum(
         "ij,ij->j", unit.imag, unit.imag
     )
@@ -822,7 +836,9 @@ def wigner_normal_form(a, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
         )
 
     blocks = tuple(g[0] for g in pieces)
-    residual = float(np.linalg.norm(m - _reconstruct(u_mat, blocks)))
+    difference = m - _reconstruct(u_mat, blocks)
+    difference *= math.ldexp(1.0, -exponent)
+    residual = math.ldexp(float(np.linalg.norm(difference)), exponent)
     if residual > _RECONSTRUCT_RTOL * norm:
         raise ReconstructionError(
             f"||A - U Sigma U^T|| = {residual:.3e} exceeds "

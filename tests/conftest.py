@@ -1,5 +1,6 @@
-"""Shared fixtures: the spectral test corpus, a mixed-gauge test seam and
-acceptance reporting.
+"""Shared fixtures: the spectral test corpus, a mixed-gauge test seam, a
+seam that sends every Pfaffian down its SVD route, and acceptance
+reporting.
 
 The corpus is a deterministic family of 300 conjugate-normal matrices with
 prescribed mixed spectra (complex pairs and negative-real eigenvalues,
@@ -25,7 +26,7 @@ import numpy as np  # noqa: E402
 import pytest
 import scipy.linalg
 
-from wignerpf import SpectrumEntry, SpectrumSpec, normal_form, random_conjugate_normal
+from wignerpf import SpectrumEntry, SpectrumSpec, generalized, normal_form, random_conjugate_normal
 from wignerpf.ensembles import random_unitary
 
 CORPUS_SIZE = 300
@@ -97,6 +98,25 @@ def schur_orders(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "schur", spying)
     return orders
+
+
+@contextmanager
+def only_svd_route():
+    """Inside the block every Pfaffian value takes the SVD route: the
+    well-conditioned fast path's gate declines at once, before the fast path
+    measures anything, so the group kernel, its witnesses, its gauge and its
+    pass counts are what a test pins on inputs the fast path would
+    otherwise serve."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generalized, "_well_conditioned_pfaffian", lambda m, tol: None)
+        yield
+
+
+@pytest.fixture
+def svd_route():
+    """:func:`only_svd_route` for the whole test."""
+    with only_svd_route():
+        yield
 
 
 @contextmanager

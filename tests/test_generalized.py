@@ -24,17 +24,18 @@ from wignerpf import (
     generalized_pfaffian,
     generalized_pfaffian_via_relation,
     identity_report,
+    is_conjugate_normal,
     pf_polynomial,
     pfaffian_derivative,
     random_conjugate_normal,
     wigner_normal_form,
 )
-from wignerpf import generalized, linalg, normal_form
+from wignerpf import errors, generalized, linalg, normal_form
 from wignerpf.ensembles import random_unitary
 from wignerpf.linalg import det_lu
 from wignerpf.pfaffian import pf_skew_parlett_reid
 
-from conftest import CORPUS_SIZE, corpus_spec, mixed_gauge
+from conftest import CORPUS_SIZE, corpus_spec, mixed_gauge, only_svd_route
 from test_scale import table_matrix
 
 SQRT2 = np.sqrt(2.0)
@@ -612,12 +613,13 @@ class TestIdentityReport:
         # the phase row keeps its own floor
         assert report.check("phase").threshold == generalized.PHASE_THRESHOLD
 
-    def test_one_skew_pfaffian_per_battery(self, monkeypatch):
-        # (A - A^T)/2 is factored once: corpus matrix 14 is one 2x2 group,
-        # whose block is A itself, and the base call's diagnostics and the
-        # phase row reuse that apf.  A derived row whose matrix is one group
-        # factors that matrix's skew part as its block, and every row is but
-        # the tensor row, whose kron with B splits into pairs: 1 + 7
+    def test_one_skew_pfaffian_per_battery(self, monkeypatch, svd_route):
+        # on the SVD route (A - A^T)/2 is factored once: corpus matrix 14 is
+        # one 2x2 group, whose block is A itself, and the base call's
+        # diagnostics and the phase row reuse that apf.  A derived row whose
+        # matrix is one group factors that matrix's skew part as its block,
+        # and every row is but the tensor row, whose kron with B splits into
+        # pairs: 1 + 7
         calls = []
         original = generalized.pf_skew_parlett_reid
         monkeypatch.setattr(
@@ -727,11 +729,11 @@ class TestPassBudget:
             monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
         return counts
 
-    def test_passes_per_call_and_per_battery(self, passes):
+    def test_passes_per_call_and_per_battery(self, passes, svd_route):
         matrix = random_conjugate_normal(corpus_spec(2))  # 14 groups of two
         generalized_pfaffian(matrix)
-        # the SVD, which also gives the guard; det(X) and det(A); the
-        # unitarity witness's Gram triangle; the cross-check's apf
+        # on the SVD route: the SVD, which also gives the guard; det(X) and
+        # det(A); the unitarity witness's Gram triangle; the cross-check's apf
         assert passes == {"svd": 1, "eigh": 0, "lu_factor": 2, "zherk": 1, "skew": 1}
         passes.update(dict.fromkeys(passes, 0))
         identity_report(matrix)
@@ -741,14 +743,66 @@ class TestPassBudget:
         # det(B) and det(Q), and the apf the phase row reads
         assert passes == {"svd": 9, "eigh": 0, "lu_factor": 13, "zherk": 9, "skew": 1}
 
-    def test_group_of_four_takes_one_lu_and_no_skew_pfaffian(self, passes):
+    def test_well_conditioned_input_takes_no_svd(self, passes):
+        matrix = random_conjugate_normal(corpus_spec(2))  # 14 groups of two
+        generalized_pfaffian(matrix)
+        # the guard's two Gram triangles; the LUs of A and of (A - A^T)/2,
+        # each with its condition estimate; one skew kernel, whose apf and
+        # the first LU's det the diagnostics reuse
+        assert passes == {"svd": 0, "eigh": 0, "lu_factor": 2, "zherk": 2, "skew": 1}
+        passes.update(dict.fromkeys(passes, 0))
+        identity_report(matrix)
+        # nine such calls, then det(B) and det(Q)
+        assert passes == {"svd": 0, "eigh": 0, "lu_factor": 20, "zherk": 18, "skew": 9}
+        passes.update(dict.fromkeys(passes, 0))
+        pfaffian_derivative(matrix, np.eye(matrix.shape[0]))
+        assert passes == {"svd": 0, "eigh": 0, "lu_factor": 2, "zherk": 2, "skew": 1}
+
+    @pytest.mark.parametrize(
+        "entries, seed, outcome",
+        [
+            # a pair 1e-8 rad from the real axis: the skew part's condition
+            # estimate declines, and the SVD route gives the value
+            (
+                (SpectrumEntry("complex", 1 + 2j), SpectrumEntry("complex", 2 * cmath.exp(1e-8j))),
+                2,
+                None,
+            ),
+            # one group whose pairs all sit 1e-13 rad from the axis: the skew
+            # part is a multiple of a unitary matrix, well conditioned on its
+            # own but tiny against A, so the estimate taken against ||A||_1
+            # declines, and the SVD route finds a positive sigma
+            ((SpectrumEntry("complex", 2 * cmath.exp(1e-13j), 2),), 2, PfUndefinedError),
+        ],
+        ids=["near-axis", "one-group-at-1e-13"],
+    )
+    def test_ill_conditioned_skew_part_takes_the_svd(self, passes, entries, seed, outcome):
+        matrix = random_conjugate_normal(SpectrumSpec(entries, seed=seed))
+        if outcome is None:
+            generalized_pfaffian(matrix)
+        else:
+            with pytest.raises(outcome):
+                generalized_pfaffian(matrix)
+        # the fast path's two Gram triangles and two LUs, then the SVD, whose
+        # guard reads W.  Two groups: the unitarity witness's Gram triangle,
+        # det(X), and the cross-check's det(A) and apf.  One group: its LU
+        # and apf, A's own, and the positive sigma raises
+        assert passes == {
+            "svd": 1,
+            "eigh": 0,
+            "lu_factor": 4 if outcome is None else 3,
+            "zherk": 3 if outcome is None else 2,
+            "skew": 1,
+        }
+
+    def test_group_of_four_takes_one_lu_and_no_skew_pfaffian(self, passes, svd_route):
         matrix = random_conjugate_normal(corpus_spec(6))  # a complex pair of multiplicity 2
         generalized_pfaffian(matrix)
         # the group of four's apf is its three-term matching sum; the one
         # skew kernel is the cross-check's
         assert passes == {"svd": 1, "eigh": 0, "lu_factor": 3, "zherk": 1, "skew": 1}
 
-    def test_groups_of_one_size_take_one_lu(self, passes):
+    def test_groups_of_one_size_take_one_lu(self, passes, svd_route):
         # groups [2, 6, 6]: the pair in closed form, both blocks of six from
         # one LU of their stack and one skew kernel each
         spec = SpectrumSpec(
@@ -763,7 +817,7 @@ class TestPassBudget:
         # det(X), the stack and det(A); the cross-check's apf is the third
         assert passes == {"svd": 1, "eigh": 0, "lu_factor": 3, "zherk": 1, "skew": 3}
 
-    def test_single_group_takes_the_normal_form(self, passes):
+    def test_single_group_takes_the_normal_form(self, passes, svd_route):
         # both singular values of a 2x2 pair are equal: the one group spans A,
         # so X = 1 and its block is A, factored once by one LU and one skew
         # kernel whose det and apf the diagnostics reuse; the guard comes from
@@ -771,7 +825,7 @@ class TestPassBudget:
         generalized_pfaffian(random_conjugate_normal(corpus_spec(14)))
         assert passes == {"svd": 1, "eigh": 0, "lu_factor": 1, "zherk": 0, "skew": 1}
 
-    def test_single_group_of_four_is_factored_once(self, passes):
+    def test_single_group_of_four_is_factored_once(self, passes, svd_route):
         # a complex pair of multiplicity 2: the one group spans A, as above
         spec = SpectrumSpec((SpectrumEntry("complex", 1 + 1j, 2),), seed=5)
         generalized_pfaffian(random_conjugate_normal(spec))
@@ -802,7 +856,7 @@ class TestPassBudget:
         wigner_normal_form(random_conjugate_normal(spec))
         assert passes == {"svd": 0, "eigh": 1, "lu_factor": 0, "zherk": 3, "skew": 0}
 
-    def test_derivative_runs_one_normal_form_and_no_diagnostics(self, passes):
+    def test_derivative_runs_one_normal_form_and_no_diagnostics(self, passes, svd_route):
         matrix = random_conjugate_normal(corpus_spec(2))
         pfaffian_derivative(matrix, np.eye(matrix.shape[0]))
         # the SVD, which also gives the guard; det(X); the unitarity
@@ -814,7 +868,7 @@ class TestPassBudget:
         [(2, [2, 4, 2]), (14, [2, 11, 3])],
         ids=["groups", "single-group"],
     )
-    def test_each_matrix_is_checked_where_it_enters(self, monkeypatch, index, counts):
+    def test_each_matrix_is_checked_where_it_enters(self, monkeypatch, svd_route, index, counts):
         # as_square_matrix reads as_matrix as a module global, so the spy
         # sees every check; the kernels take the pipeline's arrays as given.
         # With groups, a call checks its entry and the skew kernel's input; a
@@ -877,8 +931,10 @@ def per_block_value(matrix):
     return generalized._ldexp(mantissa * det_lu(x), exponent)
 
 
+@pytest.mark.usefixtures("svd_route")
 class TestGroupKernel:
-    """The singular-value group kernel behind every Pfaffian value."""
+    """The singular-value group kernel behind every Pfaffian value the fast
+    path declines, pinned on inputs the fast path would otherwise serve."""
 
     def test_gesdd_failure_falls_back_to_gesvd(self, monkeypatch):
         matrix = random_conjugate_normal(corpus_spec(2))
@@ -1017,6 +1073,136 @@ class TestGroupKernel:
             generalized_pfaffian(scale * (q @ core @ q.T))
 
 
+def kramers_spec(pairs, seed):
+    """Every complex pair at multiplicity 2: groups of four."""
+    rng = np.random.default_rng(seed)
+    omegas = np.exp(rng.uniform(-0.5, 0.5, pairs)) * np.exp(
+        1j * rng.uniform(0.1, math.pi - 0.1, pairs)
+    )
+    return SpectrumSpec(tuple(SpectrumEntry("complex", complex(w), 2) for w in omegas), seed=seed)
+
+
+def pf_outcome(matrix):
+    """``(error class or None, value or None, whether the fast path gave
+    the value)`` of ``generalized_pfaffian(matrix)``."""
+    served = []
+    original = generalized._well_conditioned_pfaffian
+
+    def spy(m, tol):
+        result = original(m, tol)
+        served.append(result is not None)
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generalized, "_well_conditioned_pfaffian", spy)
+        try:
+            value = generalized_pfaffian(matrix).value
+        except errors.Error as exc:
+            return type(exc), None, served == [True]
+    return None, value, served == [True]
+
+
+def assert_routes_agree(matrix, rtol=1e-13):
+    """The fast path and the SVD route give ``matrix`` the same error class
+    and values within ``rtol``; returns whether the fast path served."""
+    error, value, fast = pf_outcome(matrix)
+    with only_svd_route():
+        want_error, want, _ = pf_outcome(matrix)
+    assert error is want_error
+    if value is not None:
+        assert abs(value - want) <= rtol * abs(want)
+    return fast
+
+
+class TestWellConditionedPath:
+    """Where A and its skew part are well conditioned, pf is ``+-sqrt(det
+    A)`` with apf's sign, from one LU and one Parlett-Reid factorization;
+    everywhere else the SVD route decides, and the two never disagree."""
+
+    @pytest.mark.parametrize("scale", [2.0**-40, 1.0, 2.0**40])
+    def test_corpus_takes_it_and_agrees_with_the_svd_route(self, corpus, scale):
+        served = [assert_routes_agree(scale * matrix) for _, matrix in corpus]
+        assert all(served)
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    @pytest.mark.parametrize("side", [1, -1], ids=["positive", "negative"])
+    def test_pairs_near_the_real_axis_agree(self, side, seed):
+        for angle in np.logspace(-12, -4, 17).tolist():
+            omega = side * 2.0 * cmath.exp(1j * side * angle)
+            for entries in (
+                (SpectrumEntry("complex", omega),),
+                (SpectrumEntry("complex", 1 + 2j), SpectrumEntry("complex", omega)),
+            ):
+                fast = assert_routes_agree(random_conjugate_normal(SpectrumSpec(entries, seed)))
+                # near the positive axis the skew part's singular value is
+                # about 2 sin(angle / 2); near the negative one it is about 2
+                if side == 1 and angle < 1e-6:
+                    assert not fast
+
+    @pytest.mark.parametrize("omega", [2.0, -2.0])
+    def test_near_degenerate_real_eigenvalues_agree(self, omega):
+        for delta in np.logspace(-10, -5, 26).tolist():
+            fast = assert_routes_agree(random_conjugate_normal(real_pair_spec(omega, delta)))
+            assert fast == (omega < 0)  # a positive sigma makes the skew part singular
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            SpectrumEntry("negative-real", -5e-8, 2),
+            SpectrumEntry("positive-real", 5e-8),
+            SpectrumEntry("complex", 9e-8 + 6e-8j),
+        ],
+        ids=["negative-real", "positive-real", "complex"],
+    )
+    def test_blocks_under_the_zero_floor_agree(self, entry):
+        # |s| = 2.2e-4 beside |s| = 1.7: cond(A) is 5e3, and each route's value
+        # carries rounding of about dim eps cond(A) (measured 1.7e-13 apart;
+        # against a 40-digit det of the same matrix the fast path is 3.5e-14
+        # and 2.1e-13 off, the SVD route 1.9e-13 and 3.2e-13)
+        base = (SpectrumEntry("complex", 1 + 2j), SpectrumEntry("negative-real", -3.0, 2))
+        matrix = random_conjugate_normal(SpectrumSpec(base + (entry,), seed=1))
+        eps = np.finfo(float).eps
+        assert_routes_agree(matrix, matrix.shape[0] * eps * np.linalg.cond(matrix))
+
+    @pytest.mark.parametrize("pairs, seed", [(2, 5), (10, 7), (50, 23)])
+    def test_kramers_inputs_take_it_and_agree(self, pairs, seed):
+        assert assert_routes_agree(random_conjugate_normal(kramers_spec(pairs, seed)))
+
+    @pytest.mark.parametrize("j", [-6, 6])
+    def test_power_of_two_scales_bit_for_bit(self, j):
+        for index in range(0, CORPUS_SIZE, 10):
+            matrix = random_conjugate_normal(corpus_spec(index))
+            _, value, fast = pf_outcome(matrix)
+            _, scaled, scaled_fast = pf_outcome(math.ldexp(1.0, j) * matrix)
+            assert fast and scaled_fast
+            want = generalized._ldexp(value, j * matrix.shape[0] // 2)
+            assert (scaled.real.hex(), scaled.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+    def test_diagnostics_are_the_factorizations_own(self):
+        # the det and apf the value came from, so the cross-check reads 0,
+        # and the guard's residual in its Gram form, as is_conjugate_normal
+        # reads it
+        matrix = random_conjugate_normal(corpus_spec(2))
+        result = generalized_pfaffian(matrix)
+        assert result.diagnostics.cross_check_residual == 0
+        assert result.diagnostics.conjugate_normal_residual == is_conjugate_normal(matrix)[1]
+        assert abs(result.diagnostics.det - det_lu(matrix)) <= 1e-13 * abs(det_lu(matrix))
+        apf = pf_skew_parlett_reid((matrix - matrix.T) / 2.0)
+        assert abs(result.diagnostics.apf - apf) <= 1e-13 * abs(apf)
+
+    def test_a_determinant_out_of_range_stays_on_it(self):
+        # det(A 2^-e) of 300 pairs is no double as a plain product of the LU
+        # diagonal: it is multiplied as a mantissa and a power of two, and
+        # the apf taken near |det|^(1/dim)
+        matrix = table_matrix(600)
+        unit, _ = normal_form._unit_scaled(matrix)
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = np.prod(np.diagonal(scipy.linalg.lu_factor(unit)[0]))
+        assert not generalized._in_range(plain)
+        assert assert_routes_agree(matrix)
+
+
+@pytest.mark.usefixtures("svd_route")
 class TestGaugeInvariance:
     @pytest.mark.parametrize(
         "matrix",

@@ -50,7 +50,7 @@ from wignerpf.normal_form import (
     assemble_sigma,
 )
 
-from conftest import corpus_spec, mixed_gauge
+from conftest import corpus_spec, mixed_gauge, only_svd_route
 
 
 class TestBlocks:
@@ -137,15 +137,17 @@ class TestConjugateNormality:
         assert is_conjugate_normal(g + g.T)[0]
         assert is_conjugate_normal(g - g.T)[0]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_overflowing_residual_fails(self):
-        # ||A||^2 overflows, the residual is nan, and nan is not a pass
+    @pytest.mark.filterwarnings("error")
+    def test_residual_is_taken_at_unit_scale(self):
+        # ||A||^2 overflows on A itself, but is_conjugate_normal takes the
+        # residual on A times a power of two: 1e200 times 1 passes with 0.
+        # The spectrum classifier still takes its guard on A: nan, and nan
+        # is not a pass
         matrix = 1e200 * np.eye(2)
-        flag, residual = is_conjugate_normal(matrix)
-        assert not flag and np.isnan(residual)
-        with pytest.raises(NotConjugateNormalError):
-            classify_spectrum(matrix)
+        assert is_conjugate_normal(matrix) == (True, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotConjugateNormalError, match="residual nan"):
+                classify_spectrum(matrix)
 
     def test_generic_hermitian_fails(self):
         # complex Hermitian matrices are not conjugate-normal in general
@@ -688,9 +690,11 @@ class TestRealClusters:
             seed=seed,
         )
         matrix = random_conjugate_normal(spec)
-        base = generalized_pfaffian(matrix).value
-        with mixed_gauge(gauge_seed):
-            other = generalized_pfaffian(matrix).value
+        # on the SVD route, whose group kernel reads the singular vectors
+        with only_svd_route():
+            base = generalized_pfaffian(matrix).value
+            with mixed_gauge(gauge_seed):
+                other = generalized_pfaffian(matrix).value
         assert abs(other - base) <= 1e-9 * abs(base)
 
     def test_overmerged_clusters_raise_consistency_error(self):
@@ -860,16 +864,16 @@ class TestOnePass:
     """Every check of one call runs once; its value is carried, not remeasured."""
 
     @pytest.mark.parametrize("index", [0, 1, 6, 12, 14, "one-group"])
-    def test_residuals_are_the_measured_ones(self, index):
+    def test_residuals_are_the_measured_ones(self, svd_route, index):
         spec = ONE_GROUP if index == "one-group" else corpus_spec(index)
         matrix = random_conjugate_normal(spec)
         nf = wigner_normal_form(matrix)
         assert nf.reconstruction_residual == float(np.linalg.norm(matrix - reconstruct(nf)))
-        # the Pfaffian reads its residual off the SVD it takes, and so does
-        # the normal form of an input with several singular-value groups; an
-        # input with equal column norms (one group: corpus_spec(14) is a 2x2
-        # pair) keeps the Gram form.  Both are rounding on a conjugate-normal
-        # input
+        # the Pfaffian's SVD route reads its residual off the SVD it takes,
+        # and so does the normal form of an input with several singular-value
+        # groups; an input with equal column norms (one group: corpus_spec(14)
+        # is a 2x2 pair) keeps the Gram form.  Both are rounding on a
+        # conjugate-normal input
         residual = generalized_pfaffian(matrix).diagnostics.conjugate_normal_residual
         assert residual == svd_guard_residual(matrix)
         gram = is_conjugate_normal(matrix)[1]
@@ -911,8 +915,9 @@ class TestOnePass:
         assert len(calls) == 1
 
     def test_one_conjugate_normality_test_per_pfaffian(self, monkeypatch):
-        # one guard per call: the normal-form route's from its SVD, the
-        # relation route's from the Gram triangles
+        # one guard per call: the normal-form route's from the Gram
+        # triangles of A times a power of two on its fast path (from its SVD
+        # elsewhere), the relation route's from the Gram triangles of A
         calls = []
         original = normal_form._guard
 
@@ -938,8 +943,9 @@ class TestOnePass:
             return norm(x, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "norm", counted)
-        # with several singular-value groups the normal form, like the
-        # Pfaffian, takes ||A||_F as d_1 ||d / d_1|| from its singular values
+        # with several singular-value groups the normal form takes ||A||_F as
+        # d_1 ||d / d_1|| from its singular values; the Pfaffian takes its
+        # norms on A times a power of two, or off the SVD
         wigner_normal_form(matrix)
         generalized_pfaffian(matrix)
         assert len(calls) == 0
@@ -948,7 +954,7 @@ class TestOnePass:
         wigner_normal_form(one_group)
         assert len(calls) == 2
 
-    def test_one_skew_pfaffian_and_two_determinants_per_pfaffian(self, monkeypatch):
+    def test_one_skew_pfaffian_and_two_determinants_per_pfaffian(self, monkeypatch, svd_route):
         calls = {"parlett-reid": 0, "det": 0}
         original_pr = generalized.pf_skew_parlett_reid
         original_det = normal_form.det_lu
@@ -975,9 +981,9 @@ class TestOnePass:
         assert result.diagnostics.det_antisymmetric == apf**2
 
     @pytest.mark.parametrize("residual", [0.0, 3e-11])
-    def test_one_gram_product_at_every_guard_residual(self, monkeypatch, residual):
-        # the unitarity witness's X^H X; the guard comes from the SVD, and the
-        # Pfaffian classifies no spectrum of Lambda
+    def test_one_gram_product_at_every_guard_residual(self, monkeypatch, svd_route, residual):
+        # on the SVD route: the unitarity witness's X^H X; the guard comes
+        # from the SVD, and the Pfaffian classifies no spectrum of Lambda
         matrix = random_conjugate_normal(corpus_spec(1))
         if residual:
             matrix = with_guard_residual(matrix, residual, seed=0)
@@ -1209,11 +1215,12 @@ def spread_spectrum(dim, seed):
 
 #: (scale, command, exit code, stdout line) on c [[0, 1+i], [1-i, 0]]; at 1e-200
 #: Lambda underflows to 0, so wnf reads two zero blocks for a non-singular
-#: matrix, while pf, which forms no Lambda, keeps its value down to 1e-300.
+#: matrix, and its reconstruction check, taken at unit scale, rejects them
+#: (exit 5), while pf, which forms no Lambda, keeps its value down to 1e-300.
 #: From c ~ 1e155 on, the Gram guard's norm of c [[0, 1+i], [1-i, 0]]
-#: overflows on the routes that keep it (wnf, pf --method relation, check);
-#: pf reads its guard and norms off d / d_1 and keeps its value, with det(A)
-#: out of range (null) and so no cross-check
+#: overflows on the routes that take it on A itself (wnf, pf --method
+#: relation); check and pf take it on A times a power of two, and pf keeps
+#: its value, with det(A) out of range (null) and so no cross-check
 _GUARD_OVERFLOW = (
     '{"error": {"code": 3, "message": "matrix is not conjugate-normal: '
     'residual nan exceeds 1.0e-10"}}'
@@ -1225,12 +1232,14 @@ _SCALE_EXTREMES = [
      '"cross_check_residual": null}'),
     ("1e-155", "wnf", 0, '{"det_U": [1.0000000000000018, 4.3838104636483426e-17], '
      '"blocks": [{"type": "offdiag", "value": [9.9999999999999857e-156, '
-     '9.9999999999999857e-156], "multiplicity": 1}], "reconstruction_residual": 0}'),
+     '9.9999999999999857e-156], "multiplicity": 1}], '
+     '"reconstruction_residual": 6.546248064786628e-171}'),
     ("1e-155", "check", 0, '{"conjugate_normal": true, "residual": 0}'),
     ("1e-200", "pf", 0, '{"pfaffian": [0, 1.414213562373095e-200], "method": "normal-form", '
      '"det": [0, 0], "singular": false, "cross_check_residual": null}'),
-    ("1e-200", "wnf", 0, '{"det_U": [1, 0], "blocks": [{"type": "real1", "value": 0, '
-     '"multiplicity": 2}], "reconstruction_residual": 0}'),
+    ("1e-200", "wnf", 5, '{"error": {"code": 5, "message": "||A - U Sigma U^T|| = '
+     '2.000e-200 exceeds 1.0e-09 * ||A||; the input is likely further from '
+     'conjugate-normal than the tolerances assume"}}'),
     ("1e-200", "check", 0, '{"conjugate_normal": true, "residual": 0}'),
     ("1e-300", "pf", 0, '{"pfaffian": [0, 1.414213562373095e-300], "method": "normal-form", '
      '"det": [0, 0], "singular": false, "cross_check_residual": null}'),
@@ -1243,8 +1252,8 @@ _SCALE_EXTREMES = [
         for scale in ("1e155", "1e160")
         for command in ("wnf", "pf --method relation")
     ),
-    ("1e155", "check", 0, '{"conjugate_normal": false, "residual": null}'),
-    ("1e160", "check", 0, '{"conjugate_normal": false, "residual": null}'),
+    ("1e155", "check", 0, '{"conjugate_normal": true, "residual": 0}'),
+    ("1e160", "check", 0, '{"conjugate_normal": true, "residual": 0}'),
 ]
 
 
@@ -1293,7 +1302,8 @@ class TestNormalityWitness:
     @pytest.mark.filterwarnings("error")
     def test_identities_at_a_huge_lam_pass_quietly(self, capsys, tmp_path):
         # the scale row's lam A would overflow a Gram guard's norm and
-        # difference; pf reads its guard off the SVD, so every row passes
+        # difference on lam A itself; pf takes its Gram guard on lam A times a
+        # power of two, so every row passes
         path = tmp_path / "j.mm"
         path.write_text("%%MatrixMarket matrix array real general\n2 2\n0\n-1\n1\n0\n")
         assert main(["identities", "--lam", "1e308", str(path)]) == 0
@@ -1313,7 +1323,8 @@ class TestNormalityWitness:
         result = generalized_pfaffian(scale * matrix)
         assert abs(result.value / want - 1) <= 1e-15
         assert result.diagnostics.conjugate_normal_residual <= _ROUNDING_RESIDUAL
-        assert not is_conjugate_normal(scale * matrix)[0]  # the Gram guard overflows
+        # the Gram guard on A itself overflows; is_conjugate_normal takes it at unit scale
+        assert is_conjugate_normal(scale * matrix)[0]
 
 
 def guard_sweep_input(dim, size, seed):
@@ -1350,10 +1361,12 @@ _GUARD_SIZES = [4, 10, 40, 100]
 _GUARD_STEPS = [0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-6, 1e-2]
 
 
+@pytest.mark.usefixtures("svd_route")
 class TestGuardFromTheSvd:
-    """pf reads the guard off its SVD, ``||[D^2, W]||_F / ||A||_F^2`` with W
-    = Y^H conj(X); the other routes take the two Gram triangles.  The two
-    must make the same decision and read the same residual."""
+    """pf's SVD route reads the guard off its SVD, ``||[D^2, W]||_F /
+    ||A||_F^2`` with W = Y^H conj(X); the other routes, pf's fast path
+    included, take the two Gram triangles.  The two must make the same
+    decision and read the same residual."""
 
     @pytest.mark.parametrize("size", _GUARD_STEPS)
     @pytest.mark.parametrize("dim", _GUARD_SIZES)

@@ -19,6 +19,7 @@ from wignerpf import (
     InputError,
     OffDiagBlock,
     PfUndefinedError,
+    ReconstructionError,
     SpectrumEntry,
     SpectrumSpec,
     classify_spectrum,
@@ -27,6 +28,7 @@ from wignerpf import (
     random_conjugate_normal,
     wigner_normal_form,
 )
+from wignerpf import normal_form
 
 from conftest import CORPUS_SIZE, corpus_spec
 
@@ -229,3 +231,24 @@ def test_overflowing_block_power_is_out_of_range():
     with np.errstate(all="ignore"), pytest.raises(InputError) as info:
         generalized_pfaffian(1e70 * matrix)
     assert_out_of_range(info)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-160, 1e200])
+def test_reconstruction_check_rejects_a_wrong_u_at_every_scale(monkeypatch, scale):
+    # ||A - U Sigma U^T|| is taken as 2^e ||(A - U Sigma U^T) 2^-e||: taken on A
+    # itself, its squares underflow to 0 at 1e-160, so a U off by 1e-6 passed,
+    # and overflow from about 1e170 on
+    matrix = scale * random_conjugate_normal(MIXED_KINDS)
+    nf = wigner_normal_form(matrix)
+    assert 0 < nf.reconstruction_residual <= 1e-13 * scale
+    original = normal_form._reconstruct
+
+    def wrong(u, blocks):
+        u = u.copy()
+        u[:, 0] *= np.exp(1e-6j)
+        return original(u, blocks)
+
+    monkeypatch.setattr(normal_form, "_reconstruct", wrong)
+    with pytest.raises(ReconstructionError, match="exceeds 1.0e-09"):
+        wigner_normal_form(matrix)
