@@ -14,10 +14,10 @@ factor, so ``pf(A) = +-sqrt(det(A))`` with the sign that agrees with apf
 (:func:`_relation_value`).
 
 :func:`generalized_pfaffian` builds no U.  Where A and its skew part are
-well conditioned (a condition estimate of each on an LU), that rule gives
-the value at once, from the LU of A and one Parlett-Reid factorization of
-its skew part (:func:`_well_conditioned_pfaffian`), after the guard in its
-Gram form.  Everywhere else unitary congruence, ``pf(Q A Q^T) = det(Q)
+well conditioned, that rule gives the value at once, from the LU of A and
+one Parlett-Reid factorization of its skew part, each factorization with
+a condition estimate read off it (:func:`_well_conditioned_pfaffian`),
+after the guard in its Gram form.  Everywhere else unitary congruence, ``pf(Q A Q^T) = det(Q)
 pf(A)``, and the direct sum, ``pf(A + B) = pf(A) pf(B)``, give ``pf(A) =
 det(X) prod_J pf(C_J)`` from one SVD ``A = X D Y^H``, with ``C_J`` the
 diagonal blocks of ``X^H A conj(X)`` on the groups of equal singular
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -60,7 +60,13 @@ from .normal_form import (
     _singular_groups,
     _unit_scaled,
 )
-from .pfaffian import _matching_sum, pf_polynomial, pf_skew_parlett_reid
+from .pfaffian import (
+    _matching_sum,
+    _packed_lu,
+    _parlett_reid,
+    pf_polynomial,
+    pf_skew_parlett_reid,
+)
 
 #: |Im(w2)| <= RATIO_IMAG_RTOL * |Re(w2)| is required of w2 = det conj(apf)^2 /
 #: |apf|^2, a positive multiple of the det(A)/det((A - A^T)/2) ratio
@@ -167,13 +173,30 @@ def _relation_value(det, apf):
 @dataclass(frozen=True)
 class _Measured:
     """What :func:`_normal_form_pfaffian` measured on A besides its value:
-    the guard's residual and, where the value came from A's own LU and apf
-    (the fast path, or one group spanning A), that det(A) and apf(A) (None
-    otherwise)."""
+    the guard's residual, and what the fast path factored before it gave
+    the value or declined.  ``lu`` is the LU of ``A 2^-exponent`` (None
+    where the fast path factored nothing: an odd dimension) and
+    ``apf_parts`` is apf(A) as ``(mantissa, k)``, ``mantissa 2^k`` (None
+    where the fast path declined before its skew kernel); where one group
+    spans A, its block's LU and apf fill in what the fast path did not."""
 
     conjugate_normal_residual: float
-    det: complex | None = None
-    apf: complex | None = None
+    lu: tuple[np.ndarray, np.ndarray] | None = None
+    exponent: int = 0
+    apf_parts: tuple[complex, int] | None = None
+
+    @property
+    def det(self) -> complex | None:
+        """det(A) from ``lu``, as it rounds."""
+        if self.lu is None:
+            return None
+        det, shift = _det_parts(*self.lu)
+        return _ldexp(det, shift + self.exponent * len(self.lu[1]))
+
+    @property
+    def apf(self) -> complex | None:
+        """apf(A) from ``apf_parts``, as it rounds."""
+        return None if self.apf_parts is None else _ldexp(*self.apf_parts)
 
 
 def generalized_pfaffian(a, tol: Tolerances = DEFAULT_TOL) -> PfResult:
@@ -189,29 +212,33 @@ def generalized_pfaffian(a, tol: Tolerances = DEFAULT_TOL) -> PfResult:
     group block that fails the rule) means no continuous Pfaffian extension
     exists and :class:`PfUndefinedError` is raised.  A non-singular
     ``|pf|`` outside ``[tiny, inf)`` raises :class:`InputError`; it is never
-    returned as 0.  Both errors come before any diagnostic is computed.
+    returned as 0.  Both errors come before the cross-check runs.
 
     Where A and its skew part are well conditioned the value is
     ``+-sqrt(det A)`` with apf's sign, read straight off A's LU and one
-    Parlett-Reid factorization (:func:`_well_conditioned_pfaffian`), and the
-    guard takes its Gram form on A times a power of two; elsewhere the
-    guard's residual comes from the SVD.  Neither form's norms overflow
-    before the value does.
+    Parlett-Reid factorization, each of which also gives its matrix's
+    condition estimate (:func:`_well_conditioned_pfaffian`), and the guard
+    takes its Gram form on A times a power of two; elsewhere the guard's
+    residual comes from the SVD.  Neither form's norms overflow before the
+    value does.
 
     Only then are ``det(A)`` and ``apf`` (one Parlett-Reid factorization)
-    computed, unless the value already came from A's own LU and apf (the
-    fast path, or one group spanning A), rescaled exactly.  A non-singular
-    value is recomputed through the determinant-ratio relation on A, its
-    relative discrepancy recorded in ``diagnostics.cross_check_residual``;
-    that is None unless ``det(A)`` and ``det((A - A^T)/2) = apf**2`` both lie
-    in ``[tiny, inf)``, and 0 by construction where the value came from A's
-    own LU and apf (the value and the relation then share them).
+    computed, unless the fast path already made them, rescaled exactly:
+    ``det(A)`` from its LU of A, which every even dimension gets, and apf
+    wherever its skew kernel ran, even where it then declined.  A
+    non-singular value is recomputed through the determinant-ratio relation
+    on A, its relative discrepancy recorded in
+    ``diagnostics.cross_check_residual``; that is None unless ``det(A)`` and
+    ``det((A - A^T)/2) = apf**2`` both lie in ``[tiny, inf)``, and 0 by
+    construction where the value came from A's own LU and apf (the value
+    and the relation then share them).
     """
     m = as_square_matrix(a)
     measured, value = _normal_form_pfaffian(m, tol)
     det_a, apf = measured.det, measured.apf
     if det_a is None:
         det_a = det_lu(m)
+    if apf is None:
         apf = pf_skew_parlett_reid((m - m.T) / 2.0)
     cross = None
     if value != 0 and _in_range(det_a) and _in_range(apf**2):
@@ -246,7 +273,9 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
     stack otherwise, the apf as the matching sum
     (:func:`~wignerpf.pfaffian._matching_sum`) at k <= 4 and by Parlett-Reid
     block by block otherwise.  The one block of a single group, A itself,
-    takes one LU and one Parlett-Reid factorization whatever its size.  A
+    takes the fast path's LU of A and its apf, rescaled, whatever its size,
+    and an LU or a Parlett-Reid factorization of its own only where the
+    fast path did not make one.  A
     block holds a positive sigma, and raises, when its skew part has a
     singular value at or below the noise floor ``_APF_NOISE * dim * eps *
     d_1`` or when it fails the rule; ``svdvals`` runs only on a block whose
@@ -259,9 +288,9 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
     first, declines; it decides every singular, positive-sigma, near-axis
     and multi-group input.
     """
-    fast = _well_conditioned_pfaffian(m, tol)
-    if fast is not None:
-        return fast
+    fast, value = _well_conditioned_pfaffian(m, tol)
+    if value is not None:
+        return fast, value
     x, d, w, cn_residual, starts, stops = _singular_groups(m, tol)
     dim = m.shape[0]
     sizes = stops - starts
@@ -290,7 +319,10 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
                 "input is likely further from conjugate-normal than the tolerances assume"
             )
 
-    measured = _Measured(cn_residual)
+    # what the fast path factored, with the SVD route's guard residual
+    measured = _Measured(cn_residual) if fast is None else replace(
+        fast, conjugate_normal_residual=cn_residual
+    )
     if d[-1] <= dim * np.finfo(float).eps * d[0]:
         return measured, 0j
     if np.any(sizes % 2):
@@ -308,15 +340,19 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
         e = _near_exponent(lead)
         blocks = blocks * np.ldexp(1.0, -e)[:, None, None]
         skews = (blocks - blocks.transpose(0, 2, 1)) / 2.0
-        if single:  # the block is A: its det (taken as the fast path takes it)
-            # and apf, rescaled, are A's own
-            det, shift = _det_parts(*_lu(blocks[0]))
-            dets, apfs = np.array([det]), np.array([pf_skew_parlett_reid(skews[0])])
-            measured = _Measured(
-                cn_residual,
-                _ldexp(det, shift + int(e[0]) * k),
-                _ldexp(complex(apfs[0]), int(e[0]) * k // 2),
-            )
+        if single:  # the block is A 2^-e0: its det (taken as the fast path
+            # takes it) and apf are A's own, rescaled, and come from the fast
+            # path's LU and skew kernel wherever it ran them
+            e0 = int(e[0])
+            if measured.lu is None:
+                measured = replace(measured, lu=_lu(blocks[0]), exponent=e0)
+            if measured.apf_parts is None:
+                apf = pf_skew_parlett_reid(skews[0])
+                measured = replace(measured, apf_parts=(apf, e0 * k // 2))
+            det, shift = _det_parts(*measured.lu)
+            shift += (measured.exponent - e0) * k
+            apf, apf_shift = measured.apf_parts
+            dets, apfs = np.array([det]), np.array([_ldexp(apf, apf_shift - e0 * k // 2)])
             exponent += shift // 2
         else:
             if k == 2:
@@ -362,10 +398,12 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
 
 def _well_conditioned_pfaffian(
     m: np.ndarray, tol: Tolerances
-) -> tuple[_Measured, complex] | None:
+) -> tuple[_Measured | None, complex | None]:
     """:func:`_normal_form_pfaffian` without the SVD, where a condition
-    estimate proves the determinant-ratio relation safe; None where it does
-    not, and the SVD route then decides.
+    estimate proves the determinant-ratio relation safe: ``(measured,
+    value)``.  Where it does not, the value is None and the SVD route
+    decides, reusing what ``measured`` holds (None where nothing was
+    factored).
 
     ``pf(A) = +-sqrt(det A)`` with the sign of ``apf(A)``: the paper's
     positive real factor between them.  For a conjugate-normal A the
@@ -375,17 +413,21 @@ def _well_conditioned_pfaffian(
     cannot flip the sign.  So, on ``A 2^-e`` (:func:`_unit_scaled`, exact):
 
     * the guard in its Gram form, which raises on a non-conjugate-normal A;
-    * one LU of A and one of A_as, each with LAPACK's ``zgecon`` (Hager's
-      1-norm estimator as refined by Higham), both taken against ``||A||_1``
-      so that a small skew part counts as ill-conditioned; either reciprocal
-      estimate under :data:`_RCOND_FLOOR` (or not a number) declines;
+    * one LU of A and LAPACK's ``zgecon`` on it (Hager's 1-norm estimator as
+      refined by Higham): a reciprocal estimate under :data:`_RCOND_FLOOR`
+      (or not a number) declines;
+    * the Parlett-Reid kernel on A_as scaled by the power of two nearest
+      ``|det|^(1/dim)`` (``(A - A^T) 2^(-1-scale)``, formed in place), and
+      ``zgecon`` on its ``L D L^T`` factors read as an LU
+      (:func:`~wignerpf.pfaffian._packed_lu`), against ``||A||_1 2^-scale``
+      so that a small skew part counts as ill-conditioned: a zero apf or an
+      estimate under the floor declines;
     * ``|pf| = sqrt|det A|`` as a mantissa and a power of two from the LU
       diagonal (:func:`_det_parts`), whose range raises the out-of-range
-      :class:`InputError` before any skew kernel runs;
-    * the Parlett-Reid apf of A_as scaled by the power of two nearest
-      ``|det|^(1/dim)``, and the value :func:`_relation_value` of the det
-      mantissa and that apf.  An apf whose square is not a normal double, or
-      a ratio that is not positive real, declines.
+      :class:`InputError`;
+    * the value :func:`_relation_value` of the det mantissa and the apf.  An
+      apf whose square is not a normal double, or a ratio that is not
+      positive real, declines.
 
     An odd dimension declines at once: such an A is singular or holds a
     positive sigma.  Every step is exact under ``A -> 2^j A``, so the value
@@ -393,28 +435,30 @@ def _well_conditioned_pfaffian(
     """
     dim = m.shape[0]
     if dim % 2:
-        return None
+        return None, None
     unit, e = _unit_scaled(m)
     cn_residual, _ = _require_conjugate_normal(unit, tol)
     norm_1 = float(np.abs(unit).sum(axis=0).max())
     lu, piv = _lu(unit)
-    skew = (unit - unit.T) / 2.0
-    if not (_rcond(lu, norm_1) >= _RCOND_FLOOR and _rcond(_lu(skew)[0], norm_1) >= _RCOND_FLOOR):
-        return None
+    measured = _Measured(cn_residual, (lu, piv), e)
+    if not _rcond(lu, norm_1) >= _RCOND_FLOOR:
+        return measured, None
     det, shift = _det_parts(lu, piv)
+    scale = (2 * shift + dim) // (2 * dim)  # nearest shift / dim
+    skew = unit - unit.T
+    skew *= math.ldexp(1.0, -1 - scale)
+    apf, _ = _parlett_reid(skew)
+    measured = replace(measured, apf_parts=(apf, (e + scale) * dim // 2))
+    if apf == 0 or not _rcond(_packed_lu(skew), math.ldexp(norm_1, -scale)) >= _RCOND_FLOOR:
+        return measured, None
     half = (shift + e * dim) // 2
     _require_range(complex(np.sqrt(det)), half)
-    scale = (2 * shift + dim) // (2 * dim)  # nearest shift / dim
-    apf = pf_skew_parlett_reid(skew * math.ldexp(1.0, -scale))
     if not _in_range(apf * apf):
-        return None
+        return measured, None
     try:
         root = complex(_relation_value(det, apf))
     except NotConjugateNormalError:
-        return None
-    measured = _Measured(
-        cn_residual, _ldexp(det, shift + e * dim), _ldexp(apf, (e + scale) * dim // 2)
-    )
+        return measured, None
     return measured, _ldexp(root, half)
 
 
@@ -563,18 +607,22 @@ def pfaffian_derivative(a, da, tol: Tolerances = DEFAULT_TOL) -> complex:
     """Directional derivative ``(1/2) pf(A) tr(A^{-1} dA)``.
 
     Requires a non-singular A with a defined Pfaffian.  pf(A) is
-    :func:`generalized_pfaffian`'s value, without its diagnostics; A is
-    factored by the solve, and also by the value's LU where the value comes
-    from A's own LU (the fast path, or one group spanning A).
+    :func:`generalized_pfaffian`'s value, without its diagnostics.  A is
+    factored once: the solve takes the LU of ``A 2^-e`` that the value's
+    fast path made whether or not it gave the value (every even dimension
+    gets one), and rescales the trace by ``2^-e``.
     """
     m = as_square_matrix(a)
     d = as_square_matrix(da)
     if d.shape != m.shape:
         raise InputError(f"dA has shape {d.shape}, expected {m.shape}")
-    _, value = _normal_form_pfaffian(m, tol)
+    measured, value = _normal_form_pfaffian(m, tol)
     if value == 0:
         raise PfUndefinedError("the derivative formula requires a non-singular matrix")
-    trace = complex(np.trace(np.linalg.solve(m, d)))
+    lu, e = measured.lu, measured.exponent
+    if lu is None:  # the fast path did not run
+        lu, e = _lu(m), 0
+    trace = _ldexp(complex(np.trace(scipy.linalg.lu_solve(lu, d, check_finite=False))), -e)
     return complex(0.5 * value * trace)
 
 

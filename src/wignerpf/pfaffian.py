@@ -2,7 +2,10 @@
 
 :func:`pf_skew_parlett_reid`, a blocked LTL^T elimination with partial
 pivoting whose trailing updates are matrix products (after Wimmer, ACM TOMS
-38, 2012), is the one skew-Pfaffian kernel the package computes with.  Two
+38, 2012), is the one skew-Pfaffian kernel the package computes with.  Its
+work is :func:`_parlett_reid`'s, which overwrites its input with the
+factors; :func:`_packed_lu` reads them as one LU, whose condition estimate
+the fast path of :func:`wignerpf.generalized_pfaffian` takes.  Two
 references check it: :func:`pf_skew_householder`, an independent O(n^3)
 route by unitary Householder tridiagonalization that only the tests call,
 and :func:`pf_polynomial`, a brute-force sum over perfect matchings that
@@ -94,7 +97,6 @@ def pf_skew_householder(a) -> complex:
     return complex(pf)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def pf_skew_parlett_reid(a) -> complex:
     """Pfaffian of a skew-symmetric matrix via Parlett-Reid elimination.
 
@@ -102,7 +104,16 @@ def pf_skew_parlett_reid(a) -> complex:
     largest entry in the working column; each row/column interchange flips
     the sign).  A pivot smaller than ``PIVOT_RTOL * ||A||`` declares the
     matrix numerically singular and returns 0 exactly.  Odd-dimensional
-    input returns 0.  The product of pivots is returned as it rounds.
+    input returns 0.  The product of pivots is returned as it rounds.  The
+    work is :func:`_parlett_reid`'s, on a copy of the validated input.
+    """
+    return _parlett_reid(as_skew_matrix(a).copy())[0]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _parlett_reid(m: np.ndarray) -> tuple[complex, np.ndarray]:
+    """:func:`pf_skew_parlett_reid` of a skew C-ordered complex128 array,
+    which it overwrites with its factors: ``(pf, pivots)``.
 
     Each pivot step eliminates two columns k, k+1 by the skew rank-2 update
     ``A22 += g c^T - c g^T`` (g the Gauss vector, c column k+1).  The steps
@@ -114,11 +125,20 @@ def pf_skew_parlett_reid(a) -> complex:
     first step has no pending update, so it skips the two column products,
     and a row interchange is two slice copies (:func:`_swap_rows`), not a
     fancy-indexed gather and scatter.
+
+    ``pivots[j]`` is the row that traded places with row ``2j + 1`` at step
+    j.  With P those interchanges, ``P A P^T = L D L^T``: D is the direct sum
+    of ``[[0, -alpha_j], [alpha_j, 0]]``, ``alpha_j = m[2j + 1, 2j]``, and
+    below pair j the columns 2j, 2j + 1 of the unit lower triangular L are
+    ``-m[:, 2j + 1] / alpha_j`` and ``m[:, 2j] / alpha_j``: the whole-row
+    swaps have applied the later interchanges to them.  m's diagonal stays
+    0 and its upper triangle is stale (:func:`_packed_lu` reads the factors).
+    Where pf is 0 the elimination stopped early and m is not factored.
     """
-    m = as_skew_matrix(a).copy()
     n = m.shape[0]
+    pivots = np.arange(1, n, 2)
     if n % 2:
-        return 0j
+        return 0j, pivots
     floor = PIVOT_RTOL * float(np.linalg.norm(m))
     pf = 1.0 + 0j
     g = np.empty((n, _PANEL), dtype=np.complex128)
@@ -134,13 +154,14 @@ def pf_skew_parlett_reid(a) -> complex:
             )
             kp = k + 1 + int(np.argmax(np.abs(m[k + 1:, k])))
             if abs(m[kp, k]) <= floor:
-                return 0j
+                return 0j, pivots
             if kp != k + 1:
                 # rows and columns k+1, kp of A trade places, and so do the
                 # rows of the panel's pending update
                 for x in (m, m.T, g[:, :j], c[:, :j]):
                     _swap_rows(x, k + 1, kp)
                 pf = -pf
+                pivots[k // 2] = kp
             pivot = m[k + 1, k]  # = -A[k, k+1]
             pf *= -pivot
             if k + 2 < n:
@@ -155,7 +176,35 @@ def pf_skew_parlett_reid(a) -> complex:
             steps = (stop - start) // 2
             update = g[stop:, :steps] @ c[stop:, :steps].T
             m[stop:, stop:] += update - update.T
-    return complex(pf)
+    return complex(pf), pivots
+
+
+def _packed_lu(m: np.ndarray) -> np.ndarray:
+    """The factors :func:`_parlett_reid` left in ``m`` as an LU factorization
+    of ``-Pi P A P^T``, packed as ``scipy.linalg.lu_factor`` packs one (unit
+    lower L' below the diagonal, U on and above it) and in Fortran order.
+    LAPACK's ``zgecon`` reads it as it reads an LU of A: permutations and a
+    sign leave the 1-norm of the inverse as it is.
+
+    Swapping the two rows of each pair (the permutation Pi) turns ``Pi D``
+    into ``Delta = diag(alpha_0, -alpha_0, alpha_1, ...)``, so ``-Pi P A P^T
+    = (Pi L Pi) (-Delta L^T)``: L' is m's strict lower triangle with its rows
+    in the order Pi, times ``1 / Delta`` column by column, and U is
+    ``-Delta`` on the diagonal and ``m[:, Pi]^T`` above it, no division and
+    no negation.  Both are written into the C-ordered transpose of the
+    result.
+    """
+    n = m.shape[0]
+    pi = np.arange(n) ^ 1
+    delta = np.empty(n, dtype=np.complex128)
+    delta[0::2] = np.diagonal(m, -1)[0::2]
+    delta[1::2] = -delta[0::2]
+    packed = np.take(m, pi, axis=1)  # C-ordered; below the diagonal, U^T
+    lower = m.T[:, pi]  # above the diagonal, once scaled, L'^T
+    lower *= (1.0 / delta)[:, None]
+    np.copyto(packed, lower, where=~np.tri(n, dtype=bool))
+    packed.flat[:: n + 1] = -delta
+    return packed.T
 
 
 def _swap_rows(x: np.ndarray, i: int, j: int) -> None:

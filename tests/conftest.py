@@ -108,7 +108,7 @@ def only_svd_route():
     pass counts are what a test pins on inputs the fast path would
     otherwise serve."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(generalized, "_well_conditioned_pfaffian", lambda m, tol: None)
+        patch.setattr(generalized, "_well_conditioned_pfaffian", lambda m, tol: (None, None))
         yield
 
 

@@ -30,7 +30,7 @@ from wignerpf import (
     random_conjugate_normal,
     wigner_normal_form,
 )
-from wignerpf import errors, generalized, linalg, normal_form
+from wignerpf import errors, generalized, linalg, normal_form, pfaffian
 from wignerpf.ensembles import random_unitary
 from wignerpf.linalg import det_lu
 from wignerpf.pfaffian import pf_skew_parlett_reid
@@ -725,6 +725,7 @@ class TestPassBudget:
             (scipy.linalg, "lu_factor", "lu_factor"),
             (scipy.linalg.blas, "zherk", "zherk"),
             (generalized, "pf_skew_parlett_reid", "skew"),
+            (generalized, "_parlett_reid", "skew"),  # the fast path's, in place
         ):
             monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
         return counts
@@ -743,20 +744,23 @@ class TestPassBudget:
         # det(B) and det(Q), and the apf the phase row reads
         assert passes == {"svd": 9, "eigh": 0, "lu_factor": 13, "zherk": 9, "skew": 1}
 
-    def test_well_conditioned_input_takes_no_svd(self, passes):
+    def test_well_conditioned_input_takes_no_svd(self, passes, monkeypatch):
         matrix = random_conjugate_normal(corpus_spec(2))  # 14 groups of two
         generalized_pfaffian(matrix)
-        # the guard's two Gram triangles; the LUs of A and of (A - A^T)/2,
-        # each with its condition estimate; one skew kernel, whose apf and
-        # the first LU's det the diagnostics reuse
-        assert passes == {"svd": 0, "eigh": 0, "lu_factor": 2, "zherk": 2, "skew": 1}
+        # the guard's two Gram triangles; the LU of A with its condition
+        # estimate; one skew kernel, whose factors give (A - A^T)/2 its
+        # estimate.  The diagnostics reuse its apf and the LU's det
+        assert passes == {"svd": 0, "eigh": 0, "lu_factor": 1, "zherk": 2, "skew": 1}
         passes.update(dict.fromkeys(passes, 0))
         identity_report(matrix)
         # nine such calls, then det(B) and det(Q)
-        assert passes == {"svd": 0, "eigh": 0, "lu_factor": 20, "zherk": 18, "skew": 9}
+        assert passes == {"svd": 0, "eigh": 0, "lu_factor": 11, "zherk": 18, "skew": 9}
         passes.update(dict.fromkeys(passes, 0))
+        # the solve takes the fast path's LU: nothing else factors A
+        monkeypatch.setattr(np.linalg, "solve", None)
+        monkeypatch.setattr(np.linalg, "inv", None)
         pfaffian_derivative(matrix, np.eye(matrix.shape[0]))
-        assert passes == {"svd": 0, "eigh": 0, "lu_factor": 2, "zherk": 2, "skew": 1}
+        assert passes == {"svd": 0, "eigh": 0, "lu_factor": 1, "zherk": 2, "skew": 1}
 
     @pytest.mark.parametrize(
         "entries, seed, outcome",
@@ -783,14 +787,16 @@ class TestPassBudget:
         else:
             with pytest.raises(outcome):
                 generalized_pfaffian(matrix)
-        # the fast path's two Gram triangles and two LUs, then the SVD, whose
-        # guard reads W.  Two groups: the unitarity witness's Gram triangle,
-        # det(X), and the cross-check's det(A) and apf.  One group: its LU
-        # and apf, A's own, and the positive sigma raises
+        # the fast path's two Gram triangles, its LU of A and its skew
+        # kernel, whose factors' estimate declines; then the SVD, whose guard
+        # reads W.  Two groups: the unitarity witness's Gram triangle and
+        # det(X); the cross-check reuses the fast path's det(A) and apf.  One
+        # group: its block is A, whose det and apf the fast path gave, and the
+        # positive sigma raises
         assert passes == {
             "svd": 1,
             "eigh": 0,
-            "lu_factor": 4 if outcome is None else 3,
+            "lu_factor": 2 if outcome is None else 1,
             "zherk": 3 if outcome is None else 2,
             "skew": 1,
         }
@@ -860,8 +866,9 @@ class TestPassBudget:
         matrix = random_conjugate_normal(corpus_spec(2))
         pfaffian_derivative(matrix, np.eye(matrix.shape[0]))
         # the SVD, which also gives the guard; det(X); the unitarity
-        # witness's Gram triangle; no det(A) and no apf (the solve factors A)
-        assert passes == {"svd": 1, "eigh": 0, "lu_factor": 1, "zherk": 1, "skew": 0}
+        # witness's Gram triangle; no apf, and one LU of A for the solve
+        # (where the fast path runs, its LU serves)
+        assert passes == {"svd": 1, "eigh": 0, "lu_factor": 2, "zherk": 1, "skew": 0}
 
     @pytest.mark.parametrize(
         "index, counts",
@@ -1090,7 +1097,7 @@ def pf_outcome(matrix):
 
     def spy(m, tol):
         result = original(m, tol)
-        served.append(result is not None)
+        served.append(result[1] is not None)
         return result
 
     with pytest.MonkeyPatch.context() as patch:
@@ -1189,6 +1196,47 @@ class TestWellConditionedPath:
         assert abs(result.diagnostics.det - det_lu(matrix)) <= 1e-13 * abs(det_lu(matrix))
         apf = pf_skew_parlett_reid((matrix - matrix.T) / 2.0)
         assert abs(result.diagnostics.apf - apf) <= 1e-13 * abs(apf)
+
+    def test_skew_estimate_from_the_kernels_factors(self, corpus):
+        # zgecon on the Parlett-Reid factors read as an LU lies within 2x of
+        # zgecon on an LU of (A - A^T)/2, and, as it bounds ||A_as^-1||_1
+        # from below, never under the exact reciprocal but for rounding
+        for _, matrix in corpus:
+            skew = (matrix - matrix.T) / 2.0
+            norm_1 = float(np.abs(matrix).sum(axis=0).max())
+            work = skew.copy()
+            pfaffian._parlett_reid(work)
+            estimate = generalized._rcond(pfaffian._packed_lu(work), norm_1)
+            on_lu = generalized._rcond(scipy.linalg.lu_factor(skew)[0], norm_1)
+            exact = 1.0 / (norm_1 * np.abs(np.linalg.inv(skew)).sum(axis=0).max())
+            assert on_lu / 2 <= estimate <= 2 * on_lu
+            assert estimate >= exact * (1 - 1e-12)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            (SpectrumEntry("complex", 1 + 2j), SpectrumEntry("complex", 2 * cmath.exp(1e-8j))),
+            (SpectrumEntry("complex", 2 * cmath.exp(1e-13j), 2),),
+        ],
+        ids=["near-axis", "one-group-at-1e-13"],
+    )
+    def test_ill_conditioned_skew_parts_decline_after_the_kernel(self, entries):
+        # the estimate on the kernel's factors declines; the LU's det and the
+        # kernel's apf, which the SVD route reuses, are A's own
+        matrix = random_conjugate_normal(SpectrumSpec(entries, seed=2))
+        measured, value = generalized._well_conditioned_pfaffian(matrix, linalg.DEFAULT_TOL)
+        assert value is None
+        assert measured.apf == pf_skew_parlett_reid((matrix - matrix.T) / 2.0)
+        assert abs(measured.det - det_lu(matrix)) <= 1e-14 * abs(det_lu(matrix))
+
+    @pytest.mark.parametrize("scale", [2.0**-40, 1e-3, 1.0, 1e3, 2.0**40])
+    def test_derivative_solves_with_the_value_lu(self, scale):
+        # the LU of A 2^-e, rescaled, solves as an LU of A would
+        matrix = scale * random_conjugate_normal(corpus_spec(2))
+        da = np.random.default_rng(2).normal(size=matrix.shape) + 0j
+        value = generalized_pfaffian(matrix).value
+        want = 0.5 * value * np.trace(np.linalg.solve(matrix, da))
+        assert abs(pfaffian_derivative(matrix, da) - want) <= 1e-12 * abs(want)
 
     def test_a_determinant_out_of_range_stays_on_it(self):
         # det(A 2^-e) of 300 pairs is no double as a plain product of the LU

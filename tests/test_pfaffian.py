@@ -264,3 +264,50 @@ class TestPinnedParlettReid:
         pf_skew_parlett_reid(swap_chain_skew(dim, 900 + dim))
         # four swaps per step (rows of A, columns of A, rows of G and of C)
         assert swapped == [k + 1 for k in range(0, dim - 2, 2) for _ in range(4)]
+
+
+def factors_as_lu(m):
+    """``(pf, -Pi P A P^T, L', U, packed)`` from the in-place kernel's run on
+    a copy of ``m``: P the kernel's interchanges, Pi the swap of the two rows
+    of each pair, and L', U the unit lower and upper triangles of the packed
+    LU that :func:`wignerpf.pfaffian._packed_lu` reads off its factors."""
+    work = m.copy()
+    pf, pivots = pfaffian._parlett_reid(work)
+    dim = m.shape[0]
+    order = np.arange(dim)
+    for j, kp in enumerate(pivots.tolist()):
+        order[[2 * j + 1, kp]] = order[[kp, 2 * j + 1]]
+    rows = order[np.arange(dim) ^ 1]
+    packed = pfaffian._packed_lu(work)
+    lower = np.tril(packed, -1) + np.eye(dim)
+    return pf, -m[np.ix_(rows, order)], lower, np.triu(packed), packed
+
+
+class TestFactorsAsLU:
+    """The in-place kernel's ``L D L^T`` factors, read as one LU of the
+    permuted matrix, rebuild it; its pf is the public kernel's."""
+
+    @pytest.mark.parametrize("dim", [2, 4, 62, 64, 66, 130])
+    def test_rebuild_the_permuted_matrix(self, dim):
+        m = random_skew_dense(np.random.default_rng(dim), dim)
+        pf, permuted, lower, upper, packed = factors_as_lu(m)
+        assert pf == pf_skew_parlett_reid(m)
+        eps = np.finfo(float).eps
+        assert np.linalg.norm(lower @ upper - permuted) <= 10 * dim * eps * np.linalg.norm(m)
+        # Fortran order: LAPACK takes it without a copy
+        assert packed.flags.f_contiguous
+
+    @pytest.mark.parametrize("dim", [66, 130])
+    def test_rebuild_after_a_swap_at_every_step(self, dim):
+        m = swap_chain_skew(dim, 900 + dim)
+        pf, permuted, lower, upper, _ = factors_as_lu(m)
+        assert pf == pf_skew_parlett_reid(m)
+        _, pivots = pfaffian._parlett_reid(m.copy())
+        # each step's pivot row is the last one, the last step's without a swap
+        assert pivots.tolist() == [dim - 1] * (dim // 2)
+        eps = np.finfo(float).eps
+        assert np.linalg.norm(lower @ upper - permuted) <= 10 * dim * eps * np.linalg.norm(m)
+
+    def test_odd_dimension_and_singular_input_give_zero(self):
+        assert pfaffian._parlett_reid(random_skew_dense(np.random.default_rng(3), 5))[0] == 0
+        assert pfaffian._parlett_reid(np.zeros((4, 4), dtype=np.complex128))[0] == 0
