@@ -27,14 +27,15 @@ Each block carries one singular value of A (``|s|`` or sigma), so one SVD
 values (:func:`_singular_groups`, which the Pfaffian shares), and the
 congruence and direct-sum properties give ``U = [X_J Z_J]`` from the normal
 forms ``Z_J`` of its blocks, factored with the same restricted-map kernels
-at group size.  :func:`wigner_normal_form` takes that route on every input
-whose column norms differ, and the Lambda route only where they agree (a
-multiple of a unitary matrix, one group).
+at group size (:func:`_group_pieces`).  A multiple of a unitary matrix is
+one group, ``X = 1`` and ``C = A``: :func:`wigner_normal_form` takes A so
+wherever its column norms agree, with no SVD, and runs one loop over the
+groups on every input.
 The package's one conjugate-normality guard lives here as well, in two
 forms: read off that SVD, or from two Gram triangles, which measure ||A||_F
-for :func:`classify_spectrum`'s thresholds and the Lambda route's
-reconstruction check; :func:`is_conjugate_normal` and the Pfaffian's fast
-path take the Gram form on A times a power of two (:func:`_unit_scaled`).
+for :func:`classify_spectrum`'s thresholds and for A's one group;
+:func:`is_conjugate_normal`, the one group and the Pfaffian's fast path take
+the Gram form on A times a power of two (:func:`_unit_scaled`).
 :func:`~wignerpf.linalg.eig_normal` finds V from one Hermitian eigensolve,
 unmixing only the columns it leaves mixed by a Rayleigh-Ritz step on them;
 its one full product is Lambda V, and its residual check is the one witness
@@ -465,7 +466,7 @@ def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
     _require_resolution(tol)
     m = as_square_matrix(a)
     cn_residual, norm = _require_conjugate_normal(m, tol)
-    clusters, vectors, images = _clusters(m, tol.cluster_threshold(norm), tol)
+    clusters, vectors, images = _clusters(m, m @ m.conj(), tol.cluster_threshold(norm), tol)
     return SpectralPairing(clusters, vectors, images, cn_residual, norm)
 
 
@@ -476,10 +477,11 @@ def _require_resolution(tol: Tolerances) -> None:
         raise InputError("cluster tolerance must be at least the eigen-residual tolerance")
 
 
-def _clusters(m: np.ndarray, threshold: float, tol: Tolerances):
-    """:func:`classify_spectrum` of a square ``m`` at a given threshold, with
-    no guard: returns ``(clusters, vectors, images)``."""
-    values, vectors = eig_normal(m @ m.conj(), tol)
+def _clusters(m: np.ndarray, lam: np.ndarray, threshold: float, tol: Tolerances):
+    """:func:`classify_spectrum` of a square ``m`` at a given threshold, from
+    its ``lam = m conj(m)`` and with no guard: returns ``(clusters, vectors,
+    images)``."""
+    values, vectors = eig_normal(lam, tol)
     images = m @ vectors.conj()
     # both are fresh: the pairing holds them without a copy
     vectors.flags.writeable = images.flags.writeable = False
@@ -621,30 +623,6 @@ def _cluster_columns(cluster: SpectralCluster, basis: np.ndarray, image: np.ndar
     return block, basis @ _fixed_basis(c), None
 
 
-def _cluster_pieces(clusters, vectors: np.ndarray, images: np.ndarray, frame=None):
-    """``(pieces, zeros)`` of classified clusters: a ``(block, V, W or None)``
-    piece for every cluster but the zero ones and the Im < 0 halves of
-    complex pairs, and the zero clusters' columns.  Each column is mapped
-    through ``frame`` (a group's singular vectors) when one is given, and
-    positive-real columns are then oriented."""
-    pieces, zeros = [], []
-    for cluster in clusters:
-        if cluster.kind == COMPLEX_PAIR and cluster.omega.imag < 0:
-            continue  # handled through the Im > 0 partner
-        columns = list(cluster.columns)
-        block, v, w = _cluster_columns(cluster, vectors[:, columns], images[:, columns])
-        if frame is not None:
-            v = frame @ v
-            w = None if w is None else frame @ w
-        if cluster.kind == ZERO:
-            zeros.append(v)
-        elif cluster.kind == POSITIVE_REAL:
-            pieces.append((block, _oriented(v, POSITIVE_REAL), None))
-        else:
-            pieces.append((block, v, w))
-    return pieces, zeros
-
-
 def _pair_pieces(x: np.ndarray, d: np.ndarray, c: np.ndarray, starts: np.ndarray, root: float):
     """The complex pairs among the 2 x 2 groups at ``starts``, found and
     factored as one stack: returns their pieces and their starts.
@@ -694,94 +672,101 @@ def _pair_pieces(x: np.ndarray, d: np.ndarray, c: np.ndarray, starts: np.ndarray
     return pieces, starts[pair]
 
 
-def _group_pieces(frame: np.ndarray, c: np.ndarray, modulus: float, root: float, tol):
-    """``(pieces, zeros)`` of one group with singular vectors ``frame``, block
-    ``C_J`` and mean singular value ``modulus``, as :func:`_cluster_pieces`;
-    ``root`` is ``sqrt(t)``.
+def _group_pieces(c: np.ndarray, modulus: float, root: float, tol):
+    """``(pieces, zeros)`` of one group's block ``C_J`` with mean singular value
+    ``modulus``, in the group's own coordinates: a ``(block, V, W or None)``
+    piece for every cluster but the zero ones and the Im < 0 halves of
+    complex pairs, and the zero clusters' columns; positive-real columns are
+    not yet oriented.  ``root`` is ``sqrt(t)``.
 
-    Where every eigenvalue of ``L = C_J conj(C_J)`` lies within t/2 of ``+-
-    modulus^2`` (``||L -+ modulus^2|| <= t/2``), the Lambda route would see
-    one real cluster, whose mean omega ``tr(L) / k`` is not zero: ``C_J /
-    modulus`` is then factored at once, by :func:`_fixed_basis` or
-    :func:`_symplectic_basis`.  Any other group takes the cluster pipeline on
-    ``C_J`` at A's threshold, both scaled by a power of two near ``1 /
-    modulus``, and its blocks are scaled back: its columns and decisions are
-    those of ``C_J``, bit for bit, and as with the test on ``C_J / modulus``
-    no product of the group leaves the double range before A's entries do."""
+    Every product is taken on ``C_J 2^-f``, f the exponent of ``modulus``, so
+    none leaves the double range before A's entries do, and ``L = C_J
+    conj(C_J) 4^-f`` is formed once.  Where every eigenvalue of L lies within
+    ``t 4^-f / 2`` of ``+-(modulus 2^-f)^2`` (``||L -+ (modulus 2^-f)^2|| <=
+    t 4^-f / 2``), the clusters would be one real cluster, whose mean omega
+    ``tr(L) / k`` is not zero: ``C_J / modulus`` is then factored at once, by
+    :func:`_fixed_basis` or :func:`_symplectic_basis`.  Any other group takes
+    the cluster pipeline on L at A's threshold, and its blocks are scaled
+    back: its columns and decisions are those of ``C_J``, bit for bit."""
     k = c.shape[0]
-    unit = c / modulus
-    lam = unit @ unit.conj()
+    scale = math.ldexp(1.0, -math.frexp(modulus)[1])
+    scaled = c * scale
+    lam = scaled @ scaled.conj()
     omega = complex(np.trace(lam)) / k
     sign = 1.0 if omega.real > 0.0 else -1.0
-    lam.flat[:: k + 1] -= sign
-    bound = (root / modulus) ** 2
-    one_class = abs(omega) > bound and float(np.linalg.norm(lam)) <= bound / 2.0
+    diagonal = lam.diagonal().copy()
+    lam.flat[:: k + 1] -= sign * (modulus * scale) ** 2
+    threshold = (root * scale) ** 2
+    one_class = abs(omega) > threshold and float(np.linalg.norm(lam)) <= threshold / 2.0
     # a negative-real eigenvalue has even multiplicity: an odd group that
     # seems to be one goes to the pipeline, which raises on it
     if one_class and (sign > 0.0 or k % 2 == 0):
         if sign > 0.0:
-            columns = _oriented(frame @ _fixed_basis(unit), POSITIVE_REAL)
-            return [(Real1Block(modulus, k), columns, None)], []
-        xs, ws = _symplectic_basis(unit)
-        return [(OffDiagBlock(1j * modulus, k // 2), frame @ xs, frame @ ws)], []
-    scale = math.ldexp(1.0, -math.frexp(modulus)[1])
-    pieces, zeros = _cluster_pieces(*_clusters(c * scale, (root * scale) ** 2, tol), frame)
-    rescaled = []
-    for block, v, w in pieces:
-        if isinstance(block, OffDiagBlock):
-            block = OffDiagBlock(block.s / scale, block.multiplicity)
+            return [(Real1Block(modulus, k), _fixed_basis(c / modulus), None)], []
+        xs, ws = _symplectic_basis(c / modulus)
+        return [(OffDiagBlock(1j * modulus, k // 2), xs, ws)], []
+    lam.flat[:: k + 1] = diagonal
+    clusters, vectors, images = _clusters(scaled, lam, threshold, tol)
+    pieces, zeros = [], []
+    for cluster in clusters:
+        if cluster.kind == COMPLEX_PAIR and cluster.omega.imag < 0:
+            continue  # handled through the Im > 0 partner
+        columns = list(cluster.columns)
+        block, v, w = _cluster_columns(cluster, vectors[:, columns], images[:, columns])
+        if cluster.kind == ZERO:
+            zeros.append(v)
+        elif w is None:
+            pieces.append((Real1Block(block.sigma / scale, block.multiplicity), v, None))
         else:
-            block = Real1Block(block.sigma / scale, block.multiplicity)
-        rescaled.append((block, v, w))
-    return rescaled, zeros
+            pieces.append((OffDiagBlock(block.s / scale, block.multiplicity), v, w))
+    return pieces, zeros
 
 
 def wigner_normal_form(a, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     """Construct the normal form A = U Sigma U^T of a conjugate-normal A.
 
-    A = c V with V unitary has equal column norms, and so has one group of
-    singular values.  Where A's column norms agree to within ``_GROUP_RTOL``
-    (compared at unit scale, so at any scale of A), the construction walks
-    the classified spectrum of Lambda = A conj(A) (:func:`classify_spectrum`),
-    reading every image ``A conj(B)`` of an eigenbasis B from
-    :attr:`SpectralPairing.images`:
+    U is built from A's groups of equal singular values: each group J with
+    singular vectors X_J has the block ``C_J = X_J^H A conj(X_J)`` of ``C =
+    X^H A conj(X)``, whose normal form ``Z_J`` gives the columns ``X_J Z_J``.
+    A = c V with V unitary has equal column norms and one group, ``X = 1``
+    and ``C = A``.  Where A's column norms agree to within ``_GROUP_RTOL``
+    (compared at unit scale, so at any scale of A), A is taken as that one
+    group, with mean singular value ``||A||_F / sqrt(n)`` and the guard's Gram
+    form on A times a power of two (:func:`_require_conjugate_normal`).  Any
+    other A takes one SVD and the guard read off it
+    (:func:`_singular_groups`), with ``C = D W`` and ``||A||_F = d_1 ||d /
+    d_1||``; a group of those is zero when its largest d has ``d^2 <= t``,
+    and the complex pairs among its 2 x 2 groups are found and factored as
+    one stack (:func:`_pair_pieces`).  Every other group, A's one group
+    among them, is factored by :func:`_group_pieces`:
 
-    1. a complex pair omega (the Im > 0 member is used) with orthonormal
-       eigenbasis V yields partner columns ``W = (s / mu) A conj(V)`` with
-       ``s = sqrt(omega)``; (V, W) columns carry 2x2 blocks s;
-    2. a real omega != 0 with orthonormal eigenbasis B (d columns) gives the
-       restricted map ``C = B^H A conj(B) / sqrt(|omega|)``, and one
-       factorization of C gives all d columns of the cluster;
-    3. for omega < 0, C is skew and a pivoted symplectic Gram-Schmidt yields
-       d/2 column pairs (B x, i B C conj(x)) with ``s = i sqrt(|omega|)``; for
-       omega > 0, C is symmetric and one symmetric eigensolve of size 2d yields
-       d columns B y, y = C conj(y), sigma = sqrt(omega), unique up to a real
-       orthogonal mix, whose sign :func:`_oriented` fixes from their span;
-    4. a zero cluster contributes its eigenbasis with sigma = 0.
+    1. a group of k columns and one real class is factored at once, as ``C =
+       C_J / d`` with d its mean singular value: for omega < 0, C is skew
+       and a pivoted symplectic Gram-Schmidt yields k/2 column pairs (x, i C
+       conj(x)) with ``s = i d``; for omega > 0, C is symmetric and one
+       symmetric eigensolve of size 2k yields k columns y = C conj(y),
+       sigma = d, unique up to a real orthogonal mix;
+    2. any other group takes the cluster pipeline on ``L = C_J conj(C_J)``:
+       a complex pair omega (the Im > 0 member is used) with orthonormal
+       eigenbasis V yields partner columns ``W = (s / mu) C_J conj(V)`` with
+       ``s = sqrt(omega)``; a real omega != 0 with eigenbasis B gives the
+       restricted map ``B^H C_J conj(B) / sqrt(|omega|)``, factored as in
+       step 1; a zero cluster contributes its eigenbasis with sigma = 0.
 
-    Any other A takes the same steps at the size of its singular-value
-    groups, with no Lambda and no n x n eigensolve: one SVD and the guard read
-    off it (:func:`_singular_groups`), then for each group J with singular
-    vectors X_J the block ``C_J = X_J^H A conj(X_J)`` of ``C = D W``, whose
-    normal form ``Z_J`` gives the columns ``X_J Z_J``.  A group is zero when
-    its largest d has ``d^2 <= t``; the complex pairs among the 2 x 2 groups
-    are found and factored as one stack (:func:`_pair_pieces`); a group of one
-    real class is factored at once, and any other takes the cluster pipeline
-    on its ``C_J`` (:func:`_group_pieces`).  Every decision is the Lambda
-    route's, on the threshold ``t = tol.cluster * ||A||_F^2`` (here ``||A||_F =
-    d_1 ||d / d_1||``); a block's ``|s|`` or sigma is the mean d of its group,
-    or on the pipeline ``sqrt(|omega|)`` of its cluster.
-
-    On both routes the zero columns form one frame whose phase
-    :func:`_oriented` fixes, so det(U) is a function of A.  The blocks are
-    then sorted canonically (2x2 first, by descending |s| with ties by
-    ascending arg(s); then 1x1 by ascending sigma), the columns of U are
-    permuted to match, and unitarity of U plus the reconstruction residual
-    are verified before returning; the residual is taken as ``2^e ||(A - U
-    Sigma U^T) 2^-e||``, e from A's largest entry, so it neither underflows
-    to 0 nor overflows at any scale of A.  ``conjugate_normal_residual`` is
-    the Gram form of the guard's residual on the first route and the SVD
-    form on the second.
+    Every decision is taken on the threshold ``t = tol.cluster *
+    ||A||_F^2``; a block's ``|s|`` or sigma is the mean d of its group, or on
+    the pipeline ``sqrt(|omega|)`` of its cluster.  The loop maps each
+    group's columns through X_J (not for A's one group) and orients its
+    positive-real frames, whose sign :func:`_oriented` fixes from their span;
+    the zero columns of every group form one frame whose phase it fixes, so
+    det(U) is a function of A.  The blocks are then sorted canonically (2x2
+    first, by descending |s| with ties by ascending arg(s); then 1x1 by
+    ascending sigma), the columns of U are permuted to match, and unitarity
+    of U plus the reconstruction residual are verified before returning;
+    the residual is taken as ``2^e ||(A - U Sigma U^T) 2^-e||``, e from A's
+    largest entry, so it neither underflows to 0 nor overflows at any scale
+    of A.  ``conjugate_normal_residual`` is the Gram form of the guard's
+    residual for A's one group and the SVD form otherwise.
     """
     _require_resolution(tol)
     m = as_square_matrix(a)
@@ -792,14 +777,15 @@ def wigner_normal_form(a, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     squares = np.einsum("ij,ij->j", unit.real, unit.real) + np.einsum(
         "ij,ij->j", unit.imag, unit.imag
     )
-    del unit
     if squares.min() >= (1.0 - _GROUP_RTOL) ** 2 * squares.max():
-        pairing = classify_spectrum(m, tol)
-        cn_residual, norm = pairing.conjugate_normal_residual, pairing.frobenius_norm
-        pieces, zeros = _cluster_pieces(pairing.clusters, pairing.vectors, pairing.images)
-        # V and A conj(V) are not needed past this point
-        del pairing
+        # one group, X = 1 and C = A: the Gram guard and ||A||_F at unit scale
+        cn_residual, norm = _require_conjugate_normal(unit, tol)
+        del unit
+        norm = math.ldexp(norm, exponent)
+        root = math.sqrt(tol.cluster) * norm
+        pieces, zeros, groups = [], [], [(None, m, norm / math.sqrt(dim))]
     else:
+        del unit
         x, d, c, cn_residual, starts, stops = _singular_groups(m, tol)
         norm = float(d[0]) * float(np.linalg.norm(d / d[0]))
         # sqrt(t): each test compares omega with t at its group's scale, so
@@ -810,12 +796,19 @@ def wigner_normal_form(a, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
         pieces, paired = _pair_pieces(x, d, c, starts[nonzero & (stops - starts == 2)], root)
         zeros = [x[:, lo:hi] for lo, hi in zip(starts[~nonzero], stops[~nonzero])]
         rest = nonzero & ~np.isin(starts, paired)
-        for lo, hi in zip(starts[rest].tolist(), stops[rest].tolist()):
-            more, more_zeros = _group_pieces(
-                x[:, lo:hi], c[lo:hi, lo:hi], float(np.mean(d[lo:hi])), root, tol
-            )
-            pieces += more
-            zeros += more_zeros
+        groups = [
+            (x[:, lo:hi], c[lo:hi, lo:hi], float(np.mean(d[lo:hi])))
+            for lo, hi in zip(starts[rest].tolist(), stops[rest].tolist())
+        ]
+    for frame, block, modulus in groups:
+        more, more_zeros = _group_pieces(block, modulus, root, tol)
+        if frame is not None:  # the group's columns X_J Z_J
+            more = [(b, frame @ v, None if w is None else frame @ w) for b, v, w in more]
+            more_zeros = [frame @ v for v in more_zeros]
+        pieces += [
+            (b, _oriented(v, POSITIVE_REAL) if w is None else v, w) for b, v, w in more
+        ]
+        zeros += more_zeros
 
     # each piece: (block, V columns, W columns of a 2x2 block or None)
     if zeros:

@@ -14,7 +14,6 @@ axis so that clustering decisions are unambiguous at default tolerances.
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import replace
 
 # One BLAS/OpenMP thread unless the environment says otherwise, set before
 # numpy loads: the timed acceptance criterion then measures the program, not
@@ -124,27 +123,27 @@ def mixed_gauge(seed):
     """Inside the block, every normal form and Pfaffian is built from a mixed
     basis.
 
-    Patches ``normal_form.classify_spectrum`` to return the same pairing with
-    each cluster's eigenvectors B replaced by B R and their images A conj(B)
-    by A conj(B) conj(R), and ``normal_form._svd`` to return the same SVD
-    with each group's singular vectors X_J and Y_J replaced by X_J R and Y_J
-    R; R is a random unitary drawn from a generator seeded with ``seed``
-    afresh on every call (so repeated calls mix alike).  The blocks, det(U)
-    and pf must not depend on R.  ``None`` mixes nothing.
+    Patches ``normal_form._clusters`` to return the same clusters with each
+    cluster's eigenvectors B replaced by B R and their images A conj(B) by
+    A conj(B) conj(R), and ``normal_form._svd`` to return the same SVD with
+    each group's singular vectors X_J and Y_J replaced by X_J R and Y_J R; R
+    is a random unitary drawn from a generator seeded with ``seed`` afresh on
+    every call (so repeated calls mix alike).  The blocks, det(U) and pf must
+    not depend on R.  ``None`` mixes nothing.
     """
-    original = normal_form.classify_spectrum
+    original = normal_form._clusters
     original_svd = normal_form._svd
 
-    def mixed(a, tol=normal_form.DEFAULT_TOL):
-        pairing = original(a, tol)
+    def mixed(m, lam, threshold, tol):
+        clusters, vectors, images = original(m, lam, threshold, tol)
         rng = np.random.default_rng(seed)
-        vectors, images = np.array(pairing.vectors), np.array(pairing.images)
-        for cluster in pairing.clusters:
+        vectors, images = np.array(vectors), np.array(images)
+        for cluster in clusters:
             cols = list(cluster.columns)
             mix = random_unitary(len(cols), int(rng.integers(2**32)))
             vectors[:, cols] = vectors[:, cols] @ mix
             images[:, cols] = images[:, cols] @ mix.conj()
-        return replace(pairing, vectors=vectors, images=images)
+        return clusters, vectors, images
 
     def mixed_svd(m):
         x, d, yh = original_svd(m)
@@ -157,12 +156,12 @@ def mixed_gauge(seed):
         return x, d, yh
 
     if seed is not None:
-        normal_form.classify_spectrum = mixed
+        normal_form._clusters = mixed
         normal_form._svd = mixed_svd
     try:
         yield
     finally:
-        normal_form.classify_spectrum = original
+        normal_form._clusters = original
         normal_form._svd = original_svd
 
 

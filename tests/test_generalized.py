@@ -367,7 +367,7 @@ def wnf_window(still_open, reason):
 
 
 class TestStandingDefectWindows:
-    """The inputs on which the Lambda route exits 5 (the standing defects:
+    """The inputs on which the cluster pipeline on Lambda exits 5 (the standing defects:
     near-degenerate real eigenvalues, pairs near the real axis, eigenvalues
     under the zero floor ``cluster ||A||^2``).  The Pfaffian gives the value
     of the determinant-ratio relation there, or exits 4 for a positive
@@ -856,8 +856,9 @@ class TestPassBudget:
         assert passes == {"svd": 1, "eigh": 0, "lu_factor": 0, "zherk": 1, "skew": 0}
 
     def test_normal_form_of_one_group_takes_no_svd(self, passes):
-        # a multiple of a unitary matrix, whose column norms agree: the
-        # Lambda eigensolve, the guard's two Gram triangles and U's unitarity
+        # a multiple of a unitary matrix, whose column norms agree: its one
+        # group's Lambda eigensolve, the guard's two Gram triangles and U's
+        # unitarity
         spec = SpectrumSpec((SpectrumEntry("complex", 1 + 1j, 20),), seed=3)
         wigner_normal_form(random_conjugate_normal(spec))
         assert passes == {"svd": 0, "eigh": 1, "lu_factor": 0, "zherk": 3, "skew": 0}

@@ -767,8 +767,8 @@ class TestCanonicalGauge:
 
     @pytest.mark.parametrize("spec", _PAIR_GAUGE_CASES)
     def test_det_u_does_not_depend_on_the_eigenbasis(self, monkeypatch, spec):
-        # _GROUP_RTOL = 1 sends every input to the Lambda route, whose
-        # clusters the gauge mixes
+        # _GROUP_RTOL = 1 takes every input as one group, whose cluster
+        # pipeline's eigenbases the gauge mixes
         monkeypatch.setattr(normal_form, "_GROUP_RTOL", 1.0)
         monkeypatch.setattr(normal_form, "_singular_groups", None)
         matrix = random_conjugate_normal(spec)
@@ -804,7 +804,7 @@ class TestCanonicalGauge:
         # the groups route, whose singular vectors the gauge mixes within each
         # group: a real group's block is the mean of its d, which no mix moves
         matrix = random_conjugate_normal(spec)
-        monkeypatch.setattr(normal_form, "classify_spectrum", None)
+        monkeypatch.setattr(normal_form, "_require_conjugate_normal", None)  # no one group
         base = wigner_normal_form(matrix)
         for gauge_seed in range(8):
             with mixed_gauge(gauge_seed):
@@ -818,9 +818,9 @@ class TestCanonicalGauge:
         # on the groups route a pair's |s| is the mean of its d, but the phase
         # of s is read from its block C_J, which a mix of the group's
         # singular vectors recomputes: s moves by rounding, and det(U) by no
-        # more than on the Lambda route
+        # more than under a mix of the eigenbases
         matrix = random_conjugate_normal(spec)
-        monkeypatch.setattr(normal_form, "classify_spectrum", None)
+        monkeypatch.setattr(normal_form, "_require_conjugate_normal", None)  # no one group
         base = wigner_normal_form(matrix)
         for gauge_seed in range(8):
             with mixed_gauge(gauge_seed):
@@ -831,7 +831,7 @@ class TestCanonicalGauge:
 
 
 #: a complex pair of multiplicity 2: A is a multiple of a unitary matrix, so
-#: its column norms agree and the normal form takes the Lambda route
+#: its column norms agree and the normal form takes A as its one group
 ONE_GROUP = SpectrumSpec((SpectrumEntry("complex", 1 + 1j, 2),), seed=5)
 
 
@@ -839,7 +839,7 @@ def equal_column_norms(spec):
     """``F Sigma F^T`` for the spectrum of ``spec``, F the unitary DFT: F's
     entries share one modulus and ``Sigma^H Sigma`` is diagonal, so every
     column has the norm ``||Sigma||_F / sqrt(dim)``, and the normal form
-    takes the Lambda route whatever the singular-value groups."""
+    takes A as one group (X = 1, C = A) whatever its singular values."""
     sigma = assemble_sigma(spectrum_blocks(spec))
     dft = scipy.linalg.dft(spec.dimension, scale="sqrtn")
     return dft @ sigma @ dft.T
@@ -944,15 +944,14 @@ class TestOnePass:
 
         monkeypatch.setattr(np.linalg, "norm", counted)
         # with several singular-value groups the normal form takes ||A||_F as
-        # d_1 ||d / d_1|| from its singular values; the Pfaffian takes its
-        # norms on A times a power of two, or off the SVD
+        # d_1 ||d / d_1|| from its singular values, and with one group on A
+        # times a power of two, as the Pfaffian takes its norms (or off the SVD)
         wigner_normal_form(matrix)
         generalized_pfaffian(matrix)
+        wigner_normal_form(one_group)
         assert len(calls) == 0
         classify_spectrum(matrix)
         assert len(calls) == 1
-        wigner_normal_form(one_group)
-        assert len(calls) == 2
 
     def test_one_skew_pfaffian_and_two_determinants_per_pfaffian(self, monkeypatch, svd_route):
         calls = {"parlett-reid": 0, "det": 0}
@@ -1006,12 +1005,12 @@ class TestOnePass:
         assert calls == {"gram": 1, "classify": 0}
 
     @pytest.mark.parametrize(
-        "spec, held", [(corpus_spec(1), 1), (ONE_GROUP, 3)], ids=["groups", "one-group"]
+        "spec, held", [(corpus_spec(1), 1), (ONE_GROUP, 1)], ids=["groups", "one-group"]
     )
     def test_fresh_arrays_are_held_without_a_copy(self, monkeypatch, spec, held):
-        # the eigenvectors, their images and U are built read-only, so the
-        # pairing and the normal form take them as they are; with several
-        # singular-value groups there is no pairing, and U is the one array
+        # U is built read-only, so the normal form takes it as it is; it
+        # builds no pairing, and U is its one array.  classify_spectrum's
+        # eigenvectors and images are built read-only as well
         kept = []
         original = normal_form._frozen
 
@@ -1021,8 +1020,58 @@ class TestOnePass:
             return result
 
         monkeypatch.setattr(normal_form, "_frozen", spy)
-        wigner_normal_form(random_conjugate_normal(spec))
+        matrix = random_conjugate_normal(spec)
+        wigner_normal_form(matrix)
         assert kept == [True] * held
+        classify_spectrum(matrix)
+        assert kept == [True] * (held + 2)
+
+    def test_one_route_and_one_lambda_product(self, monkeypatch):
+        # no input reaches classify_spectrum: A as its one group (X = 1, C =
+        # A) and the singular-value groups take the same loop.  A one-group
+        # input takes no SVD and one eigensolve, of the one product Lambda =
+        # (A 2^-f) conj(A 2^-f) that its one-class test read first
+        def refuse(*args):
+            raise AssertionError("wigner_normal_form called classify_spectrum")
+
+        calls = {"svd": 0, "eig": [], "clusters": []}
+        original_svd, original_eig = normal_form._svd, normal_form.eig_normal
+        original_clusters = normal_form._clusters
+
+        def counted_svd(m):
+            calls["svd"] += 1
+            return original_svd(m)
+
+        def counted_eig(lam, tol):
+            calls["eig"].append(lam)
+            return original_eig(lam, tol)
+
+        def counted_clusters(m, lam, threshold, tol):
+            calls["clusters"].append((m, lam))
+            return original_clusters(m, lam, threshold, tol)
+
+        monkeypatch.setattr(normal_form, "classify_spectrum", refuse)
+        monkeypatch.setattr(normal_form, "_svd", counted_svd)
+        monkeypatch.setattr(normal_form, "eig_normal", counted_eig)
+        monkeypatch.setattr(normal_form, "_clusters", counted_clusters)
+        for matrix in (
+            random_conjugate_normal(corpus_spec(1)),
+            random_conjugate_normal(corpus_spec(6)),
+            random_conjugate_normal(corpus_spec(41)),
+            equal_column_norms(corpus_spec(1)),
+        ):
+            wigner_normal_form(matrix)
+        calls.update(svd=0, eig=[], clusters=[])
+        matrix = random_conjugate_normal(ONE_GROUP)
+        wigner_normal_form(matrix)
+        assert calls["svd"] == 0
+        assert len(calls["eig"]) == len(calls["clusters"]) == 1
+        [(scaled, lam)] = calls["clusters"]
+        assert calls["eig"][0] is lam
+        norm = np.linalg.norm(matrix)
+        f = math.frexp(norm / 2.0)[1]  # ||A||_F / sqrt(4)
+        assert scaled.tobytes() == (matrix * math.ldexp(1.0, -f)).tobytes()
+        assert lam.tobytes() == (scaled @ scaled.conj()).tobytes()
 
     def test_every_route_raises_the_same_guard_error(self):
         matrix = np.array([[1.0, 5.0], [0.0, 2.0]])
@@ -1137,9 +1186,10 @@ class TestOneProduct:
 
     @pytest.mark.parametrize("gauge_seed", [None, 3, 5])
     def test_columns_from_the_images_match_the_direct_products(self, monkeypatch, gauge_seed):
-        # W = (s / mu) A conj(B) and C = B^H A conj(B) / root, with B the
-        # (mixed) eigenbasis of each cluster; the column norms agree, so the
-        # normal form takes the Lambda route with every class at once
+        # W = (s / mu) A' conj(B) and C = B^H A' conj(B) / root, with B the
+        # (mixed) eigenbasis of each cluster and A' = A 2^-f, f the exponent
+        # of the group's mean singular value ||A||_F / sqrt(dim); the column
+        # norms agree, so A is one group, whose pipeline meets every class
         spec = SpectrumSpec(
             entries=(
                 SpectrumEntry("negative-real", -4.0, 6),
@@ -1151,12 +1201,14 @@ class TestOneProduct:
             seed=17,
         )
         matrix = equal_column_norms(spec)
-        atol = 1e-14 * np.linalg.norm(matrix)
+        norm = np.linalg.norm(matrix)
+        scaled = matrix * math.ldexp(1.0, -math.frexp(norm / math.sqrt(spec.dimension))[1])
+        atol = 1e-14 * np.linalg.norm(scaled)
         seen = []
         original = normal_form._cluster_columns
 
         def spy(cluster, basis, image):
-            direct = matrix @ basis.conj()
+            direct = scaled @ basis.conj()
             np.testing.assert_allclose(image, direct, rtol=0, atol=atol)
             block, v, w = original(cluster, basis, image)
             if cluster.kind == COMPLEX_PAIR:
@@ -1213,48 +1265,102 @@ def spread_spectrum(dim, seed):
     return random_conjugate_normal(SpectrumSpec(entries, seed=seed))
 
 
-#: (scale, command, exit code, stdout line) on c [[0, 1+i], [1-i, 0]]; at 1e-200
-#: Lambda underflows to 0, so wnf reads two zero blocks for a non-singular
-#: matrix, and its reconstruction check, taken at unit scale, rejects them
-#: (exit 5), while pf, which forms no Lambda, keeps its value down to 1e-300.
-#: From c ~ 1e155 on, the Gram guard's norm of c [[0, 1+i], [1-i, 0]]
-#: overflows on the routes that take it on A itself (wnf, pf --method
-#: relation); check and pf take it on A times a power of two, and pf keeps
-#: its value, with det(A) out of range (null) and so no cross-check
+#: (scale, command, exit code, stdout line) on c [[0, 1+i], [1-i, 0]]: pf
+#: forms no Lambda and keeps its value down to 1e-300, and wnf takes every
+#: product of its one group at unit scale, so it gives the pair block s = c (1
+#: + i) from 1e-300 to 1e300.  From c ~ 1e155 on, the Gram guard's norm of c
+#: [[0, 1+i], [1-i, 0]] overflows on the route that takes it on A itself (pf
+#: --method relation); check, wnf and pf take it on A times a power of two,
+#: and pf keeps its value, with det(A) out of range (null) and so no
+#: cross-check
 _GUARD_OVERFLOW = (
     '{"error": {"code": 3, "message": "matrix is not conjugate-normal: '
     'residual nan exceeds 1.0e-10"}}'
 )
 
+
+def _pair_block(det_u, value, residual):
+    return (
+        f'{{"det_U": {det_u}, "blocks": [{{"type": "offdiag", "value": {value}, '
+        f'"multiplicity": 1}}], "reconstruction_residual": {residual}}}'
+    )
+
+
 _SCALE_EXTREMES = [
     ("1e-155", "pf", 0, '{"pfaffian": [0, 1.414213562373095e-155], '
      '"method": "normal-form", "det": [-1.9999999999999939e-310, 0], "singular": false, '
      '"cross_check_residual": null}'),
-    ("1e-155", "wnf", 0, '{"det_U": [1.0000000000000018, 4.3838104636483426e-17], '
-     '"blocks": [{"type": "offdiag", "value": [9.9999999999999857e-156, '
-     '9.9999999999999857e-156], "multiplicity": 1}], '
-     '"reconstruction_residual": 6.546248064786628e-171}'),
+    ("1e-155", "wnf", 0, _pair_block(
+        "[1, -1.0743518943496164e-17]", "[1e-155, 1e-155]", "0")),
     ("1e-155", "check", 0, '{"conjugate_normal": true, "residual": 0}'),
     ("1e-200", "pf", 0, '{"pfaffian": [0, 1.414213562373095e-200], "method": "normal-form", '
      '"det": [0, 0], "singular": false, "cross_check_residual": null}'),
-    ("1e-200", "wnf", 5, '{"error": {"code": 5, "message": "||A - U Sigma U^T|| = '
-     '2.000e-200 exceeds 1.0e-09 * ||A||; the input is likely further from '
-     'conjugate-normal than the tolerances assume"}}'),
+    ("1e-200", "wnf", 0, _pair_block(
+        "[1, 2.4083307694203439e-17]",
+        "[9.9999999999999998e-201, 9.9999999999999998e-201]",
+        "0",
+    )),
     ("1e-200", "check", 0, '{"conjugate_normal": true, "residual": 0}'),
     ("1e-300", "pf", 0, '{"pfaffian": [0, 1.414213562373095e-300], "method": "normal-form", '
      '"det": [0, 0], "singular": false, "cross_check_residual": null}'),
+    ("1e-300", "wnf", 0, _pair_block(
+        "[1, -3.8781926045206591e-17]", "[1e-300, 1e-300]", "0")),
     ("1e155", "pf", 0, '{"pfaffian": [0, 1.414213562373095e+155], "method": "normal-form", '
      '"det": [null, 0], "singular": false, "cross_check_residual": null}'),
+    ("1e155", "wnf", 0, _pair_block(
+        "[1, -1.0743518943496164e-17]", "[1e+155, 1e+155]", "0")),
     ("1e160", "pf", 0, '{"pfaffian": [0, 1.4142135623730951e+160], "method": "normal-form", '
      '"det": [null, 0], "singular": false, "cross_check_residual": null}'),
+    ("1e160", "wnf", 0, _pair_block(
+        "[1, -7.6550781792318282e-17]",
+        "[1e+160, 9.9999999999999985e+159]",
+        "2.2074095690877124e+144",
+    )),
+    ("1e300", "wnf", 0, _pair_block(
+        "[0.99999999999999989, -1.1402616691883463e-17]",
+        "[1.0000000000000001e+300, 1.0000000000000001e+300]",
+        "2.9740338169555661e+284",
+    )),
     *(
-        (scale, command, 3, _GUARD_OVERFLOW)
+        (scale, "pf --method relation", 3, _GUARD_OVERFLOW)
         for scale in ("1e155", "1e160")
-        for command in ("wnf", "pf --method relation")
     ),
     ("1e155", "check", 0, '{"conjugate_normal": true, "residual": 0}'),
     ("1e160", "check", 0, '{"conjugate_normal": true, "residual": 0}'),
 ]
+
+
+#: inputs taken as one group: the 2x2 pair, a complex pair of multiplicity
+#: 2, a negative-real cluster of four, and two multi-group F Sigma F^T
+_ONE_GROUP_INPUTS = {
+    "2x2": lambda: np.array([[0.0, 1 + 1j], [1 - 1j, 0.0]]),
+    "one-group": lambda: random_conjugate_normal(ONE_GROUP),
+    "corpus-41": lambda: random_conjugate_normal(corpus_spec(41)),
+    "dft-1": lambda: equal_column_norms(corpus_spec(1)),
+    "dft-6": lambda: equal_column_norms(corpus_spec(6)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("j", [-990, -660, -330, 330, 660, 990])
+@pytest.mark.parametrize("name", list(_ONE_GROUP_INPUTS))
+def test_one_group_scales_by_powers_of_two(name, j):
+    # the one group takes its guard, its Lambda and its tests on A times a
+    # power of two, so 2^j A has A's U bit for bit and its blocks times 2^j
+    # wherever the Gram products of A itself would overflow or underflow
+    matrix = _ONE_GROUP_INPUTS[name]()
+    nf = wigner_normal_form(matrix)
+    scaled = wigner_normal_form(math.ldexp(1.0, j) * matrix)
+    assert scaled.u.tobytes() == nf.u.tobytes()
+    assert len(scaled.blocks) == len(nf.blocks)
+    for block, got in zip(nf.blocks, scaled.blocks):
+        assert type(got) is type(block)
+        assert got.multiplicity == block.multiplicity
+        if isinstance(block, OffDiagBlock):
+            want = complex(math.ldexp(block.s.real, j), math.ldexp(block.s.imag, j))
+            assert got.s == want
+        else:
+            assert got.sigma == math.ldexp(block.sigma, j)
 
 
 class TestNormalityWitness:

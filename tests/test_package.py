@@ -1,8 +1,8 @@
 """The package namespace: what ``from wignerpf import *`` exports, which
 module may hold the skew-Pfaffian oracle, the one production path of the
 normal form, the inputs the result types take and how they compare, and
-that no module imports a name it does not use and no private function or
-class goes unread."""
+that no module imports a name it does not use, no private function or class
+goes unread and no private function keeps a default that no call overrides."""
 
 import ast
 import io
@@ -141,3 +141,46 @@ def test_every_private_definition_is_used():
                 used.add(node.attr)
     unused = sorted(defined - used)
     assert not unused, f"private definitions {unused} are never read"
+
+
+def test_every_defaulted_private_parameter_is_passed():
+    # the same stand-in for a dead-option rule: each parameter with a default
+    # of a module-level private function is passed, by position or by name,
+    # by some call in the package; a call with *args passes every positional
+    # parameter and one with **kwargs every parameter
+    package = Path(wignerpf.__file__).parent
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))]
+    functions = [
+        node
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+    ]
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for function in functions:
+        args = function.args
+        positional = args.posonlyargs + args.args
+        defaulted = list(enumerate(positional))[len(positional) - len(args.defaults):]
+        defaulted += [
+            (None, arg)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        ]
+        for index, arg in defaulted:
+            if not any(
+                any(k.arg in (None, arg.arg) for k in call.keywords)
+                or index is not None
+                and (
+                    len(call.args) > index
+                    or any(isinstance(a, ast.Starred) for a in call.args)
+                )
+                for call in calls.get(function.name, [])
+            ):
+                unpassed.append(f"{function.name}({arg.arg}=...)")
+    assert not unpassed, f"defaulted parameters {unpassed} are never passed"

@@ -233,13 +233,19 @@ def test_overflowing_block_power_is_out_of_range():
     assert_out_of_range(info)
 
 
+#: a complex pair of multiplicity 2: A is a multiple of a unitary matrix,
+#: which the normal form takes as one group
+ONE_GROUP = SpectrumSpec((SpectrumEntry("complex", 1 + 1j, 2),), seed=5)
+
+
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec", [MIXED_KINDS, ONE_GROUP], ids=["groups", "one-group"])
 @pytest.mark.parametrize("scale", [1e-160, 1e200])
-def test_reconstruction_check_rejects_a_wrong_u_at_every_scale(monkeypatch, scale):
+def test_reconstruction_check_rejects_a_wrong_u_at_every_scale(monkeypatch, scale, spec):
     # ||A - U Sigma U^T|| is taken as 2^e ||(A - U Sigma U^T) 2^-e||: taken on A
     # itself, its squares underflow to 0 at 1e-160, so a U off by 1e-6 passed,
     # and overflow from about 1e170 on
-    matrix = scale * random_conjugate_normal(MIXED_KINDS)
+    matrix = scale * random_conjugate_normal(spec)
     nf = wigner_normal_form(matrix)
     assert 0 < nf.reconstruction_residual <= 1e-13 * scale
     original = normal_form._reconstruct
