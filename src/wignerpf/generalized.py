@@ -13,25 +13,26 @@ pf is a square root of det(A) and differs from apf by a positive real
 factor, so ``pf(A) = +-sqrt(det(A))`` with the sign that agrees with apf
 (:func:`_relation_value`).
 
-:func:`generalized_pfaffian` builds no U.  Where A and its skew part are
-well conditioned, that rule gives the value at once, from the LU of A and
-one Parlett-Reid factorization of its skew part, each factorization with
-a condition estimate read off it (:func:`_well_conditioned_pfaffian`),
-after the guard in its Gram form.  Everywhere else unitary congruence, ``pf(Q A Q^T) = det(Q)
-pf(A)``, and the direct sum, ``pf(A + B) = pf(A) pf(B)``, give ``pf(A) =
-det(X) prod_J pf(C_J)`` from one SVD ``A = X D Y^H``, with ``C_J`` the
-diagonal blocks of ``X^H A conj(X)`` on the groups of equal singular
-values; each block takes that one rule, and the same SVD gives the
-conjugate-normality guard's residual.  The SVD, the guard in both its
-forms and the group split live in :mod:`wignerpf.normal_form`, whose
-normal form starts from the same groups.
+Every route factors A and its skew part at most once, on A times a power
+of two (:class:`_Factors`).  Where both are well conditioned,
+:func:`generalized_pfaffian` takes that rule on them at once
+(:func:`_well_conditioned_pfaffian`); :func:`generalized_pfaffian_via_relation`
+is the same rule without the condition estimates.  Everywhere else unitary
+congruence, ``pf(Q A Q^T) = det(Q) pf(A)``, and the direct sum, ``pf(A + B)
+= pf(A) pf(B)``, give ``pf(A) = det(X) prod_J pf(C_J)`` from one SVD ``A = X
+D Y^H``, with ``C_J`` the diagonal blocks of ``X^H A conj(X)`` on the groups
+of equal singular values; each block takes the same rule, and the SVD gives
+the conjugate-normality guard's residual.  The SVD, the guard in both its
+forms and the group split live in :mod:`wignerpf.normal_form`, whose normal
+form starts from the same groups.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -47,8 +48,11 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _ldexp,
     _lu,
     _odd_swaps,
+    _times_power_of_two,
+    _unit_scaled,
     as_square_matrix,
     det_lu,
     unitarity_defect,
@@ -58,15 +62,8 @@ from .normal_form import (
     _UNITARITY_RTOL,
     _require_conjugate_normal,
     _singular_groups,
-    _unit_scaled,
 )
-from .pfaffian import (
-    _matching_sum,
-    _packed_lu,
-    _parlett_reid,
-    pf_polynomial,
-    pf_skew_parlett_reid,
-)
+from .pfaffian import _matching_sum, _packed_lu, _parlett_reid, pf_polynomial
 
 #: |Im(w2)| <= RATIO_IMAG_RTOL * |Re(w2)| is required of w2 = det conj(apf)^2 /
 #: |apf|^2, a positive multiple of the det(A)/det((A - A^T)/2) ratio
@@ -97,20 +94,17 @@ _SQRT_HALF = math.sqrt(0.5)
 class PfDiagnostics:
     """Side values recorded while computing a Pfaffian.
 
-    ``apf`` is the route's skew Pfaffian of ``(A - A^T)/2`` and
-    ``det_antisymmetric`` is ``apf**2``.  ``cross_check_residual`` is the
-    relative discrepancy between the normal-form value and a recomputation
-    through the determinant-ratio relation (None when not applicable or when
-    a determinant is not a normal double).  It is an independent recheck only
-    where the value came from A's singular-value groups, two or more of
-    them: on the well-conditioned fast path, and where one group spans A,
-    the value and the relation share A's LU and apf, so it reads 0 by
-    construction.  ``conjugate_normal_residual`` is
-    ``||A^T A* - A A^H||_F / ||A||_F^2``: on the normal-form route from two
-    Gram triangles of A times a power of two on the fast path, read off the
-    SVD elsewhere (:func:`_normal_form_pfaffian`), on the relation and
-    polynomial routes from two Gram triangles of A; None on the
-    antisymmetrized route, which runs no conjugate-normality test.
+    ``det`` and ``apf``, the skew Pfaffian of ``(A - A^T)/2``, are A's own,
+    from its factors (:class:`_Factors`); ``det_antisymmetric`` is
+    ``apf**2``.  ``cross_check_residual`` is the relative discrepancy between
+    the normal-form value and the determinant-ratio relation on them (None
+    off that route and unless both determinants are normal doubles); it
+    rechecks the value only where it came from two or more singular-value
+    groups, and reads 0 by construction elsewhere.
+    ``conjugate_normal_residual`` is ``||A^T A* - A A^H||_F / ||A||_F^2``,
+    from two Gram triangles of A times a power of two, or read off the SVD
+    where :func:`generalized_pfaffian` takes it (None on the antisymmetrized
+    route, which runs no conjugate-normality test).
     """
 
     det: complex
@@ -138,7 +132,7 @@ class PfResult:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _relation_value(det, apf):
+def _relation_value(det, apf, ratio_shift: int = 0):
     """``sqrt(det)`` with the sign that makes ``w = sqrt(det) conj(apf) /
     |apf|`` positive, elementwise over arrays of determinants and apfs.
 
@@ -146,12 +140,13 @@ def _relation_value(det, apf):
     a positive real factor), so ``w**2 = det conj(apf)^2 / |apf|^2``, a
     positive multiple of ``det / apf**2``, must be positive real within
     :data:`RATIO_IMAG_RTOL`; a nan or inf fails that test.  Raises
-    :class:`PfUndefinedError` where ``apf**2`` is 0 and
-    :class:`NotConjugateNormalError` where ``w**2`` is not positive real.
+    :class:`PfUndefinedError` where ``apf**2`` is not a normal double (0
+    included) and :class:`NotConjugateNormalError`, reporting ``det / apf**2
+    2^ratio_shift``, where ``w**2`` is not positive real.
     """
     det = np.asarray(det, dtype=np.complex128)
     apf = np.asarray(apf, dtype=np.complex128)
-    if np.any(apf * apf == 0):
+    if not np.all(_in_range(apf * apf)):
         raise PfUndefinedError(
             "the antisymmetric part is singular; the determinant-ratio "
             "relation does not apply"
@@ -160,7 +155,7 @@ def _relation_value(det, apf):
     w2 = det * phase * phase
     positive = (w2.real > 0.0) & (abs(w2.imag) <= RATIO_IMAG_RTOL * abs(w2.real))
     if not positive.all():
-        ratio = complex((det / (apf * apf))[~positive].flat[0])
+        ratio = _ldexp(complex((det / (apf * apf))[~positive].flat[0]), ratio_shift)
         raise NotConjugateNormalError(
             f"det(A)/det((A - A^T)/2) = {ratio:.6g} is not positive real; "
             "the input is not conjugate-normal (the ratio is guaranteed "
@@ -170,95 +165,115 @@ def _relation_value(det, apf):
     return np.where((root * phase).real < 0.0, -root, root)
 
 
-@dataclass(frozen=True)
-class _Measured:
-    """What :func:`_normal_form_pfaffian` measured on A besides its value:
-    the guard's residual, and what the fast path factored before it gave
-    the value or declined.  ``lu`` is the LU of ``A 2^-exponent`` (None
-    where the fast path factored nothing: an odd dimension) and
-    ``apf_parts`` is apf(A) as ``(mantissa, k)``, ``mantissa 2^k`` (None
-    where the fast path declined before its skew kernel); where one group
-    spans A, its block's LU and apf fill in what the fast path did not."""
+class _Factors:
+    """A's LU and the Parlett-Reid factors of its skew part, each made once,
+    where a route first reads it, on ``A 2^-e`` (:func:`_unit_scaled`): det(A)
+    as ``det_parts = (mantissa, shift)``, ``mantissa 2^shift``, and apf(A)
+    as the last two of ``skew_factors = (factors, pf, shift)``.  Every step
+    is exact under ``A -> 2^j A``, so no mantissa depends on A's scale, and
+    none leaves the double range; ``det`` and ``apf`` round once."""
 
-    conjugate_normal_residual: float
-    lu: tuple[np.ndarray, np.ndarray] | None = None
-    exponent: int = 0
-    apf_parts: tuple[complex, int] | None = None
+    def __init__(self, m: np.ndarray):
+        self.unit, self.exponent = _unit_scaled(m)
+
+    @cached_property
+    def lu(self) -> tuple[np.ndarray, np.ndarray]:
+        return _lu(self.unit)
+
+    @cached_property
+    def det_parts(self) -> tuple[complex, int]:
+        """The LU pivots scaled into ``[1/2, 1)`` by powers of two and
+        multiplied in chunks of :data:`_CHUNK`: up to that size the plain
+        product's bits.  ``|mantissa|`` is in ``[1/4, 1)`` (0 where singular),
+        and the shift is even where dim is."""
+        lu, piv = self.lu
+        diag = np.diagonal(lu)
+        _, shifts = np.frexp(np.abs(diag))
+        diag = diag * np.ldexp(1.0, -shifts)
+        mantissa, shift = 1 + 0j, int(shifts.sum())
+        for start in range(0, len(diag), _CHUNK):
+            mantissa *= complex(np.prod(diag[start : start + _CHUNK]))
+            _, e = math.frexp(abs(mantissa))
+            mantissa, shift = _ldexp(mantissa, -e), shift + e
+        if shift % 2:
+            mantissa, shift = mantissa / 2.0, shift + 1
+        if _odd_swaps(piv):
+            mantissa = -mantissa
+        return mantissa, shift + self.exponent * len(diag)
+
+    @cached_property
+    def skew_exponent(self) -> int:
+        """k with ``2^k`` the power of two nearest ``|det A|^(1/dim)``."""
+        dim = len(self.unit)
+        return (2 * self.det_parts[1] + dim) // (2 * dim)
+
+    def skew(self) -> np.ndarray:
+        """``(A - A^T)/2 2^-k`` (k the :attr:`skew_exponent`), a fresh array,
+        whose pf lies near or under 1 where ``|apf| <= |pf|``, as on every
+        conjugate-normal A."""
+        skew = self.unit - self.unit.T
+        return _times_power_of_two(skew, self.exponent - 1 - self.skew_exponent, out=skew)
+
+    @cached_property
+    def skew_factors(self) -> tuple[np.ndarray, complex, int]:
+        factors = self.skew()
+        apf, shift, _ = _parlett_reid(factors)
+        return factors, apf, shift + self.skew_exponent * len(self.unit) // 2
 
     @property
-    def det(self) -> complex | None:
-        """det(A) from ``lu``, as it rounds."""
-        if self.lu is None:
-            return None
-        det, shift = _det_parts(*self.lu)
-        return _ldexp(det, shift + self.exponent * len(self.lu[1]))
+    def det(self) -> complex:
+        return _ldexp(*self.det_parts)
 
     @property
-    def apf(self) -> complex | None:
-        """apf(A) from ``apf_parts``, as it rounds."""
-        return None if self.apf_parts is None else _ldexp(*self.apf_parts)
+    def apf(self) -> complex:
+        _, apf, shift = self.skew_factors
+        return _ldexp(apf, shift)
 
 
 def generalized_pfaffian(a, tol: Tolerances = DEFAULT_TOL) -> PfResult:
     """Pfaffian of a conjugate-normal matrix through its normal form.
 
-    ``pf(A) = i^(n^2) det(U) prod |s_k|`` over the 2x2 blocks, n = dim/2,
-    read as ``det(X) prod_J pf(C_J)`` over the groups of A's singular values
-    (see :func:`_normal_form_pfaffian`); every tolerance is relative to
-    ||A||, so pf(2^j A) = 2^(j n) pf(A) bit for bit.  A smallest singular
-    value at or below ``dim * eps * d_1`` makes A singular: the value is then
-    0 with ``diagnostics.singular`` set.  A positive sigma (a group of odd
-    size, which includes every non-singular odd-dimensional matrix, or a
-    group block that fails the rule) means no continuous Pfaffian extension
-    exists and :class:`PfUndefinedError` is raised.  A non-singular
-    ``|pf|`` outside ``[tiny, inf)`` raises :class:`InputError`; it is never
-    returned as 0.  Both errors come before the cross-check runs.
+    ``pf(A) = i^(n^2) det(U) prod |s_k|`` over the 2x2 blocks, n = dim/2:
+    ``+-sqrt(det A)`` with apf's sign where A and its skew part are well
+    conditioned (:func:`_well_conditioned_pfaffian`), else ``det(X) prod_J
+    pf(C_J)`` over the groups of A's singular values
+    (:func:`_normal_form_pfaffian`).  Every tolerance is relative to ||A||,
+    so pf(2^j A) = 2^(j n) pf(A) bit for bit.  A smallest singular value at
+    or below ``dim * eps * d_1`` makes A singular: the value is then 0 with
+    ``diagnostics.singular`` set.  A positive sigma (a group of odd size,
+    which includes every non-singular odd-dimensional matrix, or a group
+    block that fails the rule) means no continuous Pfaffian extension exists
+    and :class:`PfUndefinedError` is raised.  A non-singular ``|pf|`` outside
+    ``[tiny, inf)`` raises :class:`InputError`; it is never returned as 0.
+    Both errors come before the cross-check runs.
 
-    Where A and its skew part are well conditioned the value is
-    ``+-sqrt(det A)`` with apf's sign, read straight off A's LU and one
-    Parlett-Reid factorization, each of which also gives its matrix's
-    condition estimate (:func:`_well_conditioned_pfaffian`), and the guard
-    takes its Gram form on A times a power of two; elsewhere the guard's
-    residual comes from the SVD.  Neither form's norms overflow before the
-    value does.
-
-    Only then are ``det(A)`` and ``apf`` (one Parlett-Reid factorization)
-    computed, unless the fast path already made them, rescaled exactly:
-    ``det(A)`` from its LU of A, which every even dimension gets, and apf
-    wherever its skew kernel ran, even where it then declined.  A
-    non-singular value is recomputed through the determinant-ratio relation
-    on A, its relative discrepancy recorded in
-    ``diagnostics.cross_check_residual``; that is None unless ``det(A)`` and
-    ``det((A - A^T)/2) = apf**2`` both lie in ``[tiny, inf)``, and 0 by
-    construction where the value came from A's own LU and apf (the value
-    and the relation then share them).
+    The diagnostics' ``det(A)`` and ``apf`` come from A's factors, made by
+    the value's route or, where it made none, now.  A non-singular value is
+    recomputed through the determinant-ratio relation on them, its relative
+    discrepancy recorded in ``diagnostics.cross_check_residual``; that is
+    None unless ``det(A)`` and ``apf**2`` both lie in ``[tiny, inf)``, and 0
+    by construction where the value came from the same factors.
     """
-    m = as_square_matrix(a)
-    measured, value = _normal_form_pfaffian(m, tol)
-    det_a, apf = measured.det, measured.apf
-    if det_a is None:
-        det_a = det_lu(m)
-    if apf is None:
-        apf = pf_skew_parlett_reid((m - m.T) / 2.0)
+    cn_residual, factors, value = _normal_form_pfaffian(as_square_matrix(a), tol)
+    det_a, apf = factors.det, factors.apf
     cross = None
     if value != 0 and _in_range(det_a) and _in_range(apf**2):
         cross = float(abs(value - _relation_value(det_a, apf)) / abs(value))
-    diag = PfDiagnostics(det_a, apf, measured.conjugate_normal_residual, value == 0, cross)
+    diag = PfDiagnostics(det_a, apf, cn_residual, value == 0, cross)
     return PfResult(value, "normal-form", diag)
 
 
-def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, complex]:
+def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[float, _Factors, complex]:
     """:func:`generalized_pfaffian`'s value of a square ``m`` (0 when
-    singular), with its errors and no diagnostics, and what it measured on
-    the way (:class:`_Measured`).
+    singular), with its errors and no diagnostics: ``(the guard's residual,
+    A's factors, value)``.
 
     One SVD ``A = X D Y^H``, the guard read off it and the groups J of
     equal singular values, all from
     :func:`~wignerpf.normal_form._singular_groups`, which the normal form
     shares.  ``C = X^H A conj(X) = D W`` (formed in W's place) is block
     diagonal over the groups, so ``A = X C X^T`` and ``pf(A) = det(X)
-    prod_J pf(C_J)``.  Two witnesses bound what the
-    normal form's unitarity and reconstruction checks bound:
+    prod_J pf(C_J)``.  Two witnesses bound what the normal form's checks do:
     ``unitarity_defect(X) <= _UNITARITY_RTOL sqrt(dim)``, and the norm of C
     outside its group blocks, which is ``||A - X (+)_J C_J X^T||``, at most
     ``_RECONSTRUCT_RTOL ||A||_F``; both norms are taken as ``d_1 ||. /
@@ -273,24 +288,21 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
     stack otherwise, the apf as the matching sum
     (:func:`~wignerpf.pfaffian._matching_sum`) at k <= 4 and by Parlett-Reid
     block by block otherwise.  The one block of a single group, A itself,
-    takes the fast path's LU of A and its apf, rescaled, whatever its size,
-    and an LU or a Parlett-Reid factorization of its own only where the
-    fast path did not make one.  A
-    block holds a positive sigma, and raises, when its skew part has a
-    singular value at or below the noise floor ``_APF_NOISE * dim * eps *
-    d_1`` or when it fails the rule; ``svdvals`` runs only on a block whose
+    takes A's det and apf from its factors (:class:`_Factors`), rescaled,
+    whatever its size.  A block holds a positive sigma, and raises, when its
+    skew part has a singular value at or below the noise floor ``_APF_NOISE
+    * dim * eps * d_1`` or when it fails the rule; ``svdvals`` runs only on a block whose
     ``|apf|``, a product of half of those singular values, each at most d_J,
     is at most ``floor * d_J^(k/2 - 1)``.  A block whose ``apf**2`` leaves
     the double range takes the phase of the apf of its skew part scaled by
     a power of two near the mean of those singular values.
 
-    All of this runs only where :func:`_well_conditioned_pfaffian`, tried
-    first, declines; it decides every singular, positive-sigma, near-axis
-    and multi-group input.
+    All of this runs only where :func:`_well_conditioned_pfaffian` declines.
     """
-    fast, value = _well_conditioned_pfaffian(m, tol)
+    factors = _Factors(m)
+    cn_residual, value = _well_conditioned_pfaffian(factors, tol)
     if value is not None:
-        return fast, value
+        return cn_residual, factors, value
     x, d, w, cn_residual, starts, stops = _singular_groups(m, tol)
     dim = m.shape[0]
     sizes = stops - starts
@@ -319,12 +331,8 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
                 "input is likely further from conjugate-normal than the tolerances assume"
             )
 
-    # what the fast path factored, with the SVD route's guard residual
-    measured = _Measured(cn_residual) if fast is None else replace(
-        fast, conjugate_normal_residual=cn_residual
-    )
     if d[-1] <= dim * np.finfo(float).eps * d[0]:
-        return measured, 0j
+        return cn_residual, factors, 0j
     if np.any(sizes % 2):
         raise _positive_sigma(dim)
 
@@ -340,20 +348,13 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
         e = _near_exponent(lead)
         blocks = blocks * np.ldexp(1.0, -e)[:, None, None]
         skews = (blocks - blocks.transpose(0, 2, 1)) / 2.0
-        if single:  # the block is A 2^-e0: its det (taken as the fast path
-            # takes it) and apf are A's own, rescaled, and come from the fast
-            # path's LU and skew kernel wherever it ran them
+        if single:  # the block is A 2^-e0: its det and apf are A's own,
+            # from A's factors, rescaled
             e0 = int(e[0])
-            if measured.lu is None:
-                measured = replace(measured, lu=_lu(blocks[0]), exponent=e0)
-            if measured.apf_parts is None:
-                apf = pf_skew_parlett_reid(skews[0])
-                measured = replace(measured, apf_parts=(apf, e0 * k // 2))
-            det, shift = _det_parts(*measured.lu)
-            shift += (measured.exponent - e0) * k
-            apf, apf_shift = measured.apf_parts
+            det, shift = factors.det_parts
+            _, apf, apf_shift = factors.skew_factors
             dets, apfs = np.array([det]), np.array([_ldexp(apf, apf_shift - e0 * k // 2)])
-            exponent += shift // 2
+            exponent += (shift - e0 * k) // 2
         else:
             if k == 2:
                 dets = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
@@ -362,7 +363,8 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
             if k <= 4:
                 apfs = _matching_sum(skews)
             else:
-                apfs = np.array([pf_skew_parlett_reid(skew) for skew in skews])
+                # a copy: a flagged block's skew part is read again
+                apfs = np.array([_ldexp(*_parlett_reid(skew.copy())[:2]) for skew in skews])
         floors = noise * np.ldexp(d[0], -e)
         with np.errstate(over="ignore", invalid="ignore"):
             flagged = (
@@ -383,8 +385,7 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
     for value in values[np.argsort(sizes != 2, kind="stable")].tolist():
         mantissa *= value
         _, e = math.frexp(abs(mantissa))
-        mantissa = complex(math.ldexp(mantissa.real, -e), math.ldexp(mantissa.imag, -e))
-        exponent += e
+        mantissa, exponent = _ldexp(mantissa, -e), exponent + e
     _require_range(mantissa, exponent)
     # det(X) joins the mantissa before the scaling, the one step that may
     # round (a subnormal part), so 2^j A scales bit for bit
@@ -393,99 +394,61 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[_Measured, co
     value = _ldexp(mantissa, exponent)
     if not _in_range(value):  # |det(X)| = 1 to rounding moved it out
         raise _out_of_range(_log10_abs(mantissa, exponent))
-    return measured, value
+    return cn_residual, factors, value
 
 
 def _well_conditioned_pfaffian(
-    m: np.ndarray, tol: Tolerances
-) -> tuple[_Measured | None, complex | None]:
+    factors: _Factors, tol: Tolerances
+) -> tuple[float | None, complex | None]:
     """:func:`_normal_form_pfaffian` without the SVD, where a condition
-    estimate proves the determinant-ratio relation safe: ``(measured,
-    value)``.  Where it does not, the value is None and the SVD route
-    decides, reusing what ``measured`` holds (None where nothing was
-    factored).
+    estimate proves the determinant-ratio relation safe: ``(the guard's
+    residual, value)``, the value None where it does not.
 
-    ``pf(A) = +-sqrt(det A)`` with the sign of ``apf(A)``: the paper's
-    positive real factor between them.  For a conjugate-normal A the
-    singular values of ``A_as = (A - A^T)/2`` are the ``|Im s_k|``, twice
-    each, and a 0 per sigma, so a bounded condition number of A_as rules out
-    every sigma and bounds apf's relative error near ``dim eps cond``, which
-    cannot flip the sign.  So, on ``A 2^-e`` (:func:`_unit_scaled`, exact):
-
-    * the guard in its Gram form, which raises on a non-conjugate-normal A;
-    * one LU of A and LAPACK's ``zgecon`` on it (Hager's 1-norm estimator as
-      refined by Higham): a reciprocal estimate under :data:`_RCOND_FLOOR`
-      (or not a number) declines;
-    * the Parlett-Reid kernel on A_as scaled by the power of two nearest
-      ``|det|^(1/dim)`` (``(A - A^T) 2^(-1-scale)``, formed in place), and
-      ``zgecon`` on its ``L D L^T`` factors read as an LU
-      (:func:`~wignerpf.pfaffian._packed_lu`), against ``||A||_1 2^-scale``
-      so that a small skew part counts as ill-conditioned: a zero apf or an
-      estimate under the floor declines;
-    * ``|pf| = sqrt|det A|`` as a mantissa and a power of two from the LU
-      diagonal (:func:`_det_parts`), whose range raises the out-of-range
-      :class:`InputError`;
-    * the value :func:`_relation_value` of the det mantissa and the apf.  An
-      apf whose square is not a normal double, or a ratio that is not
-      positive real, declines.
-
-    An odd dimension declines at once: such an A is singular or holds a
-    positive sigma.  Every step is exact under ``A -> 2^j A``, so the value
-    scales bit for bit; the det and apf it reports are A's own, rescaled.
+    For a conjugate-normal A the singular values of ``A_as = (A - A^T)/2``
+    are the ``|Im s_k|``, twice each, and a 0 per sigma, so a bounded
+    condition number of A_as rules out every sigma and bounds apf's relative
+    error near ``dim eps cond``, which cannot flip the sign.  So, on A's
+    factors (:class:`_Factors`): the guard in its Gram form, which raises on
+    a non-conjugate-normal A; LAPACK's ``zgecon`` (Hager's 1-norm estimator
+    as refined by Higham) on A's LU, and on the Parlett-Reid ``L D L^T`` of
+    A_as read as an LU (:func:`~wignerpf.pfaffian._packed_lu`) against
+    ``||A||_1`` at its scale, so that a small skew part counts as
+    ill-conditioned; then :func:`_relation_pfaffian`, whose out-of-range
+    :class:`InputError` propagates.  A reciprocal estimate under
+    :data:`_RCOND_FLOOR` (or not a number), a zero apf or a relation that
+    finds no Pfaffian declines, and so does an odd dimension, at once: such
+    an A is singular or holds a positive sigma.
     """
-    dim = m.shape[0]
-    if dim % 2:
+    if len(factors.unit) % 2:
         return None, None
-    unit, e = _unit_scaled(m)
-    cn_residual, _ = _require_conjugate_normal(unit, tol)
-    norm_1 = float(np.abs(unit).sum(axis=0).max())
-    lu, piv = _lu(unit)
-    measured = _Measured(cn_residual, (lu, piv), e)
-    if not _rcond(lu, norm_1) >= _RCOND_FLOOR:
-        return measured, None
-    det, shift = _det_parts(lu, piv)
-    scale = (2 * shift + dim) // (2 * dim)  # nearest shift / dim
-    skew = unit - unit.T
-    skew *= math.ldexp(1.0, -1 - scale)
-    apf, _ = _parlett_reid(skew)
-    measured = replace(measured, apf_parts=(apf, (e + scale) * dim // 2))
-    if apf == 0 or not _rcond(_packed_lu(skew), math.ldexp(norm_1, -scale)) >= _RCOND_FLOOR:
-        return measured, None
-    half = (shift + e * dim) // 2
-    _require_range(complex(np.sqrt(det)), half)
-    if not _in_range(apf * apf):
-        return measured, None
+    cn_residual, _ = _require_conjugate_normal(factors.unit, tol)
+    norm_1 = float(np.abs(factors.unit).sum(axis=0).max())
+    if not _rcond(factors.lu[0], norm_1) >= _RCOND_FLOOR:
+        return cn_residual, None
+    skew, apf, shift = factors.skew_factors
+    norm_1 = math.ldexp(norm_1, factors.exponent - factors.skew_exponent)
+    if apf == 0 or not _rcond(_packed_lu(skew), norm_1) >= _RCOND_FLOOR:
+        return cn_residual, None
     try:
-        root = complex(_relation_value(det, apf))
-    except NotConjugateNormalError:
-        return measured, None
-    return measured, _ldexp(root, half)
+        return cn_residual, _relation_pfaffian(factors, apf, shift)
+    except (NotConjugateNormalError, PfUndefinedError):
+        return cn_residual, None
+
+
+def _relation_pfaffian(factors: _Factors, apf: complex, apf_shift: int) -> complex:
+    """``pf(A) = +-sqrt(det A)`` with the sign of ``apf(A) = apf 2^apf_shift``
+    (:func:`_relation_value`, which raises where it finds no Pfaffian), from
+    A's ``det_parts``: range-checked (:func:`_require_range`), then rescaled."""
+    det, shift = factors.det_parts
+    root = complex(_relation_value(det, apf, shift - 2 * apf_shift))
+    _require_range(root, shift // 2)
+    return _ldexp(root, shift // 2)
 
 
 def _rcond(lu: np.ndarray, norm_1: float) -> float:
     """LAPACK ``zgecon``'s reciprocal 1-norm condition estimate from an LU
     factor, relative to ``norm_1``: 0 where U has a zero on its diagonal."""
     return float(scipy.linalg.lapack.zgecon(lu, norm_1, norm="1")[0])
-
-
-def _det_parts(lu: np.ndarray, piv: np.ndarray) -> tuple[complex, int]:
-    """The determinant of an LU factorization as ``(mantissa, shift)``, det =
-    mantissa 2^shift with shift even and ``|mantissa|`` in ``[1/4, 1)`` (0 for
-    a singular factor).  Each pivot is scaled into ``[1/2, 1)`` by a power of
-    two and the chunks of :data:`_CHUNK` multiplied in order, so no partial
-    product leaves the double range; up to that size the mantissa is the
-    plain product's, bit for bit, times a power of two."""
-    diag = np.diagonal(lu)
-    _, shifts = np.frexp(np.abs(diag))
-    diag = diag * np.ldexp(1.0, -shifts)
-    mantissa, shift = 1 + 0j, int(shifts.sum())
-    for start in range(0, len(diag), _CHUNK):
-        mantissa *= complex(np.prod(diag[start : start + _CHUNK]))
-        _, e = math.frexp(abs(mantissa))
-        mantissa, shift = _ldexp(mantissa, -e), shift + e
-    if shift % 2:
-        mantissa, shift = mantissa / 2.0, shift + 1
-    return (-mantissa if _odd_swaps(piv) else mantissa), shift
 
 
 def _take_blocks(c: np.ndarray, starts: np.ndarray, k: int) -> np.ndarray:
@@ -516,13 +479,7 @@ def _checked_apf(skew: np.ndarray, apf: complex, floor: float, dim: int) -> comp
         raise _positive_sigma(dim)
     if _in_range(apf * apf):
         return apf
-    return pf_skew_parlett_reid(skew * math.ldexp(1.0, -round(float(np.mean(np.log2(sv))))))
-
-
-@np.errstate(over="ignore")
-def _ldexp(z: complex, k: int) -> complex:
-    """``z * 2^k`` as it rounds (inf where it overflows)."""
-    return complex(np.ldexp(z.real, k), np.ldexp(z.imag, k))
+    return _parlett_reid(skew * math.ldexp(1.0, -round(float(np.mean(np.log2(sv))))))[0]
 
 
 def _positive_sigma(dim: int) -> PfUndefinedError:
@@ -534,8 +491,8 @@ def _positive_sigma(dim: int) -> PfUndefinedError:
     )
 
 
-def _out_of_range(log10_abs: float) -> InputError:
-    return InputError(f"|pf(A)| ~ 1e{log10_abs:.0f} is outside the double range")
+def _out_of_range(log10_abs: float, name: str = "pf") -> InputError:
+    return InputError(f"|{name}(A)| ~ 1e{log10_abs:.0f} is outside the double range")
 
 
 def _log10_abs(mantissa: complex, exponent: int) -> float:
@@ -556,15 +513,20 @@ def _in_range(x):
 
 
 def antisymmetrized_pfaffian(a) -> PfResult:
-    """Pfaffian of the antisymmetric part (A - A^T)/2.
+    """Pfaffian of the antisymmetric part (A - A^T)/2, from A's factors
+    (:class:`_Factors`).
 
     Defined for every square matrix, so no conjugate-normality test runs
     (``conjugate_normal_residual`` is None); odd dimension gives 0 (there
-    the antisymmetric part is always singular).  ``apf`` is the value itself.
+    the antisymmetric part is always singular).  ``apf`` is the value itself;
+    a non-zero apf outside the double range raises :class:`InputError`.
     """
-    m = as_square_matrix(a)
-    value = pf_skew_parlett_reid((m - m.T) / 2.0)
-    diag = PfDiagnostics(det_lu(m), value, None, value == 0, None)
+    factors = _Factors(as_square_matrix(a))
+    _, apf, shift = factors.skew_factors
+    value = _ldexp(apf, shift)
+    if apf != 0 and not _in_range(value):
+        raise _out_of_range(_log10_abs(apf, shift), "apf")
+    diag = PfDiagnostics(factors.det, value, None, value == 0, None)
     return PfResult(value, "antisymmetrized", diag)
 
 
@@ -576,30 +538,29 @@ def generalized_pfaffian_via_relation(
 ) -> PfResult:
     """Pfaffian via ``sqrt(det(A)/det((A - A^T)/2)) * apf(A)``.
 
-    Avoids the normal-form construction entirely: one determinant and one
-    skew Pfaffian, with ``det((A - A^T)/2) = apf**2``.  The ratio must be
-    positive real within ``RATIO_IMAG_RTOL``; a violation signals
-    non-conjugate-normal input, and an antisymmetric part with a zero apf
-    raises :class:`PfUndefinedError`.
+    The well-conditioned path of :func:`generalized_pfaffian` without its
+    condition estimates: the Gram guard and :func:`_relation_pfaffian` on A's
+    factors (:class:`_Factors`).  A ratio that is not positive real within
+    ``RATIO_IMAG_RTOL`` signals non-conjugate-normal input, and an apf whose
+    square is no normal double at the factors' scale is undefined.
 
     ``engine`` selects how the skew Pfaffian is evaluated: "parlett-reid"
     (default; result method "relation") or "polynomial" (the brute-force
-    matching sum, subject to its size guard; result method "polynomial").
+    matching sum of the same scaled skew part, subject to its size guard;
+    result method "polynomial").
     """
     if engine not in ("parlett-reid", "polynomial"):
         raise InputError(f"unknown engine {engine!r}")
-    m = as_square_matrix(a)
-    cn_residual, _ = _require_conjugate_normal(m, tol)
-    a_as = (m - m.T) / 2.0
-    det_a = det_lu(m)
+    factors = _Factors(as_square_matrix(a))
+    cn_residual, _ = _require_conjugate_normal(factors.unit, tol)
     if engine == "polynomial":
-        apf = pf_polynomial(a_as)
-        method = "polynomial"
+        apf, method = pf_polynomial(factors.skew()), "polynomial"
+        shift = factors.skew_exponent * len(factors.unit) // 2
     else:
-        apf = pf_skew_parlett_reid(a_as)
+        _, apf, shift = factors.skew_factors
         method = "relation"
-    value = complex(_relation_value(det_a, apf))
-    diag = PfDiagnostics(det_a, apf, cn_residual, value == 0, None)
+    value = _relation_pfaffian(factors, apf, shift)
+    diag = PfDiagnostics(factors.det, _ldexp(apf, shift), cn_residual, value == 0, None)
     return PfResult(value, method, diag)
 
 
@@ -608,22 +569,18 @@ def pfaffian_derivative(a, da, tol: Tolerances = DEFAULT_TOL) -> complex:
 
     Requires a non-singular A with a defined Pfaffian.  pf(A) is
     :func:`generalized_pfaffian`'s value, without its diagnostics.  A is
-    factored once: the solve takes the LU of ``A 2^-e`` that the value's
-    fast path made whether or not it gave the value (every even dimension
-    gets one), and rescales the trace by ``2^-e``.
+    factored once: the solve takes the LU of ``A 2^-e`` in A's factors
+    (:class:`_Factors`) and rescales the trace by ``2^-e``.
     """
     m = as_square_matrix(a)
     d = as_square_matrix(da)
     if d.shape != m.shape:
         raise InputError(f"dA has shape {d.shape}, expected {m.shape}")
-    measured, value = _normal_form_pfaffian(m, tol)
+    _, factors, value = _normal_form_pfaffian(m, tol)
     if value == 0:
         raise PfUndefinedError("the derivative formula requires a non-singular matrix")
-    lu, e = measured.lu, measured.exponent
-    if lu is None:  # the fast path did not run
-        lu, e = _lu(m), 0
-    trace = _ldexp(complex(np.trace(scipy.linalg.lu_solve(lu, d, check_finite=False))), -e)
-    return complex(0.5 * value * trace)
+    solved = scipy.linalg.lu_solve(factors.lu, d, check_finite=False)
+    return complex(0.5 * value * _ldexp(complex(np.trace(solved)), -factors.exponent))
 
 
 @dataclass(frozen=True)
@@ -725,7 +682,7 @@ def identity_report(
         checks.append(IdentityCheck(name, residual, IDENTITY_THRESHOLD))
 
     def pf(x) -> complex:
-        return _normal_form_pfaffian(x, tol)[1]
+        return _normal_form_pfaffian(x, tol)[2]
 
     sign_n = -1.0 if n % 2 else 1.0
     add("square-det", pf_a * pf_a, base.diagnostics.det)

@@ -115,6 +115,30 @@ def det_lu(m: np.ndarray):
     return complex(det) if m.ndim == 2 else det
 
 
+def _unit_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(m 2^-e, e)`` with e the exponent of ``max |a_ij|`` over real and
+    imaginary parts: exact, and the largest part of the result lies in
+    ``[1/2, 1)`` at every scale of ``m`` (e = 0 for the zero matrix)."""
+    peak = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
+    e = math.frexp(peak)[1]
+    return _times_power_of_two(m, -e), e
+
+
+def _times_power_of_two(x, k: int, out=None):
+    """``x 2^k``, rounded once, written into ``out`` where given: in two exact
+    steps where ``2^k`` is no double (k > 1023, a subnormal x)."""
+    for step in (k,) if k <= 1023 else (k // 2, k - k // 2):
+        factor = math.ldexp(1.0, step)
+        x = x * factor if out is None else np.multiply(x, factor, out=out)
+    return x
+
+
+@np.errstate(over="ignore")
+def _ldexp(z: complex, k: int) -> complex:
+    """``z * 2^k`` as it rounds (inf where it overflows)."""
+    return complex(np.ldexp(z.real, k), np.ldexp(z.imag, k))
+
+
 def _lu(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``scipy.linalg.lu_factor`` of a square complex128 array or a stack of
     them, partial pivoting; an exactly singular factor is returned as it is
@@ -178,7 +202,7 @@ def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     )
     if mixed.size:
         q_s, p_s = q[:, mixed], p[:, mixed]
-        _, z = scipy.linalg.schur(q_s.conj().T @ p_s, output="complex")
+        _, z = scipy.linalg.schur(q_s.conj().T @ p_s, output="complex", check_finite=False)
         q_s = q_s @ z
         p_s = p_s @ z
         q[:, mixed] = q_s

@@ -67,6 +67,8 @@ from .linalg import (
     _frozen,
     _gram,
     _hermitian_norm,
+    _times_power_of_two,
+    _unit_scaled,
     as_square_matrix,
     det_lu,
     eig_normal,
@@ -294,15 +296,6 @@ def is_conjugate_normal(a, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
     except NotConjugateNormalError as exc:
         return False, exc.residual
     return True, residual
-
-
-def _unit_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(m 2^-e, e)`` with e the exponent of ``max |a_ij|`` over real and
-    imaginary parts: exact, and the largest part of the result lies in
-    ``[1/2, 1)`` at every scale of ``m`` (e = 0 for the zero matrix)."""
-    peak = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
-    e = math.frexp(peak)[1]
-    return m * math.ldexp(1.0, -e), e
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -571,7 +564,7 @@ def _oriented(frame: np.ndarray, kind: str) -> np.ndarray:
     rows of a pivoted QR of frame^H (rows set by span(frame) alone) has a positive
     determinant (zero: any unitary mix is free) or one of positive real part
     (positive-real fixed vectors: only a sign is free)."""
-    _, pivots = scipy.linalg.qr(frame.conj().T, mode="r", pivoting=True)
+    _, pivots = scipy.linalg.qr(frame.conj().T, mode="r", pivoting=True, check_finite=False)
     phase, _ = np.linalg.slogdet(frame[pivots[: frame.shape[1]]])
     if kind == ZERO:
         frame[:, 0] *= phase.conjugate()
@@ -689,14 +682,14 @@ def _group_pieces(c: np.ndarray, modulus: float, root: float, tol):
     the cluster pipeline on L at A's threshold, and its blocks are scaled
     back: its columns and decisions are those of ``C_J``, bit for bit."""
     k = c.shape[0]
-    scale = math.ldexp(1.0, -math.frexp(modulus)[1])
-    scaled = c * scale
+    f = math.frexp(modulus)[1]
+    scaled = _times_power_of_two(c, -f)
     lam = scaled @ scaled.conj()
     omega = complex(np.trace(lam)) / k
     sign = 1.0 if omega.real > 0.0 else -1.0
     diagonal = lam.diagonal().copy()
-    lam.flat[:: k + 1] -= sign * (modulus * scale) ** 2
-    threshold = (root * scale) ** 2
+    lam.flat[:: k + 1] -= sign * math.ldexp(modulus, -f) ** 2
+    threshold = math.ldexp(root, -f) ** 2
     one_class = abs(omega) > threshold and float(np.linalg.norm(lam)) <= threshold / 2.0
     # a negative-real eigenvalue has even multiplicity: an odd group that
     # seems to be one goes to the pipeline, which raises on it
@@ -716,9 +709,10 @@ def _group_pieces(c: np.ndarray, modulus: float, root: float, tol):
         if cluster.kind == ZERO:
             zeros.append(v)
         elif w is None:
-            pieces.append((Real1Block(block.sigma / scale, block.multiplicity), v, None))
+            pieces.append((Real1Block(math.ldexp(block.sigma, f), block.multiplicity), v, None))
         else:
-            pieces.append((OffDiagBlock(block.s / scale, block.multiplicity), v, w))
+            s = _times_power_of_two(block.s, f)
+            pieces.append((OffDiagBlock(s, block.multiplicity), v, w))
     return pieces, zeros
 
 
@@ -830,7 +824,7 @@ def wigner_normal_form(a, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
 
     blocks = tuple(g[0] for g in pieces)
     difference = m - _reconstruct(u_mat, blocks)
-    difference *= math.ldexp(1.0, -exponent)
+    _times_power_of_two(difference, -exponent, out=difference)
     residual = math.ldexp(float(np.linalg.norm(difference)), exponent)
     if residual > _RECONSTRUCT_RTOL * norm:
         raise ReconstructionError(

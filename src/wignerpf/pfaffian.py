@@ -16,10 +16,12 @@ of the 2x2 and 4x4 group blocks of :func:`wignerpf.generalized_pfaffian`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InputError
-from .linalg import as_square_matrix
+from .linalg import _ldexp, _unit_scaled, as_square_matrix
 
 #: ||A + A^T|| <= SKEW_RTOL * ||A|| is required of skew input.
 SKEW_RTOL = 1e-12
@@ -38,12 +40,22 @@ _PANEL = 32
 def as_skew_matrix(a) -> np.ndarray:
     """Validate ``a`` as skew-symmetric (A = -A^T) within :data:`SKEW_RTOL`."""
     m = as_square_matrix(a)
-    defect = float(np.linalg.norm(m + m.T))
-    if defect > SKEW_RTOL * float(np.linalg.norm(m)):
-        raise InputError(
-            f"matrix is not skew-symmetric: ||A + A^T|| = {defect:.3e}"
-        )
+    _skew_norm(m)
     return m
+
+
+def _skew_norm(m: np.ndarray) -> tuple[float, int]:
+    """``(||A 2^-e||_F, e)`` of a square complex128 array, which must be skew
+    within :data:`SKEW_RTOL`: both norms are taken on ``A 2^-e``
+    (:func:`~wignerpf.linalg._unit_scaled`), so neither leaves the double range."""
+    unit, e = _unit_scaled(m)
+    norm = float(np.linalg.norm(unit))
+    defect = float(np.linalg.norm(unit + unit.T))
+    if defect > SKEW_RTOL * norm:
+        raise InputError(
+            f"matrix is not skew-symmetric: ||A + A^T|| / ||A|| = {defect / norm:.3e}"
+        )
+    return norm, e
 
 
 def _householder(x: np.ndarray) -> tuple[np.ndarray, float, complex]:
@@ -103,17 +115,23 @@ def pf_skew_parlett_reid(a) -> complex:
     Computes an L T L^T factorization with partial pivoting (the pivot is the
     largest entry in the working column; each row/column interchange flips
     the sign).  A pivot smaller than ``PIVOT_RTOL * ||A||`` declares the
-    matrix numerically singular and returns 0 exactly.  Odd-dimensional
-    input returns 0.  The product of pivots is returned as it rounds.  The
-    work is :func:`_parlett_reid`'s, on a copy of the validated input.
+    matrix numerically singular and returns 0 exactly; that floor, like the
+    validation, takes its norm on A times a power of two (:func:`_skew_norm`).
+    Odd-dimensional input returns 0.  The product of pivots is returned as
+    it rounds.  The work is :func:`_parlett_reid`'s, on a copy of the input.
     """
-    return _parlett_reid(as_skew_matrix(a).copy())[0]
+    m = as_square_matrix(a)
+    norm, e = _skew_norm(m)
+    return _ldexp(*_parlett_reid(m.copy(), math.ldexp(PIVOT_RTOL * norm, e))[:2])
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _parlett_reid(m: np.ndarray) -> tuple[complex, np.ndarray]:
+def _parlett_reid(m: np.ndarray, floor: float | None = None) -> tuple[complex, int, np.ndarray]:
     """:func:`pf_skew_parlett_reid` of a skew C-ordered complex128 array,
-    which it overwrites with its factors: ``(pf, pivots)``.
+    which it overwrites with its factors: ``(pf, shift, pivots)``, the
+    Pfaffian ``pf 2^shift``, with ``floor = PIVOT_RTOL ||m||_F`` unless given.
+    pf is scaled exactly by a power of two wherever it leaves ``[2^-256,
+    2^256]``: the plain product's bits where that is a normal double.
 
     Each pivot step eliminates two columns k, k+1 by the skew rank-2 update
     ``A22 += g c^T - c g^T`` (g the Gauss vector, c column k+1).  The steps
@@ -138,9 +156,10 @@ def _parlett_reid(m: np.ndarray) -> tuple[complex, np.ndarray]:
     n = m.shape[0]
     pivots = np.arange(1, n, 2)
     if n % 2:
-        return 0j, pivots
-    floor = PIVOT_RTOL * float(np.linalg.norm(m))
-    pf = 1.0 + 0j
+        return 0j, 0, pivots
+    if floor is None:
+        floor = PIVOT_RTOL * float(np.linalg.norm(m))
+    pf, shift = 1.0 + 0j, 0
     g = np.empty((n, _PANEL), dtype=np.complex128)
     c = np.empty_like(g)
     for start in range(0, n, 2 * _PANEL):
@@ -154,7 +173,7 @@ def _parlett_reid(m: np.ndarray) -> tuple[complex, np.ndarray]:
             )
             kp = k + 1 + int(np.argmax(np.abs(m[k + 1:, k])))
             if abs(m[kp, k]) <= floor:
-                return 0j, pivots
+                return 0j, 0, pivots
             if kp != k + 1:
                 # rows and columns k+1, kp of A trade places, and so do the
                 # rows of the panel's pending update
@@ -164,6 +183,9 @@ def _parlett_reid(m: np.ndarray) -> tuple[complex, np.ndarray]:
                 pivots[k // 2] = kp
             pivot = m[k + 1, k]  # = -A[k, k+1]
             pf *= -pivot
+            if not 2.0**-256 <= abs(pf) <= 2.0**256:
+                _, e = math.frexp(abs(pf))
+                pf, shift = _ldexp(pf, -e), shift + e
             if k + 2 < n:
                 m[k + 2:, k + 1] += (
                     g[k + 2:, :j] @ c[k + 1, :j] - c[k + 2:, :j] @ g[k + 1, :j]
@@ -176,7 +198,7 @@ def _parlett_reid(m: np.ndarray) -> tuple[complex, np.ndarray]:
             steps = (stop - start) // 2
             update = g[stop:, :steps] @ c[stop:, :steps].T
             m[stop:, stop:] += update - update.T
-    return complex(pf), pivots
+    return complex(pf), shift, pivots
 
 
 def _packed_lu(m: np.ndarray) -> np.ndarray:

@@ -524,7 +524,8 @@ class TestNonFiniteOutput:
             code, out = run(capsys, ["apf", str(path)])
         assert code == 0
         payload = json.loads(out, parse_constant=pytest.fail)
-        assert payload["det"] == [None, None]
+        # det(A) = 4e308 is a real mantissa times a power of two: inf and 0
+        assert payload["det"] == [None, 0]
         assert payload["pfaffian"] == pytest.approx([-1e154, 0])
 
     def test_pf_overflowed_det_and_cross_check(self, capsys, tmp_path):
@@ -582,6 +583,26 @@ class TestScale:
         message = json.loads(out)["error"]["message"]
         assert "outside the double range" in message
         assert ("1e-3" if scale < 1 else "1e3") in message
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "command, code, key",
+        [("pf", 2, "error"), ("apf", 2, "error"), ("check", 0, "conjugate_normal"), ("wnf", 0, "blocks")],
+    )
+    def test_subnormal_input_gives_one_document(self, capsys, tmp_path, command, code, key):
+        # 1e-310 [[0, 1+i], [1-i, 0]]: 2^-e for the exponent e of its largest
+        # entry is no double, so A 2^-e is taken in two exact steps; |pf| and
+        # |apf| are subnormal (exit 2), the check passes and the normal form
+        # holds the pair block
+        path = tmp_path / "tiny.mm"
+        path.write_text(
+            "%%MatrixMarket matrix array complex general\n2 2\n"
+            "0 0\n1e-310 -1e-310\n1e-310 1e-310\n0 0\n"
+        )
+        assert main([command, str(path)]) == code
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("\n") == 1
+        assert key in json.loads(out)
 
 
 class TestConsoleScript:

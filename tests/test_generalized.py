@@ -137,11 +137,16 @@ class TestUndefinedAndSingular:
         ids=["odd-dimension", "positive-real", "out-of-range"],
     )
     def test_errors_are_raised_before_the_cross_check(self, monkeypatch, matrix, error, message):
+        # neither det(X) nor the diagnostics' det and apf of A is read
         calls = []
-        for name in ("det_lu", "pf_skew_parlett_reid"):
-            original = getattr(generalized, name)
+        original = generalized.det_lu
+        monkeypatch.setattr(generalized, "det_lu", lambda m: calls.append("det_lu") or original(m))
+        for name in ("det", "apf"):
+            read = getattr(generalized._Factors, name).fget
             monkeypatch.setattr(
-                generalized, name, lambda m, f=original, n=name: calls.append(n) or f(m)
+                generalized._Factors,
+                name,
+                property(lambda f, read=read, n=name: calls.append(n) or read(f)),
             )
         with pytest.raises(error) as info:
             generalized_pfaffian(matrix)
@@ -180,15 +185,16 @@ class TestAntisymmetrized:
 
     def test_runs_no_guard_and_one_determinant(self, monkeypatch):
         calls = []
+        original = generalized._lu
 
         def counted_det(m):
             calls.append(1)
-            return det_lu(m)
+            return original(m)
 
         def no_guard(m, tol):
             raise AssertionError("apf runs no conjugate-normality test")
 
-        monkeypatch.setattr(generalized, "det_lu", counted_det)
+        monkeypatch.setattr(generalized, "_lu", counted_det)
         monkeypatch.setattr(normal_form, "_require_conjugate_normal", no_guard)
         monkeypatch.setattr(generalized, "_require_conjugate_normal", no_guard)
         result = antisymmetrized_pfaffian(random_conjugate_normal(corpus_spec(1)))
@@ -215,6 +221,23 @@ class TestRelationRoute:
         result = generalized_pfaffian_via_relation(matrix, engine=engine)
         assert result.method == method
         np.testing.assert_allclose(result.value, reference.value, rtol=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-8, 1e8, 1e155, 1e300])
+    def test_two_by_two_example_at_every_scale(self, c):
+        # the relation route and apf factor A times a power of two, as pf
+        # does: on A itself apf^2 underflowed at 1e-200, and the Gram guard's
+        # norm and apf's pivot floor overflowed from 1e154 on
+        matrix = c * np.array([[0.0, 1 + 1j], [1 - 1j, 0.0]])
+        assert generalized_pfaffian_via_relation(matrix).value == generalized_pfaffian(matrix).value
+        assert antisymmetrized_pfaffian(matrix).value == 1j * c
+
+    @pytest.mark.parametrize("c", [1e-200, 1e200])
+    def test_apf_out_of_range_is_an_input_error(self, c):
+        # apf(c (J + J)) = c^2 is no double: the out-of-range error, not 0
+        matrix = c * np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(InputError, match=r"\|apf\(A\)\| ~ 1e[-]?400 is outside"):
+            antisymmetrized_pfaffian(matrix)
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(InputError):
@@ -621,9 +644,9 @@ class TestIdentityReport:
         # and every row is but the tensor row, whose kron with B splits into
         # pairs: 1 + 7
         calls = []
-        original = generalized.pf_skew_parlett_reid
+        original = generalized._parlett_reid
         monkeypatch.setattr(
-            generalized, "pf_skew_parlett_reid", lambda m: calls.append(1) or original(m)
+            generalized, "_parlett_reid", lambda m: calls.append(1) or original(m)
         )
         identity_report(random_conjugate_normal(corpus_spec(14)))
         assert len(calls) == 8
@@ -691,9 +714,9 @@ def assert_rows_take_the_full_pipeline_value(matrix, **kwargs):
     original = generalized._normal_form_pfaffian
 
     def recording(x, tol):
-        residual, value = original(x, tol)
+        residual, factors, value = original(x, tol)
         seen.append((np.array(x), value))
-        return residual, value
+        return residual, factors, value
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(generalized, "_normal_form_pfaffian", recording)
@@ -724,8 +747,7 @@ class TestPassBudget:
             (scipy.linalg, "eigh", "eigh"),
             (scipy.linalg, "lu_factor", "lu_factor"),
             (scipy.linalg.blas, "zherk", "zherk"),
-            (generalized, "pf_skew_parlett_reid", "skew"),
-            (generalized, "_parlett_reid", "skew"),  # the fast path's, in place
+            (generalized, "_parlett_reid", "skew"),
         ):
             monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
         return counts
@@ -873,18 +895,14 @@ class TestPassBudget:
 
     @pytest.mark.parametrize(
         "index, counts",
-        [(2, [2, 4, 2]), (14, [2, 11, 3])],
+        [(2, [1, 3, 2]), (14, [1, 3, 2])],
         ids=["groups", "single-group"],
     )
     def test_each_matrix_is_checked_where_it_enters(self, monkeypatch, svd_route, index, counts):
         # as_square_matrix reads as_matrix as a module global, so the spy
-        # sees every check; the kernels take the pipeline's arrays as given.
-        # With groups, a call checks its entry and the skew kernel's input; a
-        # battery its entry, one call and B (the direct-sum row's groups of
-        # four take no skew kernel); the derivative A and dA.  A single group checks the
-        # skew kernel's input of its block, which is the whole matrix: the
-        # call's one, the battery's base call and seven derived rows (all but
-        # the tensor row, whose groups are pairs), and the derivative's one
+        # sees every check; the kernels, the skew kernel among them, take the
+        # pipeline's arrays as given.  A call checks its entry; a battery its
+        # entry, one call and B; the derivative A and dA, with groups or one
         kernels = {"det_lu", "eig_normal", "unitarity_defect"}
         callers = []
         original = linalg.as_matrix
@@ -1225,10 +1243,11 @@ class TestWellConditionedPath:
         # the estimate on the kernel's factors declines; the LU's det and the
         # kernel's apf, which the SVD route reuses, are A's own
         matrix = random_conjugate_normal(SpectrumSpec(entries, seed=2))
-        measured, value = generalized._well_conditioned_pfaffian(matrix, linalg.DEFAULT_TOL)
+        factors = generalized._Factors(matrix)
+        _, value = generalized._well_conditioned_pfaffian(factors, linalg.DEFAULT_TOL)
         assert value is None
-        assert measured.apf == pf_skew_parlett_reid((matrix - matrix.T) / 2.0)
-        assert abs(measured.det - det_lu(matrix)) <= 1e-14 * abs(det_lu(matrix))
+        assert factors.apf == pf_skew_parlett_reid((matrix - matrix.T) / 2.0)
+        assert abs(factors.det - det_lu(matrix)) <= 1e-14 * abs(det_lu(matrix))
 
     @pytest.mark.parametrize("scale", [2.0**-40, 1e-3, 1.0, 1e3, 2.0**40])
     def test_derivative_solves_with_the_value_lu(self, scale):

@@ -955,8 +955,9 @@ class TestOnePass:
 
     def test_one_skew_pfaffian_and_two_determinants_per_pfaffian(self, monkeypatch, svd_route):
         calls = {"parlett-reid": 0, "det": 0}
-        original_pr = generalized.pf_skew_parlett_reid
+        original_pr = generalized._parlett_reid
         original_det = normal_form.det_lu
+        original_lu = generalized._lu
 
         def counted_pr(m):
             calls["parlett-reid"] += 1
@@ -966,17 +967,22 @@ class TestOnePass:
             calls["det"] += 1
             return original_det(m)
 
+        def counted_lu(m):  # A's own LU, whose diagonal gives det(A)
+            calls["det"] += 1
+            return original_lu(m)
+
         def oracle(m):
             raise AssertionError("no production path runs the Householder oracle")
 
-        monkeypatch.setattr(generalized, "pf_skew_parlett_reid", counted_pr)
+        monkeypatch.setattr(generalized, "_parlett_reid", counted_pr)
         monkeypatch.setattr(generalized, "det_lu", counted_det)
+        monkeypatch.setattr(generalized, "_lu", counted_lu)
         monkeypatch.setattr(normal_form, "det_lu", counted_det)
         monkeypatch.setattr(pfaffian, "pf_skew_householder", oracle)
         matrix = random_conjugate_normal(corpus_spec(1))
         result = generalized_pfaffian(matrix)
         assert calls == {"parlett-reid": 1, "det": 2}
-        apf = original_pr((matrix - matrix.T) / 2.0)
+        apf = pfaffian.pf_skew_parlett_reid((matrix - matrix.T) / 2.0)
         assert result.diagnostics.det_antisymmetric == apf**2
 
     @pytest.mark.parametrize("residual", [0.0, 3e-11])
@@ -1269,14 +1275,9 @@ def spread_spectrum(dim, seed):
 #: forms no Lambda and keeps its value down to 1e-300, and wnf takes every
 #: product of its one group at unit scale, so it gives the pair block s = c (1
 #: + i) from 1e-300 to 1e300.  From c ~ 1e155 on, the Gram guard's norm of c
-#: [[0, 1+i], [1-i, 0]] overflows on the route that takes it on A itself (pf
-#: --method relation); check, wnf and pf take it on A times a power of two,
-#: and pf keeps its value, with det(A) out of range (null) and so no
-#: cross-check
-_GUARD_OVERFLOW = (
-    '{"error": {"code": 3, "message": "matrix is not conjugate-normal: '
-    'residual nan exceeds 1.0e-10"}}'
-)
+#: [[0, 1+i], [1-i, 0]] overflows on A itself; check, wnf and both pf routes
+#: take it on A times a power of two, and pf keeps its value on both, with
+#: det(A) out of range (null) and so no cross-check
 
 
 def _pair_block(det_u, value, residual):
@@ -1321,10 +1322,12 @@ _SCALE_EXTREMES = [
         "[1.0000000000000001e+300, 1.0000000000000001e+300]",
         "2.9740338169555661e+284",
     )),
-    *(
-        (scale, "pf --method relation", 3, _GUARD_OVERFLOW)
-        for scale in ("1e155", "1e160")
-    ),
+    ("1e155", "pf --method relation", 0, '{"pfaffian": [0, 1.414213562373095e+155], '
+     '"method": "relation", "det": [null, 0], "singular": false, '
+     '"cross_check_residual": null}'),
+    ("1e160", "pf --method relation", 0, '{"pfaffian": [0, 1.4142135623730951e+160], '
+     '"method": "relation", "det": [null, 0], "singular": false, '
+     '"cross_check_residual": null}'),
     ("1e155", "check", 0, '{"conjugate_normal": true, "residual": 0}'),
     ("1e160", "check", 0, '{"conjugate_normal": true, "residual": 0}'),
 ]

@@ -1,5 +1,6 @@
 """The package namespace: what ``from wignerpf import *`` exports, which
-module may hold the skew-Pfaffian oracle, the one production path of the
+module may hold the skew-Pfaffian oracle or call the validating skew
+kernel, the one production path of the
 normal form, the inputs the result types take and how they compare, and
 that no module imports a name it does not use, no private function or class
 goes unread and no private function keeps a default that no call overrides."""
@@ -29,6 +30,23 @@ def test_householder_is_an_oracle_only():
     for path in sorted(package.rglob("*.py")):
         if path.name != "pfaffian.py":
             assert "pf_skew_householder" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_the_public_skew_kernel_is_called_only_in_its_module():
+    # pf_skew_parlett_reid validates its input as skew; every array the
+    # pipeline hands the kernel is skew by construction, so the pipeline
+    # calls _parlett_reid and pays no validation
+    package = Path(wignerpf.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "pfaffian.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        called = {
+            ast.unparse(node.func).rpartition(".")[2]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        }
+        assert "pf_skew_parlett_reid" not in called, path.name
 
 
 def test_normal_form_has_no_test_fork():

@@ -7,6 +7,7 @@ exact output bits are pinned on fixed inputs."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -187,6 +188,29 @@ class TestBlockedParlettReid:
         assert pf_skew_parlett_reid(m[:rank, :rank]) != 0
         assert pf_skew_parlett_reid(m) == 0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [1e-300, 1e154, 1e300])
+    def test_norms_are_taken_at_unit_scale(self, c):
+        # ||c J||_F overflows from c ~ 1e154 on: the floor PIVOT_RTOL ||A||
+        # was inf and every pivot fell under it; both norms are now taken on
+        # A times a power of two
+        assert pf_skew_parlett_reid(c * np.array([[0.0, 1.0], [-1.0, 0.0]])) == c
+
+    def test_huge_non_skew_input_is_rejected(self):
+        # ||A + A^T|| and ||A|| are both inf on A itself, and inf > inf is false
+        with pytest.raises(InputError, match="not skew-symmetric"):
+            pf_skew_parlett_reid(1e300 * np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+    def test_pivot_product_never_leaves_the_double_range(self):
+        # 80 pivots 1e5, then 80 pivots 1e-5: the plain running product
+        # overflows at step 62, while the Pfaffian is 1
+        j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        m = scipy.linalg.block_diag(*[1e5 * j] * 80, *[1e-5 * j] * 80)
+        pf, shift, _ = pfaffian._parlett_reid(m.astype(np.complex128))
+        assert 0.5 <= abs(pf) < 1.0
+        assert pfaffian._ldexp(pf, shift) == pytest.approx(1.0, rel=1e-15)
+        assert pf_skew_parlett_reid(m) == pytest.approx(1.0, rel=1e-15)
+
     @pytest.mark.parametrize("dim", PANEL_DIMS)
     def test_scaling_and_congruence(self, dim):
         rng = np.random.default_rng(100 + dim)
@@ -272,7 +296,7 @@ def factors_as_lu(m):
     of each pair, and L', U the unit lower and upper triangles of the packed
     LU that :func:`wignerpf.pfaffian._packed_lu` reads off its factors."""
     work = m.copy()
-    pf, pivots = pfaffian._parlett_reid(work)
+    pf, shift, pivots = pfaffian._parlett_reid(work)
     dim = m.shape[0]
     order = np.arange(dim)
     for j, kp in enumerate(pivots.tolist()):
@@ -280,7 +304,7 @@ def factors_as_lu(m):
     rows = order[np.arange(dim) ^ 1]
     packed = pfaffian._packed_lu(work)
     lower = np.tril(packed, -1) + np.eye(dim)
-    return pf, -m[np.ix_(rows, order)], lower, np.triu(packed), packed
+    return pfaffian._ldexp(pf, shift), -m[np.ix_(rows, order)], lower, np.triu(packed), packed
 
 
 class TestFactorsAsLU:
@@ -302,7 +326,7 @@ class TestFactorsAsLU:
         m = swap_chain_skew(dim, 900 + dim)
         pf, permuted, lower, upper, _ = factors_as_lu(m)
         assert pf == pf_skew_parlett_reid(m)
-        _, pivots = pfaffian._parlett_reid(m.copy())
+        _, _, pivots = pfaffian._parlett_reid(m.copy())
         # each step's pivot row is the last one, the last step's without a swap
         assert pivots.tolist() == [dim - 1] * (dim // 2)
         eps = np.finfo(float).eps
