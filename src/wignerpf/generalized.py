@@ -51,7 +51,6 @@ from .linalg import (
     _ldexp,
     _lu,
     _odd_swaps,
-    _times_power_of_two,
     _unit_scaled,
     as_square_matrix,
     det_lu,
@@ -132,7 +131,7 @@ class PfResult:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _relation_value(det, apf, ratio_shift: int = 0):
+def _relation_value(det, apf):
     """``sqrt(det)`` with the sign that makes ``w = sqrt(det) conj(apf) /
     |apf|`` positive, elementwise over arrays of determinants and apfs.
 
@@ -140,13 +139,12 @@ def _relation_value(det, apf, ratio_shift: int = 0):
     a positive real factor), so ``w**2 = det conj(apf)^2 / |apf|^2``, a
     positive multiple of ``det / apf**2``, must be positive real within
     :data:`RATIO_IMAG_RTOL`; a nan or inf fails that test.  Raises
-    :class:`PfUndefinedError` where ``apf**2`` is not a normal double (0
-    included) and :class:`NotConjugateNormalError`, reporting ``det / apf**2
-    2^ratio_shift``, where ``w**2`` is not positive real.
+    :class:`PfUndefinedError` where ``apf**2`` is 0 and
+    :func:`_not_positive_ratio` where ``w**2`` is not positive real.
     """
     det = np.asarray(det, dtype=np.complex128)
     apf = np.asarray(apf, dtype=np.complex128)
-    if not np.all(_in_range(apf * apf)):
+    if np.any(apf * apf == 0):
         raise PfUndefinedError(
             "the antisymmetric part is singular; the determinant-ratio "
             "relation does not apply"
@@ -155,23 +153,27 @@ def _relation_value(det, apf, ratio_shift: int = 0):
     w2 = det * phase * phase
     positive = (w2.real > 0.0) & (abs(w2.imag) <= RATIO_IMAG_RTOL * abs(w2.real))
     if not positive.all():
-        ratio = _ldexp(complex((det / (apf * apf))[~positive].flat[0]), ratio_shift)
-        raise NotConjugateNormalError(
-            f"det(A)/det((A - A^T)/2) = {ratio:.6g} is not positive real; "
-            "the input is not conjugate-normal (the ratio is guaranteed "
-            "positive for conjugate-normal matrices)"
-        )
+        raise _not_positive_ratio(complex((det / (apf * apf))[~positive].flat[0]))
     root = np.sqrt(det)
     return np.where((root * phase).real < 0.0, -root, root)
+
+
+def _not_positive_ratio(ratio: complex) -> NotConjugateNormalError:
+    return NotConjugateNormalError(
+        f"det(A)/det((A - A^T)/2) = {ratio:.6g} is not positive real; "
+        "the input is not conjugate-normal (the ratio is guaranteed "
+        "positive for conjugate-normal matrices)"
+    )
 
 
 class _Factors:
     """A's LU and the Parlett-Reid factors of its skew part, each made once,
     where a route first reads it, on ``A 2^-e`` (:func:`_unit_scaled`): det(A)
     as ``det_parts = (mantissa, shift)``, ``mantissa 2^shift``, and apf(A)
-    as the last two of ``skew_factors = (factors, pf, shift)``.  Every step
-    is exact under ``A -> 2^j A``, so no mantissa depends on A's scale, and
-    none leaves the double range; ``det`` and ``apf`` round once."""
+    as the last two of ``skew_factors = (factors, pf, shift)``, the kernel
+    run on ``(A - A^T)/2 2^-e`` (:meth:`skew`).  Every step is exact under
+    ``A -> 2^j A``, so no mantissa depends on A's scale, and none leaves the
+    double range; ``det`` and ``apf`` round once."""
 
     def __init__(self, m: np.ndarray):
         self.unit, self.exponent = _unit_scaled(m)
@@ -189,7 +191,10 @@ class _Factors:
         lu, piv = self.lu
         diag = np.diagonal(lu)
         _, shifts = np.frexp(np.abs(diag))
-        diag = diag * np.ldexp(1.0, -shifts)
+        # 2^-shift is no double for a subnormal pivot: it takes two steps
+        diag = diag * np.ldexp(1.0, -np.maximum(shifts, -1021))
+        if np.any(shifts < -1021):
+            diag *= np.ldexp(1.0, -np.minimum(shifts + 1021, 0))
         mantissa, shift = 1 + 0j, int(shifts.sum())
         for start in range(0, len(diag), _CHUNK):
             mantissa *= complex(np.prod(diag[start : start + _CHUNK]))
@@ -201,24 +206,17 @@ class _Factors:
             mantissa = -mantissa
         return mantissa, shift + self.exponent * len(diag)
 
-    @cached_property
-    def skew_exponent(self) -> int:
-        """k with ``2^k`` the power of two nearest ``|det A|^(1/dim)``."""
-        dim = len(self.unit)
-        return (2 * self.det_parts[1] + dim) // (2 * dim)
-
     def skew(self) -> np.ndarray:
-        """``(A - A^T)/2 2^-k`` (k the :attr:`skew_exponent`), a fresh array,
-        whose pf lies near or under 1 where ``|apf| <= |pf|``, as on every
-        conjugate-normal A."""
+        """``(A - A^T)/2 2^-e``, a fresh array."""
         skew = self.unit - self.unit.T
-        return _times_power_of_two(skew, self.exponent - 1 - self.skew_exponent, out=skew)
+        skew *= 0.5
+        return skew
 
     @cached_property
     def skew_factors(self) -> tuple[np.ndarray, complex, int]:
         factors = self.skew()
         apf, shift, _ = _parlett_reid(factors)
-        return factors, apf, shift + self.skew_exponent * len(self.unit) // 2
+        return factors, apf, shift + self.exponent * len(self.unit) // 2
 
     @property
     def det(self) -> complex:
@@ -294,8 +292,7 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[float, _Facto
     * dim * eps * d_1`` or when it fails the rule; ``svdvals`` runs only on a block whose
     ``|apf|``, a product of half of those singular values, each at most d_J,
     is at most ``floor * d_J^(k/2 - 1)``.  A block whose ``apf**2`` leaves
-    the double range takes the phase of the apf of its skew part scaled by
-    a power of two near the mean of those singular values.
+    the double range takes the phase of the kernel's mantissa of its apf.
 
     All of this runs only where :func:`_well_conditioned_pfaffian` declines.
     """
@@ -426,7 +423,6 @@ def _well_conditioned_pfaffian(
     if not _rcond(factors.lu[0], norm_1) >= _RCOND_FLOOR:
         return cn_residual, None
     skew, apf, shift = factors.skew_factors
-    norm_1 = math.ldexp(norm_1, factors.exponent - factors.skew_exponent)
     if apf == 0 or not _rcond(_packed_lu(skew), norm_1) >= _RCOND_FLOOR:
         return cn_residual, None
     try:
@@ -440,7 +436,11 @@ def _relation_pfaffian(factors: _Factors, apf: complex, apf_shift: int) -> compl
     (:func:`_relation_value`, which raises where it finds no Pfaffian), from
     A's ``det_parts``: range-checked (:func:`_require_range`), then rescaled."""
     det, shift = factors.det_parts
-    root = complex(_relation_value(det, apf, shift - 2 * apf_shift))
+    try:
+        root = complex(_relation_value(det, apf))
+    except NotConjugateNormalError:
+        ratio = _ldexp(det / (apf * apf), shift - 2 * apf_shift)
+        raise _not_positive_ratio(ratio) from None
     _require_range(root, shift // 2)
     return _ldexp(root, shift // 2)
 
@@ -471,15 +471,12 @@ def _near_exponent(d):
 def _checked_apf(skew: np.ndarray, apf: complex, floor: float, dim: int) -> complex:
     """The apf of a block whose skew part may have a singular value at or
     below ``floor``, where the block holds a positive sigma and this raises.
-    Where ``apf**2`` leaves the double range, the apf of the skew part scaled
-    by the power of two nearest the geometric mean of its singular values: a
-    positive multiple of apf, read only for its phase."""
-    sv = scipy.linalg.svdvals(skew, check_finite=False)
-    if sv[-1] <= floor:
+    Where ``apf**2`` leaves the double range, the kernel's mantissa of apf
+    (:func:`~wignerpf.pfaffian._parlett_reid`), a positive multiple of apf
+    whose square is a normal double, read only for its phase."""
+    if scipy.linalg.svdvals(skew, check_finite=False)[-1] <= floor:
         raise _positive_sigma(dim)
-    if _in_range(apf * apf):
-        return apf
-    return _parlett_reid(skew * math.ldexp(1.0, -round(float(np.mean(np.log2(sv))))))[0]
+    return apf if _in_range(apf * apf) else _parlett_reid(skew.copy())[0]
 
 
 def _positive_sigma(dim: int) -> PfUndefinedError:
@@ -491,8 +488,8 @@ def _positive_sigma(dim: int) -> PfUndefinedError:
     )
 
 
-def _out_of_range(log10_abs: float, name: str = "pf") -> InputError:
-    return InputError(f"|{name}(A)| ~ 1e{log10_abs:.0f} is outside the double range")
+def _out_of_range(log10_abs: float) -> InputError:
+    return InputError(f"|pf(A)| ~ 1e{log10_abs:.0f} is outside the double range")
 
 
 def _log10_abs(mantissa: complex, exponent: int) -> float:
@@ -525,7 +522,8 @@ def antisymmetrized_pfaffian(a) -> PfResult:
     _, apf, shift = factors.skew_factors
     value = _ldexp(apf, shift)
     if apf != 0 and not _in_range(value):
-        raise _out_of_range(_log10_abs(apf, shift), "apf")
+        log10_abs = _log10_abs(apf, shift)
+        raise InputError(f"|apf(A)| ~ 1e{log10_abs:.0f} is outside the double range")
     diag = PfDiagnostics(factors.det, value, None, value == 0, None)
     return PfResult(value, "antisymmetrized", diag)
 
@@ -541,8 +539,8 @@ def generalized_pfaffian_via_relation(
     The well-conditioned path of :func:`generalized_pfaffian` without its
     condition estimates: the Gram guard and :func:`_relation_pfaffian` on A's
     factors (:class:`_Factors`).  A ratio that is not positive real within
-    ``RATIO_IMAG_RTOL`` signals non-conjugate-normal input, and an apf whose
-    square is no normal double at the factors' scale is undefined.
+    ``RATIO_IMAG_RTOL`` signals non-conjugate-normal input, and a zero apf
+    (on the polynomial engine, one whose square underflows) is undefined.
 
     ``engine`` selects how the skew Pfaffian is evaluated: "parlett-reid"
     (default; result method "relation") or "polynomial" (the brute-force
@@ -555,7 +553,7 @@ def generalized_pfaffian_via_relation(
     cn_residual, _ = _require_conjugate_normal(factors.unit, tol)
     if engine == "polynomial":
         apf, method = pf_polynomial(factors.skew()), "polynomial"
-        shift = factors.skew_exponent * len(factors.unit) // 2
+        shift = factors.exponent * len(factors.unit) // 2
     else:
         _, apf, shift = factors.skew_factors
         method = "relation"

@@ -40,14 +40,15 @@ _PANEL = 32
 def as_skew_matrix(a) -> np.ndarray:
     """Validate ``a`` as skew-symmetric (A = -A^T) within :data:`SKEW_RTOL`."""
     m = as_square_matrix(a)
-    _skew_norm(m)
+    _unit_skew(m)
     return m
 
 
-def _skew_norm(m: np.ndarray) -> tuple[float, int]:
-    """``(||A 2^-e||_F, e)`` of a square complex128 array, which must be skew
-    within :data:`SKEW_RTOL`: both norms are taken on ``A 2^-e``
-    (:func:`~wignerpf.linalg._unit_scaled`), so neither leaves the double range."""
+def _unit_skew(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(A 2^-e, e)`` (:func:`~wignerpf.linalg._unit_scaled`, a fresh array)
+    of a square complex128 array, which must be skew within
+    :data:`SKEW_RTOL`: both norms are taken on ``A 2^-e``, so neither leaves
+    the double range."""
     unit, e = _unit_scaled(m)
     norm = float(np.linalg.norm(unit))
     defect = float(np.linalg.norm(unit + unit.T))
@@ -55,7 +56,7 @@ def _skew_norm(m: np.ndarray) -> tuple[float, int]:
         raise InputError(
             f"matrix is not skew-symmetric: ||A + A^T|| / ||A|| = {defect / norm:.3e}"
         )
-    return norm, e
+    return unit, e
 
 
 def _householder(x: np.ndarray) -> tuple[np.ndarray, float, complex]:
@@ -115,21 +116,22 @@ def pf_skew_parlett_reid(a) -> complex:
     Computes an L T L^T factorization with partial pivoting (the pivot is the
     largest entry in the working column; each row/column interchange flips
     the sign).  A pivot smaller than ``PIVOT_RTOL * ||A||`` declares the
-    matrix numerically singular and returns 0 exactly; that floor, like the
-    validation, takes its norm on A times a power of two (:func:`_skew_norm`).
-    Odd-dimensional input returns 0.  The product of pivots is returned as
-    it rounds.  The work is :func:`_parlett_reid`'s, on a copy of the input.
+    matrix numerically singular and returns 0 exactly.  Odd-dimensional
+    input returns 0.  The validation and the work (:func:`_parlett_reid`)
+    run on A times a power of two (:func:`_unit_skew`), so the floor and the
+    pivot product stay in range at every scale; the Pfaffian is scaled back
+    once, as it rounds.
     """
-    m = as_square_matrix(a)
-    norm, e = _skew_norm(m)
-    return _ldexp(*_parlett_reid(m.copy(), math.ldexp(PIVOT_RTOL * norm, e))[:2])
+    unit, e = _unit_skew(as_square_matrix(a))
+    pf, shift, _ = _parlett_reid(unit)
+    return _ldexp(pf, shift + e * len(unit) // 2)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _parlett_reid(m: np.ndarray, floor: float | None = None) -> tuple[complex, int, np.ndarray]:
+def _parlett_reid(m: np.ndarray) -> tuple[complex, int, np.ndarray]:
     """:func:`pf_skew_parlett_reid` of a skew C-ordered complex128 array,
     which it overwrites with its factors: ``(pf, shift, pivots)``, the
-    Pfaffian ``pf 2^shift``, with ``floor = PIVOT_RTOL ||m||_F`` unless given.
+    Pfaffian ``pf 2^shift``, with the pivot floor ``PIVOT_RTOL ||m||_F``.
     pf is scaled exactly by a power of two wherever it leaves ``[2^-256,
     2^256]``: the plain product's bits where that is a normal double.
 
@@ -157,8 +159,7 @@ def _parlett_reid(m: np.ndarray, floor: float | None = None) -> tuple[complex, i
     pivots = np.arange(1, n, 2)
     if n % 2:
         return 0j, 0, pivots
-    if floor is None:
-        floor = PIVOT_RTOL * float(np.linalg.norm(m))
+    floor = PIVOT_RTOL * float(np.linalg.norm(m))
     pf, shift = 1.0 + 0j, 0
     g = np.empty((n, _PANEL), dtype=np.complex128)
     c = np.empty_like(g)

@@ -202,6 +202,19 @@ class TestAntisymmetrized:
         assert result.diagnostics.conjugate_normal_residual is None
         assert result.diagnostics.det_antisymmetric == result.value**2
 
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_pivots_leave_det_a_number(self):
+        # 2^-shift is no double for a subnormal LU pivot (2^1062 here): a
+        # one-step scaling made det nan; the skew part is read off A alone
+        matrix = np.array([[1e-320, 1.0], [0.0, 1e-320]])
+        result = antisymmetrized_pfaffian(matrix)
+        assert result.value == 0.5
+        assert not result.diagnostics.singular
+        assert result.diagnostics.det == 0
+        mantissa, shift = generalized._Factors(matrix).det_parts
+        assert 0.25 <= abs(mantissa) < 1.0
+        assert abs(math.log2(abs(mantissa)) + shift - 2 * math.log2(1e-320)) < 1e-3
+
 
 class TestRelationRoute:
     @pytest.mark.parametrize("engine,method", [("parlett-reid", "relation"), ("polynomial", "polynomial")])
@@ -291,6 +304,15 @@ class TestRelationRoute:
             "not conjugate-normal (the ratio is guaranteed positive for "
             "conjugate-normal matrices)"
         )
+
+    @pytest.mark.parametrize("c", [1e-200, 1.0, 1e200])
+    def test_ratio_is_reported_at_a_scale(self, c):
+        # the relation runs on mantissas; the message reports A's own
+        # det(A)/apf(A)^2 = -1 at every scale.  The guard, loosened, lets the
+        # non-conjugate-normal input through
+        loose = linalg.Tolerances(eig_residual=10.0, cluster=10.0)
+        with pytest.raises(NotConjugateNormalError, match=r"= -1\+0j is not positive real"):
+            generalized_pfaffian_via_relation(c * np.array([[1.0, 1.0], [-1.0, -2.0]]), loose)
 
 
 def near_axis_pair(radius, seed):
@@ -1261,7 +1283,7 @@ class TestWellConditionedPath:
     def test_a_determinant_out_of_range_stays_on_it(self):
         # det(A 2^-e) of 300 pairs is no double as a plain product of the LU
         # diagonal: it is multiplied as a mantissa and a power of two, and
-        # the apf taken near |det|^(1/dim)
+        # the kernel renormalizes its pivot product the same way
         matrix = table_matrix(600)
         unit, _ = normal_form._unit_scaled(matrix)
         with np.errstate(over="ignore", invalid="ignore"):
