@@ -1253,6 +1253,18 @@ class TestWellConditionedPath:
             assert on_lu / 2 <= estimate <= 2 * on_lu
             assert estimate >= exact * (1 - 1e-12)
 
+    def test_skew_estimate_bits(self):
+        # the fast path's skew gate, as it reads the kernel's factors: pins
+        # the layout of the L D L^T that _packed_lu reads, as well as its
+        # values.  The input takes no BLAS call to build, so its bits do not
+        # depend on the thread count
+        rng = np.random.default_rng(1300)
+        factors = generalized._Factors(rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300)))
+        work, _, _ = factors.skew_factors
+        norm_1 = float(np.abs(factors.unit).sum(axis=0).max())
+        estimate = generalized._rcond(pfaffian._packed_lu(work), norm_1)
+        assert estimate.hex() == "0x1.de1fb265f4be4p-15"
+
     @pytest.mark.parametrize(
         "entries",
         [

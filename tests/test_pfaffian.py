@@ -268,6 +268,11 @@ PINNED = {
     ("dense", 130, 930): ("0x1.ec5d5f85e13c0p+241", "0x1.6f6a55c5ee6d4p+244"),
     ("swap-chain", 66, 966): ("0x1.021da2f0c50a7p+10", "-0x1.8383319c33c6ap+3"),
     ("swap-chain", 130, 1030): ("0x1.fefcc0a209171p+19", "0x1.3446ac9a3f83dp+14"),
+    # the workloads' sizes: several panels, a partial last one
+    ("dense", 100, 900): ("-0x1.0239daac91a29p+178", "0x1.24a04bae9367dp+177"),
+    ("dense", 200, 1000): ("0x1.01eb6c7a4555fp+408", "0x1.1963d2b76288ap+406"),
+    ("dense", 300, 1100): ("0x1.3f2dab3399361p+654", "-0x1.2806dec281f7fp+657"),
+    ("swap-chain", 300, 1200): ("-0x1.6a5f1b72eb42fp+46", "0x1.805fd37fcc237p+36"),
     ("imaginary", 4, 1016): ("0x1.5f94faccd25aap-1", "0x0.0p+0"),
 }
 
