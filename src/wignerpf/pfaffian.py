@@ -139,12 +139,19 @@ def _parlett_reid(m: np.ndarray) -> tuple[complex, int, np.ndarray]:
     ``A22 += g c^T - c g^T`` (g the Gauss vector, c column k+1).  The steps
     run in panels of :data:`_PANEL`: inside a panel only the two columns
     being eliminated are brought up to date (skew symmetry supplies their
-    rows), the panel's g and c are collected as the columns of G and C (a
-    swap also swaps their rows), and the trailing block takes the panel's
-    whole update as one product ``G C^T`` minus its transpose.  A panel's
-    first step has no pending update, so it skips the two column products,
-    and a row interchange is two slice copies (:func:`_swap_rows`), not a
-    fancy-indexed gather and scatter.
+    rows), and the trailing block takes the panel's whole update as one
+    product ``G C^T`` minus its transpose.  The panel's g and c are the
+    columns of G and C, the two halves of one ``(n, 2, _PANEL)`` buffer, so
+    a row of the buffer holds a row of both.  A column's pending update ``G
+    c_k - C g_k`` is then one stacked matrix-vector product over the buffer,
+    each half of which is the gemv a product of G or C alone would run.  A
+    panel's first step has no pending update and skips it.
+
+    A row interchange takes three slice copies (:func:`_swap_rows`): the rows
+    of A; the columns of A from row k+1 down, as the rows above are
+    eliminated and only the lower triangle is read again; and the rows of
+    the buffer, which hold nothing pending at a panel's first step and are
+    left alone there.
 
     ``pivots[j]`` is the row that traded places with row ``2j + 1`` at step
     j.  With P those interchanges, ``P A P^T = L D L^T``: D is the direct sum
@@ -161,25 +168,24 @@ def _parlett_reid(m: np.ndarray) -> tuple[complex, int, np.ndarray]:
         return 0j, 0, pivots
     floor = PIVOT_RTOL * float(np.linalg.norm(m))
     pf, shift = 1.0 + 0j, 0
-    g = np.empty((n, _PANEL), dtype=np.complex128)
-    c = np.empty_like(g)
+    panel = np.empty((n, 2, _PANEL), dtype=np.complex128)
+    g, c = panel[:, 0], panel[:, 1]
     for start in range(0, n, 2 * _PANEL):
         stop = min(start + 2 * _PANEL, n)
         for j, k in enumerate(range(start, stop, 2)):
-            # rows of g, c below the panel's earlier steps are all written; at
-            # a panel's first step nothing is pending, and adding 0 still maps
-            # -0.0 to +0.0 as every other step's update does
-            m[k + 1:, k] += (
-                g[k + 1:, :j] @ c[k, :j] - c[k + 1:, :j] @ g[k, :j] if j else 0.0
-            )
-            kp = k + 1 + int(np.argmax(np.abs(m[k + 1:, k])))
+            # rows of the buffer below the panel's earlier steps are all
+            # written; at a panel's first step nothing is pending, and adding
+            # 0 still maps -0.0 to +0.0 as every other step's update does
+            column = m[k + 1:, k]
+            column += _pending(panel, k + 1, k, j) if j else 0.0
+            kp = k + 1 + int(np.abs(column).argmax())
             if abs(m[kp, k]) <= floor:
                 return 0j, 0, pivots
             if kp != k + 1:
-                # rows and columns k+1, kp of A trade places, and so do the
-                # rows of the panel's pending update
-                for x in (m, m.T, g[:, :j], c[:, :j]):
-                    _swap_rows(x, k + 1, kp)
+                _swap_rows(m, k + 1, kp)
+                _swap_rows(m[k + 1:].T, k + 1, kp)
+                if j:
+                    _swap_rows(panel, k + 1, kp)
                 pf = -pf
                 pivots[k // 2] = kp
             pivot = m[k + 1, k]  # = -A[k, k+1]
@@ -188,18 +194,23 @@ def _parlett_reid(m: np.ndarray) -> tuple[complex, int, np.ndarray]:
                 _, e = math.frexp(abs(pf))
                 pf, shift = _ldexp(pf, -e), shift + e
             if k + 2 < n:
-                m[k + 2:, k + 1] += (
-                    g[k + 2:, :j] @ c[k + 1, :j] - c[k + 2:, :j] @ g[k + 1, :j]
-                    if j
-                    else 0.0
-                )
-                g[k + 2:, j] = m[k + 2:, k] / pivot  # A[k, k+2:] / A[k, k+1]
-                c[k + 2:, j] = m[k + 2:, k + 1]
+                column = m[k + 2:, k + 1]
+                column += _pending(panel, k + 2, k + 1, j) if j else 0.0
+                np.divide(m[k + 2:, k], pivot, out=g[k + 2:, j])  # A[k, k+2:] / A[k, k+1]
+                c[k + 2:, j] = column
         if stop < n:
             steps = (stop - start) // 2
             update = g[stop:, :steps] @ c[stop:, :steps].T
             m[stop:, stop:] += update - update.T
     return complex(pf), shift, pivots
+
+
+def _pending(panel: np.ndarray, first: int, k: int, j: int) -> np.ndarray:
+    """``G c_k - C g_k`` on rows ``first:`` over the panel's first j steps:
+    G and C's rows as one ``(2, rows, j)`` stack times ``(c_k, g_k)``, one
+    matrix-vector product per member."""
+    product = np.matmul(panel[first:, :, :j].transpose(1, 0, 2), panel[k, ::-1, :j, None])
+    return product[0, :, 0] - product[1, :, 0]
 
 
 def _packed_lu(m: np.ndarray) -> np.ndarray:
