@@ -350,7 +350,8 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[float, _Facto
             e0 = int(e[0])
             det, shift = factors.det_parts
             _, apf, apf_shift = factors.skew_factors
-            dets, apfs = np.array([det]), np.array([_ldexp(apf, apf_shift - e0 * k // 2)])
+            dets, mantissas = np.array([det]), np.array([apf])
+            apfs = np.array([_ldexp(apf, apf_shift - e0 * k // 2)])
             exponent += (shift - e0 * k) // 2
         else:
             if k == 2:
@@ -359,16 +360,21 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[float, _Facto
                 dets = det_lu(blocks)
             if k <= 4:
                 apfs = _matching_sum(skews)
+                mantissas = apfs.copy()
             else:
                 # a copy: a flagged block's skew part is read again
-                apfs = np.array([_ldexp(*_parlett_reid(skew.copy())[:2]) for skew in skews])
+                parts = [_parlett_reid(skew.copy())[:2] for skew in skews]
+                mantissas = np.array([mantissa for mantissa, _ in parts])
+                apfs = np.array([_ldexp(*part) for part in parts])
         floors = noise * np.ldexp(d[0], -e)
         with np.errstate(over="ignore", invalid="ignore"):
             flagged = (
                 abs(apfs) <= floors * np.ldexp(lead, -e) ** (k // 2 - 1)
             ) | ~_in_range(apfs * apfs)
         for i in np.flatnonzero(flagged).tolist():
-            apfs[i] = _checked_apf(skews[i], complex(apfs[i]), float(floors[i]), dim)
+            apfs[i] = _checked_apf(
+                skews[i], complex(apfs[i]), complex(mantissas[i]), float(floors[i]), dim
+            )
         try:
             values[at] = _relation_value(dets, apfs)
         except (NotConjugateNormalError, PfUndefinedError):
@@ -468,15 +474,19 @@ def _near_exponent(d):
     return e - (mantissa < _SQRT_HALF)
 
 
-def _checked_apf(skew: np.ndarray, apf: complex, floor: float, dim: int) -> complex:
+def _checked_apf(
+    skew: np.ndarray, apf: complex, mantissa: complex, floor: float, dim: int
+) -> complex:
     """The apf of a block whose skew part may have a singular value at or
     below ``floor``, where the block holds a positive sigma and this raises.
-    Where ``apf**2`` leaves the double range, the kernel's mantissa of apf
-    (:func:`~wignerpf.pfaffian._parlett_reid`), a positive multiple of apf
-    whose square is a normal double, read only for its phase."""
+    Where ``apf**2`` leaves the double range, ``mantissa``, the kernel's
+    mantissa of apf (:func:`~wignerpf.pfaffian._parlett_reid`, run once per
+    block by the caller), a positive multiple of apf whose square is a
+    normal double, read only for its phase; a block of size 4 or less,
+    whose apf is the matching sum, passes apf itself."""
     if scipy.linalg.svdvals(skew, check_finite=False)[-1] <= floor:
         raise _positive_sigma(dim)
-    return apf if _in_range(apf * apf) else _parlett_reid(skew.copy())[0]
+    return apf if _in_range(apf * apf) else mantissa
 
 
 def _positive_sigma(dim: int) -> PfUndefinedError:
