@@ -1,17 +1,23 @@
 """Pfaffians of skew-symmetric matrices, plus a polynomial-definition oracle.
 
 :func:`pf_skew_parlett_reid`, a blocked LTL^T elimination with partial
-pivoting whose trailing updates are matrix products (after Wimmer, ACM TOMS
-38, 2012), is the one skew-Pfaffian kernel the package computes with.  Its
-work is :func:`_parlett_reid`'s, which overwrites its input with the
-factors; :func:`_packed_lu` reads them as one LU, whose condition estimate
+pivoting (after Wimmer, ACM TOMS 38, 2012), is the one skew-Pfaffian kernel
+the package computes with.  Its work is :func:`_parlett_reid`'s, which
+overwrites its input with the factors.  Each pivot step eliminates two
+columns; a panel of :data:`_PANEL` steps keeps its Gauss vectors and
+eliminated columns as the two halves of one ``(n, 2, _PANEL)`` buffer, so
+that a column's pending update is one stacked matrix-vector product over
+the buffer and a row interchange is three slice copies: the rows of A, the
+columns of A below the eliminated rows, and the buffer's rows.  The
+trailing block takes the panel's update as one matrix product.
+:func:`_packed_lu` reads the factors as one LU, whose condition estimate
 the fast path of :func:`wignerpf.generalized_pfaffian` takes.  Two
-references check it: :func:`pf_skew_householder`, an independent O(n^3)
-route by unitary Householder tridiagonalization that only the tests call,
-and :func:`pf_polynomial`, a brute-force sum over perfect matchings that
-accepts arbitrary square matrices and backs ``--method polynomial``.  Its
-sum, :func:`_matching_sum`, takes stacks of matrices too and gives the apf
-of the 2x2 and 4x4 group blocks of :func:`wignerpf.generalized_pfaffian`.
+references check the kernel: :func:`pf_skew_householder`, an independent
+O(n^3) route by unitary Householder tridiagonalization that only the tests
+call, and :func:`pf_polynomial`, a brute-force sum over perfect matchings
+that accepts arbitrary square matrices and backs ``--method polynomial``.
+Its sum, :func:`_matching_sum`, takes stacks of matrices too and gives the
+apf of the 2x2 and 4x4 group blocks of :func:`wignerpf.generalized_pfaffian`.
 """
 
 from __future__ import annotations
