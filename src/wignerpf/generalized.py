@@ -62,7 +62,15 @@ from .normal_form import (
     _require_conjugate_normal,
     _singular_groups,
 )
-from .pfaffian import _matching_sum, _packed_lu, _parlett_reid, pf_polynomial
+from .pfaffian import (
+    PIVOT_RTOL,
+    _diagonal_block,
+    _direct_blocks,
+    _matching_sum,
+    _packed_lu,
+    _parlett_reid,
+    pf_polynomial,
+)
 
 #: |Im(w2)| <= RATIO_IMAG_RTOL * |Re(w2)| is required of w2 = det conj(apf)^2 /
 #: |apf|^2, a positive multiple of the det(A)/det((A - A^T)/2) ratio
@@ -104,6 +112,13 @@ class PfDiagnostics:
     from two Gram triangles of A times a power of two, or read off the SVD
     where :func:`generalized_pfaffian` takes it (None on the antisymmetrized
     route, which runs no conjugate-normality test).
+
+    Where A is a direct sum of diagonal blocks up to a symmetric permutation
+    (:func:`~wignerpf.pfaffian._direct_blocks`), apf is the permutation's
+    sign times the blocks' skew Pfaffians, and the residual's numerator is
+    the root of the sum of the blocks' squared Gram differences, over the
+    whole ``||A||_F^2``: both may differ from A's whole factors in their
+    last bits.  ``det`` comes from A's LU, which is never split.
     """
 
     det: complex
@@ -170,17 +185,30 @@ class _Factors:
     """A's LU and the Parlett-Reid factors of its skew part, each made once,
     where a route first reads it, on ``A 2^-e`` (:func:`_unit_scaled`): det(A)
     as ``det_parts = (mantissa, shift)``, ``mantissa 2^shift``, and apf(A)
-    as the last two of ``skew_factors = (factors, pf, shift)``, the kernel
+    as the last two of ``skew_factors = (factors, apf, shift)``, the kernel
     run on ``(A - A^T)/2 2^-e`` (:meth:`skew`).  Every step is exact under
     ``A -> 2^j A``, so no mantissa depends on A's scale, and none leaves the
-    double range; ``det`` and ``apf`` round once."""
+    double range; ``det`` and ``apf`` round once.
+
+    ``blocks`` are A's diagonal blocks (:func:`~wignerpf.pfaffian._direct_blocks`,
+    None where A is taken whole), found once on ``A 2^-e``: the Gram guard
+    and the skew kernel run block by block, and A's LU whole."""
 
     def __init__(self, m: np.ndarray):
         self.unit, self.exponent = _unit_scaled(m)
 
     @cached_property
+    def blocks(self) -> list[np.ndarray] | None:
+        return _direct_blocks(self.unit)
+
+    @cached_property
     def lu(self) -> tuple[np.ndarray, np.ndarray]:
         return _lu(self.unit)
+
+    @cached_property
+    def norm_1(self) -> float:
+        """``||A 2^-e||_1``, against which both condition estimates are taken."""
+        return float(np.abs(self.unit).sum(axis=0).max())
 
     @cached_property
     def det_parts(self) -> tuple[complex, int]:
@@ -213,10 +241,30 @@ class _Factors:
         return skew
 
     @cached_property
-    def skew_factors(self) -> tuple[np.ndarray, complex, int]:
-        factors = self.skew()
-        apf, shift, _ = _parlett_reid(factors)
-        return factors, apf, shift + self.exponent * len(self.unit) // 2
+    def skew_factors(self) -> tuple[list[np.ndarray], complex, int]:
+        """The kernel's factors of each diagonal block of the skew part (the
+        whole, where A is one block), each run against the whole skew part's
+        pivot floor; apf is the sign of the blocks' permutation times their
+        pfs, multiplied into one mantissa and a power of two."""
+        skew = self.skew()
+        shift = self.exponent * len(skew) // 2
+        if self.blocks is None:
+            apf, kernel_shift, _ = _parlett_reid(skew)
+            return [skew], apf, kernel_shift + shift
+        floor = PIVOT_RTOL * float(np.linalg.norm(skew))
+        parts = [_diagonal_block(skew, block) for block in self.blocks]
+        apf = 1 + 0j
+        for part in parts:
+            pf, kernel_shift, _ = _parlett_reid(part, floor=floor)
+            if pf == 0:  # as the whole's kernel, stop at the first zero pivot
+                return parts, 0j, shift
+            apf *= pf
+            _, e = math.frexp(abs(apf))
+            apf, shift = _ldexp(apf, -e), shift + kernel_shift + e
+        order = np.concatenate(self.blocks)
+        if np.count_nonzero(np.triu(order[:, None] > order, 1)) % 2:  # sgn = -1
+            apf = -apf
+        return parts, apf, shift
 
     @property
     def det(self) -> complex:
@@ -416,7 +464,9 @@ def _well_conditioned_pfaffian(
     as refined by Higham) on A's LU, and on the Parlett-Reid ``L D L^T`` of
     A_as read as an LU (:func:`~wignerpf.pfaffian._packed_lu`) against
     ``||A||_1`` at its scale, so that a small skew part counts as
-    ill-conditioned; then :func:`_relation_pfaffian`, whose out-of-range
+    ill-conditioned; on a direct sum, whose inverse's 1-norm is its blocks'
+    largest, every block's estimate must pass.  Then
+    :func:`_relation_pfaffian`, whose out-of-range
     :class:`InputError` propagates.  A reciprocal estimate under
     :data:`_RCOND_FLOOR` (or not a number), a zero apf or a relation that
     finds no Pfaffian declines, and so does an odd dimension, at once: such
@@ -424,12 +474,13 @@ def _well_conditioned_pfaffian(
     """
     if len(factors.unit) % 2:
         return None, None
-    cn_residual, _ = _require_conjugate_normal(factors.unit, tol)
-    norm_1 = float(np.abs(factors.unit).sum(axis=0).max())
-    if not _rcond(factors.lu[0], norm_1) >= _RCOND_FLOOR:
+    cn_residual, _ = _require_conjugate_normal(factors.unit, tol, factors.blocks)
+    if not _rcond(factors.lu[0], factors.norm_1) >= _RCOND_FLOOR:
         return cn_residual, None
-    skew, apf, shift = factors.skew_factors
-    if apf == 0 or not _rcond(_packed_lu(skew), norm_1) >= _RCOND_FLOOR:
+    parts, apf, shift = factors.skew_factors
+    if apf == 0 or not all(
+        _rcond(_packed_lu(part), factors.norm_1) >= _RCOND_FLOOR for part in parts
+    ):
         return cn_residual, None
     try:
         return cn_residual, _relation_pfaffian(factors, apf, shift)
@@ -453,7 +504,8 @@ def _relation_pfaffian(factors: _Factors, apf: complex, apf_shift: int) -> compl
 
 def _rcond(lu: np.ndarray, norm_1: float) -> float:
     """LAPACK ``zgecon``'s reciprocal 1-norm condition estimate from an LU
-    factor, relative to ``norm_1``: 0 where U has a zero on its diagonal."""
+    factor, relative to ``norm_1``: 0 where U has a zero on its diagonal or
+    ``norm_1`` is 0."""
     return float(scipy.linalg.lapack.zgecon(lu, norm_1, norm="1")[0])
 
 
@@ -547,10 +599,15 @@ def generalized_pfaffian_via_relation(
     """Pfaffian via ``sqrt(det(A)/det((A - A^T)/2)) * apf(A)``.
 
     The well-conditioned path of :func:`generalized_pfaffian` without its
-    condition estimates: the Gram guard and :func:`_relation_pfaffian` on A's
-    factors (:class:`_Factors`).  A ratio that is not positive real within
-    ``RATIO_IMAG_RTOL`` signals non-conjugate-normal input, and a zero apf
-    (on the polynomial engine, one whose square underflows) is undefined.
+    skew part's condition estimate: the Gram guard and
+    :func:`_relation_pfaffian` on A's factors (:class:`_Factors`).
+    Singularity is decided first, from A's LU, as :func:`generalized_pfaffian`
+    decides it from the smallest singular value: a zero pivot, or a ``zgecon``
+    reciprocal condition estimate at or below ``dim * eps``, gives the value 0
+    with ``diagnostics.singular`` set.  Otherwise a ratio that is not positive
+    real within ``RATIO_IMAG_RTOL`` signals non-conjugate-normal input, and
+    a zero apf (on the polynomial engine, one whose square underflows) is
+    undefined: A holds a positive sigma.
 
     ``engine`` selects how the skew Pfaffian is evaluated: "parlett-reid"
     (default; result method "relation") or "polynomial" (the brute-force
@@ -560,14 +617,18 @@ def generalized_pfaffian_via_relation(
     if engine not in ("parlett-reid", "polynomial"):
         raise InputError(f"unknown engine {engine!r}")
     factors = _Factors(as_square_matrix(a))
-    cn_residual, _ = _require_conjugate_normal(factors.unit, tol)
+    cn_residual, _ = _require_conjugate_normal(factors.unit, tol, factors.blocks)
     if engine == "polynomial":
         apf, method = pf_polynomial(factors.skew()), "polynomial"
         shift = factors.exponent * len(factors.unit) // 2
     else:
         _, apf, shift = factors.skew_factors
         method = "relation"
-    value = _relation_pfaffian(factors, apf, shift)
+    dim = len(factors.unit)
+    if not _rcond(factors.lu[0], factors.norm_1) > dim * np.finfo(float).eps:
+        value = 0j
+    else:
+        value = _relation_pfaffian(factors, apf, shift)
     diag = PfDiagnostics(factors.det, _ldexp(apf, shift), cn_residual, value == 0, None)
     return PfResult(value, method, diag)
 
@@ -661,7 +722,14 @@ def identity_report(
     One :func:`generalized_pfaffian` call on A gives the det(A) and apf(A)
     the ``square-det`` and ``phase`` rows read; each derived row takes the
     value alone (:func:`_normal_form_pfaffian`, with the guard, and on the
-    SVD route both witnesses) and no determinant-ratio cross-check.
+    SVD route both witnesses) and no determinant-ratio cross-check.  The
+    ``direct-sum`` matrix, and the ``tensor`` one where B is diagonal, as by
+    default, are direct sums of copies of A up to a symmetric permutation:
+    where A has 64 rows (two kernel panels) or more, their guard residual is
+    the root of the copies' summed squared Gram differences over the whole
+    ``||A||_F^2``, and their apf the permutation's sign times the copies'
+    apfs, in one mantissa and power of two (:class:`_Factors`); their LU
+    runs whole, so their values keep the unsplit bits.
     B defaults to diag(2, 3).  Raises :class:`PfUndefinedError` for
     singular A (most rows degenerate there); other errors propagate from
     the individual Pfaffian computations.

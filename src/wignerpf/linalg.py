@@ -154,6 +154,26 @@ def _odd_swaps(piv: np.ndarray):
     return np.count_nonzero(piv != np.arange(piv.shape[-1]), axis=-1) % 2 == 1
 
 
+def _components(linked: np.ndarray) -> np.ndarray:
+    """The connected components of the graph whose symmetric boolean
+    adjacency matrix is ``linked``, every node linked to itself, as one label
+    per node: its component's least node.  Each node takes the least label
+    among its neighbours, then jumps twice to its label's label, until none
+    changes.  The labels are taken over the links alone, row by row, so a
+    sparse graph costs its links."""
+    n = len(linked)
+    rows, cols = np.divmod(np.flatnonzero(linked), n)
+    firsts = np.searchsorted(rows, np.arange(n))  # no row is empty
+    labels = np.arange(n)
+    while True:
+        new = np.minimum.reduceat(labels[cols], firsts)
+        new = new[new]
+        new = new[new]
+        if (new == labels).all():
+            return labels
+        labels = new
+
+
 def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a normal square complex128 array with orthonormal
     eigenvectors.

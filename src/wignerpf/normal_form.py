@@ -32,7 +32,8 @@ one group, ``X = 1`` and ``C = A``: :func:`wigner_normal_form` takes A so
 wherever its column norms agree, with no SVD, and runs one loop over the
 groups on every input.
 The package's one conjugate-normality guard lives here as well, in two
-forms: read off that SVD, or from two Gram triangles, which measure ||A||_F
+forms: read off that SVD, or from two Gram triangles (two per diagonal
+block of a direct sum), which measure ||A||_F
 for :func:`classify_spectrum`'s thresholds and for A's one group;
 :func:`is_conjugate_normal`, the one group and the Pfaffian's fast path take
 the Gram form on A times a power of two (:func:`_unit_scaled`).
@@ -64,6 +65,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _components,
     _frozen,
     _gram,
     _hermitian_norm,
@@ -74,6 +76,7 @@ from .linalg import (
     eig_normal,
     unitarity_defect,
 )
+from .pfaffian import _diagonal_block, _direct_blocks
 
 #: the spectral classes of a Lambda-eigenvalue omega, named as in the
 #: spectrum-prescription format; each fixes the block omega contributes
@@ -292,23 +295,39 @@ def is_conjugate_normal(a, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
     doubles, and no product overflows at any scale of A.
     """
     try:
-        residual, _ = _require_conjugate_normal(_unit_scaled(as_square_matrix(a))[0], tol)
+        unit, _ = _unit_scaled(as_square_matrix(a))
+        residual, _ = _require_conjugate_normal(unit, tol, _direct_blocks(unit))
     except NotConjugateNormalError as exc:
         return False, exc.residual
     return True, residual
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _require_conjugate_normal(m: np.ndarray, tol: Tolerances) -> tuple[float, float]:
+def _require_conjugate_normal(
+    m: np.ndarray, tol: Tolerances, blocks: list[np.ndarray] | None
+) -> tuple[float, float]:
     """The conjugate-normality guard: returns ``(residual, ||A||_F)`` or raises
     :class:`NotConjugateNormalError` carrying the residual.  A norm or Gram
-    difference that overflows gives an inf or nan residual, which fails."""
+    difference that overflows gives an inf or nan residual, which fails.
+
+    Where A is the direct sum of its diagonal ``blocks`` up to a symmetric
+    permutation (:func:`~wignerpf.pfaffian._direct_blocks`; None takes A
+    whole), so is the Gram difference: each block takes its own two Gram
+    triangles, and the difference's norm is the root of the sum of the
+    blocks' squares, the one residual of the one rule."""
     norm = float(np.linalg.norm(m))
-    # with X = A^T: X X^H = A^T A* and X^H X = conj(A A^H), one Gram triangle each
+    parts = [m] if blocks is None else [_diagonal_block(m, block) for block in blocks]
+    defect = math.hypot(*map(_gram_defect, parts))
+    residual = defect / max(norm * norm, np.finfo(float).tiny)
+    return _guard(residual, tol), norm
+
+
+def _gram_defect(m: np.ndarray) -> float:
+    """``||A^T A* - A A^H||_F``: with X = A^T, X X^H = A^T A* and X^H X =
+    conj(A A^H), one Gram triangle each."""
     defect = _gram(m.T)
     defect -= np.conj(_gram(m.T, adjoint_first=True))
-    residual = _hermitian_norm(defect) / max(norm * norm, np.finfo(float).tiny)
-    return _guard(residual, tol), norm
+    return _hermitian_norm(defect)
 
 
 def _guard(residual: float, tol: Tolerances) -> float:
@@ -412,22 +431,11 @@ class SpectralPairing:
 
 def _cluster_indices(values: np.ndarray, threshold: float) -> list[list[int]]:
     """Group eigenvalues into connected components at the given distance
-    (single linkage, order independent), in order of their smallest index,
-    members ascending.  An eigenvalue close to no other is its own component;
-    the others take their neighbours' least label, then that label's label,
-    until none changes: each is then labelled by its component's least index."""
+    (single linkage, order independent; :func:`~wignerpf.linalg._components`),
+    in order of their smallest index, members ascending."""
     close = np.abs(values[:, None] - values[None, :]) <= threshold
-    labels = np.arange(len(values))
-    linked = np.flatnonzero(np.count_nonzero(close, axis=1) > 1)
-    close = close[linked][:, linked]
-    roots = np.arange(len(linked))
-    while len(roots):
-        new = np.where(close, roots, len(roots)).min(axis=1)
-        new = new[new]
-        if np.array_equal(new, roots):
-            break
-        roots = new
-    labels[linked] = linked[roots]
+    close.flat[:: len(values) + 1] = True  # a nan is its own component
+    labels = _components(close)
     order = np.argsort(labels, kind="stable").tolist()
     bounds = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), len(order)]
     return [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
@@ -458,7 +466,7 @@ def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
     """
     _require_resolution(tol)
     m = as_square_matrix(a)
-    cn_residual, norm = _require_conjugate_normal(m, tol)
+    cn_residual, norm = _require_conjugate_normal(m, tol, None)
     clusters, vectors, images = _clusters(m, m @ m.conj(), tol.cluster_threshold(norm), tol)
     return SpectralPairing(clusters, vectors, images, cn_residual, norm)
 
@@ -773,7 +781,7 @@ def wigner_normal_form(a, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     )
     if squares.min() >= (1.0 - _GROUP_RTOL) ** 2 * squares.max():
         # one group, X = 1 and C = A: the Gram guard and ||A||_F at unit scale
-        cn_residual, norm = _require_conjugate_normal(unit, tol)
+        cn_residual, norm = _require_conjugate_normal(unit, tol, _direct_blocks(unit))
         del unit
         norm = math.ldexp(norm, exponent)
         root = math.sqrt(tol.cluster) * norm

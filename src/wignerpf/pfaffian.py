@@ -18,6 +18,9 @@ call, and :func:`pf_polynomial`, a brute-force sum over perfect matchings
 that accepts arbitrary square matrices and backs ``--method polynomial``.
 Its sum, :func:`_matching_sum`, takes stacks of matrices too and gives the
 apf of the 2x2 and 4x4 group blocks of :func:`wignerpf.generalized_pfaffian`.
+:func:`_direct_blocks` finds the diagonal blocks of a matrix that is a
+direct sum up to a symmetric permutation, on which the pipeline runs the
+kernel and the Gram guard block by block.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .linalg import _ldexp, _unit_scaled, as_square_matrix
+from .linalg import _components, _ldexp, _unit_scaled, as_square_matrix
 
 #: ||A + A^T|| <= SKEW_RTOL * ||A|| is required of skew input.
 SKEW_RTOL = 1e-12
@@ -134,10 +137,14 @@ def pf_skew_parlett_reid(a) -> complex:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _parlett_reid(m: np.ndarray) -> tuple[complex, int, np.ndarray]:
+def _parlett_reid(m: np.ndarray, floor: float | None = None) -> tuple[complex, int, np.ndarray]:
     """:func:`pf_skew_parlett_reid` of a skew C-ordered complex128 array,
     which it overwrites with its factors: ``(pf, shift, pivots)``, the
-    Pfaffian ``pf 2^shift``, with the pivot floor ``PIVOT_RTOL ||m||_F``.
+    Pfaffian ``pf 2^shift``.  A pivot at or below ``floor``, by default
+    ``PIVOT_RTOL ||m||_F``, stops it with pf = 0: a diagonal block of a
+    direct sum takes the floor of the whole skew part, so that its zero
+    decision is the whole matrix's, and the whole's apf is the sign of the
+    permutation times the blocks' pfs (:class:`wignerpf.generalized._Factors`).
     pf is scaled exactly by a power of two wherever it leaves ``[2^-256,
     2^256]``: the plain product's bits where that is a normal double.
 
@@ -172,7 +179,8 @@ def _parlett_reid(m: np.ndarray) -> tuple[complex, int, np.ndarray]:
     pivots = np.arange(1, n, 2)
     if n % 2:
         return 0j, 0, pivots
-    floor = PIVOT_RTOL * float(np.linalg.norm(m))
+    if floor is None:
+        floor = PIVOT_RTOL * float(np.linalg.norm(m))
     pf, shift = 1.0 + 0j, 0
     panel = np.empty((n, 2, _PANEL), dtype=np.complex128)
     g, c = panel[:, 0], panel[:, 1]
@@ -252,6 +260,77 @@ def _swap_rows(x: np.ndarray, i: int, j: int) -> None:
     row = x[i].copy()
     x[i] = x[j]
     x[j] = row
+
+
+def _direct_blocks(m: np.ndarray) -> list[np.ndarray] | None:
+    """The index sets, each ascending, of diagonal blocks whose direct sum is
+    ``m`` up to a symmetric permutation, or None where ``m`` is taken whole;
+    ``m`` is a square complex128 array in C or Fortran order.
+
+    The blocks are the connected components of the nonzero pattern of ``m``
+    and ``m^T`` (:func:`~wignerpf.linalg._components`) of at least ``2
+    _PANEL`` rows, and the smaller components kept together as one remainder
+    block.  ``m`` is split where that gives two blocks of ``2 _PANEL`` rows,
+    or one beside a remainder of at least ``_PANEL`` rows, and is whole
+    elsewhere: a smaller block costs more in per-call overhead than its
+    zeros cost in flops.  Two chains settle a dense or a banded ``m`` in
+    O(n): every row linked to row 0, or each row to the next; only then
+    does :func:`_pattern_blocks` read the whole pattern."""
+    if len(m) < 3 * _PANEL:  # too small to split
+        return None
+    to_first = m[0] != 0
+    to_first |= m[:, 0] != 0
+    if to_first[1:].all():
+        return None
+    to_next = np.diagonal(m, 1) != 0
+    to_next |= np.diagonal(m, -1) != 0
+    if to_next.all():
+        return None
+    return _pattern_blocks(m)
+
+
+def _pattern_blocks(m: np.ndarray) -> list[np.ndarray] | None:
+    """:func:`_direct_blocks` from the whole nonzero pattern.  Each component
+    lies within one run of consecutive rows that no other row links to, so
+    where the runs are all short, as on a direct sum of small blocks in
+    order, nothing more is read; and where each row of a run but its first
+    links to an earlier row, the run is one component, as on a direct sum
+    in order, and no component is searched for."""
+    n = len(m)
+    # the pattern is symmetrized below, so m^T serves as well; an entry is
+    # nonzero where a part is, and its parts' two flags read as one uint16
+    parts = (m if m.flags.c_contiguous else m.T).view(np.float64)
+    pattern = (parts != 0).view(np.uint16) != 0
+    pattern |= pattern.T
+    # a run starts where no later row links before it; a row with no link
+    # reads as linked to row 0, which only joins components into one block
+    rows = np.arange(n)
+    first = pattern.argmax(axis=1)  # each row's first link
+    starts = np.minimum.accumulate(first[::-1])[::-1] >= rows
+    labels = np.maximum.accumulate(np.where(starts, rows, 0))  # by first row
+    sizes = np.bincount(labels, minlength=n)
+    if sizes.max() < 2 * _PANEL:
+        return None
+    if not (starts | (first < rows)).all():
+        pattern.flat[:: n + 1] = True
+        labels = _components(pattern)
+        sizes = np.bincount(labels, minlength=n)
+    roots = np.flatnonzero(sizes >= 2 * _PANEL)
+    if len(roots) + (n - sizes[roots].sum() >= _PANEL) < 2:
+        return None
+    labels[sizes[labels] < 2 * _PANEL] = n  # the remainder block
+    return [np.flatnonzero(labels == label) for label in np.unique(labels).tolist()]
+
+
+def _diagonal_block(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``m[rows][:, rows]`` as a fresh C-ordered array, for ascending
+    ``rows``: through a slice where they are evenly spaced, as on a direct
+    sum in order or a Kronecker product with a diagonal matrix."""
+    step = rows[1] - rows[0] if len(rows) > 1 else 1
+    if (np.diff(rows) == step).all():
+        span = slice(rows[0], rows[-1] + 1, step)
+        return np.ascontiguousarray(m[span, span])
+    return m[np.ix_(rows, rows)]
 
 
 def pf_polynomial(a) -> complex:

@@ -115,6 +115,45 @@ class TestMethods:
         np.testing.assert_allclose(values["polynomial"], values["normal-form"], rtol=1e-12)
 
 
+#: inputs on which pf and pf --method relation give one outcome: A singular
+#: (value 0, exit 0) or A non-singular with a singular skew part (exit 4)
+ROUTE_INPUTS = {
+    "zero-pair": lambda: random_conjugate_normal(
+        SpectrumSpec((SpectrumEntry("complex", 1 + 1j), SpectrumEntry("zero", 0.0, 2)), seed=3)
+    ),
+    "zero-matrix": lambda: np.zeros((2, 2)),
+    "j-plus-zero": lambda: np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    "diag": lambda: np.diag([3.0, 5.0]),
+    **{
+        f"positive-real-{seed}": lambda seed=seed: random_conjugate_normal(
+            SpectrumSpec(
+                (SpectrumEntry("positive-real", 3.0, 2), SpectrumEntry("complex", 1 + 2j)),
+                seed=seed,
+            )
+        )
+        for seed in range(4)
+    },
+}
+
+
+class TestRouteIndependentClass:
+    @pytest.mark.parametrize("name", list(ROUTE_INPUTS))
+    def test_relation_route_matches_pf(self, capsys, tmp_path, name):
+        # singularity is decided from A's LU before the ratio is tested, so
+        # a singular A gives 0 on both routes and only a non-singular A
+        # whose skew part is singular exits 4
+        path = tmp_path / "a.mm"
+        write_matrix(ROUTE_INPUTS[name](), str(path), "mm")
+        outcomes = []
+        for extra in ([], ["--method", "relation"]):
+            code, out = run(capsys, ["pf", *extra, str(path)])
+            payload = json.loads(out)
+            outcomes.append((code, payload.get("pfaffian"), payload.get("singular")))
+        singular = name in ("zero-pair", "zero-matrix", "j-plus-zero")
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == ((0, [0, 0], True) if singular else (4, None, None))
+
+
 class TestApfOddDimension:
     def test_warning_and_zero(self, capsys, files):
         code, out = run(capsys, ["apf", files["odd.mm"]])

@@ -256,6 +256,30 @@ class TestRelationRoute:
         with pytest.raises(InputError):
             generalized_pfaffian_via_relation(np.zeros((2, 2)), engine="qr")
 
+    @pytest.mark.parametrize("engine", ["parlett-reid", "polynomial"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: random_conjugate_normal(
+                SpectrumSpec(
+                    (SpectrumEntry("complex", 1 + 1j), SpectrumEntry("zero", 0.0, 2)), seed=3
+                )
+            ),
+            lambda: np.zeros((2, 2)),
+        ],
+        ids=["zero-pair", "zero-matrix"],
+    )
+    def test_singular_input_gives_zero_as_pf_does(self, build, engine):
+        # singularity comes first, from A's LU: the skew part is singular
+        # too, which without A's decision would make the relation undefined
+        matrix = build()
+        want = generalized_pfaffian(matrix)
+        result = generalized_pfaffian_via_relation(matrix, engine=engine)
+        assert want.value == result.value == 0
+        assert want.diagnostics.singular and result.diagnostics.singular
+        assert result.diagnostics.det == want.diagnostics.det
+        assert result.diagnostics.cross_check_residual is None
+
     def test_singular_antisymmetric_part_is_undefined(self):
         with pytest.raises(PfUndefinedError):
             generalized_pfaffian_via_relation(np.diag([3.0, 5.0]))
@@ -668,7 +692,7 @@ class TestIdentityReport:
         calls = []
         original = generalized._parlett_reid
         monkeypatch.setattr(
-            generalized, "_parlett_reid", lambda m: calls.append(1) or original(m)
+            generalized, "_parlett_reid", lambda m, **kw: calls.append(1) or original(m, **kw)
         )
         identity_report(random_conjugate_normal(corpus_spec(14)))
         assert len(calls) == 8
@@ -805,6 +829,38 @@ class TestPassBudget:
         monkeypatch.setattr(np.linalg, "inv", None)
         pfaffian_derivative(matrix, np.eye(matrix.shape[0]))
         assert passes == {"svd": 0, "eigh": 0, "lu_factor": 1, "zherk": 2, "skew": 1}
+
+    def test_direct_sum_rows_run_half_size_passes(self, monkeypatch):
+        # the battery at n = 100 on the fast path, as the identities workload
+        # runs it.  The direct-sum and tensor rows are direct sums of two
+        # copies of A up to a symmetric permutation: each runs two kernels
+        # and four Gram triangles of size 100, and its LU of size 200 whole.
+        # Every other row runs one kernel and two triangles of size 100
+        rng = np.random.default_rng(100)
+        omegas = np.exp(rng.uniform(-1.0, 1.0, 50)) * np.exp(1j * rng.uniform(0.2, 2.9, 50))
+        spec = SpectrumSpec(tuple(SpectrumEntry("complex", complex(w)) for w in omegas), seed=1)
+        sizes = {"zherk": [], "skew": [], "lu_factor": []}
+
+        def sizing(name, f):
+            def sized(*args, **kwargs):
+                sizes[name].append(len(args[1] if name == "zherk" else args[0]))
+                return f(*args, **kwargs)
+
+            return sized
+
+        for module, attr in (
+            (scipy.linalg.blas, "zherk"),
+            (generalized, "_parlett_reid"),
+            (scipy.linalg, "lu_factor"),
+        ):
+            name = "skew" if attr == "_parlett_reid" else attr
+            monkeypatch.setattr(module, attr, sizing(name, getattr(module, attr)))
+        report = identity_report(random_conjugate_normal(spec))
+        assert report.passed
+        assert sizes["skew"] == [100] * 11
+        assert sizes["zherk"] == [100] * 22
+        # nine pipelines, det(B) and det(Q)
+        assert sorted(sizes["lu_factor"]) == [2] + [100] * 8 + [200] * 2
 
     @pytest.mark.parametrize(
         "entries, seed, outcome",
@@ -1087,7 +1143,9 @@ class TestGroupKernel:
         calls = []
         original = generalized._parlett_reid
         monkeypatch.setattr(
-            generalized, "_parlett_reid", lambda m: calls.append(m.shape) or original(m)
+            generalized,
+            "_parlett_reid",
+            lambda m, **kw: calls.append(m.shape) or original(m, **kw),
         )
         checked = []
         checked_apf = generalized._checked_apf
@@ -1295,7 +1353,7 @@ class TestWellConditionedPath:
         # depend on the thread count
         rng = np.random.default_rng(1300)
         factors = generalized._Factors(rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300)))
-        work, _, _ = factors.skew_factors
+        (work,), _, _ = factors.skew_factors
         norm_1 = float(np.abs(factors.unit).sum(axis=0).max())
         estimate = generalized._rcond(pfaffian._packed_lu(work), norm_1)
         assert estimate.hex() == "0x1.de1fb265f4be4p-15"

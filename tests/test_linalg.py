@@ -9,6 +9,7 @@ import scipy.linalg
 from wignerpf import InputError, NotNormalError, Tolerances
 from wignerpf.linalg import (
     DEFAULT_TOL,
+    _components,
     _frozen,
     _gram,
     _hermitian_norm,
@@ -348,3 +349,37 @@ class TestGramTriangles:
         assert _hermitian_norm(np.array([[-3.0 + 0j]])) == 3.0
         assert _hermitian_norm(np.zeros((1, 1), dtype=complex)) == 0.0
         assert _hermitian_norm(np.zeros((4, 4), dtype=complex)) == 0.0
+
+
+def least_reachable(linked):
+    """Each node's least reachable node, by plain breadth-first searches from
+    the nodes in ascending order."""
+    labels = np.full(len(linked), -1)
+    for start in range(len(linked)):
+        frontier = [start] if labels[start] < 0 else []
+        while frontier:
+            labels[frontier] = start
+            frontier = sorted({j for i in frontier for j in np.flatnonzero(linked[i]) if labels[j] < 0})
+    return labels
+
+
+class TestComponents:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("density", [0.0, 0.01, 0.05, 0.3])
+    def test_labels_are_least_reachable_nodes(self, seed, density):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 120))
+        linked = rng.random((n, n)) < density
+        linked |= linked.T
+        linked.flat[:: n + 1] = True
+        assert np.array_equal(_components(linked), least_reachable(linked))
+
+    def test_a_long_path_is_one_component(self):
+        # the chain 0 - 2 - 4 - ... - 1 - 3 - ...: each link halves the
+        # label's distance at best, which the label's labels make up for
+        n = 301
+        order = np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)[::-1]])
+        linked = np.eye(n, dtype=bool)
+        linked[order[:-1], order[1:]] = linked[order[1:], order[:-1]] = True
+        assert not _components(linked).any()
+

@@ -959,9 +959,9 @@ class TestOnePass:
         original_det = normal_form.det_lu
         original_lu = generalized._lu
 
-        def counted_pr(m):
+        def counted_pr(m, **kw):
             calls["parlett-reid"] += 1
-            return original_pr(m)
+            return original_pr(m, **kw)
 
         def counted_det(m):
             calls["det"] += 1

@@ -1,6 +1,6 @@
 """The package namespace: what ``from wignerpf import *`` exports, which
 module may hold the skew-Pfaffian oracle or call the validating skew
-kernel, the one production path of the
+kernel, which modules a process loads, the one production path of the
 normal form, the inputs the result types take and how they compare, and
 that no module imports a name it does not use, no private function or class
 goes unread and no private function keeps a default that no call overrides."""
@@ -8,6 +8,9 @@ goes unread and no private function keeps a default that no call overrides."""
 import ast
 import io
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import wignerpf
@@ -47,6 +50,23 @@ def test_the_public_skew_kernel_is_called_only_in_its_module():
             if isinstance(node, ast.Call)
         }
         assert "pf_skew_parlett_reid" not in called, path.name
+
+
+def test_no_module_loads_scipy_sparse():
+    # the direct-sum split finds its components without scipy.sparse.csgraph,
+    # whose import alone costs every process that runs the package 5 MB
+    code = (
+        "import sys, numpy as np\n"
+        "from wignerpf import SpectrumEntry, SpectrumSpec, generalized_pfaffian,"
+        " random_conjugate_normal\n"
+        "omegas = [complex(1 + k / 8, 1) for k in range(32)]\n"
+        "spec = SpectrumSpec(tuple(SpectrumEntry('complex', w) for w in omegas), seed=1)\n"
+        "generalized_pfaffian(np.kron(np.eye(2), random_conjugate_normal(spec)))\n"
+        "assert not [m for m in sys.modules if m.split('.')[:2] == ['scipy', 'sparse']]\n"
+    )
+    src = str(Path(wignerpf.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def test_normal_form_has_no_test_fork():
