@@ -59,6 +59,8 @@ from .linalg import (
 from .normal_form import (
     _RECONSTRUCT_RTOL,
     _UNITARITY_RTOL,
+    _gram_defect,
+    _gram_defects,
     _require_conjugate_normal,
     _singular_groups,
 )
@@ -181,25 +183,42 @@ def _not_positive_ratio(ratio: complex) -> NotConjugateNormalError:
     )
 
 
-class _Factors:
-    """A's LU and the Parlett-Reid factors of its skew part, each made once,
-    where a route first reads it, on ``A 2^-e`` (:func:`_unit_scaled`): det(A)
-    as ``det_parts = (mantissa, shift)``, ``mantissa 2^shift``, and apf(A)
-    as the last two of ``skew_factors = (factors, apf, shift)``, the kernel
-    run on ``(A - A^T)/2 2^-e`` (:meth:`skew`).  Every step is exact under
-    ``A -> 2^j A``, so no mantissa depends on A's scale, and none leaves the
-    double range; ``det`` and ``apf`` round once.
+class _UnitFactors:
+    """The products of ``A 2^-e`` (:func:`_unit_scaled`) alone, each made
+    once, where a route first reads it: A's diagonal ``blocks``
+    (:func:`~wignerpf.pfaffian._direct_blocks`, None where A is taken whole),
+    its LU and the LU's det mantissa, each block's Gram defect, the
+    Parlett-Reid kernel run on each block of the skew part with its
+    unit-scale shift, and the ``zgecon`` estimates on the LU and on each
+    block's kernel factors.  The Gram guard and the skew kernel run block by
+    block, and A's LU whole.
 
-    ``blocks`` are A's diagonal blocks (:func:`~wignerpf.pfaffian._direct_blocks`,
-    None where A is taken whole), found once on ``A 2^-e``: the Gram guard
-    and the skew kernel run block by block, and A's LU whole."""
+    The products of a ``reference`` matrix that is taken whole lend a block
+    that is bit for bit its unit matrix its Gram defect, and its kernel run
+    where its smallest pivot clears this matrix's pivot floor (a run whose
+    pivots all clear a floor does the same arithmetic at that floor); the
+    kernel's estimate follows the run where the two ``||.||_1`` agree."""
 
-    def __init__(self, m: np.ndarray):
-        self.unit, self.exponent = _unit_scaled(m)
+    def __init__(self, unit: np.ndarray, reference: _UnitFactors | None = None):
+        self.unit = unit
+        self.reference = reference
 
     @cached_property
     def blocks(self) -> list[np.ndarray] | None:
         return _direct_blocks(self.unit)
+
+    @cached_property
+    def shared(self) -> list[bool]:
+        """Which blocks are bit for bit the unit matrix of a one-block
+        reference."""
+        reference = self.reference
+        if self.blocks is None or reference is None or reference.blocks is not None:
+            return [False] * len(self.blocks or [None])
+        return [
+            len(rows) == len(reference.unit)
+            and _bitwise_equal(_diagonal_block(self.unit, rows), reference.unit)
+            for rows in self.blocks
+        ]
 
     @cached_property
     def lu(self) -> tuple[np.ndarray, np.ndarray]:
@@ -211,11 +230,17 @@ class _Factors:
         return float(np.abs(self.unit).sum(axis=0).max())
 
     @cached_property
+    def rcond(self) -> float:
+        """``zgecon``'s estimate on the LU (:func:`_rcond`)."""
+        return _rcond(self.lu[0], self.norm_1)
+
+    @cached_property
     def det_parts(self) -> tuple[complex, int]:
-        """The LU pivots scaled into ``[1/2, 1)`` by powers of two and
-        multiplied in chunks of :data:`_CHUNK`: up to that size the plain
-        product's bits.  ``|mantissa|`` is in ``[1/4, 1)`` (0 where singular),
-        and the shift is even where dim is."""
+        """det(A 2^-e) as ``(mantissa, shift)``: the LU pivots scaled into
+        ``[1/2, 1)`` by powers of two and multiplied in chunks of
+        :data:`_CHUNK`, up to that size the plain product's bits.
+        ``|mantissa|`` is in ``[1/4, 1)`` (0 where singular), and the shift is
+        even."""
         lu, piv = self.lu
         diag = np.diagonal(lu)
         _, shifts = np.frexp(np.abs(diag))
@@ -232,7 +257,18 @@ class _Factors:
             mantissa, shift = mantissa / 2.0, shift + 1
         if _odd_swaps(piv):
             mantissa = -mantissa
-        return mantissa, shift + self.exponent * len(diag)
+        return mantissa, shift
+
+    @cached_property
+    def defects(self) -> list[float]:
+        """Each block's ``||B^T B* - B B^H||_F`` (:func:`_gram_defects`)."""
+        if not any(self.shared):
+            return _gram_defects(self.unit, self.blocks)
+        (defect,) = self.reference.defects
+        return [
+            defect if shared else _gram_defect(_diagonal_block(self.unit, rows))
+            for rows, shared in zip(self.blocks, self.shared)
+        ]
 
     def skew(self) -> np.ndarray:
         """``(A - A^T)/2 2^-e``, a fresh array."""
@@ -244,18 +280,22 @@ class _Factors:
     def skew_factors(self) -> tuple[list[np.ndarray], complex, int]:
         """The kernel's factors of each diagonal block of the skew part (the
         whole, where A is one block), each run against the whole skew part's
-        pivot floor; apf is the sign of the blocks' permutation times their
-        pfs, multiplied into one mantissa and a power of two."""
+        pivot floor, and apf(A 2^-e) as ``(mantissa, shift)``: the sign of the
+        blocks' permutation times their pfs, multiplied into one mantissa and
+        a power of two."""
         skew = self.skew()
-        shift = self.exponent * len(skew) // 2
         if self.blocks is None:
-            apf, kernel_shift, _ = _parlett_reid(skew)
-            return [skew], apf, kernel_shift + shift
+            apf, shift, _ = _parlett_reid(skew)
+            return [skew], apf, shift
         floor = PIVOT_RTOL * float(np.linalg.norm(skew))
-        parts = [_diagonal_block(skew, block) for block in self.blocks]
-        apf = 1 + 0j
-        for part in parts:
-            pf, kernel_shift, _ = _parlett_reid(part, floor=floor)
+        parts, apf, shift = [], 1 + 0j, 0
+        for rows, shared in zip(self.blocks, self.shared):
+            if shared and self.reference.smallest_pivot > floor:
+                (part,), pf, kernel_shift = self.reference.skew_factors
+            else:
+                part = _diagonal_block(skew, rows)
+                pf, kernel_shift, _ = _parlett_reid(part, floor=floor)
+            parts.append(part)
             if pf == 0:  # as the whole's kernel, stop at the first zero pivot
                 return parts, 0j, shift
             apf *= pf
@@ -265,6 +305,64 @@ class _Factors:
         if np.count_nonzero(np.triu(order[:, None] > order, 1)) % 2:  # sgn = -1
             apf = -apf
         return parts, apf, shift
+
+    @cached_property
+    def smallest_pivot(self) -> float:
+        """The smallest modulus among the kernel's pivots of a one-block skew
+        part, 0 where the kernel stopped at one."""
+        (part,), apf, _ = self.skew_factors
+        return float(np.abs(np.diagonal(part, -1)[::2]).min()) if apf != 0 else 0.0
+
+    @cached_property
+    def skew_rconds(self) -> list[float]:
+        """``zgecon``'s estimate on each block's kernel factors read as an LU
+        (:func:`~wignerpf.pfaffian._packed_lu`)."""
+        reference = self.reference
+        lent = reference.skew_factors[0][0] if any(self.shared) else None
+        return [
+            reference.skew_rconds[0]
+            if part is lent and reference.norm_1 == self.norm_1
+            else _rcond(_packed_lu(part), self.norm_1)
+            for part in self.skew_factors[0]
+        ]
+
+
+class _Factors:
+    """A's LU and the Parlett-Reid factors of its skew part, made on ``A
+    2^-e`` (:func:`_unit_scaled`) once, where a route first reads them:
+    ``products``, the :class:`_UnitFactors` of ``A 2^-e``, and the exponent
+    e, which only shifts them.  det(A) is ``det_parts = (mantissa, shift)``,
+    ``mantissa 2^shift``, and apf(A) the last two of ``skew_factors =
+    (factors, apf, shift)``.  Every step is exact under ``A -> 2^j A``, so
+    no mantissa depends on A's scale, and none leaves the double range;
+    ``det`` and ``apf`` round once.
+
+    Given the factors of a ``reference`` matrix, A adopts all of its
+    products where ``A 2^-e`` is bit for bit the reference's, as at ``2^j``
+    times the reference, and otherwise lends them to its blocks
+    (:class:`_UnitFactors`)."""
+
+    def __init__(self, m: np.ndarray, reference: _Factors | None = None):
+        unit, self.exponent = _unit_scaled(m)
+        lent = None if reference is None else reference.products
+        if lent is not None and _bitwise_equal(unit, lent.unit):
+            self.products = lent
+        else:
+            self.products = _UnitFactors(unit, lent)
+
+    @property
+    def unit(self) -> np.ndarray:
+        return self.products.unit
+
+    @property
+    def det_parts(self) -> tuple[complex, int]:
+        mantissa, shift = self.products.det_parts
+        return mantissa, shift + self.exponent * len(self.unit)
+
+    @property
+    def skew_factors(self) -> tuple[list[np.ndarray], complex, int]:
+        parts, apf, shift = self.products.skew_factors
+        return parts, apf, shift + self.exponent * len(self.unit) // 2
 
     @property
     def det(self) -> complex:
@@ -300,19 +398,30 @@ def generalized_pfaffian(a, tol: Tolerances = DEFAULT_TOL) -> PfResult:
     None unless ``det(A)`` and ``apf**2`` both lie in ``[tiny, inf)``, and 0
     by construction where the value came from the same factors.
     """
-    cn_residual, factors, value = _normal_form_pfaffian(as_square_matrix(a), tol)
+    return _normal_form_result(as_square_matrix(a), tol)[0]
+
+
+def _normal_form_result(m: np.ndarray, tol: Tolerances) -> tuple[PfResult, _Factors]:
+    """:func:`generalized_pfaffian` of a checked square ``m``, and A's
+    factors, which :func:`identity_report` lends its derived rows."""
+    cn_residual, factors, value = _normal_form_pfaffian(m, tol)
     det_a, apf = factors.det, factors.apf
     cross = None
     if value != 0 and _in_range(det_a) and _in_range(apf**2):
         cross = float(abs(value - _relation_value(det_a, apf)) / abs(value))
     diag = PfDiagnostics(det_a, apf, cn_residual, value == 0, cross)
-    return PfResult(value, "normal-form", diag)
+    return PfResult(value, "normal-form", diag), factors
 
 
-def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[float, _Factors, complex]:
+def _normal_form_pfaffian(
+    m: np.ndarray, tol: Tolerances, reference: _Factors | None = None
+) -> tuple[float, _Factors, complex]:
     """:func:`generalized_pfaffian`'s value of a square ``m`` (0 when
     singular), with its errors and no diagnostics: ``(the guard's residual,
-    A's factors, value)``.
+    A's factors, value)``.  A's factors take what they can of a
+    ``reference``'s (:class:`_Factors`), so a matrix whose ``A 2^-e`` is bit
+    for bit the reference's, or has blocks that are, repeats none of that
+    work; every value and residual keeps its bits.
 
     One SVD ``A = X D Y^H``, the guard read off it and the groups J of
     equal singular values, all from
@@ -344,7 +453,7 @@ def _normal_form_pfaffian(m: np.ndarray, tol: Tolerances) -> tuple[float, _Facto
 
     All of this runs only where :func:`_well_conditioned_pfaffian` declines.
     """
-    factors = _Factors(m)
+    factors = _Factors(m, reference)
     cn_residual, value = _well_conditioned_pfaffian(factors, tol)
     if value is not None:
         return cn_residual, factors, value
@@ -472,15 +581,14 @@ def _well_conditioned_pfaffian(
     finds no Pfaffian declines, and so does an odd dimension, at once: such
     an A is singular or holds a positive sigma.
     """
-    if len(factors.unit) % 2:
+    products = factors.products
+    if len(products.unit) % 2:
         return None, None
-    cn_residual, _ = _require_conjugate_normal(factors.unit, tol, factors.blocks)
-    if not _rcond(factors.lu[0], factors.norm_1) >= _RCOND_FLOOR:
+    cn_residual, _ = _require_conjugate_normal(products.unit, tol, products.defects)
+    if not products.rcond >= _RCOND_FLOOR:
         return cn_residual, None
-    parts, apf, shift = factors.skew_factors
-    if apf == 0 or not all(
-        _rcond(_packed_lu(part), factors.norm_1) >= _RCOND_FLOOR for part in parts
-    ):
+    _, apf, shift = factors.skew_factors
+    if apf == 0 or not all(rcond >= _RCOND_FLOOR for rcond in products.skew_rconds):
         return cn_residual, None
     try:
         return cn_residual, _relation_pfaffian(factors, apf, shift)
@@ -500,6 +608,15 @@ def _relation_pfaffian(factors: _Factors, apf: complex, apf_shift: int) -> compl
         raise _not_positive_ratio(ratio) from None
     _require_range(root, shift // 2)
     return _ldexp(root, shift // 2)
+
+
+def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two complex arrays of finite entries hold the same bits: the
+    same shape and values, and zeros of the same signs."""
+    return np.array_equal(a, b) and all(
+        np.array_equal(np.signbit(x), np.signbit(y))
+        for x, y in ((a.real, b.real), (a.imag, b.imag))
+    )
 
 
 def _rcond(lu: np.ndarray, norm_1: float) -> float:
@@ -617,15 +734,16 @@ def generalized_pfaffian_via_relation(
     if engine not in ("parlett-reid", "polynomial"):
         raise InputError(f"unknown engine {engine!r}")
     factors = _Factors(as_square_matrix(a))
-    cn_residual, _ = _require_conjugate_normal(factors.unit, tol, factors.blocks)
+    products = factors.products
+    cn_residual, _ = _require_conjugate_normal(products.unit, tol, products.defects)
+    dim = len(products.unit)
     if engine == "polynomial":
-        apf, method = pf_polynomial(factors.skew()), "polynomial"
-        shift = factors.exponent * len(factors.unit) // 2
+        apf, method = pf_polynomial(products.skew()), "polynomial"
+        shift = factors.exponent * dim // 2
     else:
         _, apf, shift = factors.skew_factors
         method = "relation"
-    dim = len(factors.unit)
-    if not _rcond(factors.lu[0], factors.norm_1) > dim * np.finfo(float).eps:
+    if not products.rcond > dim * np.finfo(float).eps:
         value = 0j
     else:
         value = _relation_pfaffian(factors, apf, shift)
@@ -648,7 +766,7 @@ def pfaffian_derivative(a, da, tol: Tolerances = DEFAULT_TOL) -> complex:
     _, factors, value = _normal_form_pfaffian(m, tol)
     if value == 0:
         raise PfUndefinedError("the derivative formula requires a non-singular matrix")
-    solved = scipy.linalg.lu_solve(factors.lu, d, check_finite=False)
+    solved = scipy.linalg.lu_solve(factors.products.lu, d, check_finite=False)
     return complex(0.5 * value * _ldexp(complex(np.trace(solved)), -factors.exponent))
 
 
@@ -730,6 +848,18 @@ def identity_report(
     ``||A||_F^2``, and their apf the permutation's sign times the copies'
     apfs, in one mantissa and power of two (:class:`_Factors`); their LU
     runs whole, so their values keep the unsplit bits.
+
+    A's factors from that call serve every derived row for this call only.
+    A row whose ``A 2^-e`` is bit for bit A's, as the ``scale`` row's at a
+    power-of-two lam (the default 2), takes all of them.  A diagonal block
+    that is bit for bit A's, as each copy in the ``direct-sum`` row and, by
+    default, the ``tensor`` row's 2A block where the largest real or
+    imaginary part of ``A 2^-e`` is under 2/3, takes A's Gram defect; it
+    takes A's kernel run where A's smallest pivot clears the row's pivot
+    floor, and then A's skew estimate where the two ``||.||_1`` agree.  No
+    value or residual changes in any bit; where A itself splits into
+    blocks, only the ``scale`` row reuses anything.
+
     B defaults to diag(2, 3).  Raises :class:`PfUndefinedError` for
     singular A (most rows degenerate there); other errors propagate from
     the individual Pfaffian computations.
@@ -738,7 +868,7 @@ def identity_report(
     lam = complex(lam)
     if not cmath.isfinite(lam):
         raise InputError(f"lam must be finite, got {lam}")
-    base = generalized_pfaffian(m, tol)
+    base, factors = _normal_form_result(m, tol)
     if base.diagnostics.singular:
         raise PfUndefinedError("the identity battery requires a non-singular matrix")
     pf_a = base.value
@@ -758,7 +888,7 @@ def identity_report(
         checks.append(IdentityCheck(name, residual, IDENTITY_THRESHOLD))
 
     def pf(x) -> complex:
-        return _normal_form_pfaffian(x, tol)[2]
+        return _normal_form_pfaffian(x, tol, factors)[2]
 
     sign_n = -1.0 if n % 2 else 1.0
     add("square-det", pf_a * pf_a, base.diagnostics.det)

@@ -190,10 +190,14 @@ def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     ``4 sqrt(dim) eps ||M||`` of the bound below are ones the eigensolve left
     mixed (eigenvalues whose ``Re w + c Im w`` lie close).  Their span is
     invariant up to the other columns' residual, so one Rayleigh-Ritz step
-    unmixes them: with Z the Schur vectors of the k x k ``T_SS = Q_S^H P_S``,
-    ``Q_S Z`` and ``P_S Z`` replace Q_S and P_S, at O(dim k^2) and without a
-    product with M.  The off-diagonal mass ``||R||`` left after that is both
-    the eigen-residual of the result and the witness that M is normal
+    unmixes them, component by component: the k x k ``T_SS = Q_S^H P_S``
+    links two columns where its entry exceeds that share, and with Z the
+    Schur vectors of a connected component's block of T_SS (components from
+    :func:`_components`), ``Q_C Z`` and ``P_C Z`` replace its columns Q_C and
+    P_C, at O(dim k^2) at most and without a product with M.  An entry left
+    between two components is at most that share.  The off-diagonal mass
+    ``||R||`` left after that, those entries with it, is both the
+    eigen-residual of the result and the witness that M is normal
     (``||[M, M^H]|| <= 4 ||M|| ||R|| + 2 ||R||^2``), held to
     ``tol.eig_residual``.
 
@@ -216,18 +220,25 @@ def eig_normal(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     values = np.einsum("ij,ij->j", q.conj(), p)  # T_jj = q_j^H p_j
     residual = q * values
     np.subtract(p, residual, out=residual)  # M Q - Q diag(T)
-    eps = np.finfo(float).eps
-    mixed = np.flatnonzero(
-        np.linalg.norm(residual, axis=0) > 4 * math.sqrt(dim) * eps * norm
-    )
+    share = 4 * math.sqrt(dim) * np.finfo(float).eps * norm
+    mixed = np.flatnonzero(np.linalg.norm(residual, axis=0) > share)
     if mixed.size:
-        q_s, p_s = q[:, mixed], p[:, mixed]
-        _, z = scipy.linalg.schur(q_s.conj().T @ p_s, output="complex", check_finite=False)
-        q_s = q_s @ z
-        p_s = p_s @ z
-        q[:, mixed] = q_s
-        values[mixed] = np.einsum("ij,ij->j", q_s.conj(), p_s)
-        residual[:, mixed] = p_s - q_s * values[mixed]
+        t_ss = q[:, mixed].conj().T @ p[:, mixed]
+        linked = abs(t_ss) > share
+        np.fill_diagonal(linked, True)
+        labels = _components(linked | linked.T)
+        for label in np.unique(labels).tolist():
+            part = np.flatnonzero(labels == label)
+            if len(part) == 1:  # its Schur form is 1
+                continue
+            cols = mixed[part]
+            block = t_ss[np.ix_(part, part)]
+            _, z = scipy.linalg.schur(block, output="complex", check_finite=False)
+            q_s = q[:, cols] @ z
+            p_s = p[:, cols] @ z
+            q[:, cols] = q_s
+            values[cols] = np.einsum("ij,ij->j", q_s.conj(), p_s)
+            residual[:, cols] = p_s - q_s * values[cols]
     off = np.linalg.norm(residual)
     if off > tol.eig_residual * max(norm, np.finfo(float).tiny):
         raise NotNormalError(

@@ -296,7 +296,8 @@ def is_conjugate_normal(a, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
     """
     try:
         unit, _ = _unit_scaled(as_square_matrix(a))
-        residual, _ = _require_conjugate_normal(unit, tol, _direct_blocks(unit))
+        defects = _gram_defects(unit, _direct_blocks(unit))
+        residual, _ = _require_conjugate_normal(unit, tol, defects)
     except NotConjugateNormalError as exc:
         return False, exc.residual
     return True, residual
@@ -304,24 +305,31 @@ def is_conjugate_normal(a, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _require_conjugate_normal(
-    m: np.ndarray, tol: Tolerances, blocks: list[np.ndarray] | None
+    m: np.ndarray, tol: Tolerances, defects: list[float]
 ) -> tuple[float, float]:
     """The conjugate-normality guard: returns ``(residual, ||A||_F)`` or raises
     :class:`NotConjugateNormalError` carrying the residual.  A norm or Gram
-    difference that overflows gives an inf or nan residual, which fails.
+    difference (:func:`_gram_defect`, silent too) that overflows gives an
+    inf or nan residual, which fails.
 
-    Where A is the direct sum of its diagonal ``blocks`` up to a symmetric
-    permutation (:func:`~wignerpf.pfaffian._direct_blocks`; None takes A
-    whole), so is the Gram difference: each block takes its own two Gram
-    triangles, and the difference's norm is the root of the sum of the
-    blocks' squares, the one residual of the one rule."""
+    ``defects`` are the Gram defects of A's diagonal blocks
+    (:func:`_gram_defects`).  Where A is their direct sum up to a symmetric
+    permutation, so is its Gram difference, whose norm is the root of the
+    sum of the blocks' squares: the one residual of the one rule."""
     norm = float(np.linalg.norm(m))
-    parts = [m] if blocks is None else [_diagonal_block(m, block) for block in blocks]
-    defect = math.hypot(*map(_gram_defect, parts))
-    residual = defect / max(norm * norm, np.finfo(float).tiny)
+    residual = math.hypot(*defects) / max(norm * norm, np.finfo(float).tiny)
     return _guard(residual, tol), norm
 
 
+def _gram_defects(m: np.ndarray, blocks: list[np.ndarray] | None) -> list[float]:
+    """:func:`_gram_defect` of each diagonal block of ``m`` on the index sets
+    ``blocks`` (:func:`~wignerpf.pfaffian._direct_blocks`), or of ``m`` whole
+    where that is None: each block takes its own two Gram triangles."""
+    parts = [m] if blocks is None else [_diagonal_block(m, block) for block in blocks]
+    return [_gram_defect(part) for part in parts]
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _gram_defect(m: np.ndarray) -> float:
     """``||A^T A* - A A^H||_F``: with X = A^T, X X^H = A^T A* and X^H X =
     conj(A A^H), one Gram triangle each."""
@@ -466,7 +474,7 @@ def classify_spectrum(a, tol: Tolerances = DEFAULT_TOL) -> SpectralPairing:
     """
     _require_resolution(tol)
     m = as_square_matrix(a)
-    cn_residual, norm = _require_conjugate_normal(m, tol, None)
+    cn_residual, norm = _require_conjugate_normal(m, tol, [_gram_defect(m)])
     clusters, vectors, images = _clusters(m, m @ m.conj(), tol.cluster_threshold(norm), tol)
     return SpectralPairing(clusters, vectors, images, cn_residual, norm)
 
@@ -781,7 +789,9 @@ def wigner_normal_form(a, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     )
     if squares.min() >= (1.0 - _GROUP_RTOL) ** 2 * squares.max():
         # one group, X = 1 and C = A: the Gram guard and ||A||_F at unit scale
-        cn_residual, norm = _require_conjugate_normal(unit, tol, _direct_blocks(unit))
+        cn_residual, norm = _require_conjugate_normal(
+            unit, tol, _gram_defects(unit, _direct_blocks(unit))
+        )
         del unit
         norm = math.ldexp(norm, exponent)
         root = math.sqrt(tol.cluster) * norm

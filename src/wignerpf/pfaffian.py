@@ -144,7 +144,7 @@ def _parlett_reid(m: np.ndarray, floor: float | None = None) -> tuple[complex, i
     ``PIVOT_RTOL ||m||_F``, stops it with pf = 0: a diagonal block of a
     direct sum takes the floor of the whole skew part, so that its zero
     decision is the whole matrix's, and the whole's apf is the sign of the
-    permutation times the blocks' pfs (:class:`wignerpf.generalized._Factors`).
+    permutation times the blocks' pfs (:class:`wignerpf.generalized._UnitFactors`).
     pf is scaled exactly by a power of two wherever it leaves ``[2^-256,
     2^256]``: the plain product's bits where that is a normal double.
 

@@ -108,7 +108,8 @@ def test_check_reports_the_whole_guards_residual(name):
     matrix, _ = INPUTS[name]
     flag, residual = is_conjugate_normal(matrix)
     unit, _ = linalg._unit_scaled(matrix)
-    want, _ = normal_form._require_conjugate_normal(unit, linalg.DEFAULT_TOL, None)
+    whole = [normal_form._gram_defect(unit)]
+    want, _ = normal_form._require_conjugate_normal(unit, linalg.DEFAULT_TOL, whole)
     assert flag and abs(residual - want) <= 4 * EPS
 
 

@@ -688,24 +688,25 @@ class TestIdentityReport:
         # diagnostics and the phase row reuse that apf.  A derived row whose
         # matrix is one group factors that matrix's skew part as its block,
         # and every row is but the tensor row, whose kron with B splits into
-        # pairs: 1 + 7
+        # pairs; the scale row's 2A is A times a power of two and takes A's
+        # factors: 1 + 6
         calls = []
         original = generalized._parlett_reid
         monkeypatch.setattr(
             generalized, "_parlett_reid", lambda m, **kw: calls.append(1) or original(m, **kw)
         )
         identity_report(random_conjugate_normal(corpus_spec(14)))
-        assert len(calls) == 8
+        assert len(calls) == 7
 
     def test_negative_congruence_seed_rejected_before_the_battery(self, monkeypatch):
         calls = []
-        original = generalized.generalized_pfaffian
+        original = generalized._normal_form_result
 
         def counted(m, tol):
             calls.append(1)
             return original(m, tol)
 
-        monkeypatch.setattr(generalized, "generalized_pfaffian", counted)
+        monkeypatch.setattr(generalized, "_normal_form_result", counted)
         with pytest.raises(InputError, match="seed must be >= 0"):
             identity_report(random_conjugate_normal(corpus_spec(14)), congruence_seed=-1)
         assert len(calls) == 1
@@ -716,7 +717,7 @@ class TestIdentityReport:
         def no_pipeline(m, tol):
             raise AssertionError("a non-finite lam runs no pipeline")
 
-        monkeypatch.setattr(generalized, "generalized_pfaffian", no_pipeline)
+        monkeypatch.setattr(generalized, "_normal_form_result", no_pipeline)
         with pytest.raises(InputError, match="lam must be finite"):
             identity_report(random_conjugate_normal(corpus_spec(14)), lam=lam)
 
@@ -759,8 +760,8 @@ def assert_rows_take_the_full_pipeline_value(matrix, **kwargs):
     seen = []
     original = generalized._normal_form_pfaffian
 
-    def recording(x, tol):
-        residual, factors, value = original(x, tol)
+    def recording(x, tol, reference=None):
+        residual, factors, value = original(x, tol, reference)
         seen.append((np.array(x), value))
         return residual, factors, value
 
@@ -821,8 +822,9 @@ class TestPassBudget:
         assert passes == {"svd": 0, "eigh": 0, "lu_factor": 1, "zherk": 2, "skew": 1}
         passes.update(dict.fromkeys(passes, 0))
         identity_report(matrix)
-        # nine such calls, then det(B) and det(Q)
-        assert passes == {"svd": 0, "eigh": 0, "lu_factor": 11, "zherk": 18, "skew": 9}
+        # nine such calls but the scale row's, whose 2A is A times a power of
+        # two and takes A's factors; then det(B) and det(Q)
+        assert passes == {"svd": 0, "eigh": 0, "lu_factor": 10, "zherk": 16, "skew": 8}
         passes.update(dict.fromkeys(passes, 0))
         # the solve takes the fast path's LU: nothing else factors A
         monkeypatch.setattr(np.linalg, "solve", None)
@@ -833,9 +835,12 @@ class TestPassBudget:
     def test_direct_sum_rows_run_half_size_passes(self, monkeypatch):
         # the battery at n = 100 on the fast path, as the identities workload
         # runs it.  The direct-sum and tensor rows are direct sums of two
-        # copies of A up to a symmetric permutation: each runs two kernels
-        # and four Gram triangles of size 100, and its LU of size 200 whole.
-        # Every other row runs one kernel and two triangles of size 100
+        # copies of A up to a symmetric permutation: each would run two
+        # kernels and four Gram triangles of size 100, and its LU of size 200
+        # whole.  Every other row runs one kernel and two triangles of size
+        # 100.  A's factors serve the scale row's 2A, the direct-sum row's
+        # two copies of A and, as A's largest entry here lies under 2/3 of a
+        # power of two, the tensor row's 2A
         rng = np.random.default_rng(100)
         omegas = np.exp(rng.uniform(-1.0, 1.0, 50)) * np.exp(1j * rng.uniform(0.2, 2.9, 50))
         spec = SpectrumSpec(tuple(SpectrumEntry("complex", complex(w)) for w in omegas), seed=1)
@@ -857,10 +862,10 @@ class TestPassBudget:
             monkeypatch.setattr(module, attr, sizing(name, getattr(module, attr)))
         report = identity_report(random_conjugate_normal(spec))
         assert report.passed
-        assert sizes["skew"] == [100] * 11
-        assert sizes["zherk"] == [100] * 22
-        # nine pipelines, det(B) and det(Q)
-        assert sorted(sizes["lu_factor"]) == [2] + [100] * 8 + [200] * 2
+        assert sizes["skew"] == [100] * 7
+        assert sizes["zherk"] == [100] * 14
+        # nine pipelines but the scale row's, det(B) and det(Q)
+        assert sorted(sizes["lu_factor"]) == [2] + [100] * 7 + [200] * 2
 
     @pytest.mark.parametrize(
         "entries, seed, outcome",
@@ -973,14 +978,14 @@ class TestPassBudget:
 
     @pytest.mark.parametrize(
         "index, counts",
-        [(2, [1, 3, 2]), (14, [1, 3, 2])],
+        [(2, [1, 2, 2]), (14, [1, 2, 2])],
         ids=["groups", "single-group"],
     )
     def test_each_matrix_is_checked_where_it_enters(self, monkeypatch, svd_route, index, counts):
         # as_square_matrix reads as_matrix as a module global, so the spy
         # sees every check; the kernels, the skew kernel among them, take the
         # pipeline's arrays as given.  A call checks its entry; a battery its
-        # entry, one call and B; the derivative A and dA, with groups or one
+        # entry and B; the derivative A and dA, with groups or one
         kernels = {"det_lu", "eig_normal", "unitarity_defect"}
         callers = []
         original = linalg.as_matrix

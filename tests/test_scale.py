@@ -126,15 +126,17 @@ def test_power_of_two_scaling_is_exact_through_the_mixed_block(schur_orders, j):
     # the normal form takes its 150 pairs from singular-value groups, with no
     # eigensolve of Lambda and so no Schur step, and U scales with A.  At n =
     # 300 the Lambda eigensolve leaves a few columns mixed and only those take
-    # the Schur step; the columns chosen scale with A
+    # the Schur step, one per component of them; the columns chosen and
+    # their components scale with A
     matrix = table_matrix(300)
     scale = 2.0**j
     assert wigner_normal_form(scale * matrix).u.tobytes() == wigner_normal_form(matrix).u.tobytes()
     assert schur_orders == []
     classify_spectrum(matrix)
+    orders = schur_orders.copy()
+    schur_orders.clear()
     classify_spectrum(scale * matrix)
-    order, scaled_order = schur_orders
-    assert order == scaled_order > 0
+    assert schur_orders == orders and sum(orders) > 0
     want = scaled_exactly(generalized_pfaffian(matrix).value, j * 150)
     if want is None:
         with pytest.raises(InputError) as info:
